@@ -25,7 +25,7 @@ from .ideals import (
     unit_ideal,
 )
 from .lattice import (
-    enumerate_quadratic_form,
+    _enumerate_ellipsoid,
     gram_of,
     lll_first_vector,
     minimal_element_bounded,
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 DEGREE_TOL = 1e-9
+# principal_generator outside quadratic fields searches x^T G x <= n N(Q)^2 * this
+PRINCIPAL_SEARCH_FACTOR = 64
 
 
 class UndecidedPrincipality(RuntimeError):
@@ -391,8 +393,7 @@ def to_reduced(f: NumberField, q: FractionalIdeal) -> tuple[FractionalIdeal, Fie
     return scale_ideal(q, g.inverse()), g
 
 
-def principal_generator(f: NumberField, q: FractionalIdeal,
-                        search_factor: int = 64) -> FieldElement | None:
+def principal_generator(f: NumberField, q: FractionalIdeal) -> FieldElement | None:
     """A generator of Q when Q is principal, else None.
 
     Real quadratic fields walk the principal reduced-ideal cycle (complete).
@@ -410,33 +411,21 @@ def principal_generator(f: NumberField, q: FractionalIdeal,
     qi = scale_ideal(q, f.rational(q.den)) if q.den != 1 else q
     m = qi.norm()
     assert m.denominator == 1
-    gram = gram_of(f, qi)
-    if f.n == 2 and f.r2 == 1:
+    imaginary_quadratic = f.n == 2 and f.r2 == 1
+    if imaginary_quadratic:
         radius = 2 * Fraction(m) * (1 + Fraction(1, 1 << 20))
-        for _, coeffs in enumerate_quadratic_form(gram.entries, radius):
-            g = _combine(qi, coeffs)
-            if abs(g.norm()) == m:
-                return g / q.den
-        return None
-    radius = Fraction(f.n) * Fraction(m.numerator) ** 2 * search_factor
-    found = False
-    for _, coeffs in enumerate_quadratic_form(gram.entries, radius):
-        g = _combine(qi, coeffs)
+    else:
+        radius = Fraction(f.n) * Fraction(m.numerator) ** 2 * PRINCIPAL_SEARCH_FACTOR
+    for _, _, g in _enumerate_ellipsoid(gram_of(f, qi), radius):
         if abs(g.norm()) == m:
             return g / q.den
-        found = True
+    if imaginary_quadratic:
+        return None
     raise UndecidedPrincipality(
-        "no generator inside the declared search radius; "
-        "raise search_factor to keep looking"
+        "no generator of squared length at most n * N(Q)^2 * "
+        f"{PRINCIPAL_SEARCH_FACTOR} (the declared search radius); "
+        "principality is undecided"
     )
-
-
-def _combine(ideal: FractionalIdeal, coeffs) -> FieldElement:
-    acc = ideal.field.zero()
-    for c, b in zip(coeffs, ideal.basis_elements()):
-        if c:
-            acc = acc + c * b
-    return acc
 
 
 # ---------------------------------------------------------------------------

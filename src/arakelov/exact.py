@@ -31,20 +31,8 @@ def mat_identity(n: int) -> Mat:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0)) for i in range(len(a))]
-
-
-def mat_transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
 
 
 def mat_det(a: Mat) -> Fraction:
@@ -83,11 +71,6 @@ def mat_inv(a: Mat) -> Mat:
                 f = m[r][c]
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return [row[n:] for row in m]
-
-
-def solve_linear(a: Mat, v: Vec) -> Vec:
-    """Solve a x = v exactly; raises ValueError when singular."""
-    return mat_vec(mat_inv(a), v)
 
 
 # ---------------------------------------------------------------------------

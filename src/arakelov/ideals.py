@@ -114,10 +114,6 @@ def ideal_from_generators(f: NumberField, gens: list[FieldElement]) -> Fractiona
     return _from_vectors(f, vectors)
 
 
-def principal_ideal(f: NumberField, g: FieldElement) -> FractionalIdeal:
-    return ideal_from_generators(f, [g])
-
-
 def scale_ideal(i: FractionalIdeal, g: FieldElement) -> FractionalIdeal:
     """The ideal g·I (exact, no closure step needed)."""
     if g.is_zero():

@@ -28,16 +28,13 @@ from .numfield import (
     FieldElement,
     NumberField,
     PrecisionExhausted,
+    _iv_mul,
     fraction_to_mpf,
     mpf_to_fraction,
 )
 
 LLL_DELTA = Fraction(99, 100)
 _ENUM_SLACK = Fraction(1, 2 ** 20)
-
-
-class _NeedsRefinement(Exception):
-    pass
 
 
 def _sqrt_approx(d: int, prec: int) -> tuple[Fraction, Fraction]:
@@ -49,11 +46,15 @@ def _sqrt_approx(d: int, prec: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Positive-definite Gram matrix of a scaled lattice basis."""
+    """Positive-definite Gram matrix of a scaled lattice basis.
+
+    weights holds the exact squared per-place scale the entries were built
+    with, so refine() rebuilds the same matrix at a higher precision.
+    """
 
     field: NumberField | None
     source: tuple[FieldElement, ...]
-    u: ArchVector | None
+    weights: tuple[Fraction, ...] | None
     entries: tuple[tuple[Fraction, ...], ...]
     err: Fraction
     prec: int
@@ -91,10 +92,7 @@ class GramMatrix:
         new_prec = self.prec * 2
         if new_prec > MAX_PREC:
             raise PrecisionExhausted("gram matrix refinement exceeded precision cap")
-        return _gram_from_basis(self.field, self.source, self.u, new_prec)
-
-    def is_exact(self) -> bool:
-        return self.err == 0
+        return _gram(self.field, self.source, self.weights, new_prec)
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,6 @@ class ShortVector:
     element: FieldElement
     length_sq: Fraction
     length_sq_err: Fraction
-
-    @property
-    def length(self):
-        with mp.workprec(64):
-            return mp.sqrt(fraction_to_mpf(self.length_sq, 64))
 
 
 def _u_weights(f: NumberField, u: ArchVector | None) -> list[Fraction]:
@@ -128,19 +121,20 @@ def _u_weights(f: NumberField, u: ArchVector | None) -> list[Fraction]:
     return out
 
 
-def _gram_from_basis(f: NumberField, basis: tuple[FieldElement, ...],
-                     u: ArchVector | None, prec: int) -> GramMatrix:
+def _gram(f: NumberField, basis: tuple[FieldElement, ...],
+          w: list[Fraction] | tuple[Fraction, ...], prec: int) -> GramMatrix:
+    """Gram matrix of the basis with exact squared weights w_sigma per place:
+    entry (i, j) is sum_sigma deg_sigma w_sigma Re(sigma(b_i) conj(sigma(b_j)))."""
     n = len(basis)
-    w = _u_weights(f, u)
-    scalar = all(x == w[0] for x in w)
+    err = Fraction(0)
 
-    if f.r2 == 0 and scalar:
+    if f.r2 == 0 and all(x == w[0] for x in w):
+        # totally real, one weight: a multiple of the trace form, exact
         entries = [
             [w[0] * (basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)
         ]
-        return GramMatrix(f, basis, u, _freeze(entries), Fraction(0), prec)
 
-    if f.n == 2 and f.r2 == 1:
+    elif f.n == 2 and f.r2 == 1:
         # single complex place: 2|u|^2 (a_i a_j + b_i b_j |D|), exact
         d = -f._surd_disc()
         coords = [f.surd_embed(x, 0) for x in basis]
@@ -149,14 +143,12 @@ def _gram_from_basis(f: NumberField, basis: tuple[FieldElement, ...],
              for j in range(n)]
             for i in range(n)
         ]
-        return GramMatrix(f, basis, u, _freeze(entries), Fraction(0), prec)
 
-    if f.n == 2 and f.r2 == 0:
+    elif f.n == 2:
         # real quadratic, per-place weights: entries live in Q(sqrt disc)
         disc = f._surd_disc()
         r, eps = _sqrt_approx(disc, prec)
         entries = []
-        err = Fraction(0)
         for i in range(n):
             row = []
             for j in range(n):
@@ -166,79 +158,79 @@ def _gram_from_basis(f: NumberField, basis: tuple[FieldElement, ...],
                 row.append(a_part + b_part * r)
                 err = max(err, abs(b_part) * eps)
             entries.append(row)
-        return GramMatrix(f, basis, u, _freeze(entries), err, prec)
 
-    # general field: certified interval embeddings
-    entries = []
-    err = Fraction(0)
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for place in range(f.num_places):
-                deg = f.degs[place]
-                ri, ii = f.embed_interval(basis[i], place, prec)
-                rj, ij = f.embed_interval(basis[j], place, prec)
-                if ii is None:
-                    plo, phi = _iv_mul_pair(ri, rj)
-                else:
-                    alo, ahi = _iv_mul_pair(ri, rj)
-                    blo, bhi = _iv_mul_pair(ii, ij)
-                    plo, phi = alo + blo, ahi + bhi
-                weight = w[place] * (2 if deg == 2 else 1)
-                if weight >= 0:
+    else:
+        # general field: certified interval embeddings, one per element and place
+        emb = [[f.embed_interval(x, place, prec) for place in range(f.num_places)]
+               for x in basis]
+        entries = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                lo = Fraction(0)
+                hi = Fraction(0)
+                for place in range(f.num_places):
+                    ri, ii = emb[i][place]
+                    rj, ij = emb[j][place]
+                    if ii is None:
+                        plo, phi = _iv_mul(ri, rj)
+                    else:
+                        alo, ahi = _iv_mul(ri, rj)
+                        blo, bhi = _iv_mul(ii, ij)
+                        plo, phi = alo + blo, ahi + bhi
+                    weight = w[place] * (2 if f.degs[place] == 2 else 1)
                     lo += weight * plo
                     hi += weight * phi
-            row.append((lo + hi) / 2)
-            err = max(err, (hi - lo) / 2)
-        entries.append(row)
-    return GramMatrix(f, basis, u, _freeze(entries), err, prec)
+                row.append((lo + hi) / 2)
+                err = max(err, (hi - lo) / 2)
+            entries.append(row)
 
-
-def _iv_mul_pair(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(ps), max(ps)
+    return GramMatrix(f, tuple(basis), tuple(w), _freeze(entries), err, prec)
 
 
 def _freeze(m) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+def _basis_of(lattice: FractionalIdeal | PlainLattice | list[FieldElement]):
+    if isinstance(lattice, (FractionalIdeal, PlainLattice)):
+        return tuple(lattice.basis_elements())
+    return tuple(lattice)
+
+
 def gram_of(f: NumberField, lattice: FractionalIdeal | PlainLattice | list[FieldElement],
             u: ArchVector | None = None, prec: int | None = None) -> GramMatrix:
     """Gram matrix of the lattice scaled per place by u (u = None means 1)."""
-    if isinstance(lattice, (FractionalIdeal, PlainLattice)):
-        basis = tuple(lattice.basis_elements())
-    else:
-        basis = tuple(lattice)
-    return _gram_from_basis(f, basis, u, prec or f.prec)
+    return _gram(f, _basis_of(lattice), _u_weights(f, u), prec or f.prec)
 
 
 # ---------------------------------------------------------------------------
 # LLL over exact rationals (Gram only)
 
-def _gso(g: list[list[Fraction]]):
+def _ldl(g: list[list[Fraction]]):
+    """G = L D L^T for a positive-definite G: (d, l) with l unit lower
+    triangular; l[i][j] (i > j) are the Gram-Schmidt coefficients mu_ij and
+    d the squared Gram-Schmidt lengths."""
     n = len(g)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
+    l = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
     for i in range(n):
-        b[i] = g[i][i]
-        for j in range(i):
-            mu[i][j] = g[i][j] - sum(
-                (mu[i][k] * mu[j][k] * b[k] for k in range(j)), Fraction(0)
-            )
-            if b[j] == 0:
-                raise ValueError("gram matrix is singular")
-            mu[i][j] /= b[j]
-            b[i] -= mu[i][j] * mu[i][j] * b[j]
-    return mu, b
+        l[i][i] = Fraction(1)
+        acc = g[i][i] - sum((l[i][k] * l[i][k] * d[k] for k in range(i)), Fraction(0))
+        d[i] = acc
+        if d[i] <= 0:
+            raise ValueError("matrix not positive definite")
+        for j in range(i + 1, n):
+            v = g[j][i] - sum((l[j][k] * l[i][k] * d[k] for k in range(i)), Fraction(0))
+            l[j][i] = v / d[i]
+    return d, l
 
 
 def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
     """LLL on the Gram matrix; returns (transform, reduced GramMatrix).
 
-    The transform rows express the reduced basis on the source basis.
+    The transform rows express the reduced basis on the source basis; the
+    reduced GramMatrix carries that reduced basis as its source.
     """
     n = g.size
     cur = [list(r) for r in g.entries]
@@ -259,9 +251,7 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
         for i in range(n):
             cur[i][a], cur[i][b] = cur[i][b], cur[i][a]
 
-    mu, bb = _gso(cur)
-    if any(x <= 0 for x in bb):
-        raise ValueError("gram matrix is not positive definite")
+    bb, mu = _ldl(cur)
     k = 1
     guard = 0
     while k < n:
@@ -272,14 +262,15 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
             q = _nearest_int(mu[k][j])
             if q:
                 apply_row_op(k, j, q)
-                mu, bb = _gso(cur)
+                bb, mu = _ldl(cur)
         if bb[k] >= (delta - mu[k][k - 1] ** 2) * bb[k - 1]:
             k += 1
         else:
             swap_rows(k, k - 1)
-            mu, bb = _gso(cur)
+            bb, mu = _ldl(cur)
             k = max(k - 1, 1)
-    reduced = GramMatrix(g.field, g.source, g.u, _freeze(cur), g.err, g.prec)
+    basis = tuple(_element_of(g, row) for row in umat) if g.source else ()
+    reduced = GramMatrix(g.field, basis, g.weights, _freeze(cur), g.err, g.prec)
     return [row[:] for row in umat], reduced
 
 
@@ -289,22 +280,6 @@ def _nearest_int(x: Fraction) -> int:
 
 # ---------------------------------------------------------------------------
 # Fincke-Pohst enumeration
-
-def _ldl(g: list[list[Fraction]]):
-    n = len(g)
-    l = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for i in range(n):
-        l[i][i] = Fraction(1)
-        acc = g[i][i] - sum((l[i][k] * l[i][k] * d[k] for k in range(i)), Fraction(0))
-        d[i] = acc
-        if d[i] <= 0:
-            raise ValueError("matrix not positive definite")
-        for j in range(i + 1, n):
-            v = g[j][i] - sum((l[j][k] * l[i][k] * d[k] for k in range(i)), Fraction(0))
-            l[j][i] = v / d[i]
-    return d, l
-
 
 def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
                              radius: Fraction):
@@ -358,6 +333,21 @@ def _element_of(g: GramMatrix, coeffs) -> FieldElement | None:
     return acc
 
 
+def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction):
+    """Yield (value, coeffs, element) for every nonzero lattice vector with
+    x^T G x <= radius, coefficients on gram.source, both signs, in the order
+    of enumerate_quadratic_form.
+
+    An inexact Gram is refined first until err * 4n^2, the error a short
+    vector's value can carry, is below radius * _ENUM_SLACK.
+    """
+    n = gram.size
+    while gram.err * (4 * n * n) > radius * _ENUM_SLACK:
+        gram = gram.refine()
+    for value, coeffs in enumerate_quadratic_form(gram.entries, radius):
+        yield value, coeffs, _element_of(gram, coeffs)
+
+
 def shortest_vector(g: GramMatrix) -> ShortVector:
     """A shortest nonzero vector, exact for exact Gram matrices; ties are
     broken toward the lexicographically smallest positive-leading coeffs."""
@@ -365,8 +355,6 @@ def shortest_vector(g: GramMatrix) -> ShortVector:
     while True:
         try:
             return _shortest_attempt(cur)
-        except _NeedsRefinement:
-            cur = cur.refine()
         except ValueError:
             if cur.err == 0:
                 raise
@@ -379,16 +367,15 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector:
     radius = min(red.entries[i][i] for i in range(n))
     if g.err:
         radius = radius * (1 + _ENUM_SLACK) + g.err * (4 * n * n)
-    cands = enumerate_quadratic_form(red.entries, radius)
-    if not cands:
-        raise RuntimeError("enumeration found no vectors inside the LLL radius")
     # map back to source-basis coefficients
     mapped = []
-    for val, x in cands:
+    for val, x, _ in _enumerate_ellipsoid(red, radius):
         orig = tuple(
             sum(x[i] * umat[i][j] for i in range(n)) for j in range(n)
         )
         mapped.append((val, _canonical_sign(orig)))
+    if not mapped:
+        raise RuntimeError("enumeration found no vectors inside the LLL radius")
     best = min(v for v, _ in mapped)
     if g.err == 0:
         winners = sorted({x for v, x in mapped if v == best})
@@ -428,6 +415,13 @@ def _bounds_fractions(bounds, num_places: int) -> list[Fraction]:
     return vals
 
 
+def _ellipsoid_gram(f: NumberField, lattice, w: list[Fraction],
+                    b: list[Fraction]) -> GramMatrix:
+    """Gram of the lattice scaled per place by u_sigma / bound_sigma."""
+    return _gram(f, _basis_of(lattice), [wp / (bp * bp) for wp, bp in zip(w, b)],
+                 f.prec)
+
+
 def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
                   strict: bool = True) -> list[FieldElement]:
     """All nonzero lattice elements g with u_sigma |sigma(g)| < bound_sigma
@@ -439,20 +433,10 @@ def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
     """
     b = _bounds_fractions(bounds, f.num_places)
     w = _u_weights(f, u)
-    prec = f.prec
-    while True:
-        gram = _ellipsoid_gram(f, lattice, w, b, prec)
-        radius = Fraction(f.n) * (1 + _ENUM_SLACK)
-        if gram.err and gram.err * (4 * f.n * f.n) > Fraction(f.n) * _ENUM_SLACK:
-            prec *= 2
-            if prec > MAX_PREC:
-                raise PrecisionExhausted("box enumeration gram too coarse")
-            continue
-        cands = enumerate_quadratic_form(gram.entries, radius)
-        break
+    gram = _ellipsoid_gram(f, lattice, w, b)
+    radius = Fraction(f.n) * (1 + _ENUM_SLACK)
     out = []
-    for _, coeffs in cands:
-        g = _element_of(gram, coeffs)
+    for _, coeffs, g in _enumerate_ellipsoid(gram, radius):
         ok = True
         for place in range(f.num_places):
             sgn = f.cmp_abs_sq(g, place, b[place] ** 2, w[place])
@@ -465,75 +449,6 @@ def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
     return [g for _, g in out]
 
 
-def _ellipsoid_gram(f: NumberField, lattice, w: list[Fraction],
-                    b: list[Fraction], prec: int) -> GramMatrix:
-    """Gram of the lattice scaled per place by u_sigma / bound_sigma."""
-    if isinstance(lattice, (FractionalIdeal, PlainLattice)):
-        basis = tuple(lattice.basis_elements())
-    else:
-        basis = tuple(lattice)
-    scaled = [wp / (bp * bp) for wp, bp in zip(w, b)]
-    return _gram_scaled_weights(f, basis, scaled, prec)
-
-
-def _gram_scaled_weights(f: NumberField, basis, weights: list[Fraction],
-                         prec: int) -> GramMatrix:
-    """Gram with explicit per-place squared weights (exact rationals)."""
-    n = len(basis)
-    if f.r2 == 0 and all(x == weights[0] for x in weights):
-        entries = [[weights[0] * (basis[i] * basis[j]).trace() for j in range(n)]
-                   for i in range(n)]
-        return GramMatrix(f, tuple(basis), None, _freeze(entries), Fraction(0), prec)
-    if f.n == 2 and f.r2 == 1:
-        d = -f._surd_disc()
-        coords = [f.surd_embed(x, 0) for x in basis]
-        entries = [
-            [2 * weights[0] * (coords[i].a * coords[j].a + coords[i].b * coords[j].b * d)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        return GramMatrix(f, tuple(basis), None, _freeze(entries), Fraction(0), prec)
-    if f.n == 2 and f.r2 == 0:
-        disc = f._surd_disc()
-        r, eps = _sqrt_approx(disc, prec)
-        entries = []
-        err = Fraction(0)
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = f.surd_embed(basis[i] * basis[j], 0)
-                a_part = (weights[0] + weights[1]) * s.a
-                b_part = (weights[0] - weights[1]) * s.b
-                row.append(a_part + b_part * r)
-                err = max(err, abs(b_part) * eps)
-            entries.append(row)
-        return GramMatrix(f, tuple(basis), None, _freeze(entries), err, prec)
-    entries = []
-    err = Fraction(0)
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for place in range(f.num_places):
-                deg = f.degs[place]
-                ri, ii = f.embed_interval(basis[i], place, prec)
-                rj, ij = f.embed_interval(basis[j], place, prec)
-                if ii is None:
-                    plo, phi = _iv_mul_pair(ri, rj)
-                else:
-                    alo, ahi = _iv_mul_pair(ri, rj)
-                    blo, bhi = _iv_mul_pair(ii, ij)
-                    plo, phi = alo + blo, ahi + bhi
-                weight = weights[place] * (2 if deg == 2 else 1)
-                lo += weight * plo
-                hi += weight * phi
-            row.append((lo + hi) / 2)
-            err = max(err, (hi - lo) / 2)
-        entries.append(row)
-    return GramMatrix(f, tuple(basis), None, _freeze(entries), err, prec)
-
-
 def is_minimal(f: NumberField, lattice, x: FieldElement) -> bool:
     """Whether no nonzero lattice element is strictly smaller at every place."""
     if x.is_zero():
@@ -543,29 +458,12 @@ def is_minimal(f: NumberField, lattice, x: FieldElement) -> bool:
     # candidates: ellipsoid relaxation of the open box |sigma(g)| < |sigma(x)|
     v = f.embed(x).abs()
     b = [mpf_to_fraction(t) * (1 + _ENUM_SLACK) for t in v.values]
-    w = [Fraction(1)] * f.num_places
-    gram = _ellipsoid_gram(f, lattice, w, b, f.prec)
+    gram = _ellipsoid_gram(f, lattice, [Fraction(1)] * f.num_places, b)
     radius = Fraction(f.n) * (1 + _ENUM_SLACK) ** 3
-    for _, coeffs in enumerate_quadratic_form(gram.entries, radius):
-        g = _element_of(gram, coeffs)
+    for _, _, g in _enumerate_ellipsoid(gram, radius):
         if all(f.cmp_abs_pair(g, x, place) < 0 for place in range(f.num_places)):
             return False
     return True
-
-
-def dominators(f: NumberField, lattice, x: FieldElement) -> list[FieldElement]:
-    """Nonzero lattice elements strictly smaller than x at every place."""
-    v = f.embed(x).abs()
-    b = [mpf_to_fraction(t) * (1 + _ENUM_SLACK) for t in v.values]
-    w = [Fraction(1)] * f.num_places
-    gram = _ellipsoid_gram(f, lattice, w, b, f.prec)
-    radius = Fraction(f.n) * (1 + _ENUM_SLACK) ** 3
-    out = []
-    for _, coeffs in enumerate_quadratic_form(gram.entries, radius):
-        g = _element_of(gram, coeffs)
-        if all(f.cmp_abs_pair(g, x, place) < 0 for place in range(f.num_places)):
-            out.append(g)
-    return out
 
 
 def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,

@@ -69,10 +69,6 @@ def _iv_sq(a: Interval) -> Interval:
     return (Fraction(0), max(a[0] * a[0], a[1] * a[1]))
 
 
-def _iv_scale(a: Interval, c: Fraction) -> Interval:
-    return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
-
-
 # ---------------------------------------------------------------------------
 # Exceptions for field construction
 
@@ -614,11 +610,6 @@ class NumberField:
         c1 = self.min_poly[1]
         return self.element(self.from_power([p - q * c1, -q]))
 
-    def at_precision(self, prec: int) -> "NumberField":
-        """A copy of the field with a different working precision."""
-        return NumberField(self.min_poly, self.basis, self.n, self.r1, self.r2,
-                           self.disc, prec)
-
     def __repr__(self) -> str:
         return f"NumberField({list(self.min_poly)}, disc={self.disc})"
 
@@ -687,10 +678,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def is_zero_at_none(self) -> bool:
-        # nonzero field elements have no vanishing embedding
-        return not self.is_zero()
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])

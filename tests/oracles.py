@@ -293,3 +293,63 @@ def fundamental_unit_is_minimal(d0: int, x: int, y: int) -> bool:
                     surd_abs_less(pair, target, qf.d0):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive box search in a real quadratic field
+
+def brute_box(d: int, basis, bound_sq, strict: bool = True):
+    """All nonzero g = c0*b0 + c1*b1 with sigma_k(g)^2 < V_k at both real
+    places of Q(sqrt d) (<= when strict is False), as sorted (x, y) pairs
+    with g = x + y*sqrt(d).
+
+    basis: two (x, y) pairs of rationals; place 0 sends sqrt(d) to the
+    positive root, place 1 to the negative one. bound_sq: per place a pair
+    (p, q) with V_k = p + q*sqrt(d), positive, written for that place.
+
+    The scan covers the whole coefficient box the bounds imply. On a row c1
+    it tests every c0 that place 0 allows, widened by one on each side (the
+    range comes from a rational sqrt(d) within 2^-64); every test is exact.
+    """
+    s = math.isqrt(d)
+    eps = Fraction(1, 1 << 64)
+    r = Fraction(math.isqrt(d << 128), 1 << 64)  # r <= sqrt(d) < r + eps
+    (x0, y0), (x1, y1) = [(Fraction(x), Fraction(y)) for x, y in basis]
+    # rational upper bounds X_k on |sigma_k(g)| = sqrt(V_k), to within 2^-20
+    reach = []
+    for p, q in bound_sq:
+        v_up = Fraction(p) + Fraction(q) * r + abs(Fraction(q)) * eps
+        reach.append(Fraction(math.isqrt(math.ceil(max(v_up, 0) * (1 << 40))) + 1,
+                              1 << 20))
+    # |x| <= (X0 + X1)/2 and |y| <= (X0 + X1)/(2 sqrt d)
+    xmax = (reach[0] + reach[1]) / 2
+    ymax = (reach[0] + reach[1]) / (2 * s)
+    det = x0 * y1 - x1 * y0
+    c1max = math.floor((xmax * abs(y0) + ymax * abs(x0)) / abs(det))
+    a0 = x0 + y0 * r
+    a1 = x1 + y1 * r
+    out = []
+    for c1 in range(-c1max, c1max + 1):
+        ends = sorted(((-c1 * a1 - reach[0]) / a0, (-c1 * a1 + reach[0]) / a0))
+        for c0 in range(math.floor(ends[0]) - 1, math.ceil(ends[1]) + 2):
+            x = c0 * x0 + c1 * x1
+            y = c0 * y0 + c1 * y1
+            if x == 0 and y == 0:
+                continue
+            inside = True
+            for sign, (p, q) in zip((1, -1), bound_sq):
+                t = surd_sign(x * x + y * y * d - p, 2 * sign * x * y - q, d)
+                if t > 0 or (strict and t == 0):
+                    inside = False
+                    break
+            if inside:
+                out.append((x, y))
+    return sorted(out)
+
+
+def brute_is_minimal(d: int, basis, elem) -> bool:
+    """No nonzero lattice element is strictly smaller than elem = (x, y) at
+    both real places."""
+    x, y = Fraction(elem[0]), Fraction(elem[1])
+    sq = x * x + y * y * d
+    return not brute_box(d, basis, [(sq, 2 * x * y), (sq, -2 * x * y)], strict=True)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +206,41 @@ def test_precision_flag(field_file, capsys):
     code, _, err = run(capsys, ["info", "--field", f, "--precision", "32"])
     assert code == 2
     assert "at least 64" in err
+
+
+FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
+# sha256 of stdout on the sample fields; the lattice core may be rewritten,
+# but these bytes must not move
+CLI_DIGESTS = {
+    ("cubic2.json", "census --C sqrt2"): "cfabaa7bd778bbcab26b8b71eeb92d71051b9f226de7aa32dc883c978883a6c5",
+    ("cubic2.json", "info"): "14f6dea60b2717240d2abe70fdc9ff6b1fa8e2f0ab3504566c03d69e66c19620",
+    ("gaussian.json", "census --C sqrt2"): "cf0f564fb86c1725be4fe0efbe117dfe6514d41f5ab117cb4d5ad68300650aa5",
+    ("gaussian.json", "info"): "a73077baa835e12a15bfa77fc19052b3ca0d0ed623e81167dbcfd89662efc598",
+    ("q7.json", "census --C sqrt2"): "602620e09a3bb976675bd96ffd325d79bf3681b5a4526aafa3467f0bd5d1a1e3",
+    ("q7.json", "cycle"): "e22513e4c3972803aedc981bc05ecb2d02e8721ad86393ce39ed58e0860340b5",
+    ("q7.json", "info"): "d16f8c0112be5eea284d8ff72fae59b6020f604af5cd67263025e86b46e41eb8",
+    ("q73.json", "census --C sqrt2"): "0708417a13352a588828c1c1e7849f9cc721f80971e1f12cfb8462e7709724b9",
+    ("q73.json", "cycle"): "7949c69a9117d7657f784b62579fdc38fafa67b9b4da1c51053871624d991033",
+    ("q73.json", "info"): "e63ed8d1b9fb72c34a37fb5ac07b79fb0825402d78940c5dea384ecda273f68c",
+}
+
+
+def _digest_cases():
+    for path in sorted(FIELDS_DIR.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "min_poly" not in doc:
+            continue  # an ideal file, not a field
+        cmds = ["info", "census --C sqrt2"]
+        poly = doc["min_poly"]
+        if len(poly) == 3 and poly[1] ** 2 - 4 * poly[0] * poly[2] > 0:
+            cmds.append("cycle")  # real quadratic
+        for cmd in cmds:
+            yield path.name, cmd
+
+
+@pytest.mark.parametrize("name,cmd", list(_digest_cases()))
+def test_cli_stdout_bytes_pinned(capsys, name, cmd):
+    sub, *rest = cmd.split()
+    code, out, _ = run(capsys, [sub, "--field", str(FIELDS_DIR / name), *rest])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[(name, cmd)]

@@ -14,6 +14,7 @@ from arakelov.ideals import (
 )
 from arakelov.lattice import (
     GramMatrix,
+    _ellipsoid_gram,
     covolume_check,
     enumerate_box,
     gram_of,
@@ -24,7 +25,7 @@ from arakelov.lattice import (
 )
 from arakelov.numfield import ArchVector, create_field
 from conftest import random_degree_zero_divisor, random_fractional_ideal
-from oracles import brute_shortest_sq
+from oracles import brute_box, brute_is_minimal, brute_shortest_sq
 
 
 def plain_alpha_lattice(f7):
@@ -52,6 +53,27 @@ def test_lll_alpha_lattice(f7):
     lat, _ = plain_alpha_lattice(f7)
     _, red = lll_reduce(gram_of(f7, lat))
     assert red.entries[0][0] == 1  # first reduced vector has length 1
+
+
+def test_lll_reduced_gram_carries_reduced_basis(f7):
+    lat, _ = plain_alpha_lattice(f7)
+    u, red = lll_reduce(gram_of(f7, lat))
+    assert u != [[1, 0], [0, 1]]  # LLL does change this basis
+    assert red.refine().entries == red.entries
+    assert red.source == tuple(
+        sum((c * b for c, b in zip(row, lat.basis_elements())), f7.zero()) for row in u
+    )
+
+
+def test_ellipsoid_gram_refines_with_its_weights(f73, f_cubic):
+    w = [Fraction(1 << 12), Fraction(1, 1 << 12)]  # both fields have two places
+    for f in (f73, f_cubic):
+        g = _ellipsoid_gram(f, unit_ideal(f), w, [Fraction(3), Fraction(3)])
+        fine = g.refine()
+        assert g.err > 0 and fine.err < g.err
+        for row, frow in zip(g.entries, fine.entries):
+            for x, y in zip(row, frow):
+                assert abs(x - y) <= g.err + fine.err
 
 
 def _det2(u):
@@ -209,7 +231,7 @@ def test_lll_first_vector_vs_lambda1(f73):
 
 
 def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
-    from arakelov.lattice import _gso
+    from arakelov.lattice import _ldl
 
     rng = random.Random(61)
     delta = Fraction(99, 100)
@@ -218,7 +240,7 @@ def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
         for _ in range(8):
             gram = gram_of(field, rng.choice(pool))
             _, red = lll_reduce(gram)
-            mu, b = _gso([list(r) for r in red.entries])
+            b, mu = _ldl([list(r) for r in red.entries])
             n = len(b)
             for i in range(n):
                 for j in range(i):
@@ -236,3 +258,39 @@ def test_rank2_hermite_bound(f7, f73):
             lam = shortest_vector(gram).length_sq
             covol = math.sqrt(float(gram.det()))
             assert float(lam) <= math.sqrt(4.0 / 3.0) * covol * (1 + 1e-12)
+
+
+def test_enumerate_box_and_is_minimal_against_oracle(f73):
+    """Twisted boxes u = (e^t, e^-t) in Q(sqrt 73) against the brute-force
+    box oracle, strict and closed: the reduction's box (3, 3), with
+    is_minimal checked on every point of it, and a box with 1 on its
+    boundary at the first place."""
+    def pair(g):
+        return tuple(f73.to_power(g.coords))
+
+    by_norm = {}
+    for ideal in enumerate_integral_ideals(f73, 3):
+        by_norm.setdefault(ideal.norm(), ideal)
+    verdicts = set()
+    for t in (0, 4, 8):
+        u0, u1 = (float(mp.exp(t)), float(mp.exp(-t)))
+        u = ArchVector((mpf(u0), mpf(u1)), f73.degs, f73.prec)
+        uq = (Fraction(u0), Fraction(u1))
+        for ideal in by_norm.values():
+            basis = [pair(b) for b in ideal.basis_elements()]
+            for bounds in ([Fraction(3), Fraction(3)], [uq[0], 40 * uq[1]]):
+                bound_sq = [(b * b / (w * w), 0) for b, w in zip(bounds, uq)]
+                for strict in (True, False):
+                    got = enumerate_box(f73, ideal, u, bounds, strict=strict)
+                    want = brute_box(73, basis, bound_sq, strict=strict)
+                    assert sorted(pair(g) for g in got) == want
+                    if not strict and bounds[0] == 3:
+                        for g in got:
+                            v = is_minimal(f73, ideal, g)
+                            assert v == brute_is_minimal(73, basis, pair(g))
+                            verdicts.add(v)
+        # 1 sits on the boundary of the second box at the first place
+        edge = [uq[0], 40 * uq[1]]
+        assert f73.one() in enumerate_box(f73, by_norm[1], u, edge, strict=False)
+        assert f73.one() not in enumerate_box(f73, by_norm[1], u, edge, strict=True)
+    assert verdicts == {True, False}
