@@ -211,45 +211,63 @@ def _sublattices_of_index(n: int, m: int):
         yield from rec(0)
 
 
-def _is_module_closed(f: NumberField, h: list[list[int]]) -> bool:
-    n = f.n
-    t = f.mult_table()
+def _is_module_closed(t, h: list[list[int]]) -> bool:
+    """Whether the column HNF h spans a module over the order with
+    multiplication table t: each b_k * h_j must solve back to integers."""
+    n = len(h)
     for k in range(1, n):  # multiplication by b_1 = 1 is trivially fine
         for j in range(n):
             prod = [sum(t[k][m][r] * h[m][j] for m in range(n)) for r in range(n)]
-            c = [Fraction(0)] * n
-            ok = True
+            c = [0] * n
             for r in range(n - 1, -1, -1):
-                acc = Fraction(prod[r]) - sum(
-                    (Fraction(h[r][s]) * c[s] for s in range(r + 1, n)), Fraction(0)
-                )
-                c[r] = acc / h[r][r]
-                if c[r].denominator != 1:
-                    ok = False
-                    break
-            if not ok:
-                return False
+                acc = prod[r] - sum(h[r][s] * c[s] for s in range(r + 1, n))
+                c[r], rem = divmod(acc, h[r][r])
+                if rem:
+                    return False
     return True
+
+
+def _primes_up_to(limit: int) -> list[int]:
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(limit + 1) if sieve[p]]
 
 
 def enumerate_integral_ideals(f: NumberField, bound) -> list[FractionalIdeal]:
     """All integral ideals of norm at most `bound`, sorted by (norm, HNF).
 
-    Enumerates triangular sublattices of the integral-basis lattice by index
-    and keeps those closed under multiplication by the basis.
+    O/J is the product of its p-primary parts, so J is the product of the
+    ideals J + p^v O, which are pairwise comaximal (this holds in any order,
+    maximal or not). Only the prime-power indices are scanned for
+    module-closed triangular sublattices; every other ideal is built once,
+    as the product of one primary ideal per prime.
     """
     limit = int(math.floor(float(bound) + 1e-12))
     if limit < 1:
         return []
-    found: list[FractionalIdeal] = []
-    for m in range(1, limit + 1):
-        hits = []
-        for h in _sublattices_of_index(f.n, m):
-            if _is_module_closed(f, h):
-                hits.append(FractionalIdeal(f, 1, tuple(tuple(r) for r in h)))
-        hits.sort(key=lambda i: i.key())
-        found.extend(hits)
-    return found
+    t = f.mult_table()
+    found = [(1, unit_ideal(f))]
+    for p in _primes_up_to(limit):
+        primary = []
+        q = p
+        while q <= limit:
+            primary.extend(
+                (q, FractionalIdeal(f, 1, tuple(tuple(r) for r in h)))
+                for h in _sublattices_of_index(f.n, q)
+                if _is_module_closed(t, h)
+            )
+            q *= p
+        found += [
+            (nj * nq, multiply(j, pp))
+            for nj, j in found
+            for nq, pp in primary
+            if nj * nq <= limit
+        ]
+    found.sort(key=lambda e: (e[0], e[1].key()))
+    return [j for _, j in found]
 
 
 def count_sublattices_up_to(n: int, limit: int, cap: int) -> int:

@@ -126,64 +126,62 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
     """Gram matrix of the basis with exact squared weights w_sigma per place:
     entry (i, j) is sum_sigma deg_sigma w_sigma Re(sigma(b_i) conj(sigma(b_j)))."""
     n = len(basis)
-    err = Fraction(0)
 
     if f.r2 == 0 and all(x == w[0] for x in w):
         # totally real, one weight: a multiple of the trace form, exact
-        entries = [
-            [w[0] * (basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)
-        ]
+        def entry(i, j):
+            return w[0] * (basis[i] * basis[j]).trace(), Fraction(0)
 
     elif f.n == 2 and f.r2 == 1:
         # single complex place: 2|u|^2 (a_i a_j + b_i b_j |D|), exact
         d = -f._surd_disc()
         coords = [f.surd_embed(x, 0) for x in basis]
-        entries = [
-            [2 * w[0] * (coords[i].a * coords[j].a + coords[i].b * coords[j].b * d)
-             for j in range(n)]
-            for i in range(n)
-        ]
+
+        def entry(i, j):
+            ci, cj = coords[i], coords[j]
+            return 2 * w[0] * (ci.a * cj.a + ci.b * cj.b * d), Fraction(0)
 
     elif f.n == 2:
         # real quadratic, per-place weights: entries live in Q(sqrt disc)
         disc = f._surd_disc()
         r, eps = _sqrt_approx(disc, prec)
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = f.surd_embed(basis[i] * basis[j], 0)
-                a_part = (w[0] + w[1]) * s.a
-                b_part = (w[0] - w[1]) * s.b
-                row.append(a_part + b_part * r)
-                err = max(err, abs(b_part) * eps)
-            entries.append(row)
+
+        def entry(i, j):
+            s = f.surd_embed(basis[i] * basis[j], 0)
+            a_part = (w[0] + w[1]) * s.a
+            b_part = (w[0] - w[1]) * s.b
+            return a_part + b_part * r, abs(b_part) * eps
 
     else:
         # general field: certified interval embeddings, one per element and place
         emb = [[f.embed_interval(x, place, prec) for place in range(f.num_places)]
                for x in basis]
-        entries = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                lo = Fraction(0)
-                hi = Fraction(0)
-                for place in range(f.num_places):
-                    ri, ii = emb[i][place]
-                    rj, ij = emb[j][place]
-                    if ii is None:
-                        plo, phi = _iv_mul(ri, rj)
-                    else:
-                        alo, ahi = _iv_mul(ri, rj)
-                        blo, bhi = _iv_mul(ii, ij)
-                        plo, phi = alo + blo, ahi + bhi
-                    weight = w[place] * (2 if f.degs[place] == 2 else 1)
-                    lo += weight * plo
-                    hi += weight * phi
-                row.append((lo + hi) / 2)
-                err = max(err, (hi - lo) / 2)
-            entries.append(row)
+
+        def entry(i, j):
+            lo = Fraction(0)
+            hi = Fraction(0)
+            for place in range(f.num_places):
+                ri, ii = emb[i][place]
+                rj, ij = emb[j][place]
+                if ii is None:
+                    plo, phi = _iv_mul(ri, rj)
+                else:
+                    alo, ahi = _iv_mul(ri, rj)
+                    blo, bhi = _iv_mul(ii, ij)
+                    plo, phi = alo + blo, ahi + bhi
+                weight = w[place] * (2 if f.degs[place] == 2 else 1)
+                lo += weight * plo
+                hi += weight * phi
+            return (lo + hi) / 2, (hi - lo) / 2
+
+    # every backend is symmetric in (i, j): fill the upper triangle, mirror it
+    entries = [[None] * n for _ in range(n)]
+    err = Fraction(0)
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j], e = entry(i, j)
+            entries[j][i] = entries[i][j]
+            err = max(err, e)
 
     return GramMatrix(f, tuple(basis), tuple(w), _freeze(entries), err, prec)
 
@@ -262,7 +260,10 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
             q = _nearest_int(mu[k][j])
             if q:
                 apply_row_op(k, j, q)
-                bb, mu = _ldl(cur)
+                # b_k -= q b_j leaves every b*_i and every other row of mu
+                mu[k][j] -= q
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
         if bb[k] >= (delta - mu[k][k - 1] ** 2) * bb[k - 1]:
             k += 1
         else:

@@ -32,15 +32,23 @@ class UnitLattice:
 
     def regulator(self):
         """Covolume of the log lattice; for rank one, log of the larger
-        embedding of the fundamental unit."""
+        embedding of the fundamental unit; for rank r >= 2,
+        |det(deg_i log|sigma_i(eps_j)|)| over the first r places."""
         f = self.field
         if not self.generators:
             return mp.mpf(0)
-        if len(self.generators) == 1:
-            v = self.log_embeddings()[0]
+        logs = self.log_embeddings()
+        if len(logs) == 1:
+            v = logs[0]
             with mp.workprec(v.prec):
                 return abs(v.values[0])
-        raise NotImplementedError("regulator only implemented for rank <= 1")
+        r = len(logs)
+        if r != f.r1 + f.r2 - 1:
+            raise UnitsUnavailable(
+                f"{r} units supplied, the unit rank is {f.r1 + f.r2 - 1}")
+        with mp.workprec(f.prec):
+            m = mp.matrix([[v.degs[i] * v.values[i] for v in logs] for i in range(r)])
+            return abs(mp.det(m))
 
     def tp_regulator(self):
         if not self.totally_positive:

@@ -182,6 +182,65 @@ def brute_integral_ideals(d0: int, bound: int):
     return out
 
 
+def brute_ideals_power_basis(min_poly, bound: int):
+    """Integral ideals of Z[theta], theta a root of the monic ascending
+    min_poly, with norm <= bound: every column HNF over Z^n of index <= bound
+    that the companion matrix of theta maps into itself.
+
+    Returns (norm, hnf) pairs sorted by norm, then by the rows of the HNF
+    read left to right; hnf is a tuple of rows, upper triangular, with the
+    basis vectors as its columns.
+    """
+    n = len(min_poly) - 1
+    out = []
+    for norm in range(1, bound + 1):
+        for h in _column_hnfs(n, norm):
+            if all(_in_column_hnf(h, _times_theta(min_poly, [h[r][j] for r in range(n)]))
+                   for j in range(n)):
+                out.append((norm, tuple(tuple(row) for row in h)))
+    out.sort()
+    return out
+
+
+def _column_hnfs(n: int, index: int):
+    def diagonals(m, k):
+        if k == 1:
+            yield (m,)
+            return
+        for d in range(1, m + 1):
+            if m % d == 0:
+                for rest in diagonals(m // d, k - 1):
+                    yield (d,) + rest
+
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in diagonals(index, n):
+        for vals in product(*[range(diag[i]) for i, _ in above]):
+            h = [[0] * n for _ in range(n)]
+            for i in range(n):
+                h[i][i] = diag[i]
+            for (i, j), v in zip(above, vals):
+                h[i][j] = v
+            yield h
+
+
+def _times_theta(min_poly, v):
+    # theta * sum v_i theta^i, reduced by theta^n = -sum a_i theta^i
+    n = len(v)
+    out = [0] + v[:-1]
+    return [out[i] - v[-1] * min_poly[i] for i in range(n)]
+
+
+def _in_column_hnf(h, v) -> bool:
+    v = list(v)
+    for r in range(len(v) - 1, -1, -1):
+        if v[r] % h[r][r]:
+            return False
+        q = v[r] // h[r][r]
+        for i in range(r + 1):
+            v[i] -= q * h[i][r]
+    return True
+
+
 def _module_closed(qf: QuadField, a: int, b: int, c: int) -> bool:
     # multiply each generator by w and check membership by solving
     # (x, y) = m*(a,0) + k*(b,c) over the integers

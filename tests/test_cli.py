@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from arakelov.cli import main
 
@@ -56,6 +57,23 @@ def test_info_supplied_units_cubic(field_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(float(doc["regulator"]) - 1.3473773483908166) < 1e-9
+
+
+def test_info_rank_two_regulator(field_file, capsys):
+    # x^3 - 3x + 1 is totally real with units theta and theta - 1
+    f = field_file("f81.json", {"min_poly": [1, -3, 0, 1], "units": [[0, 1, 0], [-1, 1, 0]]})
+    code, out, _ = run(capsys, ["info", "--field", f])
+    assert code == 0
+    with mp.workprec(200):
+        roots = mp.polyroots([1, 0, -3, 1], maxsteps=100, extraprec=200)
+        expect = abs(mp.det(mp.matrix(
+            [[mp.log(abs(x)), mp.log(abs(x - 1))] for x in roots[:2]])))
+        assert abs(expect - mp.mpf("0.849287450646192528")) < 1e-17
+    assert abs(float(json.loads(out)["regulator"]) - float(expect)) < 1e-12
+    # x^3 - 2 has unit rank one: two supplied units are a usage error
+    f = field_file("fc.json", {"min_poly": [-2, 0, 0, 1], "units": [[-1, 1, 0]] * 2})
+    code, _, err = run(capsys, ["info", "--field", f])
+    assert code == 2 and "unit rank is 1" in err
 
 
 def test_check_plain_lattice_exit_codes(field_file, capsys):

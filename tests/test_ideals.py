@@ -17,8 +17,9 @@ from arakelov.ideals import (
     scale_ideal,
     unit_ideal,
 )
+from arakelov.numfield import create_field
 from conftest import random_fractional_ideal
-from oracles import zeta_coefficient
+from oracles import brute_ideals_power_basis, zeta_coefficient
 
 
 def test_ideal_from_generators_unit(f7):
@@ -137,6 +138,22 @@ def test_enumeration_is_sorted_and_unique(f73):
     keys = [(ideal_norm(i), i.key()) for i in ideals]
     assert keys == sorted(keys)
     assert len(set(k for _, k in keys)) == len(keys)
+
+
+@pytest.mark.parametrize("min_poly, basis, bound", [
+    ([-2, 0, 0, 1], None, 40),
+    ([-3, -1, 0, 1], None, 40),
+    ([-10007, 0, 1], None, 60),
+    ([3, 0, 1], [[1, 0], [0, 1]], 60),  # Z[sqrt-3], not maximal
+])
+def test_enumerate_matches_power_basis_oracle(min_poly, basis, bound):
+    expected = brute_ideals_power_basis(min_poly, bound)
+    # the bound reaches norms with two distinct prime factors (6, 12, 30, ...)
+    assert any(sum(m % p == 0 for p in (2, 3, 5, 7)) >= 2 for m, _ in expected)
+    f = create_field(min_poly, integral_basis=basis)
+    got = [(int(ideal_norm(i)), i.hnf) for i in enumerate_integral_ideals(f, bound)]
+    assert set(got) == set(expected)
+    assert got == expected
 
 
 def test_conjugate_ideal_involution(f73):

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from arakelov.divisors import divisor_d
+from arakelov.exact import mat_det
 from arakelov.ideals import (
     PlainLattice,
     enumerate_integral_ideals,
@@ -235,18 +236,31 @@ def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
 
     rng = random.Random(61)
     delta = Fraction(99, 100)
+    grams = []
     for field in (f73, f_cubic):
         pool = enumerate_integral_ideals(field, 10)
-        for _ in range(8):
-            gram = gram_of(field, rng.choice(pool))
-            _, red = lll_reduce(gram)
-            b, mu = _ldl([list(r) for r in red.entries])
-            n = len(b)
-            for i in range(n):
-                for j in range(i):
-                    assert abs(mu[i][j]) <= Fraction(1, 2)
-            for k in range(1, n):
-                assert b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]
+        grams += [gram_of(field, rng.choice(pool)) for _ in range(8)]
+    for _ in range(8):
+        # skew a small rank-4 basis by row operations with large multipliers,
+        # so that rows need several size-reduction steps each
+        a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        if mat_det(a) == 0:
+            continue
+        for _ in range(12):
+            i, j = rng.sample(range(4), 2)
+            c = rng.randint(-20, 20)
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        g = [[sum(x * y for x, y in zip(ai, aj)) for aj in a] for ai in a]
+        grams.append(GramMatrix.from_entries(g))
+    for gram in grams:
+        _, red = lll_reduce(gram)
+        b, mu = _ldl([list(r) for r in red.entries])
+        n = len(b)
+        for i in range(n):
+            for j in range(i):
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+        for k in range(1, n):
+            assert b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]
 
 
 def test_rank2_hermite_bound(f7, f73):
