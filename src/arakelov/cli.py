@@ -2,7 +2,7 @@
 reduction, census runs, cycle plots and bound-verification reports.
 
 Exit codes: 0 success or affirmative, 1 negative result, 2 usage error,
-3 internal limit (for example a census bound past desk scale).
+3 internal limit (census past desk scale, precision cap, search radius).
 """
 from __future__ import annotations
 
@@ -17,13 +17,14 @@ from mpmath import mp, mpf
 from .divisors import (
     ArakelovDivisor,
     CSquared,
+    UndecidedPrincipality,
     as_c_squared,
     is_strongly_c_reduced,
     quadratic_units,
     reduce as reduce_divisor,
 )
 from .ideals import enumerate_integral_ideals
-from .numfield import ArchVector, fraction_to_mpf
+from .numfield import ArchVector, PrecisionExhausted, fraction_to_mpf
 from .serialize import (
     census_csv,
     census_json,
@@ -44,7 +45,7 @@ from .survey import (
     verify_counts,
     verify_separation,
 )
-from .units import UnitsUnavailable
+from .units import UnitsUnavailable, min_log_norm_modulo
 
 
 def _read_json(path: str) -> dict:
@@ -149,8 +150,6 @@ def cmd_reduce(args) -> int:
     units = _units_for(f, units)
     distance = None
     if units is not None:
-        from .units import min_log_norm_modulo
-
         distance = min_log_norm_modulo(trace.v.log(), units.log_embeddings())
     doc = {
         "final": {
@@ -251,6 +250,7 @@ def _verify_reduction_trials(f, units, c2, trials: int, seed: int) -> dict:
     ideals = enumerate_integral_ideals(f, 30)
     worst = 0.0
     violations = 0
+    logs = units.log_embeddings()
     for _ in range(trials):
         base = rng.choice(ideals)
         t = rng.uniform(-4.0, 4.0)
@@ -260,9 +260,7 @@ def _verify_reduction_trials(f, units, c2, trials: int, seed: int) -> dict:
             u = ArchVector((scale * mp.exp(t), scale * mp.exp(-t)), f.degs, f.prec)
         divisor = ArakelovDivisor(base, u)
         final, trace = reduce_divisor(divisor, CSquared(c2))
-        from .units import min_log_norm_modulo
-
-        dist = min_log_norm_modulo(trace.v.log(), units.log_embeddings())
+        dist = min_log_norm_modulo(trace.v.log(), logs)
         if trace.distance_bound is not None:
             ratio = float(dist / trace.distance_bound)
             worst = max(worst, ratio)
@@ -332,6 +330,9 @@ def main(argv=None) -> int:
         return 2
     except DeskScaleExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except (PrecisionExhausted, UndecidedPrincipality) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UnitsUnavailable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from .exact import floor_minus_c_plus_sqrt, sign_surd
 from .ideals import (
     FractionalIdeal,
     PlainLattice,
@@ -338,34 +339,25 @@ def reduce(d: ArakelovDivisor, c) -> tuple[ArakelovDivisor, ReductionTrace]:
 # Reduced-ideal cycles (real quadratic infrastructure)
 
 def _reduced_neighbor(f: NumberField, j: FractionalIdeal) -> FieldElement:
-    """The minimal element of a reduced ideal with smallest first embedding
-    above 1 (the forward infrastructure step)."""
-    from .lattice import enumerate_box
-
-    with mp.workprec(f.prec):
-        b0 = mpf_to_fraction(mp.sqrt(abs(f.disc)) + 2)
-    attempts = 0
-    while True:
-        cands = enumerate_box(f, j, None, [b0, Fraction(1)], strict=True)
-        fwd = [
-            g for g in cands
-            if f.sign_at_place(g, 0) > 0 and f.cmp_abs_sq(g, 0, Fraction(1)) > 0
-        ]
-        if fwd:
-            best = fwd[0]
-            for g in fwd[1:]:
-                if f.cmp_abs_pair(g, best, 0) < 0:
-                    best = g
-            return best
-        attempts += 1
-        if attempts > 8:
-            raise RuntimeError("no forward neighbor found; ideal not reduced?")
-        b0 *= 2
+    """Forward infrastructure step: a reduced J is Z + Z·w with w > 1 and
+    -1 < w' < 0, and w is the element of J with the least first embedding
+    above 1 and |w'| < 1. w is the second HNF basis element, signed so that
+    w > w', plus floor(-w')."""
+    if j.hnf[0][0] != j.den:
+        raise ValueError("ideal is not reduced: its rational part is not Z")
+    w = j.basis_elements()[1]
+    s = f.surd_embed(w, 0)  # w = s.a + s.b*sqrt(disc), w' = s.a - s.b*sqrt(disc)
+    if s.b < 0:
+        w, s = -w, s.scale(Fraction(-1))
+    k = floor_minus_c_plus_sqrt(s.a, s.b * s.b * s.disc)
+    if sign_surd(s.a + k - 1, s.b, s.disc) <= 0:
+        raise ValueError("ideal is not reduced: 1 is not minimal in it")
+    return w + f.rational(k)
 
 
 def reduced_cycle(f: NumberField, start: FractionalIdeal):
-    """The cycle of reduced ideals through `start` (which must be reduced),
-    as a list of (ideal, gamma) with ideal = gamma^{-1} * start."""
+    """The cycle of reduced ideals through `start` (ValueError unless it is
+    reduced), as a list of (ideal, gamma) with ideal = gamma^{-1} * start."""
     if f.n != 2 or f.r1 != 2:
         raise ValueError("reduced cycles exist for real quadratic fields only")
     out = [(start, f.one())]

@@ -459,18 +459,38 @@ class NumberField:
             return [("R", v, r) for v, r in reals] + [("C", v, r) for v, r in cplx]
 
     def embed(self, x: "FieldElement", prec: int | None = None) -> ArchVector:
-        """Signed embedding vector (sigma(x)) over the infinite places."""
+        """Signed embedding vector (sigma(x)) over the infinite places.
+
+        Horner's rule runs with 16 guard bits. A value below its magnitude
+        bound sum |c_k| |theta|^k by more than those bits has lost them to
+        cancellation and is evaluated again at doubled precision, so each
+        value keeps about prec correct bits and a nonzero x never embeds
+        to 0; past MAX_PREC this raises PrecisionExhausted."""
         prec = prec or self.prec
-        places = self.places_mpf(prec)
         pcoords = self.to_power(x.coords)
-        with mp.workprec(prec + 16):
-            vals = []
-            for kind, v, _ in places:
+        vals = tuple(self._embed_at(pcoords, i, prec) for i in range(self.num_places))
+        return ArchVector(vals, self.degs, prec)
+
+    def _embed_at(self, pcoords: list[Fraction], place: int, prec: int):
+        work = prec
+        while work <= MAX_PREC:
+            kind, v, _ = self.places_mpf(work)[place]
+            with mp.workprec(work + 16):
                 acc = mpc(0) if kind == "C" else mpf(0)
+                bound, r = mpf(0), abs(v)
                 for c in reversed(pcoords):
-                    acc = acc * v + fraction_to_mpf(c, prec + 16)
-                vals.append(acc)
-        return ArchVector(tuple(vals), self.degs, prec)
+                    cm = fraction_to_mpf(c, work + 16)
+                    acc = acc * v + cm
+                    bound = bound * r + abs(cm)
+                # Horner's error is about bound * 2^-(work+16); keep it
+                # below |acc| * 2^-prec
+                if abs(acc) * 2 ** (work + 16 - prec) >= bound:
+                    with mp.workprec(prec + 16):
+                        return +acc
+            work *= 2
+        raise PrecisionExhausted(
+            f"embedding at place {place} cancels below {MAX_PREC} bits"
+        )
 
     def embed_interval(self, x: "FieldElement", place: int, prec: int):
         """Certified rectangle (re_iv, im_iv) for sigma(x); im_iv is None at

@@ -18,6 +18,7 @@ from .divisors import (
     ArakelovDivisor,
     CSquared,
     UnitLattice,
+    _principal_cycle,
     as_c_squared,
     divisor_d,
     is_reduced_usual,
@@ -123,7 +124,7 @@ def _class_cycles(f: NumberField):
     """Registry of reduced-ideal cycles, seeded with the principal one."""
     key = "class_cycles"
     if key not in f._cache:
-        principal = reduced_cycle(f, unit_ideal(f))
+        principal = _principal_cycle(f)
         registry = {"principal": principal}
         member_map = {}
         for jk, gam in principal:
@@ -284,6 +285,7 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     min_gap = None
     pairs = 0
     violations = []
+    tp_logs = units.log_embeddings(tp_only=True)
     for tag, group in sorted(groups.items()):
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
@@ -293,7 +295,7 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
                 if gp is None:
                     continue  # same wide class but different narrow component
                 target = _pair_weight_log(f, e1, e2, gp)
-                dist = min_log_norm_modulo(target, units.log_embeddings(tp_only=True))
+                dist = min_log_norm_modulo(target, tp_logs)
                 pairs += 1
                 if min_gap is None or dist < min_gap:
                     min_gap = dist
@@ -313,6 +315,7 @@ def _pic_pairwise(f: NumberField, tagged: SredCensus, units: UnitLattice):
     """Matrix of same-class pic distances between census entries."""
     ents = tagged.entries
     dists: dict[tuple[int, int], object] = {}
+    logs = units.log_embeddings()
     for a in range(len(ents)):
         for b in range(a + 1, len(ents)):
             e1, e2 = ents[a], ents[b]
@@ -320,7 +323,7 @@ def _pic_pairwise(f: NumberField, tagged: SredCensus, units: UnitLattice):
                 continue
             g = e1.generator / e2.generator
             target = _pair_weight_log(f, e1, e2, g)
-            dists[(a, b)] = min_log_norm_modulo(target, units.log_embeddings())
+            dists[(a, b)] = min_log_norm_modulo(target, logs)
     return dists
 
 

@@ -412,3 +412,48 @@ def brute_is_minimal(d: int, basis, elem) -> bool:
     x, y = Fraction(elem[0]), Fraction(elem[1])
     sq = x * x + y * y * d
     return not brute_box(d, basis, [(sq, 2 * x * y), (sq, -2 * x * y)], strict=True)
+
+
+# ---------------------------------------------------------------------------
+# Forward step of the reduced-ideal cycle in a real quadratic field
+
+def brute_reduced_neighbor(min_poly, basis, den: int, hnf):
+    """The element g of the ideal with sigma_0(g) > 1, |sigma_1(g)| < 1 and
+    the smallest sigma_0(g), as coordinates on the order basis.
+
+    min_poly: [c0, c1, 1]; basis: order basis rows in power coordinates;
+    the ideal is spanned by the columns of hnf divided by den. The scan
+    runs brute_box over |sigma_0| < X, |sigma_1| < 1 for X = 2, 4, 8, ...
+    until some element has sigma_0 > 1; every comparison is an exact surd
+    sign. Returns None past X = 2^20.
+    """
+    c0, c1 = Fraction(min_poly[0]), Fraction(min_poly[1])
+    d = int(c1 * c1 - 4 * c0)
+
+    def pair(p, q):  # p + q*theta with theta = (-c1 + sqrt(d))/2 at place 0
+        return (Fraction(p) - Fraction(q) * c1 / 2, Fraction(q) / 2)
+
+    order = [pair(*row) for row in basis]
+    gens = [
+        tuple(sum(Fraction(hnf[i][j], den) * order[i][k] for i in range(2))
+              for k in range(2))
+        for j in range(2)
+    ]
+    bound = Fraction(2)
+    while bound <= 1 << 20:
+        found = [
+            (x, y) for x, y in brute_box(d, gens, [(bound * bound, 0), (1, 0)])
+            if surd_sign(x - 1, y, d) > 0
+        ]
+        if found:
+            best = found[0]
+            for x, y in found[1:]:
+                if surd_sign(x - best[0], y - best[1], d) < 0:
+                    best = (x, y)
+            # solve best = u*order[0] + v*order[1]
+            (p0, q0), (p1, q1) = order
+            det = p0 * q1 - p1 * q0
+            return ((best[0] * q1 - best[1] * p1) / det,
+                    (p0 * best[1] - q0 * best[0]) / det)
+        bound *= 2
+    return None

@@ -182,6 +182,23 @@ def test_census_refusal_exit_code(field_file, capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("exc", ["PrecisionExhausted", "UndecidedPrincipality"])
+def test_internal_limit_exit_code(field_file, capsys, monkeypatch, exc):
+    import arakelov.cli as cli
+
+    error = getattr(cli, exc)
+
+    def give_up(*args, **kwargs):
+        raise error("limit reached")
+
+    monkeypatch.setattr(cli, "enumerate_sred", give_up)
+    f = field_file("f73.json", {"min_poly": [-73, 0, 1]})
+    code, out, err = run(capsys, ["census", "--field", f, "--C", "sqrt2"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: limit reached\n"
+
+
 def test_cycle_svg_and_csv(field_file, capsys, tmp_path):
     f = field_file("f73.json", {"min_poly": [-73, 0, 1]})
     code, svg, _ = run(capsys, ["cycle", "--field", f, "--C", "sqrt2"])
@@ -217,6 +234,15 @@ def test_verify_deterministic_for_seed(field_file, capsys):
     assert out1 == out2
 
 
+def test_verify_large_regulator(field_file, capsys):
+    """Q(sqrt10007) has a 30-digit fundamental unit; C = 1 compares 46
+    divisors against it."""
+    f = field_file("f10007.json", {"min_poly": [-10007, 0, 1]})
+    code, out, _ = run(capsys, ["verify", "--field", f, "--C", "1"])
+    assert code in (0, 1)
+    assert json.loads(out)["census_count"] == 46
+
+
 def test_precision_flag(field_file, capsys):
     f = field_file("f7.json", {"min_poly": [-7, 0, 1]})
     code, out, _ = run(capsys, ["info", "--field", f, "--precision", "256"])
@@ -237,9 +263,11 @@ CLI_DIGESTS = {
     ("q7.json", "census --C sqrt2"): "602620e09a3bb976675bd96ffd325d79bf3681b5a4526aafa3467f0bd5d1a1e3",
     ("q7.json", "cycle"): "e22513e4c3972803aedc981bc05ecb2d02e8721ad86393ce39ed58e0860340b5",
     ("q7.json", "info"): "d16f8c0112be5eea284d8ff72fae59b6020f604af5cd67263025e86b46e41eb8",
+    ("q7.json", "verify --C sqrt2"): "ea6e9b3a57f2db4b02d57270b9eaf0613839a32a92940a724ff0d7891b5361fa",
     ("q73.json", "census --C sqrt2"): "0708417a13352a588828c1c1e7849f9cc721f80971e1f12cfb8462e7709724b9",
     ("q73.json", "cycle"): "7949c69a9117d7657f784b62579fdc38fafa67b9b4da1c51053871624d991033",
     ("q73.json", "info"): "e63ed8d1b9fb72c34a37fb5ac07b79fb0825402d78940c5dea384ecda273f68c",
+    ("q73.json", "verify --C sqrt2"): "6c3a01964fcf56779361740de1c50889ec40603f60edcbc9291dc6bdd65f1a24",
 }
 
 
@@ -251,7 +279,7 @@ def _digest_cases():
         cmds = ["info", "census --C sqrt2"]
         poly = doc["min_poly"]
         if len(poly) == 3 and poly[1] ** 2 - 4 * poly[0] * poly[2] > 0:
-            cmds.append("cycle")  # real quadratic
+            cmds += ["cycle", "verify --C sqrt2"]  # real quadratic
         for cmd in cmds:
             yield path.name, cmd
 

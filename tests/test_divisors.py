@@ -22,9 +22,15 @@ from arakelov.divisors import (
     principal_generator,
     quadratic_units,
     reduce,
+    reduced_cycle,
     reduction_distance_bound,
 )
-from arakelov.divisors import _jump_assemble, _principal_cycle
+from arakelov.divisors import (
+    _jump_assemble,
+    _principal_cycle,
+    _reduced_neighbor,
+    to_reduced,
+)
 from arakelov.ideals import (
     PlainLattice,
     enumerate_integral_ideals,
@@ -39,7 +45,7 @@ from arakelov.numfield import ArchVector, create_field
 from arakelov.survey import enumerate_sred
 from arakelov.units import min_log_norm_modulo
 from conftest import random_degree_zero_divisor, random_fractional_ideal
-from oracles import fundamental_unit_is_minimal
+from oracles import brute_reduced_neighbor, fundamental_unit_is_minimal
 
 
 def test_as_c_squared_parsing():
@@ -285,6 +291,44 @@ def test_quadratic_units_rejects_other_degrees(f_cubic):
 def test_principal_cycle_lengths(f7, f73):
     assert len(_principal_cycle(f7)) == 4
     assert len(_principal_cycle(f73)) == 9  # the usual-reduced principal count
+    assert len(_principal_cycle(create_field([-10007, 0, 1]))) == 60
+
+
+@pytest.mark.parametrize("d", [7, 73, 1009, 10007])
+def test_reduced_neighbor_matches_oracle(d):
+    """Each forward step, from O and from the reduced ideals of J^-1 for the
+    first ideals J of norm > 1, against an exhaustive box scan."""
+    f = create_field([-d, 0, 1])
+    starts = [unit_ideal(f)] + [
+        to_reduced(f, invert(j))[0] for j in enumerate_integral_ideals(f, 12)[1:4]
+    ]
+    classes = set()
+    for start in starts:
+        j, steps = start, 0
+        while True:
+            mu = _reduced_neighbor(f, j)
+            assert tuple(mu.coords) == brute_reduced_neighbor(
+                f.min_poly, f.basis, j.den, j.hnf)
+            j = scale_ideal(j, mu.inverse())
+            steps += 1
+            if j == start:
+                break
+            assert steps < 200
+        classes.add(principal_generator(f, start) is not None)
+    if d == 1009:
+        assert classes == {True, False}  # a non-principal cycle is walked too
+
+
+def test_reduced_cycle_rejects_unreduced_start(f73):
+    o = unit_ideal(f73)
+    for q in (2, 3):  # q*O misses 1
+        with pytest.raises(ValueError, match="not reduced"):
+            reduced_cycle(f73, scale_ideal(o, f73.rational(q)))
+    # 1 is primitive in x^-1 O for x = 2 + sqrt73 = 1 + 2(1 + sqrt73)/2, but
+    # not minimal: 1/x is smaller at both places
+    x = f73.element([Fraction(1), Fraction(2)])
+    with pytest.raises(ValueError, match="not reduced"):
+        reduced_cycle(f73, scale_ideal(o, x.inverse()))
 
 
 def test_principal_generator_roundtrip(f7, f73):

@@ -75,6 +75,21 @@ def test_embed_alpha_q7(f7):
                          0, Fraction(1)) == 0 or abs(float(v.norm()) - 1) < 1e-35
 
 
+def test_embed_survives_cancellation():
+    """The 30-digit fundamental unit of Q(sqrt10007): at 144 working bits its
+    small embedding cancels to 0; it must come back nonzero and accurate."""
+    from arakelov.units import quadratic_units
+
+    f = create_field([-10007, 0, 1])
+    eps = quadratic_units(f).generators[0]
+    assert eps.coords[0] > 10 ** 29
+    v = embed(f, eps)
+    assert all(x != 0 for x in v.values)
+    with mp.workprec(f.prec + 16):
+        assert abs(abs(v.values[0] * v.values[1]) - 1) <= mp.mpf(2) ** -f.prec
+    assert abs(eps.norm()) == 1
+
+
 def test_embed_gaussian_i(fi):
     v = embed(fi, fi.element([0, 1]))
     assert abs(float(v.norm_sq()) - 2) < 1e-30  # degree-weighted

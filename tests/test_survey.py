@@ -108,6 +108,10 @@ def test_classification_q79_three_classes(f79):
     tags = {e.class_tag for e in census.entries}
     assert len(tags) == 3  # class number three
     assert "principal" in tags
+    # the class registry holds the one principal-cycle walk, not a second one
+    from arakelov.divisors import _principal_cycle
+
+    assert f79._cache["class_cycles"][0]["principal"] is _principal_cycle(f79)
 
 
 def test_classification_q7_narrow_split(f7):
