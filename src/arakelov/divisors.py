@@ -428,35 +428,32 @@ def _require_degree_zero(d: ArakelovDivisor):
         raise ValueError("distance requires degree-zero divisors")
 
 
-def _difference_weight(d1: ArakelovDivisor, d2: ArakelovDivisor,
-                       g: FieldElement) -> ArchVector:
-    """v with D1 - D2 + (g) = (O_F, v), as positive magnitudes."""
+def _distance(d1: ArakelovDivisor, d2: ArakelovDivisor, units: UnitLattice,
+              oriented: bool):
+    _require_degree_zero(d1)
+    _require_degree_zero(d2)
     f = d1.field
+    if f.r1 + f.r2 - 1 > 0 and units is None:
+        raise UnitsUnavailable("unit lattice required for fields of unit rank > 0")
+    g = principal_generator(f, multiply(d1.ideal, invert(d2.ideal)))
+    if g is not None and oriented and units is not None:
+        g = totally_positive_adjust(f, g, units)
+    if g is None:
+        return None
+    # v with D1 - D2 + (g) = (O_F, v), as positive magnitudes
     prec = max(d1.u.prec, d2.u.prec)
     gv = f.embed(g, prec).abs()
     with mp.workprec(prec):
-        vals = tuple(
-            a / b * c for a, b, c in zip(d1.u.values, d2.u.values, gv.values)
-        )
-    return ArchVector(vals, f.degs, prec)
+        vals = tuple(a / b * c for a, b, c in zip(d1.u.values, d2.u.values, gv.values))
+    gens = units.log_embeddings(tp_only=oriented) if units is not None else []
+    return min_log_norm_modulo(ArchVector(vals, f.degs, prec).log(), gens)
 
 
 def pic_distance(d1: ArakelovDivisor, d2: ArakelovDivisor,
                  units: UnitLattice):
     """Distance between the classes of two degree-zero divisors on the same
     component of the class group; None when the ideal classes differ."""
-    _require_degree_zero(d1)
-    _require_degree_zero(d2)
-    f = d1.field
-    if f.r1 + f.r2 - 1 > 0 and units is None:
-        raise UnitsUnavailable("unit lattice required for fields of unit rank > 0")
-    q = multiply(d1.ideal, invert(d2.ideal))
-    g = principal_generator(f, q)
-    if g is None:
-        return None
-    v = _difference_weight(d1, d2, g)
-    gens = units.log_embeddings() if units is not None else []
-    return min_log_norm_modulo(v.log(), gens)
+    return _distance(d1, d2, units, oriented=False)
 
 
 def oriented_distance(d1: ArakelovDivisor, d2: ArakelovDivisor,
@@ -464,18 +461,4 @@ def oriented_distance(d1: ArakelovDivisor, d2: ArakelovDivisor,
     """Distance in the oriented class group: the generator must be totally
     positive and only totally positive units are minimised over; None when
     the divisors sit on different narrow components."""
-    _require_degree_zero(d1)
-    _require_degree_zero(d2)
-    f = d1.field
-    if f.r1 + f.r2 - 1 > 0 and units is None:
-        raise UnitsUnavailable("unit lattice required for fields of unit rank > 0")
-    q = multiply(d1.ideal, invert(d2.ideal))
-    g = principal_generator(f, q)
-    if g is None:
-        return None
-    gp = totally_positive_adjust(f, g, units) if units is not None else g
-    if gp is None:
-        return None
-    v = _difference_weight(d1, d2, gp)
-    gens = units.log_embeddings(tp_only=True) if units is not None else []
-    return min_log_norm_modulo(v.log(), gens)
+    return _distance(d1, d2, units, oriented=True)

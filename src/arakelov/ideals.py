@@ -48,9 +48,6 @@ class FractionalIdeal:
         """Positive generator c of the rational ideal I ∩ Q = cZ."""
         return Fraction(self.hnf[0][0], self.den)
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def key(self):
         return (self.den,) + tuple(x for row in self.hnf for x in row)
 
@@ -73,9 +70,6 @@ class PlainLattice:
 
     def basis_elements(self) -> list[FieldElement]:
         return list(self.basis)
-
-    def den_hnf(self) -> tuple[int, list[list[int]]]:
-        return self._den_hnf
 
     def contains(self, x: FieldElement) -> bool:
         den, h = self._den_hnf

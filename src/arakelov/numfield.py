@@ -215,9 +215,6 @@ class LogVector:
             vals = tuple(a + b for a, b in zip(self.values, other.values))
         return LogVector(vals, self.degs, prec)
 
-    def neg(self) -> "LogVector":
-        return LogVector(tuple(-v for v in self.values), self.degs, self.prec)
-
     def scale(self, c) -> "LogVector":
         with mp.workprec(self.prec):
             vals = tuple(v * c for v in self.values)
@@ -227,10 +224,6 @@ class LogVector:
         with mp.workprec(self.prec):
             vals = tuple(mp.exp(v) for v in self.values)
         return ArchVector(vals, self.degs, self.prec)
-
-    def weighted_sum(self):
-        with mp.workprec(self.prec):
-            return sum(d * v for v, d in zip(self.values, self.degs))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +350,6 @@ class NumberField:
         return self.element(self.from_power([Fraction(int(j == 1)) for j in range(self.n)]))
 
     # -- quadratic surd backend --------------------------------------------
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.n == 2
 
     def _surd_disc(self) -> int:
         c0, c1 = self.min_poly[0], self.min_poly[1]
@@ -701,11 +690,6 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not rational")
-        return self.coords[0]
 
     def norm(self) -> Fraction:
         return mat_det(self.field.mult_matrix(self.coords))

@@ -23,6 +23,7 @@ from .divisors import (
     divisor_d,
     is_reduced_usual,
     is_strongly_c_reduced,
+    principal_generator,
     quadratic_units,
     reduced_cycle,
     to_reduced,
@@ -33,10 +34,11 @@ from .ideals import (
     count_sublattices_up_to,
     enumerate_integral_ideals,
     invert,
+    multiply,
     unit_ideal,
 )
-from .numfield import FieldElement, NumberField, fraction_to_mpf
-from .units import min_log_norm_modulo, totally_positive_adjust
+from .numfield import FieldElement, LogVector, NumberField, fraction_to_mpf
+from .units import _positive_associate, _sign_vector, min_log_norm_modulo
 
 
 class DeskScaleExceeded(RuntimeError):
@@ -157,29 +159,29 @@ def classify_components(census: SredCensus, units: UnitLattice | None = None) ->
 
     Every entry gets a generator relative to its class representative; the
     narrow tag appends whether that generator has a totally positive
-    associate. Non-quadratic fields are returned untagged.
+    associate. Non-quadratic fields are returned untagged, and a census
+    whose entries are all tagged is returned unchanged.
     """
     f = census.field
-    if f.n != 2:
+    if f.n != 2 or all(e.class_tag is not None for e in census.entries):
         return census
     if f.r2 == 1:
         return _classify_imaginary(census)
     if units is None:
         units = quadratic_units(f)
+    unit_signs = [_sign_vector(f, eps) for eps in units.generators]
     out = []
     for e in census.entries:
         j_red, g = to_reduced(f, e.ideal)
         tag, gam = _locate_class(f, j_red)
         gen = g * gam.inverse()  # e.ideal = gen * rep
-        adjusted = totally_positive_adjust(f, gen, units)
-        narrow = f"{tag}|tp" if adjusted is not None else f"{tag}|ntp"
+        tp = _positive_associate(f, _sign_vector(f, gen), unit_signs) is not None
+        narrow = f"{tag}|tp" if tp else f"{tag}|ntp"
         out.append(replace(e, class_tag=tag, narrow_tag=narrow, generator=gen))
     return replace(census, entries=tuple(out))
 
 
 def _classify_imaginary(census: SredCensus) -> SredCensus:
-    from .divisors import principal_generator
-
     f = census.field
     reps: list[tuple[FractionalIdeal, str]] = []
     out = []
@@ -187,7 +189,7 @@ def _classify_imaginary(census: SredCensus) -> SredCensus:
         tag = None
         gen = None
         for rep, rep_tag in reps:
-            g = principal_generator(f, _quotient(e.ideal, rep))
+            g = principal_generator(f, multiply(e.ideal, invert(rep)))
             if g is not None:
                 tag, gen = rep_tag, g
                 break
@@ -203,12 +205,6 @@ def _classify_imaginary(census: SredCensus) -> SredCensus:
                 reps.append((e.ideal, tag))
         out.append(replace(e, class_tag=tag, narrow_tag=tag, generator=gen))
     return replace(census, entries=tuple(out))
-
-
-def _quotient(i: FractionalIdeal, j: FractionalIdeal) -> FractionalIdeal:
-    from .ideals import multiply
-
-    return multiply(i, invert(j))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +223,7 @@ def cycle_positions(census: SredCensus, units: UnitLattice):
     f = census.field
     if f.n != 2 or f.r1 != 2:
         raise ValueError("cycle positions require a real quadratic field")
-    need_tags = any(e.class_tag is None for e in census.entries)
-    tagged = classify_components(census, units) if need_tags else census
+    tagged = classify_components(census, units)
     ell = cycle_length(units)
     out = []
     for e in tagged.entries:
@@ -253,48 +248,49 @@ def separation_delta(c2: Fraction, prec: int = 64, coarse: bool = False):
         return mp.log(1 + top / (2 * fraction_to_mpf(c2, prec)))
 
 
-def _pair_weight_log(f: NumberField, e1: CensusEntry, e2: CensusEntry,
-                     g: FieldElement):
-    """log v with d(I1) - d(I2) + (g) = (O_F, v)."""
-    n1, n2 = e1.ideal.norm(), e2.ideal.norm()
-    gv = f.embed(g).abs()
-    with mp.workprec(gv.prec):
-        ratio = fraction_to_mpf(n1 / n2, gv.prec)
-        scale = ratio ** (-mpf(1) / f.n)
-        vals = tuple(scale * x for x in gv.values)
-        logs = tuple(mp.log(x) for x in vals)
-    from .numfield import LogVector
-
-    return LogVector(logs, f.degs, gv.prec)
+def _log_position(f: NumberField, e: CensusEntry) -> LogVector:
+    """p(e) = log|sigma(gen)| - (1/n) log N(I) of a classified entry, so
+    that d(I1) - d(I2) + (gen1/gen2) = (O_F, exp(p(e1) - p(e2)))."""
+    v = f.embed(e.generator).abs().log()
+    with mp.workprec(v.prec):
+        shift = mp.log(fraction_to_mpf(e.ideal.norm(), v.prec)) / f.n
+        return LogVector(tuple(x - shift for x in v.values), v.degs, v.prec)
 
 
 def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     """Pairwise oriented distances of same-narrow-component entries against
-    the separation constant; failures are reported, not silenced."""
+    the separation constant; failures are reported, not silenced.
+
+    Each entry is embedded and sign-tested once; a pair's target is the
+    difference of the two log positions plus the log vector of the unit
+    product that the XOR of their sign vectors asks for."""
     c2 = as_c_squared(c)
     if c2 != census.c_squared:
         raise ValueError("C parameter does not match the census")
     f = census.field
-    tagged = classify_components(census, units) if any(
-        e.class_tag is None for e in census.entries) else census
+    tagged = classify_components(census, units)
     delta = separation_delta(c2, f.prec)
-    groups: dict[str, list[CensusEntry]] = {}
+    groups: dict[str, list] = {}
     for e in tagged.entries:
         if e.narrow_tag is not None:
-            groups.setdefault(e.narrow_tag, []).append(e)
+            groups.setdefault(e.narrow_tag, []).append(
+                (e, _log_position(f, e), _sign_vector(f, e.generator)))
     min_gap = None
     pairs = 0
     violations = []
+    unit_logs = units.log_embeddings()
+    unit_signs = [_sign_vector(f, eps) for eps in units.generators]
     tp_logs = units.log_embeddings(tp_only=True)
     for tag, group in sorted(groups.items()):
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                e1, e2 = group[a], group[b]
-                g = e1.generator / e2.generator
-                gp = totally_positive_adjust(f, g, units)
-                if gp is None:
+        for a, (e1, p1, s1) in enumerate(group):
+            for e2, p2, s2 in group[a + 1:]:
+                found = _positive_associate(f, s1 ^ s2, unit_signs)
+                if found is None:
                     continue  # same wide class but different narrow component
-                target = _pair_weight_log(f, e1, e2, gp)
+                target = p1.add(p2.scale(-1))
+                for i, v in enumerate(unit_logs):
+                    if found[1] >> i & 1:
+                        target = target.add(v)
                 dist = min_log_norm_modulo(target, tp_logs)
                 pairs += 1
                 if min_gap is None or dist < min_gap:
@@ -311,22 +307,6 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     }
 
 
-def _pic_pairwise(f: NumberField, tagged: SredCensus, units: UnitLattice):
-    """Matrix of same-class pic distances between census entries."""
-    ents = tagged.entries
-    dists: dict[tuple[int, int], object] = {}
-    logs = units.log_embeddings()
-    for a in range(len(ents)):
-        for b in range(a + 1, len(ents)):
-            e1, e2 = ents[a], ents[b]
-            if e1.class_tag != e2.class_tag:
-                continue
-            g = e1.generator / e2.generator
-            target = _pair_weight_log(f, e1, e2, g)
-            dists[(a, b)] = min_log_norm_modulo(target, logs)
-    return dists
-
-
 def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
     """Check the census size and the unit-ball counts against the volume
     bounds; both the sqrt(3) and the coarser 3 constants are evaluated, the
@@ -334,8 +314,7 @@ def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
     f = census.field
     if f.n != 2 or f.r1 != 2:
         raise ValueError("count verification requires a real quadratic field")
-    tagged = classify_components(census, units) if any(
-        e.class_tag is None for e in census.entries) else census
+    tagged = classify_components(census, units)
     c2 = census.c_squared
     narrow_classes = sorted({e.narrow_tag for e in tagged.entries})
     h_plus = len(narrow_classes)
@@ -348,18 +327,17 @@ def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
             sred_bound = 2 ** f.n * delta ** (-mpf(f.n) / 2) * volume
             ball_bound = (delta / 2) ** (-f.n)
             results[name] = {"sred_bound": sred_bound, "ball_bound": ball_bound}
-    dists = _pic_pairwise(f, tagged, units)
-    m = len(tagged.entries)
-    ball_counts = []
-    for center in range(m):
-        cnt = 1
-        for other in range(m):
-            if other == center:
-                continue
-            key = (min(center, other), max(center, other))
-            if key in dists and dists[key] <= 1:
-                cnt += 1
-        ball_counts.append(cnt)
+    ents = tagged.entries
+    m = len(ents)
+    logs = units.log_embeddings()
+    pos = [_log_position(f, e) for e in ents]
+    ball_counts = [1] * m  # same-class entries within Pic distance 1
+    for a in range(m):
+        for b in range(a + 1, m):
+            if (ents[a].class_tag == ents[b].class_tag
+                    and min_log_norm_modulo(pos[a].add(pos[b].scale(-1)), logs) <= 1):
+                ball_counts[a] += 1
+                ball_counts[b] += 1
     max_ball = max(ball_counts) if ball_counts else 0
     return {
         "count": m,

@@ -5,6 +5,7 @@ logarithmic embedding used by the class-group distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import isqrt
 
 from mpmath import mp
@@ -122,8 +123,7 @@ def quadratic_units(f: NumberField) -> UnitLattice:
     assert abs(eps.norm()) == 1, "continued fraction did not produce a unit"
     if f.sign_at_place(eps, 0) < 0:
         eps = -eps
-    tp = eps if eps.norm() == 1 else eps * eps
-    return UnitLattice(f, (eps,), (tp,))
+    return UnitLattice(f, (eps,), _totally_positive_generators(f, (eps,)))
 
 
 def unit_lattice_from_elements(f: NumberField, elements: list[FieldElement]) -> UnitLattice:
@@ -136,49 +136,63 @@ def unit_lattice_from_elements(f: NumberField, elements: list[FieldElement]) -> 
     return UnitLattice(f, gens, tp)
 
 
-def _sign_vector(f: NumberField, x: FieldElement) -> tuple[int, ...]:
-    return tuple(int(f.sign_at_place(x, p) < 0) for p in range(f.r1))
+def _sign_vector(f: NumberField, x: FieldElement) -> int:
+    """Exact signs of x at the real places over GF(2): bit p is set when
+    sigma_p(x) < 0."""
+    return sum(1 << p for p in range(f.r1) if f.sign_at_place(x, p) < 0)
+
+
+def _positive_associate(f: NumberField, signs: int,
+                        unit_signs: list[int]) -> tuple[int, int] | None:
+    """(s, mask) with s * g * prod(eps_i, bit i set in mask) totally positive,
+    for g with sign vector `signs` and units eps_i with `unit_signs`, or None.
+    Tries g, -g, g eps_1, -g eps_1, ..., then products of two or more units."""
+    minus_one = (1 << f.r1) - 1
+    for mask in sorted(range(1 << len(unit_signs)), key=lambda m: (m & (m - 1) != 0, m)):
+        sv = signs
+        for i, u in enumerate(unit_signs):
+            if mask >> i & 1:
+                sv ^= u
+        if sv in (0, minus_one):
+            return (1 if sv == 0 else -1), mask
+    return None
+
+
+def _unit_product(f: NumberField, units, s: int, mask: int) -> FieldElement:
+    out = f.one() if s > 0 else -f.one()
+    for i, eps in enumerate(units):
+        if mask >> i & 1:
+            out = out * eps
+    return out
 
 
 def _totally_positive_generators(f: NumberField,
                                  gens: tuple[FieldElement, ...]) -> tuple[FieldElement, ...]:
-    """Generators of the totally positive unit subgroup, found by scanning
-    exponent patterns over GF(2) together with the sign of -1."""
-    if f.r1 == 0:
-        return gens
-    r = len(gens)
+    """Basis of the units spanned by gens that are totally positive up to
+    sign: the kernel of the sign map over GF(2) modulo the sign of -1.
+    eps_i enters as eps_i^2, or as +-eps_i times earlier generators whose
+    squares entered when that is totally positive; the exponent matrix is
+    triangular with 1s and 2s on its diagonal, so the kernel is spanned."""
     out: list[FieldElement] = []
-    minus_one = _sign_vector(f, -f.one())
-    for mask in range(1, 2 ** r):
-        candidate = f.one()
-        for i in range(r):
-            if mask >> i & 1:
-                candidate = candidate * gens[i]
-        sv = _sign_vector(f, candidate)
-        if all(s == 0 for s in sv):
-            out.append(candidate)
-        elif sv == minus_one:
-            out.append(-candidate)
-    for g in gens:
-        out.append(g * g)
-    # prune to a maximal independent-ish set: keep squares plus the single
-    # smallest mixed product per new mask (desk scale, rank <= 3)
-    return tuple(out[: max(r, 1)]) if out else tuple(g * g for g in gens)
+    squared: list[int] = []
+    signs = [_sign_vector(f, g) for g in gens]
+    for i, g in enumerate(gens):
+        found = _positive_associate(f, signs[i], [signs[j] for j in squared])
+        if found is None:
+            squared.append(i)
+            out.append(g * g)
+        else:
+            out.append(g * _unit_product(f, [gens[j] for j in squared], *found))
+    return tuple(out)
 
 
 def totally_positive_adjust(f: NumberField, g: FieldElement,
                             units: UnitLattice) -> FieldElement | None:
     """A totally positive associate of g, or None when no sign combination
     of units reaches the all-positive pattern."""
-    if f.r1 == 0:
-        return g
-    candidates = [g, -g]
-    for eps in units.generators:
-        candidates.extend([g * eps, -(g * eps)])
-    for c in candidates:
-        if all(f.sign_at_place(c, p) > 0 for p in range(f.r1)):
-            return c
-    return None
+    found = _positive_associate(f, _sign_vector(f, g),
+                                [_sign_vector(f, e) for e in units.generators])
+    return None if found is None else g * _unit_product(f, units.generators, *found)
 
 
 def min_log_norm_modulo(target: LogVector, gens: list[LogVector]):
@@ -206,7 +220,6 @@ def min_log_norm_modulo(target: LogVector, gens: list[LogVector]):
         center = mp.lu_solve(gram, rhs)
         best = None
         span = 2
-        from itertools import product
         for offs in product(range(-span, span + 1), repeat=r):
             coeffs = [int(mp.nint(center[i])) + offs[i] for i in range(r)]
             vec = list(target.values)

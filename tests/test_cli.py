@@ -268,6 +268,10 @@ CLI_DIGESTS = {
     ("q73.json", "cycle"): "7949c69a9117d7657f784b62579fdc38fafa67b9b4da1c51053871624d991033",
     ("q73.json", "info"): "e63ed8d1b9fb72c34a37fb5ac07b79fb0825402d78940c5dea384ecda273f68c",
     ("q73.json", "verify --C sqrt2"): "6c3a01964fcf56779361740de1c50889ec40603f60edcbc9291dc6bdd65f1a24",
+    ("q79.json", "census --C sqrt2"): "c602b4366db44536d04248a70abc2ccd2d3788ffef57edc2f444c165620a3f4b",
+    ("q79.json", "cycle"): "e22513e4c3972803aedc981bc05ecb2d02e8721ad86393ce39ed58e0860340b5",
+    ("q79.json", "info"): "2eac09d751bfe1e953e457ba22ac6e6ec7762a64e4f93bf7bbab58ea40f635b4",
+    ("q79.json", "verify --C sqrt2"): "101209bc82c1a0be953d694d737cba3dc147d46ef41c3f5bd7cd8da1010b8b94",
 }
 
 

@@ -43,7 +43,11 @@ from arakelov.ideals import (
 )
 from arakelov.numfield import ArchVector, create_field
 from arakelov.survey import enumerate_sred
-from arakelov.units import min_log_norm_modulo
+from arakelov.units import (
+    min_log_norm_modulo,
+    totally_positive_adjust,
+    unit_lattice_from_elements,
+)
 from conftest import random_degree_zero_divisor, random_fractional_ideal
 from oracles import brute_reduced_neighbor, fundamental_unit_is_minimal
 
@@ -286,6 +290,38 @@ def test_quadratic_units_rejects_other_degrees(f_cubic):
 
     with pytest.raises(UnitsUnavailable):
         quadratic_units(f_cubic)
+
+
+# x^3 - 3x + 1: totally real, Z[theta] maximal, regulator of (theta, theta - 1)
+R81 = mpf("0.849287450646192528")
+
+
+def test_totally_positive_units_span_the_sign_kernel():
+    """theta^2 is totally positive and theta - 1 is not, up to sign, so the
+    totally positive units of (theta^2, theta - 1) are (theta^2, (theta-1)^2)
+    with covolume 2 * 2R: every 2x2 minor over the three places is 4R."""
+    f = create_field([1, -3, 0, 1])
+    th = f.gen()
+    units = unit_lattice_from_elements(f, [th * th, th - f.one()])
+    for eps in units.totally_positive:
+        assert all(f.sign_at_place(eps, p) > 0 for p in range(3))
+    a, b = (v.values for v in units.log_embeddings(tp_only=True))
+    with mp.workprec(f.prec):
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            assert abs(abs(a[p] * b[q] - a[q] * b[p]) - 4 * R81) < mpf(10) ** -15
+
+
+def test_totally_positive_adjust_uses_unit_products():
+    """theta (theta - 1) has signs (+, -, +); no +-g eps_i is totally
+    positive, but g * theta * (theta - 1) is."""
+    f = create_field([1, -3, 0, 1])
+    th = f.gen()
+    units = unit_lattice_from_elements(f, [th, th - f.one()])
+    g = th * (th - f.one())
+    gp = totally_positive_adjust(f, g, units)
+    assert gp is not None
+    assert all(f.sign_at_place(gp, p) > 0 for p in range(3))
+    assert abs((gp / g).norm()) == 1
 
 
 def test_principal_cycle_lengths(f7, f73):
