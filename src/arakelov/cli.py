@@ -45,7 +45,7 @@ from .survey import (
     verify_counts,
     verify_separation,
 )
-from .units import UnitsUnavailable, min_log_norm_modulo
+from .units import LogLattice, UnitsUnavailable, min_log_norm_modulo
 
 
 def _read_json(path: str) -> dict:
@@ -177,16 +177,21 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _census_with_positions(args):
+def _classified_census(args):
     f, units = _load_field_arg(args)
     c2 = _c_arg(args)
     census = enumerate_sred(f, CSquared(c2))
     units = _units_for(f, units)
-    positions = None
     if f.n == 2:
         census = classify_components(census, units)
-        if f.r1 == 2 and units is not None:
-            positions = cycle_positions(census, units)
+    return f, units, census
+
+
+def _census_with_positions(args):
+    f, units, census = _classified_census(args)
+    positions = None
+    if f.n == 2 and f.r1 == 2 and units is not None:
+        positions = cycle_positions(census, units)
     return f, units, census, positions
 
 
@@ -212,7 +217,7 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f, units, census, _ = _census_with_positions(args)
+    f, units, census = _classified_census(args)
     if units is None or f.n != 2 or f.r1 != 2:
         raise SystemExit2("verification reports need a real quadratic field")
     sep = verify_separation(census, CSquared(census.c_squared), units)
@@ -250,7 +255,7 @@ def _verify_reduction_trials(f, units, c2, trials: int, seed: int) -> dict:
     ideals = enumerate_integral_ideals(f, 30)
     worst = 0.0
     violations = 0
-    logs = units.log_embeddings()
+    lattice = LogLattice(units.log_embeddings())
     for _ in range(trials):
         base = rng.choice(ideals)
         t = rng.uniform(-4.0, 4.0)
@@ -260,7 +265,7 @@ def _verify_reduction_trials(f, units, c2, trials: int, seed: int) -> dict:
             u = ArchVector((scale * mp.exp(t), scale * mp.exp(-t)), f.degs, f.prec)
         divisor = ArakelovDivisor(base, u)
         final, trace = reduce_divisor(divisor, CSquared(c2))
-        dist = min_log_norm_modulo(trace.v.log(), logs)
+        dist = lattice.closest_norm(trace.v.log())
         if trace.distance_bound is not None:
             ratio = float(dist / trace.distance_bound)
             worst = max(worst, ratio)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .exact import floor_minus_c_plus_sqrt, sign_surd
+from .exact import Surd, floor_minus_c_plus_sqrt, sign_surd
 from .ideals import (
     FractionalIdeal,
     PlainLattice,
@@ -26,7 +26,10 @@ from .ideals import (
     unit_ideal,
 )
 from .lattice import (
+    _box_side,
+    _canonical_sign,
     _enumerate_ellipsoid,
+    _u_weights,
     gram_of,
     lll_first_vector,
     minimal_element_bounded,
@@ -60,6 +63,8 @@ __all__ = [
 DEGREE_TOL = 1e-9
 # principal_generator outside quadratic fields searches x^T G x <= n N(Q)^2 * this
 PRINCIPAL_SEARCH_FACTOR = 64
+# continued-fraction and cycle walks in to_reduced take O(log N(Q)) steps
+_CF_STEP_CAP = 100000
 
 
 class UndecidedPrincipality(RuntimeError):
@@ -216,9 +221,14 @@ def is_strongly_c_reduced(f: NumberField, lattice: FractionalIdeal | PlainLattic
 
 
 def is_reduced_usual(f: NumberField, ideal: FractionalIdeal | PlainLattice) -> bool:
-    """Reduced in the usual sense: 1 lies in the lattice and is minimal."""
+    """Reduced in the usual sense: 1 lies in the lattice and is minimal.
+
+    Real quadratic ideals are decided exactly by the shape of their basis
+    (see _reduced_root); other lattices by a box enumeration."""
     from .lattice import is_minimal
 
+    if _real_quadratic(f) and isinstance(ideal, FractionalIdeal):
+        return _reduced_root(f, ideal) is not None
     if not ideal.contains(f.one()):
         return False
     return is_minimal(f, ideal, f.one())
@@ -338,27 +348,58 @@ def reduce(d: ArakelovDivisor, c) -> tuple[ArakelovDivisor, ReductionTrace]:
 # ---------------------------------------------------------------------------
 # Reduced-ideal cycles (real quadratic infrastructure)
 
+def _real_quadratic(f: NumberField) -> bool:
+    return f.n == 2 and f.r1 == 2
+
+
+def _from_surd(f: NumberField, x: Surd) -> FieldElement:
+    """The element whose embedding at place 0 is x (inverse of surd_embed)."""
+    return f.element(f.from_power([x.a + x.b * f.min_poly[1], 2 * x.b]))
+
+
+def _normalised_root(x: Surd) -> Surd:
+    """A basis root of Z + Z x with x > x' and -1 < x' < 0: x signed so
+    that its sqrt-coefficient is positive, plus floor(-x')."""
+    if x.b < 0:
+        x = x.scale(Fraction(-1))
+    return Surd(x.a + floor_minus_c_plus_sqrt(x.a, x.b * x.b * x.disc), x.b, x.disc)
+
+
+def _is_reduced_root(x: Surd) -> bool:
+    """x > 1 and -1 < x' < 0, which make Z + Z x reduced."""
+    return (sign_surd(x.a - 1, x.b, x.disc) > 0 and sign_surd(x.a, -x.b, x.disc) < 0
+            and sign_surd(x.a + 1, -x.b, x.disc) > 0)
+
+
+def _reduced_root(f: NumberField, j: FractionalIdeal) -> Surd | None:
+    """For a reduced J of a real quadratic field, the x with J = Z + Z x,
+    x > 1 and -1 < x' < 0 (at place 0); None when J is not reduced.
+
+    J is reduced (1 in J and minimal) exactly when J ∩ Q = Z and the
+    normalised root of its second HNF basis element exceeds 1: then an
+    element m + k x (k > 0) with |m + k x'| < 1 has m >= 0, so
+    m + k x > 1; and a root below 1 is itself smaller than 1 at both
+    places."""
+    if j.hnf[0][0] != j.den:
+        return None
+    x = _normalised_root(f.surd_embed(j.basis_elements()[1], 0))
+    return x if sign_surd(x.a - 1, x.b, x.disc) > 0 else None
+
+
 def _reduced_neighbor(f: NumberField, j: FractionalIdeal) -> FieldElement:
     """Forward infrastructure step: a reduced J is Z + Z·w with w > 1 and
     -1 < w' < 0, and w is the element of J with the least first embedding
-    above 1 and |w'| < 1. w is the second HNF basis element, signed so that
-    w > w', plus floor(-w')."""
-    if j.hnf[0][0] != j.den:
-        raise ValueError("ideal is not reduced: its rational part is not Z")
-    w = j.basis_elements()[1]
-    s = f.surd_embed(w, 0)  # w = s.a + s.b*sqrt(disc), w' = s.a - s.b*sqrt(disc)
-    if s.b < 0:
-        w, s = -w, s.scale(Fraction(-1))
-    k = floor_minus_c_plus_sqrt(s.a, s.b * s.b * s.disc)
-    if sign_surd(s.a + k - 1, s.b, s.disc) <= 0:
-        raise ValueError("ideal is not reduced: 1 is not minimal in it")
-    return w + f.rational(k)
+    above 1 and |w'| < 1."""
+    w = _reduced_root(f, j)
+    if w is None:
+        raise ValueError("ideal is not reduced: 1 is not a primitive minimal element")
+    return _from_surd(f, w)
 
 
 def reduced_cycle(f: NumberField, start: FractionalIdeal):
     """The cycle of reduced ideals through `start` (ValueError unless it is
     reduced), as a list of (ideal, gamma) with ideal = gamma^{-1} * start."""
-    if f.n != 2 or f.r1 != 2:
+    if not _real_quadratic(f):
         raise ValueError("reduced cycles exist for real quadratic fields only")
     out = [(start, f.one())]
     j, gam = start, f.one()
@@ -379,10 +420,74 @@ def _principal_cycle(f: NumberField):
 
 
 def to_reduced(f: NumberField, q: FractionalIdeal) -> tuple[FractionalIdeal, FieldElement]:
-    """(J, g) with Q = g·J and 1 minimal in J."""
-    d = divisor_d(q)
-    g = minimal_element_bounded(f, q, d.u)
+    """(J, g) with Q = g·J and 1 minimal in J.
+
+    g is the minimal element that minimal_element_bounded picks in the box
+    of d(Q); real quadratic fields reach it by continued fractions instead
+    of enumerating the box."""
+    if _real_quadratic(f):
+        g = _box_minimum_real_quadratic(f, q)
+    else:
+        g = minimal_element_bounded(f, q, divisor_d(q).u)
     return scale_ideal(q, g.inverse()), g
+
+
+def _box_minimum_real_quadratic(f: NumberField, q: FractionalIdeal) -> FieldElement:
+    """minimal_element_bounded(f, Q, d(Q).u) without the box enumeration.
+
+    Q = r(Z + Z x) with r Q's rational generator. The continued fraction
+    x -> 1/(x - floor x) walks Z + Z x = y (Z + Z/y), y = x - floor x, to a
+    reduced root, so r·prod(y) is a minimum of Q. The minima of Q inside
+    the closed box of d(Q) are a consecutive run of the chain of minima,
+    where |sigma_0| grows and |sigma_1| shrinks; one step along the chain
+    multiplies by x (forward) or by x - floor x (backward). The run is
+    collected and its least T2, then least canonical coordinates, picked,
+    exactly as the box enumeration does. Surds are values at place 0."""
+    disc = f._surd_disc()
+    side = _box_side(f)
+    bound_sq = side * side
+    w = _u_weights(f, divisor_d(q).u)[0]
+
+    def in_box(g: Surd, place: int) -> bool:
+        sq = g * g
+        return sign_surd(w * sq.a - bound_sq, w * sq.b * (1 - 2 * place), disc) <= 0
+
+    def forward(x: Surd, g: Surd):
+        return _normalised_root(x.inverse()), g * x
+
+    def backward(x: Surd, g: Surd):
+        y = Surd(x.a - x.floor(), x.b, disc)
+        return y.inverse(), g * y
+
+    r = Fraction(q.hnf[0][0], q.den)
+    x = _normalised_root(f.surd_embed(q.basis_elements()[1], 0).scale(1 / r))
+    g = Surd(r, Fraction(0), disc)
+    for _ in range(_CF_STEP_CAP):
+        if _is_reduced_root(x):
+            break
+        x, g = backward(x, g)
+    else:
+        raise RuntimeError("continued fraction failed to reach a reduced root")
+    # walk onto the run of minima inside the box
+    for _ in range(_CF_STEP_CAP):
+        if not in_box(g, 0):
+            x, g = backward(x, g)
+        elif not in_box(g, 1):
+            x, g = forward(x, g)
+        else:
+            break
+    else:
+        raise RuntimeError("no minimum of the ideal lies in the box of d(Q)")
+    # backward steps shrink |sigma_0| and grow |sigma_1|; forward the reverse
+    run = [g]
+    for step, place in ((backward, 1), (forward, 0)):
+        state = step(x, g)
+        while in_box(state[1], place):
+            run.append(state[1])
+            state = step(*state)
+    best = min((2 * (h.a * h.a + h.b * h.b * disc),
+                _canonical_sign(tuple(_from_surd(f, h).coords))) for h in run)
+    return f.element(best[1])
 
 
 def principal_generator(f: NumberField, q: FractionalIdeal) -> FieldElement | None:
@@ -393,7 +498,7 @@ def principal_generator(f: NumberField, q: FractionalIdeal) -> FieldElement | No
     fields search short vectors up to a declared radius and raise
     UndecidedPrincipality when nothing is found inside it.
     """
-    if f.n == 2 and f.r1 == 2:
+    if _real_quadratic(f):
         j, g = to_reduced(f, q)
         for jk, gam in _principal_cycle(f):
             if jk == j:

@@ -250,6 +250,17 @@ class Surd:
             raise ValueError("no sign for complex surd")
         return sign_surd(self.a, self.b, self.disc)
 
+    def inverse(self) -> "Surd":
+        n = self.a * self.a - self.b * self.b * self.disc
+        return Surd(self.a / n, -self.b / n, self.disc)
+
+    def floor(self) -> int:
+        """Exact floor of an irrational real surd."""
+        s = self.b * self.b * self.disc
+        if self.b > 0:
+            return floor_minus_c_plus_sqrt(-self.a, s)
+        return ceil_minus_c_minus_sqrt(-self.a, s) - 1
+
     def is_rational(self) -> bool:
         return self.b == 0
 

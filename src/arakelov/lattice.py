@@ -208,7 +208,8 @@ def gram_of(f: NumberField, lattice: FractionalIdeal | PlainLattice | list[Field
 def _ldl(g: list[list[Fraction]]):
     """G = L D L^T for a positive-definite G: (d, l) with l unit lower
     triangular; l[i][j] (i > j) are the Gram-Schmidt coefficients mu_ij and
-    d the squared Gram-Schmidt lengths."""
+    d the squared Gram-Schmidt lengths. Exact over Fractions; mpf entries
+    give the factorisation at the working precision."""
     n = len(g)
     l = [[Fraction(0)] * n for _ in range(n)]
     d = [Fraction(0)] * n
@@ -467,6 +468,15 @@ def is_minimal(f: NumberField, lattice, x: FieldElement) -> bool:
     return True
 
 
+def _box_side(f: NumberField) -> Fraction:
+    """Side of the closed box in which minimal_element_bounded searches a
+    degree-zero pair: the box-bound constant to the power 1/n, at the field
+    precision, widened by 2^-64."""
+    with mp.workprec(f.prec):
+        target = f.partial_constant() ** (mpf(1) / f.n)
+        return mpf_to_fraction(target) * (1 + Fraction(1, 1 << 64))
+
+
 def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
                             u: ArchVector) -> FieldElement:
     """A minimal element g of the ideal with u_sigma |sigma(g)| below the
@@ -482,9 +492,7 @@ def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
             - sum(d * mp.log(abs(v)) for v, d in zip(u.values, u.degs))
         if abs(deg) > mpf(10) ** (-9):
             raise ValueError(f"(I, u) has degree {float(deg)}, not zero")
-    with mp.workprec(f.prec):
-        target = f.partial_constant() ** (mpf(1) / f.n)
-        box = mpf_to_fraction(target) * (1 + Fraction(1, 1 << 64))
+    box = _box_side(f)
     candidates = enumerate_box(f, ideal, u, [box] * f.num_places, strict=False)
     if not candidates:
         raise RuntimeError("bounded box is empty; degree-0 precondition violated")

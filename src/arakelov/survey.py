@@ -38,7 +38,7 @@ from .ideals import (
     unit_ideal,
 )
 from .numfield import FieldElement, LogVector, NumberField, fraction_to_mpf
-from .units import _positive_associate, _sign_vector, min_log_norm_modulo
+from .units import LogLattice, _positive_associate, _sign_vector
 
 
 class DeskScaleExceeded(RuntimeError):
@@ -280,7 +280,7 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     violations = []
     unit_logs = units.log_embeddings()
     unit_signs = [_sign_vector(f, eps) for eps in units.generators]
-    tp_logs = units.log_embeddings(tp_only=True)
+    tp_lattice = LogLattice(units.log_embeddings(tp_only=True))
     for tag, group in sorted(groups.items()):
         for a, (e1, p1, s1) in enumerate(group):
             for e2, p2, s2 in group[a + 1:]:
@@ -291,7 +291,7 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
                 for i, v in enumerate(unit_logs):
                     if found[1] >> i & 1:
                         target = target.add(v)
-                dist = min_log_norm_modulo(target, tp_logs)
+                dist = tp_lattice.closest_norm(target)
                 pairs += 1
                 if min_gap is None or dist < min_gap:
                     min_gap = dist
@@ -329,13 +329,13 @@ def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
             results[name] = {"sred_bound": sred_bound, "ball_bound": ball_bound}
     ents = tagged.entries
     m = len(ents)
-    logs = units.log_embeddings()
+    lattice = LogLattice(units.log_embeddings())
     pos = [_log_position(f, e) for e in ents]
     ball_counts = [1] * m  # same-class entries within Pic distance 1
     for a in range(m):
         for b in range(a + 1, m):
             if (ents[a].class_tag == ents[b].class_tag
-                    and min_log_norm_modulo(pos[a].add(pos[b].scale(-1)), logs) <= 1):
+                    and lattice.closest_norm(pos[a].add(pos[b].scale(-1))) <= 1):
                 ball_counts[a] += 1
                 ball_counts[b] += 1
     max_ball = max(ball_counts) if ball_counts else 0

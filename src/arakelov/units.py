@@ -5,11 +5,11 @@ logarithmic embedding used by the class-group distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import isqrt
 
 from mpmath import mp
 
+from .lattice import _ldl
 from .numfield import FieldElement, LogVector, NumberField
 
 
@@ -35,28 +35,28 @@ class UnitLattice:
         """Covolume of the log lattice; for rank one, log of the larger
         embedding of the fundamental unit; for rank r >= 2,
         |det(deg_i log|sigma_i(eps_j)|)| over the first r places."""
-        f = self.field
-        if not self.generators:
-            return mp.mpf(0)
-        logs = self.log_embeddings()
-        if len(logs) == 1:
-            v = logs[0]
-            with mp.workprec(v.prec):
-                return abs(v.values[0])
-        r = len(logs)
-        if r != f.r1 + f.r2 - 1:
-            raise UnitsUnavailable(
-                f"{r} units supplied, the unit rank is {f.r1 + f.r2 - 1}")
-        with mp.workprec(f.prec):
-            m = mp.matrix([[v.degs[i] * v.values[i] for v in logs] for i in range(r)])
-            return abs(mp.det(m))
+        return _log_covolume(self.field, self.log_embeddings())
 
     def tp_regulator(self):
-        if not self.totally_positive:
-            return mp.mpf(0)
-        v = self.field.embed(self.totally_positive[0]).abs().log()
+        """Covolume of the log lattice of the totally positive generators,
+        by the same rule as regulator()."""
+        return _log_covolume(self.field, self.log_embeddings(tp_only=True))
+
+
+def _log_covolume(f: NumberField, logs: list[LogVector]):
+    if not logs:
+        return mp.mpf(0)
+    if len(logs) == 1:
+        v = logs[0]
         with mp.workprec(v.prec):
             return abs(v.values[0])
+    r = len(logs)
+    if r != f.r1 + f.r2 - 1:
+        raise UnitsUnavailable(
+            f"{r} units supplied, the unit rank is {f.r1 + f.r2 - 1}")
+    with mp.workprec(f.prec):
+        m = mp.matrix([[v.degs[i] * v.values[i] for v in logs] for i in range(r)])
+        return abs(mp.det(m))
 
 
 class UnitsUnavailable(ValueError):
@@ -195,38 +195,103 @@ def totally_positive_adjust(f: NumberField, g: FieldElement,
     return None if found is None else g * _unit_product(f, units.generators, *found)
 
 
-def min_log_norm_modulo(target: LogVector, gens: list[LogVector]):
-    """min over integer combinations a of || target + sum a_i gens_i ||.
+class LogLattice:
+    """The lattice spanned by log vectors under the degree-weighted norm,
+    with its Gram matrix G = L D L^T factorised once, for closest-vector
+    searches against many targets.
 
-    Babai rounding seeded, then an exhaustive offset box; fine for the desk
-    scale ranks (<= 3) this library works at.
-    """
-    if not gens:
-        return target.norm()
-    prec = max([target.prec] + [g.prec for g in gens])
-    r = len(gens)
-    with mp.workprec(prec):
-        gram = mp.matrix(r, r)
-        rhs = mp.matrix(r, 1)
-        for i in range(r):
-            for j in range(r):
-                gram[i, j] = sum(
-                    d * gi * gj
-                    for gi, gj, d in zip(gens[i].values, gens[j].values, gens[i].degs)
-                )
-            rhs[i] = -sum(
-                d * gi * tv for gi, tv, d in zip(gens[i].values, target.values, gens[i].degs)
-            )
-        center = mp.lu_solve(gram, rhs)
-        best = None
-        span = 2
-        for offs in product(range(-span, span + 1), repeat=r):
-            coeffs = [int(mp.nint(center[i])) + offs[i] for i in range(r)]
-            vec = list(target.values)
-            for i in range(r):
-                if coeffs[i]:
-                    vec = [v + coeffs[i] * gv for v, gv in zip(vec, gens[i].values)]
-            norm = mp.sqrt(sum(d * v * v for v, d in zip(vec, target.degs)))
-            if best is None or norm < best:
-                best = norm
-        return best
+    closest_norm(t) is min over integer a of ||t + sum a_i g_i||. The real
+    minimiser is c = -G^-1 (<g_i, t>)_i, read off a projection stored with
+    the factorisation. The search seeds with Babai's rounding a0 of c, then
+    Fincke-Pohst enumerates every a with (a - c)^T G (a - c) at most
+    Babai's own value, widened by a relative and an absolute 2^(-prec/2)
+    that cover the rounding of c and of the factorisation at the working
+    precision. The true minimiser lies inside that ellipsoid in any rank,
+    so the result is the certified closest vector; in rank one at most two
+    candidates are evaluated."""
+
+    def __init__(self, gens: list[LogVector]):
+        self.gens = tuple(gens)
+        self.prec = max((g.prec for g in gens), default=0)
+        r = len(gens)
+        if not r:
+            return
+        with mp.workprec(self.prec):
+            gram = [[sum(d * a * b for a, b, d in zip(gi.values, gj.values, gi.degs))
+                     for gj in gens] for gi in gens]
+            d, l = self._d, self._l = _ldl(gram)
+            # column p of G^-1 B, where B[i][p] = deg_p g_i[p]
+            cols = []
+            for p in range(len(gens[0].values)):
+                x = [g.degs[p] * g.values[p] for g in gens]
+                for i in range(r):
+                    x[i] -= sum(l[i][k] * x[k] for k in range(i))
+                x = [xi / di for xi, di in zip(x, d)]
+                for i in reversed(range(r)):
+                    x[i] -= sum(l[k][i] * x[k] for k in range(i + 1, r))
+                cols.append(x)
+            self._proj = [[col[i] for col in cols] for i in range(r)]
+
+    def closest_norm(self, target: LogVector):
+        """min over integer a of || target + sum a_i gens_i ||."""
+        gens = self.gens
+        if not gens:
+            return target.norm()
+        r = len(gens)
+        d, l = self._d, self._l
+        prec = max(target.prec, self.prec)
+        with mp.workprec(prec):
+            c = [-sum(p * tv for p, tv in zip(row, target.values)) for row in self._proj]
+            babai = [_floor(ci + 0.5) for ci in c]
+            a = babai[:]
+
+            def centre(i: int):
+                # (a - c)^T G (a - c) = sum_i d_i (a_i - centre(i))^2
+                return c[i] - sum(l[k][i] * (a[k] - c[k]) for k in range(i + 1, r))
+
+            used = 0
+            for i in reversed(range(r)):
+                used += d[i] * (a[i] - centre(i)) ** 2
+            slack = mp.mpf(2) ** (-(prec // 2))
+            radius = used * (1 + slack) + slack
+            candidates = [babai]
+
+            def search(i: int, used):
+                # a_i runs outward from the centre both ways while inside
+                mid = centre(i)
+                lo = _floor(mid)
+                for x, step in ((lo + 1, 1), (lo, -1)):
+                    while True:
+                        value = used + d[i] * (x - mid) ** 2
+                        if value > radius:
+                            break
+                        a[i] = x
+                        if i:
+                            search(i - 1, value)
+                        elif a != babai:
+                            candidates.append(a[:])
+                        x += step
+
+            search(r - 1, 0)
+            best = None
+            for coeffs in candidates:
+                vec = list(target.values)
+                for i in range(r):
+                    if coeffs[i]:
+                        vec = [v + coeffs[i] * gv for v, gv in zip(vec, gens[i].values)]
+                norm_sq = sum(dg * v * v for v, dg in zip(vec, target.degs))
+                if best is None or norm_sq < best:
+                    best = norm_sq
+            # sqrt is monotone, so this is the least of the candidates' norms
+            return mp.sqrt(best)
+
+
+def _floor(x) -> int:
+    n = int(x)  # rounds toward zero
+    return n - 1 if x < n else n
+
+
+def min_log_norm_modulo(target: LogVector, gens: list[LogVector]):
+    """min over integer combinations a of || target + sum a_i gens_i ||;
+    see LogLattice, which callers with many targets build once."""
+    return LogLattice(gens).closest_norm(target)

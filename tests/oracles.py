@@ -457,3 +457,17 @@ def brute_reduced_neighbor(min_poly, basis, den: int, hnf):
                     (p0 * best[1] - q0 * best[0]) / det)
         bound *= 2
     return None
+
+
+# ---------------------------------------------------------------------------
+# Closest vector in a log lattice
+
+def brute_closest_norm(target, gens, degs, spans) -> float:
+    """min over integer a with |a_i| <= spans[i] of ||target + sum a_i gens_i||
+    under the norm sum_k degs[k] v_k^2, scanning the whole box in double
+    precision. target and gens are sequences of floats, one per place."""
+    best = math.inf
+    for a in product(*(range(-s, s + 1) for s in spans)):
+        v = [t + sum(ai * g[k] for ai, g in zip(a, gens)) for k, t in enumerate(target)]
+        best = min(best, math.sqrt(sum(d * x * x for d, x in zip(degs, v))))
+    return best

@@ -234,6 +234,18 @@ def test_verify_deterministic_for_seed(field_file, capsys):
     assert out1 == out2
 
 
+def test_verify_skips_cycle_positions(field_file, capsys, monkeypatch):
+    import arakelov.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify does not print cycle positions")
+
+    monkeypatch.setattr(cli, "cycle_positions", refuse)
+    f = field_file("f7.json", {"min_poly": [-7, 0, 1]})
+    code, _, _ = run(capsys, ["verify", "--field", f, "--C", "sqrt2", "--trials", "2"])
+    assert code == 0
+
+
 def test_verify_large_regulator(field_file, capsys):
     """Q(sqrt10007) has a 30-digit fundamental unit; C = 1 compares 46
     divisors against it."""
@@ -260,17 +272,23 @@ CLI_DIGESTS = {
     ("cubic2.json", "info"): "14f6dea60b2717240d2abe70fdc9ff6b1fa8e2f0ab3504566c03d69e66c19620",
     ("gaussian.json", "census --C sqrt2"): "cf0f564fb86c1725be4fe0efbe117dfe6514d41f5ab117cb4d5ad68300650aa5",
     ("gaussian.json", "info"): "a73077baa835e12a15bfa77fc19052b3ca0d0ed623e81167dbcfd89662efc598",
+    ("q7.json", "census --C 2"): "9944cd6986da11bf93144673a66d5d0d17e0e8fcc55ea9ebcb20eca6f9d50394",
     ("q7.json", "census --C sqrt2"): "602620e09a3bb976675bd96ffd325d79bf3681b5a4526aafa3467f0bd5d1a1e3",
     ("q7.json", "cycle"): "e22513e4c3972803aedc981bc05ecb2d02e8721ad86393ce39ed58e0860340b5",
     ("q7.json", "info"): "d16f8c0112be5eea284d8ff72fae59b6020f604af5cd67263025e86b46e41eb8",
+    ("q7.json", "verify --C 1"): "678599c823396bb1d77e6995a0ee6de491210782779f8f43c864d1afe2a9fa32",
     ("q7.json", "verify --C sqrt2"): "ea6e9b3a57f2db4b02d57270b9eaf0613839a32a92940a724ff0d7891b5361fa",
+    ("q73.json", "census --C 2"): "ee595c55c52e99ba9b84dcb9448948147ce8a3c4ef288ee89790964c4dffd6e9",
     ("q73.json", "census --C sqrt2"): "0708417a13352a588828c1c1e7849f9cc721f80971e1f12cfb8462e7709724b9",
     ("q73.json", "cycle"): "7949c69a9117d7657f784b62579fdc38fafa67b9b4da1c51053871624d991033",
     ("q73.json", "info"): "e63ed8d1b9fb72c34a37fb5ac07b79fb0825402d78940c5dea384ecda273f68c",
+    ("q73.json", "verify --C 1"): "b9b943bb0427397ac11074a07bd536dd8572a54bed60f42dd656a801bf3e16b2",
     ("q73.json", "verify --C sqrt2"): "6c3a01964fcf56779361740de1c50889ec40603f60edcbc9291dc6bdd65f1a24",
+    ("q79.json", "census --C 2"): "84b28f741c0f89ee57b5e9f11c6f02a60622d02768d263e5ebc5d4f3bf0d3de8",
     ("q79.json", "census --C sqrt2"): "c602b4366db44536d04248a70abc2ccd2d3788ffef57edc2f444c165620a3f4b",
     ("q79.json", "cycle"): "e22513e4c3972803aedc981bc05ecb2d02e8721ad86393ce39ed58e0860340b5",
     ("q79.json", "info"): "2eac09d751bfe1e953e457ba22ac6e6ec7762a64e4f93bf7bbab58ea40f635b4",
+    ("q79.json", "verify --C 1"): "ddc31d4a995ba0faf0b011ec7c0512570315cf287cce5b900a4784fad528b5d3",
     ("q79.json", "verify --C sqrt2"): "101209bc82c1a0be953d694d737cba3dc147d46ef41c3f5bd7cd8da1010b8b94",
 }
 
@@ -283,7 +301,8 @@ def _digest_cases():
         cmds = ["info", "census --C sqrt2"]
         poly = doc["min_poly"]
         if len(poly) == 3 and poly[1] ** 2 - 4 * poly[0] * poly[2] > 0:
-            cmds += ["cycle", "verify --C sqrt2"]  # real quadratic
+            # real quadratic
+            cmds += ["census --C 2", "cycle", "verify --C 1", "verify --C sqrt2"]
         for cmd in cmds:
             yield path.name, cmd
 

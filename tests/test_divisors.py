@@ -41,15 +41,22 @@ from arakelov.ideals import (
     scale_ideal,
     unit_ideal,
 )
-from arakelov.numfield import ArchVector, create_field
+from arakelov.lattice import minimal_element_bounded
+from arakelov.numfield import ArchVector, LogVector, create_field
 from arakelov.survey import enumerate_sred
 from arakelov.units import (
+    LogLattice,
     min_log_norm_modulo,
     totally_positive_adjust,
     unit_lattice_from_elements,
 )
 from conftest import random_degree_zero_divisor, random_fractional_ideal
-from oracles import brute_reduced_neighbor, fundamental_unit_is_minimal
+from oracles import (
+    brute_closest_norm,
+    brute_is_minimal,
+    brute_reduced_neighbor,
+    fundamental_unit_is_minimal,
+)
 
 
 def test_as_c_squared_parsing():
@@ -157,6 +164,46 @@ def test_reduced_iff_strongly_bridges(f73):
             assert usual  # strongly 1-reduced implies reduced
         if usual:
             assert strongly_sqrt_n  # reduced implies strongly sqrt(n)-reduced
+
+
+def _census_and_inverses(f, cs):
+    """Every census entry at each C in cs, then I^-1 for every integral I
+    of norm <= 30."""
+    qs = [e.ideal for c in cs for e in enumerate_sred(f, c).entries]
+    return qs + [invert(j) for j in enumerate_integral_ideals(f, 30)]
+
+
+def _surd_pair(f, g):
+    # g = x + y sqrt(d) for the fields x^2 - d used here
+    return tuple(f.to_power(g.coords))
+
+
+@pytest.mark.parametrize("d", [7, 73, 79])
+def test_is_reduced_usual_matches_oracle(d):
+    f = create_field([-d, 0, 1])
+    verdicts = set()
+    for q in _census_and_inverses(f, [2]):
+        basis = [_surd_pair(f, b) for b in q.basis_elements()]
+        want = q.contains(f.one()) and brute_is_minimal(d, basis, (1, 0))
+        assert is_reduced_usual(f, q) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d", [7, 73, 79, 1009])
+def test_to_reduced_matches_box_pick(d):
+    """The continued-fraction walk lands on the minimal element that the
+    box enumeration of d(Q) picks, and 1 is minimal in the result."""
+    f = create_field([-d, 0, 1])
+    moved = 0
+    for q in _census_and_inverses(f, ["sqrt2", 2]):
+        g = minimal_element_bounded(f, q, divisor_d(q).u)
+        j, h = to_reduced(f, q)
+        assert (j, h) == (scale_ideal(q, g.inverse()), g)
+        basis = [_surd_pair(f, b) for b in j.basis_elements()]
+        assert brute_is_minimal(d, basis, (1, 0))
+        moved += h != f.one()
+    assert moved > 0
 
 
 def test_lll_jump_unit_ideal(f7):
@@ -309,6 +356,62 @@ def test_totally_positive_units_span_the_sign_kernel():
     with mp.workprec(f.prec):
         for p, q in ((0, 1), (0, 2), (1, 2)):
             assert abs(abs(a[p] * b[q] - a[q] * b[p]) - 4 * R81) < mpf(10) ** -15
+
+
+def test_tp_regulator_is_the_totally_positive_covolume():
+    f = create_field([1, -3, 0, 1])
+    th = f.gen()
+    units = unit_lattice_from_elements(f, [th, th - f.one()])
+    with mp.workprec(f.prec):
+        assert abs(units.tp_regulator() - 4 * R81) < mpf(10) ** -15
+        assert abs(units.regulator() - R81) < mpf(10) ** -15
+
+
+def _log_vector(values, degs):
+    return LogVector(tuple(mpf(v) for v in values), degs, 128)
+
+
+def _check_closest(gens, spans, targets):
+    lattice = LogLattice(gens)
+    floats = [[float(v) for v in g.values] for g in gens]
+    degs = gens[0].degs
+    for t in targets:
+        want = brute_closest_norm([float(v) for v in t.values], floats, degs, spans)
+        got = float(lattice.closest_norm(t))
+        assert abs(got - want) <= 1e-9 * max(1.0, want)
+        assert float(min_log_norm_modulo(t, gens)) == got
+
+
+@pytest.mark.parametrize("d", [73, 10007])
+def test_closest_vector_rank_one_matches_oracle(d):
+    f = create_field([-d, 0, 1])
+    gens = quadratic_units(f).log_embeddings()
+    reg = float(gens[0].values[0])
+    rng = random.Random(d)
+    targets = [_log_vector((rng.uniform(-20, 20) * reg, rng.uniform(-20, 20) * reg), f.degs)
+               for _ in range(30)]
+    _check_closest(gens, [40], targets)
+
+
+def test_closest_vector_rank_two_matches_oracle():
+    """x^3 - 3x + 1 with units (theta, theta - 1), and a skewed basis
+    g2 = 10 g1 + 0.05 (1, 1, -2) on which rounding the real minimiser
+    lands several g1 away from the closest vector."""
+    f = create_field([1, -3, 0, 1])
+    th = f.gen()
+    gens = unit_lattice_from_elements(f, [th, th - f.one()]).log_embeddings()
+    rng = random.Random(81)
+    targets = [_log_vector([rng.uniform(-8, 8) for _ in range(3)], f.degs)
+               for _ in range(20)]
+    _check_closest(gens, [30, 30], targets)
+    degs = (1, 1, 1)
+    g1 = _log_vector((1, -1, 0), degs)
+    g2 = _log_vector((10.05, -9.95, -0.1), degs)
+    targets = []
+    for _ in range(20):  # u g1 + v (g2 - 10 g1) + w (1, 1, 1)
+        u, v, w = rng.uniform(-10, 10), rng.uniform(-3, 3), rng.uniform(-1, 1)
+        targets.append(_log_vector((u + 0.05 * v + w, -u + 0.05 * v + w, -0.1 * v + w), degs))
+    _check_closest([g1, g2], [50, 6], targets)
 
 
 def test_totally_positive_adjust_uses_unit_products():
