@@ -26,14 +26,17 @@ from .ideals import (
     unit_ideal,
 )
 from .lattice import (
+    DEGREE_TOL,
     _box_side,
     _canonical_sign,
+    _degree,
     _enumerate_ellipsoid,
+    _refining,
+    _shortest_attempt,
     _u_weights,
     gram_of,
     lll_first_vector,
     minimal_element_bounded,
-    shortest_vector,
 )
 from .numfield import (
     ArchVector,
@@ -60,7 +63,6 @@ __all__ = [
     "unit_lattice_from_elements", "UnitLattice", "UnitsUnavailable",
 ]
 
-DEGREE_TOL = 1e-9
 # principal_generator outside quadratic fields searches x^T G x <= n N(Q)^2 * this
 PRINCIPAL_SEARCH_FACTOR = 64
 # continued-fraction and cycle walks in to_reduced take O(log N(Q)) steps
@@ -128,14 +130,7 @@ class ArakelovDivisor:
         return self.ideal.field
 
     def degree(self):
-        if self.d_form:
-            return mpf(0)
-        f = self.field
-        n_ideal = self.ideal.norm()
-        with mp.workprec(self.u.prec):
-            log_n = mp.log(mpf(n_ideal.numerator)) - mp.log(mpf(n_ideal.denominator))
-            log_u = sum(d * mp.log(abs(v)) for v, d in zip(self.u.values, self.u.degs))
-            return -log_n - log_u
+        return mpf(0) if self.d_form else _degree(self.ideal, self.u)
 
     def __repr__(self) -> str:
         return f"ArakelovDivisor({self.ideal!r}, u~{[float(v) for v in self.u.values]})"
@@ -195,14 +190,16 @@ class CheckResult:
 
 
 def _lambda_decision(f: NumberField, lattice, threshold: Fraction):
-    """(lambda_1^2 >= threshold, witness) with certified margins."""
-    gram = gram_of(f, lattice)
-    while True:
-        sv = shortest_vector(gram)
+    """(lambda_1^2 >= threshold, witness) with certified margins; a Gram too
+    coarse to decide is refined."""
+    def attempt(gram):
+        sv = _shortest_attempt(gram)
         diff = sv.length_sq - threshold
         if sv.length_sq_err == 0 or abs(diff) > sv.length_sq_err:
             return diff >= 0, sv
-        gram = gram.refine()
+        return None
+
+    return _refining(gram_of(f, lattice), attempt)
 
 
 def is_strongly_c_reduced(f: NumberField, lattice: FractionalIdeal | PlainLattice,

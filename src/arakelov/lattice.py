@@ -23,17 +23,17 @@ from .exact import (
 )
 from .ideals import FractionalIdeal, PlainLattice
 from .numfield import (
-    MAX_PREC,
     ArchVector,
     FieldElement,
     NumberField,
-    PrecisionExhausted,
+    _escalate,
     _iv_mul,
     fraction_to_mpf,
     mpf_to_fraction,
 )
 
 LLL_DELTA = Fraction(99, 100)
+DEGREE_TOL = 1e-9
 _ENUM_SLACK = Fraction(1, 2 ** 20)
 
 
@@ -89,10 +89,29 @@ class GramMatrix:
         return self.err * s * s
 
     def refine(self) -> "GramMatrix":
-        new_prec = self.prec * 2
-        if new_prec > MAX_PREC:
-            raise PrecisionExhausted("gram matrix refinement exceeded precision cap")
-        return _gram(self.field, self.source, self.weights, new_prec)
+        """The same Gram rebuilt at twice the precision; a Gram built from
+        bare entries is exact and comes back unchanged."""
+        if self.field is None:
+            return self
+        return _gram(self.field, self.source, self.weights, self.prec * 2)
+
+
+def _refining(gram: GramMatrix, attempt):
+    """attempt(gram), attempt(gram.refine()), ... under the precision policy:
+    the first result that is not None. A ValueError from an inexact Gram
+    (its midpoint matrix is not positive definite) also refines."""
+    def at(prec: int):
+        nonlocal gram
+        if gram.prec < prec:
+            gram = gram.refine()
+        try:
+            return attempt(gram)
+        except ValueError:
+            if gram.err == 0:
+                raise
+            return None
+
+    return _escalate(at, gram.prec, "gram matrix refinement exceeded precision cap")
 
 
 @dataclass(frozen=True)
@@ -272,7 +291,9 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
             bb, mu = _ldl(cur)
             k = max(k - 1, 1)
     basis = tuple(_element_of(g, row) for row in umat) if g.source else ()
-    reduced = GramMatrix(g.field, basis, g.weights, _freeze(cur), g.err, g.prec)
+    # entry (i, j) is U_i G U_j^T of the midpoints: off by ||U_i||_1 ||U_j||_1 err
+    err = g.err * max(sum(abs(c) for c in row) for row in umat) ** 2
+    reduced = GramMatrix(g.field, basis, g.weights, _freeze(cur), err, g.prec)
     return [row[:] for row in umat], reduced
 
 
@@ -344,8 +365,8 @@ def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction):
     vector's value can carry, is below radius * _ENUM_SLACK.
     """
     n = gram.size
-    while gram.err * (4 * n * n) > radius * _ENUM_SLACK:
-        gram = gram.refine()
+    slack = radius * _ENUM_SLACK
+    gram = _refining(gram, lambda g: g if g.err * (4 * n * n) <= slack else None)
     for value, coeffs in enumerate_quadratic_form(gram.entries, radius):
         yield value, coeffs, _element_of(gram, coeffs)
 
@@ -353,14 +374,7 @@ def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction):
 def shortest_vector(g: GramMatrix) -> ShortVector:
     """A shortest nonzero vector, exact for exact Gram matrices; ties are
     broken toward the lexicographically smallest positive-leading coeffs."""
-    cur = g
-    while True:
-        try:
-            return _shortest_attempt(cur)
-        except ValueError:
-            if cur.err == 0:
-                raise
-            cur = cur.refine()  # midpoint matrix fell over its error margin
+    return _refining(g, _shortest_attempt)
 
 
 def _shortest_attempt(g: GramMatrix) -> ShortVector:
@@ -468,6 +482,14 @@ def is_minimal(f: NumberField, lattice, x: FieldElement) -> bool:
     return True
 
 
+def _degree(ideal: FractionalIdeal, u: ArchVector):
+    """deg(I, u) = -log N(I) - sum_sigma deg_sigma log|u_sigma|, at u's precision."""
+    n_ideal = ideal.norm()
+    with mp.workprec(u.prec):
+        log_n = mp.log(mpf(n_ideal.numerator)) - mp.log(mpf(n_ideal.denominator))
+        return -log_n - sum(d * mp.log(abs(v)) for v, d in zip(u.values, u.degs))
+
+
 def _box_side(f: NumberField) -> Fraction:
     """Side of the closed box in which minimal_element_bounded searches a
     degree-zero pair: the box-bound constant to the power 1/n, at the field
@@ -486,28 +508,17 @@ def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
     enumerated, the minimal ones kept, and the tie broken by smallest scaled
     length then lexicographically smallest positive-leading coefficients.
     """
-    n_ideal = ideal.norm()
-    with mp.workprec(u.prec):
-        deg = -(mp.log(mpf(n_ideal.numerator)) - mp.log(mpf(n_ideal.denominator))) \
-            - sum(d * mp.log(abs(v)) for v, d in zip(u.values, u.degs))
-        if abs(deg) > mpf(10) ** (-9):
-            raise ValueError(f"(I, u) has degree {float(deg)}, not zero")
+    deg = _degree(ideal, u)
+    if abs(deg) > DEGREE_TOL:
+        raise ValueError(f"(I, u) has degree {float(deg)}, not zero")
     box = _box_side(f)
     candidates = enumerate_box(f, ideal, u, [box] * f.num_places, strict=False)
     if not candidates:
         raise RuntimeError("bounded box is empty; degree-0 precondition violated")
     # domination only needs comparisons within the candidate set
-    minimal = []
-    for g in candidates:
-        dominated = False
-        for h in candidates:
-            if h is g:
-                continue
-            if all(f.cmp_abs_pair(h, g, place) < 0 for place in range(f.num_places)):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(g)
+    minimal = [g for g in candidates if not any(
+        h is not g and all(f.cmp_abs_pair(h, g, p) < 0 for p in range(f.num_places))
+        for h in candidates)]
     gram = gram_of(f, ideal, u)
     seen = {}
     for g in minimal:

@@ -4,8 +4,9 @@ archimedean algebra with its degree-weighted metric.
 Exact data (rational coordinates, structure constants, discriminant) is kept
 in Fractions. Embeddings are carried at a working precision (128 bits by
 default) with certified error radii; comparisons that land too close to a
-decision boundary escalate the precision, and quadratic fields short-circuit
-to exact surd arithmetic so they never escalate at all.
+decision boundary escalate the precision under the one policy of _escalate,
+and quadratic fields short-circuit comparisons to exact surd arithmetic so
+those never escalate at all.
 """
 from __future__ import annotations
 
@@ -35,6 +36,19 @@ class PrecisionExhausted(RuntimeError):
     """A certified comparison could not be decided below the precision cap."""
 
 
+def _escalate(attempt, start: int, what: str):
+    """The precision policy: attempt(p) for p = start, 2 start, 4 start, ...
+    up to MAX_PREC, returning the first result that is not None; past the
+    cap, PrecisionExhausted(what)."""
+    prec = start
+    while prec <= MAX_PREC:
+        result = attempt(prec)
+        if result is not None:
+            return result
+        prec *= 2
+    raise PrecisionExhausted(what)
+
+
 def mpf_to_fraction(x) -> Fraction:
     """Exact rational value of an mpf (binary floats are exact rationals)."""
     if x == 0:
@@ -59,6 +73,16 @@ def _iv_add(a: Interval, b: Interval) -> Interval:
 def _iv_mul(a: Interval, b: Interval) -> Interval:
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(ps), max(ps))
+
+
+def _iv_cmp(a: Interval, b: Interval) -> int | None:
+    """Certified sign of x - y for x in a and y in b: +-1 when the intervals
+    are disjoint, None (undecided) when they overlap."""
+    if a[0] > b[1]:
+        return 1
+    if a[1] < b[0]:
+        return -1
+    return None
 
 
 def _iv_sq(a: Interval) -> Interval:
@@ -385,23 +409,13 @@ class NumberField:
         if n == 2:
             c0, c1 = self.min_poly[0], self.min_poly[1]
             d = c1 * c1 - 4 * c0
+            rad = Fraction(1, 2 ** (prec + 4))
             with mp.workprec(prec + 16):
+                s = mp.sqrt(abs(d))
                 if d > 0:
-                    s = mp.sqrt(d)
-                    rad = Fraction(1, 2 ** (prec + 4))
-                    th1 = (-c1 + s) / 2
-                    th2 = (-c1 - s) / 2
-                    return [("R", th1, rad), ("R", th2, rad)]
-                s = mp.sqrt(-d)
-                rad = Fraction(1, 2 ** (prec + 4))
+                    return [("R", (-c1 + s) / 2, rad), ("R", (-c1 - s) / 2, rad)]
                 return [("C", mpc(mpf(-c1) / 2, s / 2), rad)]
-        attempt = prec
-        while attempt <= MAX_PREC:
-            result = self._try_roots(attempt)
-            if result is not None:
-                return result
-            attempt *= 2
-        raise PrecisionExhausted("could not certify root isolation")
+        return _escalate(self._try_roots, prec, "could not certify root isolation")
 
     def _try_roots(self, prec: int):
         n = self.n
@@ -461,8 +475,7 @@ class NumberField:
         return ArchVector(vals, self.degs, prec)
 
     def _embed_at(self, pcoords: list[Fraction], place: int, prec: int):
-        work = prec
-        while work <= MAX_PREC:
+        def attempt(work: int):
             kind, v, _ = self.places_mpf(work)[place]
             with mp.workprec(work + 16):
                 acc = mpc(0) if kind == "C" else mpf(0)
@@ -473,13 +486,13 @@ class NumberField:
                     bound = bound * r + abs(cm)
                 # Horner's error is about bound * 2^-(work+16); keep it
                 # below |acc| * 2^-prec
-                if abs(acc) * 2 ** (work + 16 - prec) >= bound:
-                    with mp.workprec(prec + 16):
-                        return +acc
-            work *= 2
-        raise PrecisionExhausted(
-            f"embedding at place {place} cancels below {MAX_PREC} bits"
-        )
+                if abs(acc) * 2 ** (work + 16 - prec) < bound:
+                    return None
+            with mp.workprec(prec + 16):
+                return +acc
+
+        return _escalate(attempt, prec,
+                         f"embedding at place {place} cancels below {MAX_PREC} bits")
 
     def embed_interval(self, x: "FieldElement", place: int, prec: int):
         """Certified rectangle (re_iv, im_iv) for sigma(x); im_iv is None at
@@ -527,18 +540,13 @@ class NumberField:
             xsq = x * x
             if xsq.is_rational() and xsq.coords[0] == t / scale_sq:
                 return 0
-        prec = self.prec
-        while prec <= MAX_PREC:
+
+        def attempt(prec: int):
             lo, hi = self.abs_sq_interval(x, place, prec)
-            lo, hi = lo * scale_sq - t, hi * scale_sq - t
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-        raise PrecisionExhausted(
-            f"cannot separate |sigma(x)|^2 from bound at place {place}"
-        )
+            return _iv_cmp((lo * scale_sq, hi * scale_sq), (t, t))
+
+        return _escalate(attempt, self.prec,
+                         f"cannot separate |sigma(x)|^2 from bound at place {place}")
 
     def cmp_abs_pair(self, x: "FieldElement", y: "FieldElement", place: int) -> int:
         """Certified sign of |sigma(x)| - |sigma(y)|."""
@@ -551,32 +559,25 @@ class NumberField:
             h = x / y
             if h.norm_abs_one() and h.is_root_of_unity():
                 return 0
-        prec = self.prec
-        while prec <= MAX_PREC:
-            xlo, xhi = self.abs_sq_interval(x, place, prec)
-            ylo, yhi = self.abs_sq_interval(y, place, prec)
-            if xlo > yhi:
-                return 1
-            if xhi < ylo:
-                return -1
-            prec *= 2
-        raise PrecisionExhausted("cannot separate |sigma(x)| from |sigma(y)|")
+
+        def attempt(prec: int):
+            return _iv_cmp(self.abs_sq_interval(x, place, prec),
+                           self.abs_sq_interval(y, place, prec))
+
+        return _escalate(attempt, self.prec, "cannot separate |sigma(x)| from |sigma(y)|")
 
     def sign_at_place(self, x: "FieldElement", place: int) -> int:
         """Certified sign of sigma(x) at a real place (x nonzero)."""
         if self.n == 2:
             return self.surd_embed(x, place).sign()
-        prec = self.prec
-        while prec <= MAX_PREC:
+
+        def attempt(prec: int):
             re_iv, im_iv = self.embed_interval(x, place, prec)
             if im_iv is not None:
                 raise ValueError("sign only defined at real places")
-            if re_iv[0] > 0:
-                return 1
-            if re_iv[1] < 0:
-                return -1
-            prec *= 2
-        raise PrecisionExhausted("cannot determine sign at place")
+            return _iv_cmp(re_iv, (0, 0))
+
+        return _escalate(attempt, self.prec, "cannot determine sign at place")
 
     # -- constants -----------------------------------------------------------
 
@@ -709,12 +710,6 @@ class FieldElement:
                 return True
             acc = acc * self
         return False
-
-    def embedding(self, prec: int | None = None) -> ArchVector:
-        return self.field.embed(self, prec)
-
-    def denominator(self) -> int:
-        return math.lcm(*(c.denominator for c in self.coords))
 
     def __repr__(self) -> str:
         return f"FieldElement({[str(c) for c in self.coords]})"

@@ -15,12 +15,10 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .divisors import (
-    ArakelovDivisor,
     CSquared,
     UnitLattice,
     _principal_cycle,
     as_c_squared,
-    divisor_d,
     is_reduced_usual,
     is_strongly_c_reduced,
     principal_generator,
@@ -68,10 +66,6 @@ class CensusEntry:
     class_tag: str | None = None
     narrow_tag: str | None = None
     generator: FieldElement | None = None
-    position: object | None = None  # mpf in [0, cycle length)
-
-    def divisor(self) -> ArakelovDivisor:
-        return divisor_d(self.ideal)
 
 
 @dataclass(frozen=True)
@@ -218,8 +212,9 @@ def cycle_length(units: UnitLattice):
 
 
 def cycle_positions(census: SredCensus, units: UnitLattice):
-    """Positions of the principal-class entries along the unit circle of the
-    class group, in [0, cycle length); the base point d(O_F) sits at 0."""
+    """(entry, position) for the principal-class entries: the position along
+    the unit circle of the class group, in [0, cycle length); the base point
+    d(O_F) sits at 0."""
     f = census.field
     if f.n != 2 or f.r1 != 2:
         raise ValueError("cycle positions require a real quadratic field")
@@ -234,7 +229,7 @@ def cycle_positions(census: SredCensus, units: UnitLattice):
         with mp.workprec(vg.prec):
             t = (mp.log(vg.values[0]) - mp.log(vg.values[1])) / mp.sqrt(2)
             pos = t % ell
-        out.append((replace(e, position=pos), pos))
+        out.append((e, pos))
     return out
 
 

@@ -41,7 +41,7 @@ from arakelov.ideals import (
     scale_ideal,
     unit_ideal,
 )
-from arakelov.lattice import minimal_element_bounded
+from arakelov.lattice import GramMatrix, minimal_element_bounded
 from arakelov.numfield import ArchVector, LogVector, create_field
 from arakelov.survey import enumerate_sred
 from arakelov.units import (
@@ -128,6 +128,24 @@ def test_strongly_reduced_plain_lattice_q7(f7):
 def test_strongly_reduced_unit_ideal_totally_real(f7):
     for c in (1, "sqrt2", 2, 10):
         assert is_strongly_c_reduced(f7, unit_ideal(f7), c).ok
+
+
+@pytest.mark.parametrize("poly", [[-2, 0, 0, 1], [-3, -1, 0, 1]])
+def test_strongly_reduced_near_tie_refines_gram_once(poly, monkeypatch):
+    # lambda_1^2 = T2(1) = 3 sits 3 * 2^-300 above the threshold 3/C^2: the
+    # 128-bit interval Gram cannot decide, the 256-bit one can
+    refined = []
+    inner = GramMatrix.refine
+
+    def count(self):
+        refined.append(self.prec)
+        return inner(self)
+
+    monkeypatch.setattr(GramMatrix, "refine", count)
+    f = create_field(poly)
+    res = is_strongly_c_reduced(f, unit_ideal(f), CSquared(1 + Fraction(1, 2 ** 300)))
+    assert res.ok and res.lambda1_sq == 3
+    assert refined == [128]
 
 
 def test_strongly_reduced_primitivity_gate(f7):

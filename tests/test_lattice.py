@@ -16,6 +16,7 @@ from arakelov.ideals import (
 from arakelov.lattice import (
     GramMatrix,
     _ellipsoid_gram,
+    _gram,
     covolume_check,
     enumerate_box,
     gram_of,
@@ -75,6 +76,24 @@ def test_ellipsoid_gram_refines_with_its_weights(f73, f_cubic):
         for row, frow in zip(g.entries, fine.entries):
             for x, y in zip(row, frow):
                 assert abs(x - y) <= g.err + fine.err
+
+
+def test_refine_keeps_a_gram_without_field():
+    g = GramMatrix.from_entries([[2, 1], [1, 3]])
+    assert g.refine() == g
+
+
+@pytest.mark.parametrize("t", [8, 15, 20, 25])
+def test_lll_reduced_error_bounds_its_entries(f73, t):
+    # the reduced entries are U G U^T of the source midpoints; a rebuild of
+    # the reduced basis at 8x the precision must lie within both errors
+    with mp.workprec(f73.prec):
+        u = ArchVector((mp.exp(t), mp.exp(-t)), f73.degs, f73.prec)
+    _, red = lll_reduce(gram_of(f73, unit_ideal(f73), u))
+    fine = _gram(f73, red.source, red.weights, 8 * red.prec)
+    for row, frow in zip(red.entries, fine.entries):
+        for x, y in zip(row, frow):
+            assert abs(x - y) <= red.err + fine.err
 
 
 def _det2(u):

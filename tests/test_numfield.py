@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
+from mpmath import mp, mpf
 
 from arakelov.numfield import (
     ArchVector,
     FieldConstructionError,
+    NumberField,
+    PrecisionExhausted,
+    _escalate,
     create_field,
     embed,
     norm_trace,
@@ -167,6 +170,61 @@ def test_cubic_interval_comparisons(f_cubic):
     assert f_cubic.cmp_abs_sq(th, 0, Fraction(1)) == 1   # 2^(2/3) > 1
     assert f_cubic.cmp_abs_sq(th, 0, Fraction(2)) == -1
     assert f_cubic.cmp_abs_sq(th * th * th, 0, Fraction(4)) == 0  # theta^3 = 2
+
+
+def test_escalate_doubles_until_decided():
+    tried = []
+
+    def attempt(prec):
+        tried.append(prec)
+        return 0 if prec >= 512 else None  # a falsy result still decides
+
+    assert _escalate(attempt, 128, "never") == 0
+    assert tried == [128, 256, 512]
+    tried.clear()
+    with pytest.raises(PrecisionExhausted, match="^undecided$"):
+        _escalate(lambda p: tried.append(p), 128, "undecided")
+    assert tried == [128, 256, 512, 1024, 2048, 4096]
+
+
+@pytest.fixture()
+def interval_precisions(monkeypatch):
+    """The precision of every certified interval embedding, in call order."""
+    seen = []
+    inner = NumberField.embed_interval
+
+    def record(self, x, place, prec):
+        seen.append(prec)
+        return inner(self, x, place, prec)
+
+    monkeypatch.setattr(NumberField, "embed_interval", record)
+    return seen
+
+
+def test_certified_signs_escalate_near_cube_root_of_two(f_cubic, interval_precisions):
+    # q is within 2^-300 of 2^(1/3): 128-bit root intervals cannot separate them
+    with mp.workprec(400):
+        q = Fraction(int(mp.nint(mp.cbrt(2) * 2 ** 300)), 2 ** 300)
+    with mp.workprec(2000):
+        want = int(mp.sign(mp.cbrt(2) - mpf(q.numerator) / q.denominator))
+    assert want != 0
+    th = f_cubic.gen()
+    cases = [
+        (lambda: f_cubic.sign_at_place(th - f_cubic.rational(q), 0), [128, 256]),
+        (lambda: f_cubic.cmp_abs_sq(th, 0, q * q), [128, 256]),
+        (lambda: f_cubic.cmp_abs_pair(th, f_cubic.rational(q), 0), [128, 128, 256, 256]),
+    ]
+    for decide, precisions in cases:
+        interval_precisions.clear()
+        assert decide() == want
+        assert interval_precisions == precisions
+
+
+def test_exact_tie_at_complex_place_exhausts_precision(f_cubic, interval_precisions):
+    # |sigma(1)|^2 = 1 exactly: no interval excludes the tie
+    with pytest.raises(PrecisionExhausted, match="bound at place 1"):
+        f_cubic.cmp_abs_sq(f_cubic.one(), 1, Fraction(1))
+    assert interval_precisions == [128, 256, 512, 1024, 2048, 4096]
 
 
 def test_conjugation(f7):
