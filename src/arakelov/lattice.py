@@ -27,6 +27,7 @@ from .numfield import (
     FieldElement,
     NumberField,
     _escalate,
+    _iv_cmp,
     _iv_mul,
     fraction_to_mpf,
     mpf_to_fraction,
@@ -515,10 +516,24 @@ def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
     candidates = enumerate_box(f, ideal, u, [box] * f.num_places, strict=False)
     if not candidates:
         raise RuntimeError("bounded box is empty; degree-0 precondition violated")
-    # domination only needs comparisons within the candidate set
-    minimal = [g for g in candidates if not any(
-        h is not g and all(f.cmp_abs_pair(h, g, p) < 0 for p in range(f.num_places))
-        for h in candidates)]
+    # domination only needs comparisons within the candidate set; each
+    # candidate's start-precision intervals are computed once and decide
+    # every pair they separate, cmp_abs_pair only the overlapping ones
+    places = range(f.num_places)
+    ivs = [[f.abs_sq_interval(g, p, f.prec) for p in places] for g in candidates]
+
+    def below(i: int, j: int) -> bool:
+        """|sigma(h)| < |sigma(g)| at every place, h, g = candidates i, j."""
+        for p in places:
+            sgn = _iv_cmp(ivs[i][p], ivs[j][p])
+            if sgn is None:
+                sgn = f.cmp_abs_pair(candidates[i], candidates[j], p)
+            if sgn >= 0:
+                return False
+        return True
+
+    minimal = [g for j, g in enumerate(candidates)
+               if not any(i != j and below(i, j) for i in range(len(candidates)))]
     gram = gram_of(f, ideal, u)
     seen = {}
     for g in minimal:

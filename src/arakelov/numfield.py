@@ -239,10 +239,11 @@ class LogVector:
             vals = tuple(a + b for a, b in zip(self.values, other.values))
         return LogVector(vals, self.degs, prec)
 
-    def scale(self, c) -> "LogVector":
-        with mp.workprec(self.prec):
-            vals = tuple(v * c for v in self.values)
-        return LogVector(vals, self.degs, self.prec)
+    def sub(self, other: "LogVector") -> "LogVector":
+        prec = max(self.prec, other.prec)
+        with mp.workprec(prec):
+            vals = tuple(a - b for a, b in zip(self.values, other.values))
+        return LogVector(vals, self.degs, prec)
 
     def exp(self) -> ArchVector:
         with mp.workprec(self.prec):
@@ -510,10 +511,9 @@ class NumberField:
         ar: Interval = (Fraction(0), Fraction(0))
         ai: Interval = (Fraction(0), Fraction(0))
         for c in reversed(pcoords):
-            nr = _iv_add((_iv_mul(ar, tr)[0] - _iv_mul(ai, ti)[1],
-                          _iv_mul(ar, tr)[1] - _iv_mul(ai, ti)[0]), (c, c))
-            ni = _iv_add(_iv_mul(ar, ti), _iv_mul(ai, tr))
-            ar, ai = nr, ni
+            rr, ii = _iv_mul(ar, tr), _iv_mul(ai, ti)
+            ar, ai = ((rr[0] - ii[1] + c, rr[1] - ii[0] + c),
+                      _iv_add(_iv_mul(ar, ti), _iv_mul(ai, tr)))
         return ar, ai
 
     def abs_sq_interval(self, x: "FieldElement", place: int, prec: int) -> Interval:
@@ -526,7 +526,12 @@ class NumberField:
 
     def cmp_abs_sq(self, x: "FieldElement", place: int, t: Fraction,
                    scale_sq: Fraction = Fraction(1)) -> int:
-        """Certified sign of scale_sq * |sigma(x)|^2 - t (t, scale_sq exact)."""
+        """Certified sign of scale_sq * |sigma(x)|^2 - t (t, scale_sq exact).
+
+        The start-precision interval decides first; only when it overlaps t
+        is the exact tie tested (a real place and x^2 == t/scale_sq as a
+        rational element), and only then does the precision double. A tie
+        always overlaps, so this orders the work, not the answer."""
         if self.n == 2:
             s = self.surd_embed(x, place)
             if s.disc < 0:
@@ -534,35 +539,47 @@ class NumberField:
                 return (diff > 0) - (diff < 0)
             sq = s * s
             return sign_surd(scale_sq * sq.a - t, scale_sq * sq.b, s.disc)
-        # exact tie: real place and x^2 == t/scale_sq as a rational element
-        kind = self.places_mpf(self.prec)[place][0]
-        if kind == "R":
+
+        def tie() -> bool:
+            if self.places_mpf(self.prec)[place][0] != "R":
+                return False
             xsq = x * x
-            if xsq.is_rational() and xsq.coords[0] == t / scale_sq:
-                return 0
+            return xsq.is_rational() and xsq.coords[0] == t / scale_sq
 
         def attempt(prec: int):
             lo, hi = self.abs_sq_interval(x, place, prec)
-            return _iv_cmp((lo * scale_sq, hi * scale_sq), (t, t))
+            sgn = _iv_cmp((lo * scale_sq, hi * scale_sq), (t, t))
+            if sgn is None and prec == self.prec and tie():
+                return 0
+            return sgn
 
         return _escalate(attempt, self.prec,
                          f"cannot separate |sigma(x)|^2 from bound at place {place}")
 
     def cmp_abs_pair(self, x: "FieldElement", y: "FieldElement", place: int) -> int:
-        """Certified sign of |sigma(x)| - |sigma(y)|."""
+        """Certified sign of |sigma(x)| - |sigma(y)|.
+
+        After the cheap x == +-y check the start-precision intervals decide
+        first; only when they overlap is the exact tie tested (a ratio x/y
+        that is a root of unity ties at every place), and only then does
+        the precision double."""
         if self.n == 2:
             return cmp_abs_surd(self.surd_embed(x, place), self.surd_embed(y, place))
         if x == y or x == -y:
             return 0
-        # a root-of-unity ratio forces a tie at every place
-        if not y.is_zero():
+
+        def tie() -> bool:
+            if y.is_zero():
+                return False
             h = x / y
-            if h.norm_abs_one() and h.is_root_of_unity():
-                return 0
+            return h.norm_abs_one() and h.is_root_of_unity()
 
         def attempt(prec: int):
-            return _iv_cmp(self.abs_sq_interval(x, place, prec),
-                           self.abs_sq_interval(y, place, prec))
+            sgn = _iv_cmp(self.abs_sq_interval(x, place, prec),
+                          self.abs_sq_interval(y, place, prec))
+            if sgn is None and prec == self.prec and tie():
+                return 0
+            return sgn
 
         return _escalate(attempt, self.prec, "cannot separate |sigma(x)| from |sigma(y)|")
 

@@ -282,7 +282,7 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
                 found = _positive_associate(f, s1 ^ s2, unit_signs)
                 if found is None:
                     continue  # same wide class but different narrow component
-                target = p1.add(p2.scale(-1))
+                target = p1.sub(p2)
                 for i, v in enumerate(unit_logs):
                     if found[1] >> i & 1:
                         target = target.add(v)
@@ -330,7 +330,7 @@ def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
     for a in range(m):
         for b in range(a + 1, m):
             if (ents[a].class_tag == ents[b].class_tag
-                    and lattice.closest_norm(pos[a].add(pos[b].scale(-1))) <= 1):
+                    and lattice.closest_norm(pos[a].sub(pos[b])) <= 1):
                 ball_counts[a] += 1
                 ball_counts[b] += 1
     max_ball = max(ball_counts) if ball_counts else 0

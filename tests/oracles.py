@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from mpmath import mp, mpf
+
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a/n)."""
@@ -471,3 +473,98 @@ def brute_closest_norm(target, gens, degs, spans) -> float:
         v = [t + sum(ai * g[k] for ai, g in zip(a, gens)) for k, t in enumerate(target)]
         best = min(best, math.sqrt(sum(d * x * x for d, x in zip(degs, v))))
     return best
+
+
+# ---------------------------------------------------------------------------
+# The box pick of a lattice in a number field
+
+PICK_PREC = 320
+
+
+def brute_minimal_pick(min_poly, basis, weights, side):
+    """The point a minimal-element box search picks, by exhaustive scan.
+
+    The lattice is spanned by the rows of `basis` (rational power
+    coordinates, theta^0 first) in Q[x]/(min_poly), min_poly monic with its
+    constant term first. Its nonzero points g with
+    weights[k] * |sigma_k(g)| <= side at every place k are listed; a point
+    some other listed point beats strictly at every place is dropped; of the
+    rest the one of least weighted T2 = sum_k deg_k (weights[k] |sigma_k(g)|)^2
+    wins, then the least power coordinates, each point taken with the sign
+    that makes its first nonzero coordinate positive. Returns those
+    coordinates as a tuple of Fractions.
+
+    Places are the real roots in decreasing order, then one root of each
+    complex pair (positive imaginary part) by decreasing real part. All
+    tests are mpmath at PICK_PREC bits. The coefficient box comes from the
+    inverse of the real embedding matrix; on each row of the other
+    coefficients the first one is swept only across the range every place
+    allows, computed in floats and widened by one on each side.
+    """
+    n = len(min_poly) - 1
+    rows = [[Fraction(c) for c in b] for b in basis]
+    with mp.workprec(PICK_PREC):
+        roots = mp.polyroots([mpf(c) for c in reversed(min_poly)],
+                             maxsteps=400, extraprec=PICK_PREC)
+        tiny = mpf(2) ** (-PICK_PREC // 2)
+        places = [(r.real, 1) for r in sorted((r for r in roots if abs(r.imag) < tiny),
+                                              key=lambda z: -z.real)]
+        places += [(z, 2) for z in sorted((z for z in roots if z.imag >= tiny),
+                                          key=lambda z: (-z.real, -z.imag))]
+        w = [mpf(x) for x in weights]
+        reach = mpf(side.numerator) / side.denominator
+        emb = [[sum(mpf(c.numerator) / c.denominator * z ** k for k, c in enumerate(b))
+                for z, _ in places] for b in rows]
+
+        # |real coordinate| <= reach / w_k bounds each coefficient through M^-1
+        cols = []
+        for k, (_, deg) in enumerate(places):
+            cols += [(k, lambda v: v.real)] + ([(k, lambda v: v.imag)] if deg == 2 else [])
+        m_inv = mp.inverse(mp.matrix([[part(e[k]) for k, part in cols] for e in emb]))
+        span = [int(mp.floor(sum(abs(m_inv[c, i]) * reach / w[k]
+                                 for c, (k, _) in enumerate(cols)))) + 1
+                for i in range(n)]
+
+        def sigma(a):
+            return [sum(ai * e[k] for ai, e in zip(a, emb)) for k in range(len(places))]
+
+        # each row of the other coefficients meets the disc (or interval)
+        # |a0 e_k + s_k| <= reach / w_k of every place in a range of a0,
+        # found in floats and widened by one on each side
+        fl = [[complex(v) for v in e] for e in emb]
+        radius_sq = [float(reach / wk) ** 2 for wk in w]
+        inside = []
+        for rest in product(*(range(-s, s + 1) for s in span[1:])):
+            lo, hi = -span[0], span[0]
+            for k, r2 in enumerate(radius_sq):
+                e = fl[0][k]
+                sk = sum(ai * v[k] for ai, v in zip(rest, fl[1:]))
+                qa, qb, qc = abs(e) ** 2, (e.conjugate() * sk).real, abs(sk) ** 2
+                disc = qb * qb - qa * (qc - r2)
+                if disc < -1e-9 * (qb * qb + qa * (qc + r2)):
+                    hi = lo - 1
+                    break
+                root = math.sqrt(max(disc, 0.0))
+                lo = max(lo, math.ceil((-qb - root) / qa) - 1)
+                hi = min(hi, math.floor((-qb + root) / qa) + 1)
+            for a0 in range(lo, hi + 1):
+                a = (a0,) + rest
+                if not any(a):
+                    continue
+                mags = [wk * abs(v) for wk, v in zip(w, sigma(a))]
+                if all(x <= reach for x in mags):
+                    inside.append((a, mags))
+
+        # the sums of +-g are exact negatives, so |sigma| ties there exactly
+        kept = [(a, mags) for a, mags in inside
+                if not any(all(x < y for x, y in zip(other, mags)) for _, other in inside)]
+        best = None
+        for a, mags in kept:
+            coords = tuple(sum(ai * b[j] for ai, b in zip(a, rows)) for j in range(n))
+            lead = next(c for c in coords if c)
+            if lead < 0:
+                coords = tuple(-c for c in coords)
+            key = (sum(deg * x * x for x, (_, deg) in zip(mags, places)), coords)
+            if best is None or key < best:
+                best = key
+    return best[1]

@@ -270,6 +270,9 @@ FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
 CLI_DIGESTS = {
     ("cubic2.json", "census --C sqrt2"): "cfabaa7bd778bbcab26b8b71eeb92d71051b9f226de7aa32dc883c978883a6c5",
     ("cubic2.json", "info"): "14f6dea60b2717240d2abe70fdc9ff6b1fa8e2f0ab3504566c03d69e66c19620",
+    ("cubic2.json", "reduce --C sqrt2 --divisor cubic2_div_o.json"): "e146af09784f2aa9daf0e6f397fac904a6a66837d895976d547f04ccdb4d6590",
+    ("cubic2.json", "reduce --C sqrt2 --divisor cubic2_div_p3.json"): "d68288a91841dced18c2371f72621bb674d00a0339aac130a08f6af14b678863",
+    ("cubic2.json", "reduce --C sqrt2 --divisor cubic2_div_p5.json"): "8802e3a7154a2fb125686b180695dbd5685d36cceb1709080ff041a8b4964faf",
     ("gaussian.json", "census --C sqrt2"): "cf0f564fb86c1725be4fe0efbe117dfe6514d41f5ab117cb4d5ad68300650aa5",
     ("gaussian.json", "info"): "a73077baa835e12a15bfa77fc19052b3ca0d0ed623e81167dbcfd89662efc598",
     ("q7.json", "census --C 2"): "9944cd6986da11bf93144673a66d5d0d17e0e8fcc55ea9ebcb20eca6f9d50394",
@@ -297,12 +300,15 @@ def _digest_cases():
     for path in sorted(FIELDS_DIR.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         if "min_poly" not in doc:
-            continue  # an ideal file, not a field
+            continue  # an ideal or divisor file, not a field
         cmds = ["info", "census --C sqrt2"]
         poly = doc["min_poly"]
         if len(poly) == 3 and poly[1] ** 2 - 4 * poly[0] * poly[2] > 0:
             # real quadratic
             cmds += ["census --C 2", "cycle", "verify --C 1", "verify --C sqrt2"]
+        # twisted divisors <field>_div_*.json are reduced on their field
+        for div in sorted(FIELDS_DIR.glob(f"{path.stem}_div_*.json")):
+            cmds.append(f"reduce --C sqrt2 --divisor {div.name}")
         for cmd in cmds:
             yield path.name, cmd
 
@@ -310,6 +316,8 @@ def _digest_cases():
 @pytest.mark.parametrize("name,cmd", list(_digest_cases()))
 def test_cli_stdout_bytes_pinned(capsys, name, cmd):
     sub, *rest = cmd.split()
+    if sub == "reduce":
+        rest[-1] = str(FIELDS_DIR / rest[-1])
     code, out, _ = run(capsys, [sub, "--field", str(FIELDS_DIR / name), *rest])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[(name, cmd)]

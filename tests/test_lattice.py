@@ -15,6 +15,7 @@ from arakelov.ideals import (
 )
 from arakelov.lattice import (
     GramMatrix,
+    _box_side,
     _ellipsoid_gram,
     _gram,
     covolume_check,
@@ -27,7 +28,7 @@ from arakelov.lattice import (
 )
 from arakelov.numfield import ArchVector, create_field
 from conftest import random_degree_zero_divisor, random_fractional_ideal
-from oracles import brute_box, brute_is_minimal, brute_shortest_sq
+from oracles import brute_box, brute_is_minimal, brute_minimal_pick, brute_shortest_sq
 
 
 def plain_alpha_lattice(f7):
@@ -202,6 +203,25 @@ def test_minimal_element_bounded_fractional(f7):
     bound = float(f7.partial_constant()) ** 0.5
     v = f7.embed(g).abs()
     assert all(3 * float(x) <= bound * (1 + 1e-12) for x in v.values)
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1]])
+def test_minimal_element_bounded_matches_brute_pick(min_poly):
+    """The pick on every ideal of norm <= 10, twisted by e^(2t), e^(-t)."""
+    f = create_field(min_poly)
+    assert all(b == tuple(int(i == j) for j in range(f.n))  # power basis
+               for i, b in enumerate(f.basis))
+    side = _box_side(f)
+    for ideal in enumerate_integral_ideals(f, 10):
+        basis = [f.to_power(b.coords) for b in ideal.basis_elements()]
+        with mp.workprec(f.prec):
+            s = mpf(int(ideal.norm())) ** (-mpf(1) / 3)
+        for t in (-2, -1, 0, 1, 2):
+            with mp.workprec(f.prec):
+                u = ArchVector((s * mp.exp(2 * t), s * mp.exp(-t)), f.degs, f.prec)
+            got = minimal_element_bounded(f, ideal, u)
+            want = brute_minimal_pick(min_poly, basis, u.values, side)
+            assert tuple(f.to_power(got.coords)) == want, (ideal.key(), t)
 
 
 def test_minimal_element_bounded_rejects_bad_degree(f7):

@@ -220,6 +220,57 @@ def test_certified_signs_escalate_near_cube_root_of_two(f_cubic, interval_precis
         assert interval_precisions == precisions
 
 
+def test_root_of_unity_tie_after_undecided_interval(interval_precisions):
+    f = create_field([1, 0, 0, 0, 1])  # Q(zeta_8), two complex places
+    zeta = f.gen()
+    x = f.rational(2) + zeta  # norm 17: not a unit
+    assert zeta * x not in (x, -x)
+    for place in range(f.num_places):
+        interval_precisions.clear()
+        assert f.cmp_abs_pair(zeta * x, x, place) == 0
+        # the 128-bit intervals overlap, the certificate settles it there
+        assert interval_precisions == [128, 128]
+
+
+def test_rational_square_tie_after_undecided_interval(f_cubic, interval_precisions):
+    three = f_cubic.rational(3)
+    for t, scale_sq in ((Fraction(9), Fraction(1)), (Fraction(9, 4), Fraction(1, 4)),
+                        (Fraction(36), Fraction(4))):
+        interval_precisions.clear()
+        assert f_cubic.cmp_abs_sq(three, 0, t, scale_sq) == 0
+        assert interval_precisions == [128]
+
+
+@pytest.fixture()
+def tie_work(monkeypatch):
+    """Calls of the exact-tie certificates' field arithmetic, by name."""
+    from arakelov.numfield import FieldElement
+
+    calls = {"is_root_of_unity": 0, "__truediv__": 0, "__mul__": 0}
+    for name in calls:
+        inner = getattr(FieldElement, name)
+
+        def record(self, *args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(self, *args)
+
+        monkeypatch.setattr(FieldElement, name, record)
+    return calls
+
+
+def test_separated_comparisons_skip_tie_certificates(f_cubic, tie_work):
+    th = f_cubic.gen()
+    x, y = th * 2, th * th  # built before counting starts
+    for key in tie_work:
+        tie_work[key] = 0
+    for place in range(f_cubic.num_places):
+        assert f_cubic.cmp_abs_pair(th, x, place) == -1
+        assert f_cubic.cmp_abs_pair(y, th, place) == 1
+        assert f_cubic.cmp_abs_sq(x, place, Fraction(100)) == -1
+        assert f_cubic.cmp_abs_sq(th, place, Fraction(1), Fraction(1, 4)) == -1
+    assert tie_work == {"is_root_of_unity": 0, "__truediv__": 0, "__mul__": 0}
+
+
 def test_exact_tie_at_complex_place_exhausts_precision(f_cubic, interval_precisions):
     # |sigma(1)|^2 = 1 exactly: no interval excludes the tie
     with pytest.raises(PrecisionExhausted, match="bound at place 1"):
