@@ -35,6 +35,7 @@ from .lattice import (
     _shortest_attempt,
     _u_weights,
     gram_of,
+    is_minimal,
     lll_first_vector,
     minimal_element_bounded,
 )
@@ -222,8 +223,6 @@ def is_reduced_usual(f: NumberField, ideal: FractionalIdeal | PlainLattice) -> b
 
     Real quadratic ideals are decided exactly by the shape of their basis
     (see _reduced_root); other lattices by a box enumeration."""
-    from .lattice import is_minimal
-
     if _real_quadratic(f) and isinstance(ideal, FractionalIdeal):
         return _reduced_root(f, ideal) is not None
     if not ideal.contains(f.one()):

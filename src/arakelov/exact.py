@@ -268,18 +268,6 @@ class Surd:
         return f"Surd({self.a} + {self.b}*sqrt({self.disc}))"
 
 
-def cmp_abs_surd(x: Surd, y: Surd) -> int:
-    """Certified sign of |x| − |y| for surds over the same disc."""
-    if x.disc != y.disc:
-        raise ValueError("mismatched discriminants")
-    if x.disc < 0:
-        t = x.abs_sq() - y.abs_sq()
-        return (t > 0) - (t < 0)
-    # compare squares: x² vs y², both surds again
-    xx, yy = x * x, y * y
-    return sign_surd(xx.a - yy.a, xx.b - yy.b, x.disc)
-
-
 # ---------------------------------------------------------------------------
 # Sturm's theorem (exact real-root count)
 

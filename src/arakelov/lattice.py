@@ -27,7 +27,6 @@ from .numfield import (
     FieldElement,
     NumberField,
     _escalate,
-    _iv_cmp,
     _iv_mul,
     fraction_to_mpf,
     mpf_to_fraction,
@@ -420,11 +419,9 @@ def lll_first_vector(g: GramMatrix) -> ShortVector:
 # Box enumeration and minimality
 
 def _bounds_fractions(bounds, num_places: int) -> list[Fraction]:
-    if isinstance(bounds, ArchVector):
-        vals = [mpf_to_fraction(v) for v in bounds.values]
-    else:
-        vals = [Fraction(mpf_to_fraction(b)) if not isinstance(b, (int, Fraction))
-                else Fraction(b) for b in bounds]
+    """Exact rational bounds; mpf and float entries at their exact binary value."""
+    values = bounds.values if isinstance(bounds, ArchVector) else bounds
+    vals = [mpf_to_fraction(b) if isinstance(b, mpf) else Fraction(b) for b in values]
     if len(vals) != num_places:
         raise ValueError("one bound per infinite place required")
     if any(b <= 0 for b in vals):
@@ -439,31 +436,37 @@ def _ellipsoid_gram(f: NumberField, lattice, w: list[Fraction],
                  f.prec)
 
 
-def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
-                  strict: bool = True) -> list[FieldElement]:
-    """All nonzero lattice elements g with u_sigma |sigma(g)| < bound_sigma
-    at every place (<= when strict is False).
+def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
+                strict: bool):
+    """Yield (value, coeffs, g) for every nonzero lattice element g with
+    u_sigma |sigma(g)| < bound_sigma at every place (<= when strict is
+    False), in the order of enumerate_quadratic_form.
 
-    The candidates come from the degree-weighted ellipsoid relaxation; each
-    is then checked per place with certified comparisons, so the returned
-    set is exact with respect to the given rational bounds.
+    The candidates come from the degree-weighted ellipsoid relaxation, value
+    being x^T G x on its Gram (the weighted T2 of g over the bounds squared);
+    each is then checked per place with cmp_abs_sq, so the points are exact
+    with respect to the given rational bounds.
     """
     b = _bounds_fractions(bounds, f.num_places)
     w = _u_weights(f, u)
     gram = _ellipsoid_gram(f, lattice, w, b)
     radius = Fraction(f.n) * (1 + _ENUM_SLACK)
-    out = []
-    for _, coeffs, g in _enumerate_ellipsoid(gram, radius):
-        ok = True
+    for value, coeffs, g in _enumerate_ellipsoid(gram, radius):
         for place in range(f.num_places):
             sgn = f.cmp_abs_sq(g, place, b[place] ** 2, w[place])
             if sgn > 0 or (strict and sgn == 0):
-                ok = False
                 break
-        if ok:
-            out.append((coeffs, g))
-    out.sort(key=lambda t: t[0])
-    return [g for _, g in out]
+        else:
+            yield value, coeffs, g
+
+
+def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
+                  strict: bool = True) -> list[FieldElement]:
+    """All nonzero lattice elements g with u_sigma |sigma(g)| < bound_sigma
+    at every place (<= when strict is False), sorted by their coefficients
+    on the lattice basis."""
+    points = sorted(_box_points(f, lattice, u, bounds, strict), key=lambda p: p[1])
+    return [g for _, _, g in points]
 
 
 def is_minimal(f: NumberField, lattice, x: FieldElement) -> bool:
@@ -472,15 +475,11 @@ def is_minimal(f: NumberField, lattice, x: FieldElement) -> bool:
         raise ValueError("zero is never minimal")
     if not lattice.contains(x):
         raise ValueError("element does not lie in the lattice")
-    # candidates: ellipsoid relaxation of the open box |sigma(g)| < |sigma(x)|
-    v = f.embed(x).abs()
-    b = [mpf_to_fraction(t) * (1 + _ENUM_SLACK) for t in v.values]
-    gram = _ellipsoid_gram(f, lattice, [Fraction(1)] * f.num_places, b)
-    radius = Fraction(f.n) * (1 + _ENUM_SLACK) ** 3
-    for _, _, g in _enumerate_ellipsoid(gram, radius):
-        if all(f.cmp_abs_pair(g, x, place) < 0 for place in range(f.num_places)):
-            return False
-    return True
+    # g < x at every place exactly when g/x < 1 at every place
+    inv = x.inverse()
+    scaled = [b * inv for b in _basis_of(lattice)]
+    smaller = _box_points(f, scaled, None, [1] * f.num_places, strict=True)
+    return next(smaller, None) is None
 
 
 def _degree(ideal: FractionalIdeal, u: ArchVector):
@@ -505,43 +504,22 @@ def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
     """A minimal element g of the ideal with u_sigma |sigma(g)| below the
     box-bound constant at every place, chosen deterministically.
 
-    The closed scaled box is nonempty for degree-0 pairs; all its points are
-    enumerated, the minimal ones kept, and the tie broken by smallest scaled
-    length then lexicographically smallest positive-leading coefficients.
+    The closed scaled box is nonempty for degree-0 pairs. Its point of least
+    weighted T2, ties broken by the lexicographically smallest
+    positive-leading coefficients, is the pick; it is minimal, since an
+    element smaller at every place would lie in the box with a smaller T2.
     """
     deg = _degree(ideal, u)
     if abs(deg) > DEGREE_TOL:
         raise ValueError(f"(I, u) has degree {float(deg)}, not zero")
     box = _box_side(f)
-    candidates = enumerate_box(f, ideal, u, [box] * f.num_places, strict=False)
-    if not candidates:
+    # the ellipsoid Gram is gram_of(f, ideal, u) over box^2: it orders by T2
+    points = _box_points(f, ideal, u, [box] * f.num_places, strict=False)
+    best = min(((value, _canonical_sign(g.coords)) for value, _, g in points),
+               default=None)
+    if best is None:
         raise RuntimeError("bounded box is empty; degree-0 precondition violated")
-    # domination only needs comparisons within the candidate set; each
-    # candidate's start-precision intervals are computed once and decide
-    # every pair they separate, cmp_abs_pair only the overlapping ones
-    places = range(f.num_places)
-    ivs = [[f.abs_sq_interval(g, p, f.prec) for p in places] for g in candidates]
-
-    def below(i: int, j: int) -> bool:
-        """|sigma(h)| < |sigma(g)| at every place, h, g = candidates i, j."""
-        for p in places:
-            sgn = _iv_cmp(ivs[i][p], ivs[j][p])
-            if sgn is None:
-                sgn = f.cmp_abs_pair(candidates[i], candidates[j], p)
-            if sgn >= 0:
-                return False
-        return True
-
-    minimal = [g for j, g in enumerate(candidates)
-               if not any(i != j and below(i, j) for i in range(len(candidates)))]
-    gram = gram_of(f, ideal, u)
-    seen = {}
-    for g in minimal:
-        canon = _canonical_sign(tuple(g.coords))
-        if canon not in seen:
-            seen[canon] = gram.value(ideal.coordinates_of(f.element(canon)))
-    best = min(seen.items(), key=lambda kv: (kv[1], kv[0]))
-    return f.element(best[0])
+    return f.element(best[1])
 
 
 def covolume_check(f: NumberField, divisor) -> tuple:

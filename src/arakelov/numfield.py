@@ -18,7 +18,6 @@ from mpmath import mp, mpc, mpf
 
 from .exact import (
     Surd,
-    cmp_abs_surd,
     mat_det,
     mat_inv,
     mat_vec,
@@ -528,10 +527,11 @@ class NumberField:
                    scale_sq: Fraction = Fraction(1)) -> int:
         """Certified sign of scale_sq * |sigma(x)|^2 - t (t, scale_sq exact).
 
-        The start-precision interval decides first; only when it overlaps t
-        is the exact tie tested (a real place and x^2 == t/scale_sq as a
-        rational element), and only then does the precision double. A tie
-        always overlaps, so this orders the work, not the answer."""
+        The start-precision interval decides first. Only when it overlaps t
+        is the exact tie tested: if some power x^k (k <= 30) is a rational q,
+        then |sigma(x)|^(2k) = q^2 at every place and the sign is that of
+        scale_sq^k q^2 - t^k; otherwise the precision doubles. A tie always
+        overlaps, so this orders the work, not the answer."""
         if self.n == 2:
             s = self.surd_embed(x, place)
             if s.disc < 0:
@@ -540,48 +540,24 @@ class NumberField:
             sq = s * s
             return sign_surd(scale_sq * sq.a - t, scale_sq * sq.b, s.disc)
 
-        def tie() -> bool:
-            if self.places_mpf(self.prec)[place][0] != "R":
-                return False
-            xsq = x * x
-            return xsq.is_rational() and xsq.coords[0] == t / scale_sq
+        def exact_sign() -> int | None:
+            power = x
+            for k in range(1, 31):
+                if power.is_rational():
+                    diff = scale_sq ** k * power.coords[0] ** 2 - t ** k
+                    return (diff > 0) - (diff < 0)
+                power = power * x
+            return None
 
         def attempt(prec: int):
             lo, hi = self.abs_sq_interval(x, place, prec)
             sgn = _iv_cmp((lo * scale_sq, hi * scale_sq), (t, t))
-            if sgn is None and prec == self.prec and tie():
-                return 0
+            if sgn is None and prec == self.prec:
+                return exact_sign()
             return sgn
 
         return _escalate(attempt, self.prec,
                          f"cannot separate |sigma(x)|^2 from bound at place {place}")
-
-    def cmp_abs_pair(self, x: "FieldElement", y: "FieldElement", place: int) -> int:
-        """Certified sign of |sigma(x)| - |sigma(y)|.
-
-        After the cheap x == +-y check the start-precision intervals decide
-        first; only when they overlap is the exact tie tested (a ratio x/y
-        that is a root of unity ties at every place), and only then does
-        the precision double."""
-        if self.n == 2:
-            return cmp_abs_surd(self.surd_embed(x, place), self.surd_embed(y, place))
-        if x == y or x == -y:
-            return 0
-
-        def tie() -> bool:
-            if y.is_zero():
-                return False
-            h = x / y
-            return h.norm_abs_one() and h.is_root_of_unity()
-
-        def attempt(prec: int):
-            sgn = _iv_cmp(self.abs_sq_interval(x, place, prec),
-                          self.abs_sq_interval(y, place, prec))
-            if sgn is None and prec == self.prec and tie():
-                return 0
-            return sgn
-
-        return _escalate(attempt, self.prec, "cannot separate |sigma(x)| from |sigma(y)|")
 
     def sign_at_place(self, x: "FieldElement", place: int) -> int:
         """Certified sign of sigma(x) at a real place (x nonzero)."""
@@ -715,18 +691,6 @@ class FieldElement:
     def trace(self) -> Fraction:
         m = self.field.mult_matrix(self.coords)
         return sum((m[i][i] for i in range(self.field.n)), Fraction(0))
-
-    def norm_abs_one(self) -> bool:
-        return abs(self.norm()) == 1
-
-    def is_root_of_unity(self) -> bool:
-        """Exact check: some power up to order 30 equals 1 (enough for n <= 8)."""
-        acc = self
-        for _ in range(30):
-            if acc == self.field.one():
-                return True
-            acc = acc * self
-        return False
 
     def __repr__(self) -> str:
         return f"FieldElement({[str(c) for c in self.coords]})"

@@ -86,7 +86,7 @@ def load_divisor(f: NumberField, spec: dict) -> ArakelovDivisor:
         raise ValueError('divisor specification needs "u" or "d_of_ideal": true')
     with mp.workprec(f.prec):
         vals = tuple(mpf(str(x)) for x in spec["u"])
-    if len(vals) != f.num_places or any(v <= 0 for v in vals):
+    if len(vals) != f.num_places or any(not mp.isfinite(v) or v <= 0 for v in vals):
         raise ValueError("u must give one positive real per infinite place")
     return ArakelovDivisor(lattice, ArchVector(vals, f.degs, f.prec))
 

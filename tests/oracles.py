@@ -481,6 +481,77 @@ def brute_closest_norm(target, gens, degs, spans) -> float:
 PICK_PREC = 320
 
 
+def _oracle_places(min_poly):
+    """The places of Q[x]/(min_poly) as (root, degree) pairs: the real roots
+    in decreasing order, then one root of each complex pair (positive
+    imaginary part) by decreasing real part. Call inside mp.workprec."""
+    roots = mp.polyroots([mpf(c) for c in reversed(min_poly)],
+                         maxsteps=400, extraprec=PICK_PREC)
+    tiny = mpf(2) ** (-PICK_PREC // 2)
+    places = [(r.real, 1) for r in sorted((r for r in roots if abs(r.imag) < tiny),
+                                          key=lambda z: -z.real)]
+    places += [(z, 2) for z in sorted((z for z in roots if z.imag >= tiny),
+                                      key=lambda z: (-z.real, -z.imag))]
+    return places
+
+
+def _oracle_sigma(coords, places):
+    """sigma_k of the element with rational power coordinates, every k."""
+    return [sum(mpf(c.numerator) / c.denominator * z ** j for j, c in enumerate(coords))
+            for z, _ in places]
+
+
+def _oracle_box(places, rows, w, reach):
+    """Every nonzero integer vector a whose lattice point g = sum a_i rows_i
+    has w[k] * |sigma_k(g)| <= reach at every place, as (a, magnitudes).
+    Call inside mp.workprec.
+
+    The coefficient box comes from the inverse of the real embedding
+    matrix; on each row of the other coefficients the first one is swept
+    only across the range every place allows, computed in floats and
+    widened by one on each side.
+    """
+    n = len(rows)
+    emb = [_oracle_sigma(b, places) for b in rows]
+
+    # |real coordinate| <= reach / w_k bounds each coefficient through M^-1
+    cols = []
+    for k, (_, deg) in enumerate(places):
+        cols += [(k, lambda v: v.real)] + ([(k, lambda v: v.imag)] if deg == 2 else [])
+    m_inv = mp.inverse(mp.matrix([[part(e[k]) for k, part in cols] for e in emb]))
+    span = [int(mp.floor(sum(abs(m_inv[c, i]) * reach / w[k]
+                             for c, (k, _) in enumerate(cols)))) + 1
+            for i in range(n)]
+
+    # each row of the other coefficients meets the disc (or interval)
+    # |a0 e_k + s_k| <= reach / w_k of every place in a range of a0
+    fl = [[complex(v) for v in e] for e in emb]
+    radius_sq = [float(reach / wk) ** 2 for wk in w]
+    inside = []
+    for rest in product(*(range(-s, s + 1) for s in span[1:])):
+        lo, hi = -span[0], span[0]
+        for k, r2 in enumerate(radius_sq):
+            e = fl[0][k]
+            sk = sum(ai * v[k] for ai, v in zip(rest, fl[1:]))
+            qa, qb, qc = abs(e) ** 2, (e.conjugate() * sk).real, abs(sk) ** 2
+            disc = qb * qb - qa * (qc - r2)
+            if disc < -1e-9 * (qb * qb + qa * (qc + r2)):
+                hi = lo - 1
+                break
+            root = math.sqrt(max(disc, 0.0))
+            lo = max(lo, math.ceil((-qb - root) / qa) - 1)
+            hi = min(hi, math.floor((-qb + root) / qa) + 1)
+        for a0 in range(lo, hi + 1):
+            a = (a0,) + rest
+            if not any(a):
+                continue
+            sigma = [sum(ai * e[k] for ai, e in zip(a, emb)) for k in range(len(places))]
+            mags = [wk * abs(v) for wk, v in zip(w, sigma)]
+            if all(x <= reach for x in mags):
+                inside.append((a, mags))
+    return inside
+
+
 def brute_minimal_pick(min_poly, basis, weights, side):
     """The point a minimal-element box search picks, by exhaustive scan.
 
@@ -494,66 +565,15 @@ def brute_minimal_pick(min_poly, basis, weights, side):
     that makes its first nonzero coordinate positive. Returns those
     coordinates as a tuple of Fractions.
 
-    Places are the real roots in decreasing order, then one root of each
-    complex pair (positive imaginary part) by decreasing real part. All
-    tests are mpmath at PICK_PREC bits. The coefficient box comes from the
-    inverse of the real embedding matrix; on each row of the other
-    coefficients the first one is swept only across the range every place
-    allows, computed in floats and widened by one on each side.
+    Places are ordered as in _oracle_places. All tests are mpmath at
+    PICK_PREC bits over the scan of _oracle_box.
     """
     n = len(min_poly) - 1
     rows = [[Fraction(c) for c in b] for b in basis]
     with mp.workprec(PICK_PREC):
-        roots = mp.polyroots([mpf(c) for c in reversed(min_poly)],
-                             maxsteps=400, extraprec=PICK_PREC)
-        tiny = mpf(2) ** (-PICK_PREC // 2)
-        places = [(r.real, 1) for r in sorted((r for r in roots if abs(r.imag) < tiny),
-                                              key=lambda z: -z.real)]
-        places += [(z, 2) for z in sorted((z for z in roots if z.imag >= tiny),
-                                          key=lambda z: (-z.real, -z.imag))]
-        w = [mpf(x) for x in weights]
+        places = _oracle_places(min_poly)
         reach = mpf(side.numerator) / side.denominator
-        emb = [[sum(mpf(c.numerator) / c.denominator * z ** k for k, c in enumerate(b))
-                for z, _ in places] for b in rows]
-
-        # |real coordinate| <= reach / w_k bounds each coefficient through M^-1
-        cols = []
-        for k, (_, deg) in enumerate(places):
-            cols += [(k, lambda v: v.real)] + ([(k, lambda v: v.imag)] if deg == 2 else [])
-        m_inv = mp.inverse(mp.matrix([[part(e[k]) for k, part in cols] for e in emb]))
-        span = [int(mp.floor(sum(abs(m_inv[c, i]) * reach / w[k]
-                                 for c, (k, _) in enumerate(cols)))) + 1
-                for i in range(n)]
-
-        def sigma(a):
-            return [sum(ai * e[k] for ai, e in zip(a, emb)) for k in range(len(places))]
-
-        # each row of the other coefficients meets the disc (or interval)
-        # |a0 e_k + s_k| <= reach / w_k of every place in a range of a0,
-        # found in floats and widened by one on each side
-        fl = [[complex(v) for v in e] for e in emb]
-        radius_sq = [float(reach / wk) ** 2 for wk in w]
-        inside = []
-        for rest in product(*(range(-s, s + 1) for s in span[1:])):
-            lo, hi = -span[0], span[0]
-            for k, r2 in enumerate(radius_sq):
-                e = fl[0][k]
-                sk = sum(ai * v[k] for ai, v in zip(rest, fl[1:]))
-                qa, qb, qc = abs(e) ** 2, (e.conjugate() * sk).real, abs(sk) ** 2
-                disc = qb * qb - qa * (qc - r2)
-                if disc < -1e-9 * (qb * qb + qa * (qc + r2)):
-                    hi = lo - 1
-                    break
-                root = math.sqrt(max(disc, 0.0))
-                lo = max(lo, math.ceil((-qb - root) / qa) - 1)
-                hi = min(hi, math.floor((-qb + root) / qa) + 1)
-            for a0 in range(lo, hi + 1):
-                a = (a0,) + rest
-                if not any(a):
-                    continue
-                mags = [wk * abs(v) for wk, v in zip(w, sigma(a))]
-                if all(x <= reach for x in mags):
-                    inside.append((a, mags))
+        inside = _oracle_box(places, rows, [mpf(x) for x in weights], reach)
 
         # the sums of +-g are exact negatives, so |sigma| ties there exactly
         kept = [(a, mags) for a, mags in inside
@@ -568,3 +588,22 @@ def brute_minimal_pick(min_poly, basis, weights, side):
             if best is None or key < best:
                 best = key
     return best[1]
+
+
+def brute_is_minimal_poly(min_poly, basis, elem) -> bool:
+    """No nonzero point of the lattice is strictly smaller than elem at
+    every place of Q[x]/(min_poly).
+
+    basis rows and elem are rational power coordinates, as for
+    brute_minimal_pick. The scan covers the closed box
+    |sigma_k(g)| <= |sigma_k(elem)| at PICK_PREC bits. The oracle's own tie
+    rule: a magnitude within a relative 2^-(PICK_PREC/2) of elem's ties
+    with it, and a tie is not smaller.
+    """
+    rows = [[Fraction(c) for c in b] for b in basis]
+    with mp.workprec(PICK_PREC):
+        places = _oracle_places(min_poly)
+        w = [1 / abs(v) for v in _oracle_sigma([Fraction(c) for c in elem], places)]
+        below = 1 - mpf(2) ** (-PICK_PREC // 2)
+        inside = _oracle_box(places, rows, w, mpf(1))
+        return not any(all(x < below for x in mags) for _, mags in inside)

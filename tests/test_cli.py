@@ -152,6 +152,16 @@ def test_reduce_usage_error_on_degree(field_file, capsys):
     assert "degree" in err
 
 
+def test_reduce_rejects_non_finite_weights(field_file, capsys):
+    f = field_file("f7.json", {"min_poly": [-7, 0, 1]})
+    for u in (["nan", "nan"], ["inf", "1"], [1.0, "-inf"]):
+        div = field_file("bad.json", {"ideal": {"den": 1, "hnf": [[1, 0], [0, 1]]},
+                                      "u": u})
+        code, _, err = run(capsys, ["reduce", "--field", f, "--divisor", div, "--C", "2"])
+        assert code == 2
+        assert "one positive real per infinite place" in err
+
+
 def test_census_q73_counts_and_determinism(field_file, capsys):
     f = field_file("f73.json", {"min_poly": [-73, 0, 1]})
     code, out1, _ = run(capsys, ["census", "--field", f, "--C", "sqrt2",

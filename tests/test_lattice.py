@@ -16,6 +16,7 @@ from arakelov.ideals import (
 from arakelov.lattice import (
     GramMatrix,
     _box_side,
+    _canonical_sign,
     _ellipsoid_gram,
     _gram,
     covolume_check,
@@ -28,7 +29,13 @@ from arakelov.lattice import (
 )
 from arakelov.numfield import ArchVector, create_field
 from conftest import random_degree_zero_divisor, random_fractional_ideal
-from oracles import brute_box, brute_is_minimal, brute_minimal_pick, brute_shortest_sq
+from oracles import (
+    brute_box,
+    brute_is_minimal,
+    brute_is_minimal_poly,
+    brute_minimal_pick,
+    brute_shortest_sq,
+)
 
 
 def plain_alpha_lattice(f7):
@@ -222,6 +229,50 @@ def test_minimal_element_bounded_matches_brute_pick(min_poly):
             got = minimal_element_bounded(f, ideal, u)
             want = brute_minimal_pick(min_poly, basis, u.values, side)
             assert tuple(f.to_power(got.coords)) == want, (ideal.key(), t)
+
+
+def _is_minimal_against_oracle(f, cases):
+    """is_minimal against brute_is_minimal_poly on (lattice, element) pairs,
+    each element once up to sign; returns the set of verdicts."""
+    verdicts = set()
+    seen = set()
+    for lattice, g in cases:
+        key = (lattice.key(), _canonical_sign(g.coords))
+        if key in seen:
+            continue
+        seen.add(key)
+        basis = [f.to_power(b.coords) for b in lattice.basis_elements()]
+        want = brute_is_minimal_poly(f.min_poly, basis, f.to_power(g.coords))
+        assert is_minimal(f, lattice, g) == want, key
+        verdicts.add(want)
+    return verdicts
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1]])
+def test_is_minimal_matches_oracle_on_cubics(min_poly):
+    """1 and theta in O, and every point of the box of d(I) for each ideal
+    of norm <= 10: the certified interval path against the oracle."""
+    f = create_field(min_poly)
+    one = unit_ideal(f)
+    cases = [(one, f.one()), (one, f.gen())]
+    side = [_box_side(f)] * f.num_places
+    for ideal in enumerate_integral_ideals(f, 10):
+        u = divisor_d(ideal).u
+        cases += [(ideal, g) for g in enumerate_box(f, ideal, u, side, strict=False)]
+    assert _is_minimal_against_oracle(f, cases) == {True, False}
+
+
+def test_is_minimal_matches_oracle_on_root_of_unity_ties():
+    """x^4 + 1: multiples of roots of unity tie at both complex places."""
+    f = create_field([1, 0, 0, 0, 1])
+    zeta, one, two = f.gen(), f.one(), f.rational(2)
+    x = two + zeta  # norm 17
+    o, xo = unit_ideal(f), ideal_from_generators(f, [x])
+    cases = [(o, g) for g in (one, zeta, one + zeta, zeta + zeta * zeta,
+                              one + zeta * zeta, two)]
+    cases += [(xo, zeta ** k * x) for k in range(4)]
+    cases += [(xo, x * g) for g in (one + zeta, two, one + zeta * zeta)]
+    assert _is_minimal_against_oracle(f, cases) == {True, False}
 
 
 def test_minimal_element_bounded_rejects_bad_degree(f7):

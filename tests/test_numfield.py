@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from arakelov.ideals import ideal_from_generators, unit_ideal
+from arakelov.lattice import enumerate_box, is_minimal
 from arakelov.numfield import (
     ArchVector,
     FieldConstructionError,
@@ -153,16 +155,14 @@ def test_log_exp_roundtrip(a, b):
 
 def test_certified_comparisons_boundary(f7):
     alpha = f7.element([Fraction(1, 4), Fraction(1, 4)])
-    assert f7.cmp_abs_pair(alpha, f7.one(), 0) == -1
-    assert f7.cmp_abs_pair(alpha, f7.one(), 1) == -1
-    assert f7.cmp_abs_pair(alpha, -alpha, 0) == 0
-    assert f7.cmp_abs_sq(f7.one(), 0, Fraction(1)) == 0
     assert f7.cmp_abs_sq(alpha, 0, Fraction(1)) == -1
+    assert f7.cmp_abs_sq(alpha, 1, Fraction(1)) == -1
+    assert f7.cmp_abs_sq(f7.one(), 0, Fraction(1)) == 0
 
 
 def test_certified_comparisons_root_of_unity(fi):
-    one, i = fi.one(), fi.element([0, 1])
-    assert fi.cmp_abs_pair(i, one, 0) == 0  # |i| = |1| exactly
+    i = fi.element([0, 1])
+    assert fi.cmp_abs_sq(i, 0, Fraction(1)) == 0  # |i| = 1 exactly
 
 
 def test_cubic_interval_comparisons(f_cubic):
@@ -211,8 +211,10 @@ def test_certified_signs_escalate_near_cube_root_of_two(f_cubic, interval_precis
     th = f_cubic.gen()
     cases = [
         (lambda: f_cubic.sign_at_place(th - f_cubic.rational(q), 0), [128, 256]),
-        (lambda: f_cubic.cmp_abs_sq(th, 0, q * q), [128, 256]),
-        (lambda: f_cubic.cmp_abs_pair(th, f_cubic.rational(q), 0), [128, 128, 256, 256]),
+        # no power of theta + 1 up to the 30th is rational: the precision doubles
+        (lambda: f_cubic.cmp_abs_sq(th + f_cubic.one(), 0, (q + 1) ** 2), [128, 256]),
+        # theta^3 = 2 decides exactly at the start precision: 4 against q^6
+        (lambda: f_cubic.cmp_abs_sq(th, 0, q * q), [128]),
     ]
     for decide, precisions in cases:
         interval_precisions.clear()
@@ -223,13 +225,21 @@ def test_certified_signs_escalate_near_cube_root_of_two(f_cubic, interval_precis
 def test_root_of_unity_tie_after_undecided_interval(interval_precisions):
     f = create_field([1, 0, 0, 0, 1])  # Q(zeta_8), two complex places
     zeta = f.gen()
-    x = f.rational(2) + zeta  # norm 17: not a unit
-    assert zeta * x not in (x, -x)
     for place in range(f.num_places):
         interval_precisions.clear()
-        assert f.cmp_abs_pair(zeta * x, x, place) == 0
-        # the 128-bit intervals overlap, the certificate settles it there
-        assert interval_precisions == [128, 128]
+        assert f.cmp_abs_sq(zeta, place, Fraction(1)) == 0
+        # the 128-bit interval overlaps 1, zeta^4 = -1 settles it there
+        assert interval_precisions == [128]
+    # the eight roots of unity fill the closed unit box and miss the open one
+    one = unit_ideal(f)
+    closed = enumerate_box(f, one, None, [1, 1], strict=False)
+    assert sorted(tuple(g.coords) for g in closed) == sorted(
+        tuple((s * zeta ** k).coords) for s in (1, -1) for k in range(4))
+    assert enumerate_box(f, one, None, [1, 1], strict=True) == []
+    # x = 2 + zeta has norm 17, so it is no unit; its eight multiples by
+    # roots of unity tie with zeta x at every place and are not smaller
+    x = f.rational(2) + zeta
+    assert is_minimal(f, ideal_from_generators(f, [x]), zeta * x)
 
 
 def test_rational_square_tie_after_undecided_interval(f_cubic, interval_precisions):
@@ -242,40 +252,58 @@ def test_rational_square_tie_after_undecided_interval(f_cubic, interval_precisio
 
 
 @pytest.fixture()
-def tie_work(monkeypatch):
-    """Calls of the exact-tie certificates' field arithmetic, by name."""
+def field_products(monkeypatch):
+    """The number of FieldElement products, the exact tie test's arithmetic."""
     from arakelov.numfield import FieldElement
 
-    calls = {"is_root_of_unity": 0, "__truediv__": 0, "__mul__": 0}
-    for name in calls:
-        inner = getattr(FieldElement, name)
+    calls = [0]
+    inner = FieldElement.__mul__
 
-        def record(self, *args, _name=name, _inner=inner):
-            calls[_name] += 1
-            return _inner(self, *args)
+    def record(self, other):
+        calls[0] += 1
+        return inner(self, other)
 
-        monkeypatch.setattr(FieldElement, name, record)
+    monkeypatch.setattr(FieldElement, "__mul__", record)
     return calls
 
 
-def test_separated_comparisons_skip_tie_certificates(f_cubic, tie_work):
+def test_separated_comparisons_skip_tie_certificates(f_cubic, field_products):
     th = f_cubic.gen()
     x, y = th * 2, th * th  # built before counting starts
-    for key in tie_work:
-        tie_work[key] = 0
+    field_products[0] = 0
     for place in range(f_cubic.num_places):
-        assert f_cubic.cmp_abs_pair(th, x, place) == -1
-        assert f_cubic.cmp_abs_pair(y, th, place) == 1
+        assert f_cubic.cmp_abs_sq(th, place, Fraction(1)) == 1
+        assert f_cubic.cmp_abs_sq(y, place, Fraction(4)) == -1
         assert f_cubic.cmp_abs_sq(x, place, Fraction(100)) == -1
         assert f_cubic.cmp_abs_sq(th, place, Fraction(1), Fraction(1, 4)) == -1
-    assert tie_work == {"is_root_of_unity": 0, "__truediv__": 0, "__mul__": 0}
+    assert field_products[0] == 0
 
 
-def test_exact_tie_at_complex_place_exhausts_precision(f_cubic, interval_precisions):
-    # |sigma(1)|^2 = 1 exactly: no interval excludes the tie
-    with pytest.raises(PrecisionExhausted, match="bound at place 1"):
-        f_cubic.cmp_abs_sq(f_cubic.one(), 1, Fraction(1))
+def test_exact_tie_at_complex_place_exhausts_precision(interval_precisions):
+    # Salem field: theta has |sigma| = 1 at the complex place, and no power
+    # of theta is rational, so no interval and no exact test settles it
+    f = create_field([1, -1, -1, -1, 1])
+    assert (f.r1, f.r2) == (2, 1)
+    with pytest.raises(PrecisionExhausted, match="bound at place 2"):
+        f.cmp_abs_sq(f.gen(), 2, Fraction(1))
     assert interval_precisions == [128, 256, 512, 1024, 2048, 4096]
+
+
+def test_complex_place_ties_on_the_box_boundary(f_cubic):
+    # |sigma(+-2)| = 2 at both places of x^3 - 2, the complex one included
+    one = unit_ideal(f_cubic)
+    two = f_cubic.rational(2)
+    for strict in (False, True):
+        box = enumerate_box(f_cubic, one, None, [2, 2], strict=strict)
+        assert f_cubic.one() in box and -f_cubic.one() in box
+        assert (two in box, -two in box) == (not strict, not strict)
+
+
+def test_float_box_bounds_taken_exactly(f_cubic):
+    one = unit_ideal(f_cubic)
+    want = enumerate_box(f_cubic, one, None, [Fraction(5, 2)] * 2)
+    assert enumerate_box(f_cubic, one, None, [2.5, 2.5]) == want
+    assert len(want) > 2
 
 
 def test_conjugation(f7):
