@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import hnf_membership, hnf_solve, hnf_with_denominator, kernel_basis
-from .numfield import FieldElement, NumberField
+from mpmath import mpf
+
+from .exact import hnf_membership, hnf_solve, hnf_upper, hnf_with_denominator, kernel_basis
+from .numfield import FieldElement, NumberField, mpf_to_fraction
 
 
 @dataclass(frozen=True)
@@ -230,32 +232,158 @@ def _primes_up_to(limit: int) -> list[int]:
     return [p for p in range(limit + 1) if sieve[p]]
 
 
+def _floor_bound(bound) -> int:
+    """Exact floor of a norm bound: ints, Fractions and floats at their
+    exact value, mpf through its exact binary value."""
+    if isinstance(bound, mpf):
+        bound = mpf_to_fraction(bound)
+    return math.floor(bound)
+
+
+def _irregular_modulus(f: NumberField) -> int:
+    """D = |disc(O)| den(B) den(B^-1), B the basis matrix of O over the
+    power basis. For every prime p not dividing D, O and Z[theta] agree
+    after localising at p and f is squarefree mod p."""
+    n = f.n
+    dens = [x.denominator for row in f.basis for x in row]
+    for j in range(n):
+        dens += [x.denominator for x in f.from_power([Fraction(int(k == j)) for k in range(n)])]
+    return abs(f.disc) * math.lcm(*dens)
+
+
+def _roots_and_cofactor(poly: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Roots r in [0, p) of a monic ascending integer polynomial that is
+    squarefree mod p, and the root-free monic cofactor left after dividing
+    them out (ascending, coefficients in [0, p))."""
+    g = [c % p for c in poly]
+    roots = []
+    for r in range(p):
+        if len(g) == 1:
+            break
+        acc = 0
+        for c in reversed(g):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            roots.append(r)
+            # synthetic division by (x - r), from the leading coefficient down
+            q = [0] * (len(g) - 1)
+            carry = 0
+            for k in range(len(g) - 1, 0, -1):
+                carry = (g[k] + carry * r) % p
+                q[k - 1] = carry
+            g = q
+    return roots, g
+
+
+def _regular_primes(f: NumberField, p: int, limit: int):
+    """(norm, prime) for the primes above a regular p with norm <= limit,
+    from the factors of f mod p (Kummer-Dedekind), or None when f mod p
+    leaves a root-free cofactor of degree >= 4 that could still hold a
+    prime within the limit."""
+    n = f.n
+    roots, cofactor = _roots_and_cofactor(list(f.min_poly), p)
+    d = len(cofactor) - 1
+    if d >= 4 and p * p <= limit:
+        return None
+    out = []
+    for r in roots:
+        # O/P = F_p with theta -> r, so P is the kernel of b_i -> b_i(r)
+        h = [[int(i == j) for j in range(n)] for i in range(n)]
+        h[0][0] = p
+        for i in range(1, n):
+            val = 0
+            for x in reversed(f.basis[i]):
+                val = (val * r + x.numerator * pow(x.denominator, -1, p)) % p
+            h[0][i] = -val % p
+        out.append((p, FractionalIdeal(f, 1, tuple(tuple(row) for row in h))))
+    if 2 <= d <= 3 and p ** d <= limit:
+        # a root-free cofactor of degree <= 3 is irreducible mod p
+        if d == n:
+            prime = scale_ideal(unit_ideal(f), f.rational(p))  # pO is prime
+        else:
+            # g(theta) on O's basis has a denominator m prime to p, and
+            # (p, m g(theta)) = (p, g(theta)) locally at p
+            coords = f.from_power([Fraction(c) for c in cofactor] + [Fraction(0)] * (n - d - 1))
+            m = math.lcm(*(x.denominator for x in coords))
+            prime = ideal_from_generators(
+                f, [f.rational(p), f.element([m * x for x in coords])])
+        out.append((p ** d, prime))
+    return out
+
+
+def _scanned_primary(f: NumberField, t, p: int, limit: int):
+    """(norm, ideal) for every p-primary ideal of norm p, p^2, ... <= limit,
+    from a scan of the module-closed HNFs of each prime-power index."""
+    primary = []
+    q = p
+    while q <= limit:
+        primary.extend(
+            (q, FractionalIdeal(f, 1, tuple(tuple(r) for r in h)))
+            for h in _sublattices_of_index(f.n, q)
+            if _is_module_closed(t, h)
+        )
+        q *= p
+    return primary
+
+
+def _prime_products(primes, limit: int):
+    """(norm, ideal) for every product of powers of the given (norm, prime)
+    pairs, other than O, with norm <= limit."""
+    products = []
+    for q, prime in primes:
+        grown = []
+        for nj, j in [(1, None)] + products:
+            nk, power = nj * q, j
+            while nk <= limit:
+                power = prime if power is None else multiply(power, prime)
+                grown.append((nk, power))
+                nk *= q
+        products += grown
+    return products
+
+
+def _coprime_product(j: FractionalIdeal, a: int, k: FractionalIdeal, b: int) -> FractionalIdeal:
+    """J*K for integral ideals of coprime norms a and b. There J*K is
+    J ∩ K, spanned by e1*J, e2*K and ab*O with e1 = 1 mod a, e1 = 0 mod b
+    and e2 the other way round; entries are reduced mod ab, which lies in
+    the span."""
+    n = j.field.n
+    ab = a * b
+    e1 = b * pow(b, -1, a)
+    e2 = a * pow(a, -1, b)
+    cols = [[e1 * j.hnf[r][c] % ab for r in range(n)] for c in range(n)]
+    cols += [[e2 * k.hnf[r][c] % ab for r in range(n)] for c in range(n)]
+    cols += [[ab * int(r == c) for r in range(n)] for c in range(n)]
+    return FractionalIdeal(j.field, 1, tuple(tuple(r) for r in hnf_upper(cols, n)))
+
+
 def enumerate_integral_ideals(f: NumberField, bound) -> list[FractionalIdeal]:
     """All integral ideals of norm at most `bound`, sorted by (norm, HNF).
 
     O/J is the product of its p-primary parts, so J is the product of the
     ideals J + p^v O, which are pairwise comaximal (this holds in any order,
-    maximal or not). Only the prime-power indices are scanned for
-    module-closed triangular sublattices; every other ideal is built once,
-    as the product of one primary ideal per prime.
+    maximal or not). At a regular prime p (p prime to disc(O) and to the
+    denominators of O's basis over the power basis and of its inverse) the
+    p-primary ideals are the products of the primes above p, read off the
+    factors of the minimal polynomial mod p. Elsewhere the module-closed
+    triangular sublattices of each prime-power index are scanned. Every
+    other ideal is built once, as the product of one primary ideal per
+    prime, by the Chinese remainder theorem.
     """
-    limit = int(math.floor(float(bound) + 1e-12))
+    limit = _floor_bound(bound)
     if limit < 1:
         return []
     t = f.mult_table()
+    irregular = _irregular_modulus(f)
     found = [(1, unit_ideal(f))]
     for p in _primes_up_to(limit):
-        primary = []
-        q = p
-        while q <= limit:
-            primary.extend(
-                (q, FractionalIdeal(f, 1, tuple(tuple(r) for r in h)))
-                for h in _sublattices_of_index(f.n, q)
-                if _is_module_closed(t, h)
-            )
-            q *= p
+        primes = None if irregular % p == 0 else _regular_primes(f, p, limit)
+        if primes is None:
+            primary = _scanned_primary(f, t, p, limit)
+        else:
+            primary = _prime_products(primes, limit)
         found += [
-            (nj * nq, multiply(j, pp))
+            (nj * nq, pp if nj == 1 else _coprime_product(j, nj, pp, nq))
             for nj, j in found
             for nq, pp in primary
             if nj * nq <= limit

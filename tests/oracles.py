@@ -47,6 +47,57 @@ def zeta_coefficient(disc: int, m: int) -> int:
     return sum(kronecker(disc, d) for d in range(1, m + 1) if m % d == 0)
 
 
+def cubic_ideal_counts(min_poly, bound: int) -> dict[int, int]:
+    """Number of integral ideals of each norm m <= bound in the maximal
+    order of Q(theta), theta a root of the monic cubic min_poly (ascending),
+    assuming Z[theta] is maximal, from Dirichlet coefficients.
+
+    At p prime to disc(f) the splitting type follows from the number of
+    roots of f mod p: three give three primes of norm p, one gives norms
+    p and p^2, none gives one prime of norm p^3. A prime p dividing disc(f)
+    exactly once is allowed only when p^2 > bound; there the ideals of
+    norm p are the primes of degree one, one for each distinct root of f
+    mod p. The count is multiplicative over the primes of m.
+    """
+    c, b, a = min_poly[0], min_poly[1], min_poly[2]
+    disc = a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
+
+    def local(p: int, k: int) -> int:
+        roots = sum((r ** 3 + a * r * r + b * r + c) % p == 0 for r in range(p))
+        if disc % p:
+            degrees = {3: (1, 1, 1), 1: (1, 2), 0: (3,)}[roots]
+            return _compositions(k, degrees)
+        if disc % (p * p) == 0 or p * p <= bound:
+            raise ValueError("prime divides the discriminant beyond the oracle's reach")
+        return roots
+
+    counts = {}
+    for m in range(1, bound + 1):
+        total, rest, p = 1, m, 2
+        while rest > 1:
+            if p * p > rest:
+                p = rest
+            k = 0
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            if k:
+                total *= local(p, k)
+            p += 1
+        if total:
+            counts[m] = total
+    return counts
+
+
+def _compositions(k: int, degrees) -> int:
+    """Number of (a_i) >= 0 with sum degrees[i] * a_i = k."""
+    ways = [1] + [0] * k
+    for d in degrees:
+        for j in range(d, k + 1):
+            ways[j] += ways[j - d]
+    return ways[k]
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive shortest vector
 
@@ -184,24 +235,60 @@ def brute_integral_ideals(d0: int, bound: int):
     return out
 
 
-def brute_ideals_power_basis(min_poly, bound: int):
-    """Integral ideals of Z[theta], theta a root of the monic ascending
-    min_poly, with norm <= bound: every column HNF over Z^n of index <= bound
-    that the companion matrix of theta maps into itself.
+def brute_ideals_power_basis(min_poly, bound: int, basis=None):
+    """Integral ideals of an order of Q(theta), theta a root of the monic
+    ascending min_poly, with norm <= bound: every column HNF over Z^n of
+    index <= bound that multiplication by each basis element maps into
+    itself.
+
+    basis: the order's basis as rows over the power basis (first row 1);
+    None means Z[theta]. The HNF coordinates are on that basis.
 
     Returns (norm, hnf) pairs sorted by norm, then by the rows of the HNF
     read left to right; hnf is a tuple of rows, upper triangular, with the
     basis vectors as its columns.
     """
     n = len(min_poly) - 1
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] if basis is None \
+        else [[Fraction(x) for x in row] for row in basis]
+    to_basis = _inv([list(col) for col in zip(*rows)])  # power coords -> basis coords
+    # mult[k][i]: basis coordinates of b_k * b_i, integers in an order
+    mult = [[_matvec(to_basis, _mul_mod(min_poly, rows[k], rows[i])) for i in range(n)]
+            for k in range(n)]
+    if any(x.denominator != 1 for mk in mult for v in mk for x in v):
+        raise ValueError("basis is not closed under multiplication")
+    mult = [[[int(x) for x in v] for v in mk] for mk in mult]
     out = []
     for norm in range(1, bound + 1):
         for h in _column_hnfs(n, norm):
-            if all(_in_column_hnf(h, _times_theta(min_poly, [h[r][j] for r in range(n)]))
-                   for j in range(n)):
+            if all(_in_column_hnf(h, _times_basis(mult[k], [h[r][j] for r in range(n)]))
+                   for k in range(1, n) for j in range(n)):
                 out.append((norm, tuple(tuple(row) for row in h)))
     out.sort()
     return out
+
+
+def _mul_mod(min_poly, u, v):
+    """Product of two power-basis coordinate vectors modulo min_poly."""
+    n = len(u)
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] += a * b
+    for k in range(2 * n - 2, n - 1, -1):
+        c, prod[k] = prod[k], Fraction(0)
+        for i in range(n):
+            prod[k - n + i] -= c * min_poly[i]
+    return prod[:n]
+
+
+def _matvec(m, v):
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
+
+
+def _times_basis(mult_k, v):
+    """Basis coordinates of b_k * sum v_i b_i."""
+    return [sum(vi * mult_k[i][r] for i, vi in enumerate(v)) for r in range(len(v))]
 
 
 def _column_hnfs(n: int, index: int):
@@ -223,13 +310,6 @@ def _column_hnfs(n: int, index: int):
             for (i, j), v in zip(above, vals):
                 h[i][j] = v
             yield h
-
-
-def _times_theta(min_poly, v):
-    # theta * sum v_i theta^i, reduced by theta^n = -sum a_i theta^i
-    n = len(v)
-    out = [0] + v[:-1]
-    return [out[i] - v[-1] * min_poly[i] for i in range(n)]
 
 
 def _in_column_hnf(h, v) -> bool:

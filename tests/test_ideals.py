@@ -3,7 +3,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
+import arakelov.ideals as ideals_module
 from arakelov.ideals import (
     PlainLattice,
     contains,
@@ -19,7 +21,7 @@ from arakelov.ideals import (
 )
 from arakelov.numfield import create_field
 from conftest import random_fractional_ideal
-from oracles import brute_ideals_power_basis, zeta_coefficient
+from oracles import brute_ideals_power_basis, cubic_ideal_counts, zeta_coefficient
 
 
 def test_ideal_from_generators_unit(f7):
@@ -120,6 +122,17 @@ def test_enumerate_integral_ideals_bound_one(f7, fi):
     assert enumerate_integral_ideals(fi, 0.5) == []
 
 
+@pytest.mark.parametrize("bound", [
+    Fraction(10 ** 13 - 1, 10 ** 12),
+    9.9999999999999,
+    mpf(10) - mpf(2) ** -40,
+])
+def test_enumerate_floors_the_bound_exactly(fi, bound):
+    # just below 10: the norm-10 ideals (1 + i)(2 +- i) are out
+    assert enumerate_integral_ideals(fi, bound) == enumerate_integral_ideals(fi, 9)
+    assert enumerate_integral_ideals(fi, mpf(10)) == enumerate_integral_ideals(fi, 10)
+
+
 def test_enumerate_gaussian_bound_five(fi):
     ideals = enumerate_integral_ideals(fi, 5)
     norms = [int(ideal_norm(i)) for i in ideals]
@@ -145,15 +158,59 @@ def test_enumeration_is_sorted_and_unique(f73):
     ([-3, -1, 0, 1], None, 40),
     ([-10007, 0, 1], None, 60),
     ([3, 0, 1], [[1, 0], [0, 1]], 60),  # Z[sqrt-3], not maximal
+    # theta is not in this order; its norm-25 prime comes from the
+    # quadratic factor of x^3 - 2 mod 5
+    ([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]], 30),
+    ([-3, -1, 0, 1], None, 50),  # a norm-49 prime above 7
 ])
 def test_enumerate_matches_power_basis_oracle(min_poly, basis, bound):
-    expected = brute_ideals_power_basis(min_poly, bound)
+    expected = brute_ideals_power_basis(min_poly, bound, basis)
     # the bound reaches norms with two distinct prime factors (6, 12, 30, ...)
     assert any(sum(m % p == 0 for p in (2, 3, 5, 7)) >= 2 for m, _ in expected)
     f = create_field(min_poly, integral_basis=basis)
     got = [(int(ideal_norm(i)), i.hnf) for i in enumerate_integral_ideals(f, bound)]
     assert set(got) == set(expected)
     assert got == expected
+
+
+@pytest.fixture()
+def scanned_indices(monkeypatch):
+    """The indices enumerate_integral_ideals scans HNFs at, in call order."""
+    scanned = []
+    real = ideals_module._sublattices_of_index
+
+    def recording(n, m):
+        scanned.append(m)
+        return real(n, m)
+
+    monkeypatch.setattr(ideals_module, "_sublattices_of_index", recording)
+    return scanned
+
+
+def test_regular_primes_need_no_scan(scanned_indices):
+    """Below its discriminant 239, every prime of x^3 - x - 3 is regular:
+    its ideals come from factorisations mod p, with no HNF scan."""
+    ideals = enumerate_integral_ideals(create_field([-3, -1, 0, 1]), 50)
+    assert 49 in [int(ideal_norm(i)) for i in ideals]
+    assert scanned_indices == []
+
+
+def test_quartic_cofactor_falls_back_to_scan(scanned_indices):
+    """x^4 - x - 1 has no root mod 2 or mod 3, so the quartic cofactor left
+    there is scanned; from 5 on only primes of degree one fit below 24."""
+    min_poly = [-1, -1, 0, 0, 1]
+    got = [(int(ideal_norm(i)), i.hnf)
+           for i in enumerate_integral_ideals(create_field(min_poly), 24)]
+    assert scanned_indices == [2, 4, 8, 16, 3, 9]
+    assert got == brute_ideals_power_basis(min_poly, 24)
+
+
+def test_enumerate_matches_cubic_dirichlet_counts():
+    # 265 is the census bound of x^3 - x - 3 at C = 3
+    f = create_field([-3, -1, 0, 1])
+    counts = Counter(int(ideal_norm(i)) for i in enumerate_integral_ideals(f, 265))
+    assert counts == cubic_ideal_counts([-3, -1, 0, 1], 265)
+    assert sum(counts.values()) == 230
 
 
 def test_conjugate_ideal_involution(f73):
