@@ -30,6 +30,7 @@ from .lattice import (
     _box_side,
     _canonical_sign,
     _degree,
+    _element_of,
     _enumerate_ellipsoid,
     _refining,
     _shortest_attempt,
@@ -509,7 +510,9 @@ def principal_generator(f: NumberField, q: FractionalIdeal) -> FieldElement | No
         radius = 2 * Fraction(m) * (1 + Fraction(1, 1 << 20))
     else:
         radius = Fraction(f.n) * Fraction(m.numerator) ** 2 * PRINCIPAL_SEARCH_FACTOR
-    for _, _, g in _enumerate_ellipsoid(gram_of(f, qi), radius):
+    gram = gram_of(f, qi)
+    for _, coeffs in _enumerate_ellipsoid(gram, radius):
+        g = _element_of(gram, coeffs)
         if abs(g.norm()) == m:
             return g / q.den
     if imaginary_quadratic:

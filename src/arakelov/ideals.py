@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mpf
 
-from .exact import hnf_membership, hnf_solve, hnf_upper, hnf_with_denominator, kernel_basis
+from .exact import hnf_membership, hnf_upper, hnf_with_denominator, kernel_basis
 from .numfield import FieldElement, NumberField, mpf_to_fraction
 
 
@@ -41,10 +41,6 @@ class FractionalIdeal:
 
     def contains(self, x: FieldElement) -> bool:
         return hnf_membership([list(r) for r in self.hnf], self.den, list(x.coords))
-
-    def coordinates_of(self, x: FieldElement) -> list[Fraction]:
-        """Rational coordinates of x on the ideal basis."""
-        return hnf_solve([list(r) for r in self.hnf], self.den, list(x.coords))
 
     def rational_intersection(self) -> Fraction:
         """Positive generator c of the rational ideal I ∩ Q = cZ."""

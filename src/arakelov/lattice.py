@@ -147,9 +147,18 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
     n = len(basis)
 
     if f.r2 == 0 and all(x == w[0] for x in w):
-        # totally real, one weight: a multiple of the trace form, exact
+        # totally real, one weight: a multiple of the trace form, exact. With
+        # the basis coordinates cleared to integer rows m by their lcm den,
+        # entry (i, j) is w m_i T m_j^T / den^2 for the integer trace form T
+        den = math.lcm(*(c.denominator for b in basis for c in b.coords))
+        rows = [[c.numerator * (den // c.denominator) for c in b.coords] for b in basis]
+        tf = _int_trace_form(f)
+        row_t = [[sum(r[k] * tf[k][j] for k in range(f.n)) for j in range(f.n)]
+                 for r in rows]
+        scale = w[0] / (den * den)
+
         def entry(i, j):
-            return w[0] * (basis[i] * basis[j]).trace(), Fraction(0)
+            return scale * sum(a * b for a, b in zip(row_t[i], rows[j])), Fraction(0)
 
     elif f.n == 2 and f.r2 == 1:
         # single complex place: 2|u|^2 (a_i a_j + b_i b_j |D|), exact
@@ -205,6 +214,14 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
     return GramMatrix(f, tuple(basis), tuple(w), _freeze(entries), err, prec)
 
 
+def _int_trace_form(f: NumberField) -> list[list[int]]:
+    """f.trace_form() as ints (the trace form of an order is integral)."""
+    key = "tf_int"
+    if key not in f._cache:
+        f._cache[key] = [[int(x) for x in row] for row in f.trace_form()]
+    return f._cache[key]
+
+
 def _freeze(m) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in m)
 
@@ -222,7 +239,7 @@ def gram_of(f: NumberField, lattice: FractionalIdeal | PlainLattice | list[Field
 
 
 # ---------------------------------------------------------------------------
-# LLL over exact rationals (Gram only)
+# LLL over exact rationals (Gram only), run on the Gram scaled to integers
 
 def _ldl(g: list[list[Fraction]]):
     """G = L D L^T for a positive-definite G: (d, l) with l unit lower
@@ -244,15 +261,45 @@ def _ldl(g: list[list[Fraction]]):
     return d, l
 
 
+def _int_gram_schmidt(g: list[list[int]]):
+    """Integral Gram-Schmidt data of a positive-definite integer Gram
+    (Cohen, Alg. 2.6.7): d[i] is the leading i x i minor (d[0] = 1) and
+    lam[i][j] = d[j+1] mu_ij for j < i, both integers, from exact Bareiss
+    divisions. The i-th squared Gram-Schmidt length is d[i+1] / d[i]."""
+    n = len(g)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = g[i][j]
+            for k in range(j):
+                u = (d[k + 1] * u - lam[i][k] * lam[j][k]) // d[k]
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:
+                raise ValueError("matrix not positive definite")
+            else:
+                d[i + 1] = u
+    return d, lam
+
+
 def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
     """LLL on the Gram matrix; returns (transform, reduced GramMatrix).
 
     The transform rows express the reduced basis on the source basis; the
     reduced GramMatrix carries that reduced basis as its source.
+
+    The entries are scaled to integers by their lcm, and the run keeps the
+    integral Gram-Schmidt data of _int_gram_schmidt: size reduction takes
+    q = round(mu_kj) = floor((2 lam_kj + d_j+1) / (2 d_j+1)), and the
+    Lovasz condition B_k >= (delta - mu^2) B_k-1 reads
+    d_k+1 d_k-1 + lam^2 >= delta d_k^2. Every decision is the rational one.
     """
     n = g.size
-    cur = [list(r) for r in g.entries]
+    den = math.lcm(*(x.denominator for row in g.entries for x in row))
+    cur = [[x.numerator * (den // x.denominator) for x in row] for row in g.entries]
     umat = [[int(i == j) for j in range(n)] for i in range(n)]
+    delta = Fraction(delta)
 
     def apply_row_op(dst: int, src: int, q: int):
         # row_dst -= q * row_src on both the transform and the gram
@@ -269,7 +316,7 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
         for i in range(n):
             cur[i][a], cur[i][b] = cur[i][b], cur[i][a]
 
-    bb, mu = _ldl(cur)
+    d, lam = _int_gram_schmidt(cur)
     k = 1
     guard = 0
     while k < n:
@@ -277,28 +324,27 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
         if guard > 10000 * n * n:
             raise RuntimeError("LLL failed to terminate")
         for j in range(k - 1, -1, -1):
-            q = _nearest_int(mu[k][j])
+            dj = d[j + 1]
+            q = (2 * lam[k][j] + dj) // (2 * dj)
             if q:
                 apply_row_op(k, j, q)
                 # b_k -= q b_j leaves every b*_i and every other row of mu
-                mu[k][j] -= q
+                lam[k][j] -= q * dj
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-        if bb[k] >= (delta - mu[k][k - 1] ** 2) * bb[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+        lhs = delta.denominator * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2)
+        if lhs >= delta.numerator * d[k] ** 2:
             k += 1
         else:
             swap_rows(k, k - 1)
-            bb, mu = _ldl(cur)
+            d, lam = _int_gram_schmidt(cur)
             k = max(k - 1, 1)
-    basis = tuple(_element_of(g, row) for row in umat) if g.source else ()
+    basis = tuple(_combinations(g.field, g.source, umat)) if g.source else ()
     # entry (i, j) is U_i G U_j^T of the midpoints: off by ||U_i||_1 ||U_j||_1 err
     err = g.err * max(sum(abs(c) for c in row) for row in umat) ** 2
-    reduced = GramMatrix(g.field, basis, g.weights, _freeze(cur), err, g.prec)
+    entries = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
+    reduced = GramMatrix(g.field, basis, g.weights, entries, err, g.prec)
     return [row[:] for row in umat], reduced
-
-
-def _nearest_int(x: Fraction) -> int:
-    return int(math.floor(x + Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +392,28 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs
 
 
+def _combinations(f: NumberField, source, rows) -> list[FieldElement]:
+    """sum_i row_i source_i for each coefficient row: the source coordinates
+    are cleared to integers by their lcm once, so each coordinate is one
+    integer dot product over that denominator."""
+    den = math.lcm(*(x.denominator for b in source for x in b.coords))
+    cols = [[x.numerator * (den // x.denominator) for x in col]
+            for col in zip(*(b.coords for b in source))]
+    return [FieldElement(f, tuple(Fraction(sum(c * x for c, x in zip(row, col)), den)
+                                  for col in cols))
+            for row in rows]
+
+
 def _element_of(g: GramMatrix, coeffs) -> FieldElement | None:
     if not g.source:
         return None
-    acc = g.field.zero()
-    for c, b in zip(coeffs, g.source):
-        if c:
-            acc = acc + c * b
-    return acc
+    return _combinations(g.field, g.source, [coeffs])[0]
 
 
 def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction):
-    """Yield (value, coeffs, element) for every nonzero lattice vector with
+    """Yield (value, coeffs) for every nonzero lattice vector with
     x^T G x <= radius, coefficients on gram.source, both signs, in the order
-    of enumerate_quadratic_form.
+    of enumerate_quadratic_form; _element_of(gram, coeffs) is the vector.
 
     An inexact Gram is refined first until err * 4n^2, the error a short
     vector's value can carry, is below radius * _ENUM_SLACK.
@@ -367,8 +421,7 @@ def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction):
     n = gram.size
     slack = radius * _ENUM_SLACK
     gram = _refining(gram, lambda g: g if g.err * (4 * n * n) <= slack else None)
-    for value, coeffs in enumerate_quadratic_form(gram.entries, radius):
-        yield value, coeffs, _element_of(gram, coeffs)
+    yield from enumerate_quadratic_form(gram.entries, radius)
 
 
 def shortest_vector(g: GramMatrix) -> ShortVector:
@@ -385,7 +438,7 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector:
         radius = radius * (1 + _ENUM_SLACK) + g.err * (4 * n * n)
     # map back to source-basis coefficients
     mapped = []
-    for val, x, _ in _enumerate_ellipsoid(red, radius):
+    for val, x in _enumerate_ellipsoid(red, radius):
         orig = tuple(
             sum(x[i] * umat[i][j] for i in range(n)) for j in range(n)
         )
@@ -451,7 +504,8 @@ def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
     w = _u_weights(f, u)
     gram = _ellipsoid_gram(f, lattice, w, b)
     radius = Fraction(f.n) * (1 + _ENUM_SLACK)
-    for value, coeffs, g in _enumerate_ellipsoid(gram, radius):
+    for value, coeffs in _enumerate_ellipsoid(gram, radius):
+        g = _element_of(gram, coeffs)
         for place in range(f.num_places):
             sgn = f.cmp_abs_sq(g, place, b[place] ** 2, w[place])
             if sgn > 0 or (strict and sgn == 0):

@@ -494,26 +494,57 @@ class NumberField:
         return _escalate(attempt, prec,
                          f"embedding at place {place} cancels below {MAX_PREC} bits")
 
+    def _root_box(self, place: int, prec: int):
+        """(dt, ivs): the certified root interval at a place, one for the
+        real part and, at a complex place, one for the imaginary part, as
+        integer endpoints over their common denominator dt."""
+        key = ("root_box", prec, place)
+        if key not in self._cache:
+            kind, v, rad = self.places_mpf(prec)[place]
+            parts = [v] if kind == "R" else [v.real, v.imag]
+            ivs = [(mpf_to_fraction(p) - rad, mpf_to_fraction(p) + rad) for p in parts]
+            dt = math.lcm(*(e.denominator for iv in ivs for e in iv))
+            self._cache[key] = (dt, [tuple(e.numerator * (dt // e.denominator) for e in iv)
+                                     for iv in ivs])
+        return self._cache[key]
+
     def embed_interval(self, x: "FieldElement", place: int, prec: int):
         """Certified rectangle (re_iv, im_iv) for sigma(x); im_iv is None at
-        real places."""
-        kind, v, rad = self.places_mpf(prec)[place]
+        real places.
+
+        Interval Horner runs on integers: the power coordinates over their
+        lcm dc, the root box over its denominator dt, so after k steps every
+        endpoint is a numerator over dc dt^k. A common positive denominator
+        keeps the min and max of each four products in place, so the
+        rectangle is the one of Horner over rational intervals."""
+        dt, box = self._root_box(place, prec)
         pcoords = self.to_power(x.coords)
-        if kind == "R":
-            t: Interval = (mpf_to_fraction(v) - rad, mpf_to_fraction(v) + rad)
-            acc: Interval = (Fraction(0), Fraction(0))
-            for c in reversed(pcoords):
-                acc = _iv_add(_iv_mul(acc, t), (c, c))
-            return acc, None
-        tr: Interval = (mpf_to_fraction(v.real) - rad, mpf_to_fraction(v.real) + rad)
-        ti: Interval = (mpf_to_fraction(v.imag) - rad, mpf_to_fraction(v.imag) + rad)
-        ar: Interval = (Fraction(0), Fraction(0))
-        ai: Interval = (Fraction(0), Fraction(0))
-        for c in reversed(pcoords):
-            rr, ii = _iv_mul(ar, tr), _iv_mul(ai, ti)
-            ar, ai = ((rr[0] - ii[1] + c, rr[1] - ii[0] + c),
-                      _iv_add(_iv_mul(ar, ti), _iv_mul(ai, tr)))
-        return ar, ai
+        dc = math.lcm(*(c.denominator for c in pcoords))
+        cs = [c.numerator * (dc // c.denominator) for c in reversed(pcoords)]
+        scale = 1  # dt^k after k steps
+        if len(box) == 1:
+            (tl, th), = box
+            lo = hi = cs[0]
+            for c in cs[1:]:
+                scale *= dt
+                ps = (lo * tl, lo * th, hi * tl, hi * th)
+                lo, hi = min(ps) + c * scale, max(ps) + c * scale
+            den = dc * scale
+            return (Fraction(lo, den), Fraction(hi, den)), None
+        (rl, rh), (il, ih) = box
+        al = ah = cs[0]
+        bl = bh = 0
+        for c in cs[1:]:
+            scale *= dt
+            rr = (al * rl, al * rh, ah * rl, ah * rh)
+            ii = (bl * il, bl * ih, bh * il, bh * ih)
+            ri = (al * il, al * ih, ah * il, ah * ih)
+            ir = (bl * rl, bl * rh, bh * rl, bh * rh)
+            al, ah, bl, bh = (min(rr) - max(ii) + c * scale, max(rr) - min(ii) + c * scale,
+                              min(ri) + min(ir), max(ri) + max(ir))
+        den = dc * scale
+        return ((Fraction(al, den), Fraction(ah, den)),
+                (Fraction(bl, den), Fraction(bh, den)))
 
     def abs_sq_interval(self, x: "FieldElement", place: int, prec: int) -> Interval:
         re_iv, im_iv = self.embed_interval(x, place, prec)

@@ -9,6 +9,7 @@ evaluated informationally alongside it, never asserted on its own.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -91,7 +92,11 @@ def sred_norm_bound(f: NumberField, c2: Fraction) -> int:
 
 def enumerate_sred(f: NumberField, c) -> SredCensus:
     """All strongly C-reduced divisors d(I): I runs over inverses of the
-    integral ideals within the completeness norm bound."""
+    integral ideals within the completeness norm bound.
+
+    For an integral J, 1/p lies in J^-1 exactly when J lies in pO, that is
+    when p divides every entry of J's HNF; so 1 is primitive in J^-1 exactly
+    when those entries have gcd 1, and no other J is inverted."""
     c2 = as_c_squared(c)
     bound = sred_norm_bound(f, c2)
     estimate = count_sublattices_up_to(f.n, bound, CANDIDATE_CAP)
@@ -99,6 +104,8 @@ def enumerate_sred(f: NumberField, c) -> SredCensus:
         raise DeskScaleExceeded(bound, CANDIDATE_CAP)
     entries = []
     for j in enumerate_integral_ideals(f, bound):
+        if math.gcd(*(x for row in j.hnf for x in row)) != 1:
+            continue
         i = invert(j)
         res = is_strongly_c_reduced(f, i, CSquared(c2))
         if res.ok:
@@ -245,11 +252,16 @@ def separation_delta(c2: Fraction, prec: int = 64, coarse: bool = False):
 
 def _log_position(f: NumberField, e: CensusEntry) -> LogVector:
     """p(e) = log|sigma(gen)| - (1/n) log N(I) of a classified entry, so
-    that d(I1) - d(I2) + (gen1/gen2) = (O_F, exp(p(e1) - p(e2)))."""
-    v = f.embed(e.generator).abs().log()
-    with mp.workprec(v.prec):
-        shift = mp.log(fraction_to_mpf(e.ideal.norm(), v.prec)) / f.n
-        return LogVector(tuple(x - shift for x in v.values), v.degs, v.prec)
+    that d(I1) - d(I2) + (gen1/gen2) = (O_F, exp(p(e1) - p(e2))); computed
+    once per (ideal, generator) and field."""
+    cache = f._cache.setdefault("log_positions", {})
+    key = (e.ideal.key(), e.generator.coords)
+    if key not in cache:
+        v = f.embed(e.generator).abs().log()
+        with mp.workprec(v.prec):
+            shift = mp.log(fraction_to_mpf(e.ideal.norm(), v.prec)) / f.n
+            cache[key] = LogVector(tuple(x - shift for x in v.values), v.degs, v.prec)
+    return cache[key]
 
 
 def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:

@@ -155,6 +155,73 @@ def _isqrt_floor(f: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
+# LLL and interval Horner over plain Fractions
+
+def fraction_lll(entries, delta=Fraction(99, 100)):
+    """(U, U G U^T) of textbook LLL on a Gram matrix over Fractions.
+
+    The Gram-Schmidt data is recomputed from the current Gram after every
+    change; row k is size-reduced against rows k-1, ..., 0 with
+    q = floor(mu + 1/2), then the Lovasz condition decides between moving
+    on and swapping rows k-1 and k. The reduced Gram is taken as U G U^T of
+    the input at the end, not carried along."""
+    g0 = [[Fraction(x) for x in row] for row in entries]
+    n = len(g0)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def gram():
+        return [[sum(u[i][a] * g0[a][b] * u[j][b] for a in range(n) for b in range(n))
+                 for j in range(n)] for i in range(n)]
+
+    def gram_schmidt():
+        g = gram()
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        bs = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(i):
+                mu[i][j] = (g[i][j] - sum(mu[j][k] * mu[i][k] * bs[k] for k in range(j))) / bs[j]
+            bs[i] = g[i][i] - sum(mu[i][k] ** 2 * bs[k] for k in range(i))
+        return mu, bs
+
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            mu, _ = gram_schmidt()
+            q = math.floor(mu[k][j] + Fraction(1, 2))
+            u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+        mu, bs = gram_schmidt()
+        if bs[k] >= (delta - mu[k][k - 1] ** 2) * bs[k - 1]:
+            k += 1
+        else:
+            u[k - 1], u[k] = u[k], u[k - 1]
+            k = max(k - 1, 1)
+    return u, gram()
+
+
+def interval_horner(pcoords, root_ivs):
+    """Rectangle of sum_k pcoords[k] theta^k by Horner over rational
+    intervals: root_ivs is [re] at a real place, [re, im] at a complex one,
+    each a (lo, hi) pair of Fractions. Returns (re_iv, im_iv or None)."""
+    def mul(a, b):
+        ps = [x * y for x in a for y in b]
+        return min(ps), max(ps)
+
+    def add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    re, im = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
+    for c in reversed(pcoords):
+        if len(root_ivs) == 1:
+            re = add(mul(re, root_ivs[0]), (c, c))
+        else:
+            tr, ti = root_ivs
+            # (re + i im)(tr + i ti) = re tr - im ti + i (re ti + im tr)
+            rr, ii = mul(re, tr), mul(im, ti)
+            re, im = (rr[0] - ii[1] + c, rr[1] - ii[0] + c), add(mul(re, ti), mul(im, tr))
+    return re, (im if len(root_ivs) == 2 else None)
+
+
+# ---------------------------------------------------------------------------
 # Independent quadratic-field machinery (surds carried as (a, b) ~ a + b*sqrt(D))
 
 def surd_sign(a: Fraction, b: Fraction, d: int) -> int:

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -227,3 +228,21 @@ def test_plain_lattice_membership(f7):
     assert plain.contains(alpha)
     assert plain.contains(f7.element([Fraction(5, 4), Fraction(1, 4)]))
     assert not plain.contains(f7.rational(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("min_poly,basis,bound", [
+    ([-10007, 0, 1], None, 120),
+    ([-2, 0, 0, 1], None, 40),
+    ([-5, 0, 1], [[1, 0], [0, 1]], 60),  # Z[sqrt5], not the maximal order
+])
+def test_one_primitive_in_inverse_iff_hnf_gcd_is_one(min_poly, basis, bound):
+    """For integral J, 1/p lies in J^-1 exactly when J lies in pO: so 1 is
+    primitive in J^-1 exactly when the HNF entries of J have gcd 1 (the
+    test enumerate_sred runs before inverting)."""
+    f = create_field(min_poly, basis)
+    seen = set()
+    for j in enumerate_integral_ideals(f, bound):
+        coprime = math.gcd(*(x for row in j.hnf for x in row)) == 1
+        assert one_is_primitive(invert(j)) == coprime, j.key()
+        seen.add(coprime)
+    assert seen == {True, False}

@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+import arakelov.lattice as lattice_module
 from arakelov.divisors import divisor_d
 from arakelov.exact import mat_det
 from arakelov.ideals import (
     PlainLattice,
     enumerate_integral_ideals,
     ideal_from_generators,
+    invert,
     unit_ideal,
 )
 from arakelov.lattice import (
@@ -35,6 +38,7 @@ from oracles import (
     brute_is_minimal_poly,
     brute_minimal_pick,
     brute_shortest_sq,
+    fraction_lll,
 )
 
 
@@ -321,18 +325,11 @@ def test_lll_first_vector_vs_lambda1(f73):
         assert red.entries[0][0] <= 2 * lam  # 2^(n-1) factor at n = 2
 
 
-def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
-    from arakelov.lattice import _ldl
-
-    rng = random.Random(61)
-    delta = Fraction(99, 100)
+def _skewed_rank4_grams(rng, count: int = 8):
+    """Grams of small rank-4 bases skewed by row operations with large
+    multipliers, so that rows need several size-reduction steps each."""
     grams = []
-    for field in (f73, f_cubic):
-        pool = enumerate_integral_ideals(field, 10)
-        grams += [gram_of(field, rng.choice(pool)) for _ in range(8)]
-    for _ in range(8):
-        # skew a small rank-4 basis by row operations with large multipliers,
-        # so that rows need several size-reduction steps each
+    for _ in range(count):
         a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
         if mat_det(a) == 0:
             continue
@@ -342,7 +339,25 @@ def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
             a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         g = [[sum(x * y for x, y in zip(ai, aj)) for aj in a] for ai in a]
         grams.append(GramMatrix.from_entries(g))
-    for gram in grams:
+    return grams
+
+
+def _reduction_test_grams(f73, f_cubic):
+    """Grams of ideals of norm <= 10 in Q(sqrt 73) and x^3 - 2, then the
+    skewed rank-4 Grams, from one seeded generator."""
+    rng = random.Random(61)
+    grams = []
+    for field in (f73, f_cubic):
+        pool = enumerate_integral_ideals(field, 10)
+        grams += [gram_of(field, rng.choice(pool)) for _ in range(8)]
+    return grams + _skewed_rank4_grams(rng)
+
+
+def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
+    from arakelov.lattice import _ldl
+
+    delta = Fraction(99, 100)
+    for gram in _reduction_test_grams(f73, f_cubic):
         _, red = lll_reduce(gram)
         b, mu = _ldl([list(r) for r in red.entries])
         n = len(b)
@@ -351,6 +366,67 @@ def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
                 assert abs(mu[i][j]) <= Fraction(1, 2)
         for k in range(1, n):
             assert b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]
+
+
+def test_lll_matches_fraction_oracle(f73, f_cubic):
+    """The integral LLL against textbook LLL over Fractions: the same
+    transform and reduced entries on the Grams of the reduction-conditions
+    test and on the census Grams (inverses of integral ideals with 1
+    primitive) of Q(sqrt 1009), exact, and of x^3 - x - 3, inexact."""
+    grams = _reduction_test_grams(f73, f_cubic)
+    # boundary cases: the Lovasz condition met with equality (99 = 99/100 *
+    # 100, no swap), and mu = 1/2, which rounds up
+    grams += [GramMatrix.from_entries(g) for g in ([[100, 0], [0, 99]], [[2, 1], [1, 5]])]
+    for poly, bound in (([-1009, 0, 1], 60), ([-3, -1, 0, 1], 30)):
+        f = create_field(poly)
+        grams += [gram_of(f, invert(j)) for j in enumerate_integral_ideals(f, bound)
+                  if math.gcd(*(x for row in j.hnf for x in row)) == 1]
+    moved = 0
+    for gram in grams:
+        u, red = lll_reduce(gram)
+        want_u, want_entries = fraction_lll(gram.entries)
+        assert u == want_u
+        assert [list(r) for r in red.entries] == want_entries
+        moved += u != [[int(i == j) for j in range(gram.size)] for i in range(gram.size)]
+    assert moved >= len(grams) // 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                     min_size=3, max_size=3),
+       scale=st.fractions(min_value=Fraction(1, 1000), max_value=1000,
+                          max_denominator=1000))
+def test_lll_transform_is_scale_invariant(rows, scale):
+    """LLL decides on ratios of Gram entries: scaling the Gram by a positive
+    rational leaves the transform alone and scales the reduced entries."""
+    if mat_det([[Fraction(x) for x in r] for r in rows]) == 0:
+        return
+    g = [[sum(x * y for x, y in zip(ri, rj)) for rj in rows] for ri in rows]
+    u, red = lll_reduce(GramMatrix.from_entries(g))
+    us, reds = lll_reduce(GramMatrix.from_entries([[scale * x for x in r] for r in g]))
+    assert us == u
+    assert reds.entries == tuple(tuple(scale * x for x in r) for r in red.entries)
+
+
+def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7):
+    """An exact Gram's shortest vector builds one field element, the winner,
+    however many vectors the enumeration visits."""
+    calls = []
+    inner = lattice_module._element_of
+
+    def count(g, coeffs):
+        calls.append(coeffs)
+        return inner(g, coeffs)
+
+    monkeypatch.setattr(lattice_module, "_element_of", count)
+    lat, _ = plain_alpha_lattice(f7)
+    for f, lattice in ((f73, unit_ideal(f73)), (f7, lat),
+                       (f73, enumerate_integral_ideals(f73, 20)[-1])):
+        gram = gram_of(f, lattice)
+        assert gram.err == 0
+        calls.clear()
+        sv = lattice_module._shortest_attempt(gram)
+        assert calls == [sv.coeffs]
 
 
 def test_rank2_hermite_bound(f7, f73):

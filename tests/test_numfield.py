@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from arakelov.numfield import (
     _escalate,
     create_field,
     embed,
+    mpf_to_fraction,
     norm_trace,
     partial_f,
 )
+from oracles import interval_horner
 
 small_rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -323,3 +326,21 @@ def test_archvector_ops(f7):
     assert abs(float(v.mul(v).norm_sq()) - 2) < 1e-30
     w = embed(f7, f7.element([1, 1])).abs()
     assert abs(float(w.mul(w.inv()).norm_sq()) - 2) < 1e-30
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1], [1, 0, 0, 0, 1]])
+def test_embed_interval_matches_rational_horner(min_poly):
+    """The integer Horner of embed_interval gives exactly the rectangle of
+    Horner over rational intervals, at every place and two precisions."""
+    f = create_field(min_poly)
+    rng = random.Random(17)
+    elems = [f.one(), f.gen(), f.gen() ** (f.n - 1)]
+    elems += [f.element([Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                         for _ in range(f.n)]) for _ in range(12)]
+    for prec in (128, 256):
+        for place, (kind, v, rad) in enumerate(f.places_mpf(prec)):
+            parts = [v] if kind == "R" else [v.real, v.imag]
+            ivs = [(mpf_to_fraction(p) - rad, mpf_to_fraction(p) + rad) for p in parts]
+            for x in elems:
+                want = interval_horner(f.to_power(x.coords), ivs)
+                assert f.embed_interval(x, place, prec) == want
