@@ -232,9 +232,6 @@ class Surd:
     def scale(self, c: Fraction) -> "Surd":
         return Surd(self.a * c, self.b * c, self.disc)
 
-    def conj(self) -> "Surd":
-        return Surd(self.a, -self.b, self.disc)
-
     def abs_sq(self) -> Fraction:
         """|a + b sqrt(disc)|² as a rational; exact for disc < 0, and for
         disc > 0 equals the square of the real value."""
@@ -255,11 +252,12 @@ class Surd:
         return Surd(self.a / n, -self.b / n, self.disc)
 
     def floor(self) -> int:
-        """Exact floor of an irrational real surd."""
+        """Exact floor of an irrational real surd a +- sqrt(s): floor(a + sqrt(s)),
+        or floor(a - sqrt(s)) = -floor(sqrt(s) - a) - 1 as sqrt(s) is irrational."""
         s = self.b * self.b * self.disc
         if self.b > 0:
             return floor_minus_c_plus_sqrt(-self.a, s)
-        return ceil_minus_c_minus_sqrt(-self.a, s) - 1
+        return -floor_minus_c_plus_sqrt(self.a, s) - 1
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -325,7 +323,7 @@ def sturm_real_root_count(coeffs: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer-range helpers for lattice enumeration
+# Integer floors of square roots
 
 def floor_minus_c_plus_sqrt(c: Fraction, s: Fraction) -> int:
     """Largest integer x with x <= -c + sqrt(s) (requires s >= 0).
@@ -344,23 +342,6 @@ def floor_minus_c_plus_sqrt(c: Fraction, s: Fraction) -> int:
         x += 1
     while not ok(x):
         x -= 1
-    return x
-
-
-def ceil_minus_c_minus_sqrt(c: Fraction, s: Fraction) -> int:
-    """Smallest integer x with x >= -c - sqrt(s) (requires s >= 0)."""
-    if s < 0:
-        raise ValueError("negative radicand")
-
-    def ok(t: int) -> bool:
-        v = t + c
-        return v >= 0 or v * v <= s
-
-    x = math.ceil(-c - math.sqrt(float(s))) if s < 10**30 else math.ceil(-c) - math.isqrt(int(s))
-    while ok(x - 1):
-        x -= 1
-    while not ok(x):
-        x += 1
     return x
 
 

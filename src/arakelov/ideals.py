@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from mpmath import mpf
 
@@ -163,44 +164,30 @@ def one_is_primitive(i: FractionalIdeal | PlainLattice) -> bool:
     return i.rational_intersection() == 1
 
 
-def conjugate_ideal(i: FractionalIdeal) -> FractionalIdeal:
-    """Image of the ideal under the nontrivial automorphism (quadratic)."""
-    f = i.field
-    return _from_vectors(f, [list(f.conjugate(w).coords) for w in i.basis_elements()])
-
-
 # ---------------------------------------------------------------------------
 # Bounded-norm enumeration of integral ideals
 
 def _diagonals(m: int, n: int) -> list[tuple[int, ...]]:
-    if n == 1:
-        return [(m,)]
-    out = []
-    for d in range(1, m + 1):
-        if m % d == 0:
-            for rest in _diagonals(m // d, n - 1):
-                out.append((d,) + rest)
-    return out
+    """Every n-tuple of positive integers with product m, lexicographically."""
+    heads = [((), m)]
+    for _ in range(n - 1):
+        heads = [(t + (d,), r // d) for t, r in heads for d in range(1, r + 1) if r % d == 0]
+    return [t + (r,) for t, r in heads]
 
 
 def _sublattices_of_index(n: int, m: int):
     """All column-HNF matrices of index m (upper triangular, reduced)."""
+    # free positions: h[i][j] for i < j ranges over [0, diag[i]); the first
+    # free position varies slowest
+    free = [(i, j) for j in range(n) for i in range(j)]
     for diag in _diagonals(m, n):
-        h = [[0] * n for _ in range(n)]
-        for i in range(n):
-            h[i][i] = diag[i]
-        # free positions: h[i][j] for i < j ranges over [0, diag[i])
-        free = [(i, j) for j in range(n) for i in range(j)]
-        def rec(idx: int):
-            if idx == len(free):
-                yield [row[:] for row in h]
-                return
-            i, j = free[idx]
-            for val in range(diag[i]):
+        for values in product(*(range(diag[i]) for i, _ in free)):
+            h = [[0] * n for _ in range(n)]
+            for i in range(n):
+                h[i][i] = diag[i]
+            for (i, j), val in zip(free, values):
                 h[i][j] = val
-                yield from rec(idx + 1)
-            h[i][j] = 0
-        yield from rec(0)
+            yield h
 
 
 def _is_module_closed(t, h: list[list[int]]) -> bool:

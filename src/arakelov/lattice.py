@@ -16,11 +16,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .exact import (
-    ceil_minus_c_minus_sqrt,
-    floor_minus_c_plus_sqrt,
-    mat_det,
-)
+from .exact import mat_det
 from .ideals import FractionalIdeal, PlainLattice
 from .numfield import (
     ArchVector,
@@ -71,16 +67,6 @@ class GramMatrix:
 
     def det(self) -> Fraction:
         return mat_det([list(r) for r in self.entries])
-
-    def value(self, coeffs) -> Fraction:
-        n = self.size
-        acc = Fraction(0)
-        for i in range(n):
-            if coeffs[i]:
-                for j in range(n):
-                    if coeffs[j]:
-                        acc += self.entries[i][j] * coeffs[i] * coeffs[j]
-        return acc
 
     def value_error(self, coeffs) -> Fraction:
         if self.err == 0:
@@ -283,8 +269,9 @@ def _int_gram_schmidt(g: list[list[int]]):
     return d, lam
 
 
-def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
-    """LLL on the Gram matrix; returns (transform, reduced GramMatrix).
+def lll_reduce(g: GramMatrix):
+    """LLL with delta = LLL_DELTA on the Gram matrix; returns (transform,
+    reduced GramMatrix).
 
     The transform rows express the reduced basis on the source basis; the
     reduced GramMatrix carries that reduced basis as its source.
@@ -299,7 +286,6 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
     den = math.lcm(*(x.denominator for row in g.entries for x in row))
     cur = [[x.numerator * (den // x.denominator) for x in row] for row in g.entries]
     umat = [[int(i == j) for j in range(n)] for i in range(n)]
-    delta = Fraction(delta)
 
     def apply_row_op(dst: int, src: int, q: int):
         # row_dst -= q * row_src on both the transform and the gram
@@ -332,8 +318,8 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
                 lam[k][j] -= q * dj
                 for i in range(j):
                     lam[k][i] -= q * lam[j][i]
-        lhs = delta.denominator * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2)
-        if lhs >= delta.numerator * d[k] ** 2:
+        lhs = LLL_DELTA.denominator * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2)
+        if lhs >= LLL_DELTA.numerator * d[k] ** 2:
             k += 1
         else:
             swap_rows(k, k - 1)
@@ -350,37 +336,76 @@ def lll_reduce(g: GramMatrix, delta: Fraction = LLL_DELTA):
 # ---------------------------------------------------------------------------
 # Fincke-Pohst enumeration
 
+def _fincke_pohst(d, l, centre, radius):
+    """Yield (value, a) for every integer vector a with
+    (a - centre)^T G (a - centre) = value <= radius, where G = L D L^T is
+    given by the factors (d, l) of _ldl. Depth first: the last coordinate
+    varies slowest and each coordinate runs in ascending order. The same
+    loop runs on Fraction data (exact) and on mpf data (at the working
+    precision).
+
+    With mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k) the value is
+    sum_i d_i (a_i - mid_i)^2; part[i] holds the terms k >= i of the current
+    prefix, and rows[i] the remaining points of level i.
+    """
+    n = len(d)
+    a = [0] * n
+    part = [0] * (n + 1)
+    rows = [None] * n
+    i = n - 1
+    rows[i] = _fincke_pohst_row(0, d[i], centre[i], radius)
+    while i < n:
+        step = next(rows[i], None)
+        if step is None:
+            i += 1
+        elif i:
+            a[i], part[i] = step
+            i -= 1
+            mid = centre[i] - sum(l[k][i] * (a[k] - centre[k]) for k in range(i + 1, n))
+            rows[i] = _fincke_pohst_row(part[i + 1], d[i], mid, radius)
+        else:
+            a[0], value = step
+            yield value, tuple(a)
+
+
+def _fincke_pohst_row(used, di, mid, radius):
+    """Yield (x, used + di (x - mid)^2) for every integer x where that is at
+    most radius, ascending; a level holds no list of its points.
+
+    The value is convex in x with its minimum between floor(mid) and
+    floor(mid) + 1, so the points at or below the floor form a run
+    [lo, floor]. lo is found by doubling steps down from the floor, then
+    halving them; the walk then climbs from lo while the value stays inside.
+    """
+    floor = int(mid)  # toward zero, exact for Fraction and mpf
+    if floor > mid:
+        floor -= 1
+    # every x in [lo, floor] is inside; once a doubling step fails, lo - step
+    # is outside and the halving steps close the gap
+    lo, step = floor + 1, 1
+    while used + di * (lo - step - mid) ** 2 <= radius:
+        lo -= step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if used + di * (lo - step - mid) ** 2 <= radius:
+            lo -= step
+    x = lo
+    while (value := used + di * (x - mid) ** 2) <= radius:
+        yield x, value
+        x += 1
+
+
 def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
                              radius: Fraction):
     """All nonzero integer vectors x with x^T G x <= radius.
 
-    Yields (value, coeffs) pairs; both signs of each vector are produced.
+    Returns (value, coeffs) pairs, both signs of each vector, sorted
+    lexicographically on the reversed coefficient tuple.
     """
-    g = [list(r) for r in entries]
-    n = len(g)
-    d, l = _ldl(g)
-    coeffs = [0] * n
-    out: list[tuple[Fraction, tuple[int, ...]]] = []
-
-    def rec(i: int, used: Fraction):
-        if i < 0:
-            if any(coeffs):
-                out.append((used, tuple(coeffs)))
-            return
-        c = sum((l[j][i] * coeffs[j] for j in range(i + 1, n)), Fraction(0))
-        s = (radius - used) / d[i]
-        if s < 0:
-            return
-        lo = ceil_minus_c_minus_sqrt(c, s)
-        hi = floor_minus_c_plus_sqrt(c, s)
-        for x in range(lo, hi + 1):
-            coeffs[i] = x
-            y = x + c
-            rec(i - 1, used + d[i] * y * y)
-        coeffs[i] = 0
-
-    rec(n - 1, Fraction(0))
-    return out
+    d, l = _ldl([list(r) for r in entries])
+    return [(value, a) for value, a in _fincke_pohst(d, l, [0] * len(d), radius)
+            if any(a)]
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ from math import isqrt
 
 from mpmath import mp
 
-from .lattice import _ldl
+from .lattice import _fincke_pohst, _ldl
 from .numfield import FieldElement, LogVector, NumberField
 
 
@@ -242,39 +242,17 @@ class LogLattice:
         prec = max(target.prec, self.prec)
         with mp.workprec(prec):
             c = [-sum(p * tv for p, tv in zip(row, target.values)) for row in self._proj]
-            babai = [_floor(ci + 0.5) for ci in c]
-            a = babai[:]
-
-            def centre(i: int):
-                # (a - c)^T G (a - c) = sum_i d_i (a_i - centre(i))^2
-                return c[i] - sum(l[k][i] * (a[k] - c[k]) for k in range(i + 1, r))
-
+            babai = [int(mp.floor(ci + 0.5)) for ci in c]
+            # Babai's value (a - c)^T G (a - c) = sum_i d_i (a_i - mid_i)^2,
+            # summed as _fincke_pohst sums it, so Babai's point is visited
             used = 0
             for i in reversed(range(r)):
-                used += d[i] * (a[i] - centre(i)) ** 2
+                mid = c[i] - sum(l[k][i] * (babai[k] - c[k]) for k in range(i + 1, r))
+                used += d[i] * (babai[i] - mid) ** 2
             slack = mp.mpf(2) ** (-(prec // 2))
             radius = used * (1 + slack) + slack
-            candidates = [babai]
-
-            def search(i: int, used):
-                # a_i runs outward from the centre both ways while inside
-                mid = centre(i)
-                lo = _floor(mid)
-                for x, step in ((lo + 1, 1), (lo, -1)):
-                    while True:
-                        value = used + d[i] * (x - mid) ** 2
-                        if value > radius:
-                            break
-                        a[i] = x
-                        if i:
-                            search(i - 1, value)
-                        elif a != babai:
-                            candidates.append(a[:])
-                        x += step
-
-            search(r - 1, 0)
             best = None
-            for coeffs in candidates:
+            for _, coeffs in _fincke_pohst(d, l, c, radius):
                 vec = list(target.values)
                 for i in range(r):
                     if coeffs[i]:
@@ -284,11 +262,6 @@ class LogLattice:
                     best = norm_sq
             # sqrt is monotone, so this is the least of the candidates' norms
             return mp.sqrt(best)
-
-
-def _floor(x) -> int:
-    n = int(x)  # rounds toward zero
-    return n - 1 if x < n else n
 
 
 def min_log_norm_modulo(target: LogVector, gens: list[LogVector]):

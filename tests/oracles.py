@@ -122,6 +122,23 @@ def brute_shortest_sq(entries) -> Fraction:
     return best
 
 
+def brute_qform_points(entries, radius) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """(x^T G x, x) for every nonzero integer x with x^T G x <= radius, by a
+    scan of the dual-Gram box x_i^2 <= radius * (G^{-1})_{ii}, ordered
+    lexicographically on the reversed coefficient tuple."""
+    g = [[Fraction(x) for x in row] for row in entries]
+    radius = Fraction(radius)
+    inv = _inv(g)
+    box = [_isqrt_floor(radius * inv[i][i]) for i in range(len(g))]
+    points = []
+    for coeffs in product(*[range(-b, b + 1) for b in box]):
+        if any(coeffs):
+            q = _qform(g, coeffs)
+            if q <= radius:
+                points.append((q, coeffs))
+    return sorted(points, key=lambda p: p[1][::-1])
+
+
 def _qform(g, coeffs) -> Fraction:
     n = len(g)
     acc = Fraction(0)

@@ -10,7 +10,6 @@ import arakelov.ideals as ideals_module
 from arakelov.ideals import (
     PlainLattice,
     contains,
-    conjugate_ideal,
     enumerate_integral_ideals,
     ideal_from_generators,
     ideal_norm,
@@ -21,7 +20,7 @@ from arakelov.ideals import (
     unit_ideal,
 )
 from arakelov.numfield import create_field
-from conftest import random_fractional_ideal
+from conftest import conjugate_ideal, random_fractional_ideal
 from oracles import brute_ideals_power_basis, cubic_ideal_counts, zeta_coefficient
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from arakelov.divisors import divisor_d
 from arakelov.exact import mat_det
 from arakelov.ideals import (
     PlainLattice,
+    _sublattices_of_index,
     enumerate_integral_ideals,
     ideal_from_generators,
     invert,
@@ -24,19 +26,22 @@ from arakelov.lattice import (
     _gram,
     covolume_check,
     enumerate_box,
+    enumerate_quadratic_form,
     gram_of,
     is_minimal,
     lll_reduce,
     minimal_element_bounded,
     shortest_vector,
 )
-from arakelov.numfield import ArchVector, create_field
+from arakelov.numfield import ArchVector, LogVector, create_field
+from arakelov.units import LogLattice, unit_lattice_from_elements
 from conftest import random_degree_zero_divisor, random_fractional_ideal
 from oracles import (
     brute_box,
     brute_is_minimal,
     brute_is_minimal_poly,
     brute_minimal_pick,
+    brute_qform_points,
     brute_shortest_sq,
     fraction_lll,
 )
@@ -474,3 +479,61 @@ def test_enumerate_box_and_is_minimal_against_oracle(f73):
         assert f73.one() in enumerate_box(f73, by_norm[1], u, edge, strict=False)
         assert f73.one() not in enumerate_box(f73, by_norm[1], u, edge, strict=True)
     assert verdicts == {True, False}
+
+
+def _assert_qform_points_match(g, radius):
+    """enumerate_quadratic_form equals the brute scan at the radius and at
+    the largest value attained inside it, which must count as inside."""
+    want = brute_qform_points(g, radius)
+    assert enumerate_quadratic_form(g, radius) == want
+    if want:
+        edge = max(value for value, _ in want)
+        assert enumerate_quadratic_form(g, edge) == brute_qform_points(g, edge)
+
+
+def test_enumerate_quadratic_form_matches_brute_scan():
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        g = [[sum(b[i][k] * b[j][k] for k in range(n)) + Fraction(int(i == j), 2)
+              for j in range(n)] for i in range(n)]
+        radius = Fraction(rng.randint(0, 6), rng.randint(1, 3)) * min(g[i][i] for i in range(n))
+        _assert_qform_points_match(g, radius)
+    # a skewed form: levels of up to 26 points, off-centre
+    g = [[Fraction(1, 97), Fraction(1, 30)], [Fraction(1, 30), Fraction(3, 2)]]
+    for radius in (Fraction(1, 5), Fraction(2)):
+        _assert_qform_points_match(g, radius)
+
+
+def test_enumerate_quadratic_form_on_census_grams(f_cubic):
+    """Grams the lambda_1 test sees on x^3 - 2 (inverses of integral ideals,
+    inexact midpoints), at the C = 1 threshold n and at 2n."""
+    for ideal in enumerate_integral_ideals(f_cubic, 6):
+        g = gram_of(f_cubic, invert(ideal)).entries
+        for radius in (Fraction(3), Fraction(6)):
+            _assert_qform_points_match(g, radius)
+
+
+def test_enumerators_leave_no_reference_cycles():
+    """Fincke-Pohst, the closest-vector search and the HNF scan run as
+    loops, so a call leaves no cyclic garbage for the collector."""
+    f = create_field([1, -3, 0, 1])
+    th = f.gen()
+    log_lattice = LogLattice(unit_lattice_from_elements(f, [th, th - f.one()]).log_embeddings())
+    target = LogVector((mpf("2.5"), mpf("-1.25"), mpf("0.5")), f.degs, f.prec)
+    g = ((Fraction(2), Fraction(1), Fraction(0)),
+         (Fraction(1), Fraction(3), Fraction(1, 2)),
+         (Fraction(0), Fraction(1, 2), Fraction(5, 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_quadratic_form(g, Fraction(12))
+        assert gc.collect() == 0
+        log_lattice.closest_norm(target)
+        assert gc.collect() == 0
+        assert len(list(_sublattices_of_index(3, 12))) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

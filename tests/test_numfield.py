@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from arakelov.exact import Surd
 from arakelov.ideals import ideal_from_generators, unit_ideal
 from arakelov.lattice import enumerate_box, is_minimal
 from arakelov.numfield import (
@@ -344,3 +345,20 @@ def test_embed_interval_matches_rational_horner(min_poly):
             for x in elems:
                 want = interval_horner(f.to_power(x.coords), ivs)
                 assert f.embed_interval(x, place, prec) == want
+
+
+def test_surd_floor_matches_isqrt():
+    """floor(A/Q + (B/Q) sqrt(D)) against an isqrt oracle, for both signs of
+    B: with r = isqrt(B^2 D) < |B| sqrt(D) < r + 1 the value lies strictly
+    between two consecutive integers over Q, so its floor is
+    (A + r) // Q for B > 0 and (A - r - 1) // Q for B < 0. Large B take
+    the isqrt branch of the floor."""
+    rng = random.Random(29)
+    for k in range(600):
+        disc = rng.choice([2, 3, 5, 7, 73, 1009, 10007])
+        q = rng.randint(1, 30)
+        a = rng.randint(-10 ** 6, 10 ** 6)
+        b = rng.choice([-1, 1]) * rng.randint(1, 10 ** (4 if k % 2 else 17))
+        r = math.isqrt(b * b * disc)
+        want = (a + r) // q if b > 0 else (a - r - 1) // q
+        assert Surd(Fraction(a, q), Fraction(b, q), disc).floor() == want

@@ -11,7 +11,7 @@ from mpmath import mp
 
 import arakelov
 from arakelov.divisors import is_strongly_c_reduced, quadratic_units
-from arakelov.ideals import conjugate_ideal, ideal_norm, invert, unit_ideal
+from arakelov.ideals import ideal_norm, invert, unit_ideal
 from arakelov.numfield import create_field
 from arakelov.survey import (
     CensusEntry,
@@ -25,6 +25,7 @@ from arakelov.survey import (
     verify_counts,
     verify_separation,
 )
+from conftest import conjugate_ideal
 from oracles import brute_census
 
 
