@@ -7,6 +7,7 @@ Exit codes: 0 success or affirmative, 1 negative result, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -31,6 +32,7 @@ from .serialize import (
     cycle_csv,
     cycle_svg,
     fmt_real,
+    json_text,
     load_divisor,
     load_field,
     load_lattice,
@@ -117,7 +119,7 @@ def cmd_info(args) -> int:
         elif units is not None:
             doc["fundamental_units"] = []
             doc["regulator"] = fmt_real(mpf(0))
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(doc), args.out)
     return 0
 
 
@@ -135,7 +137,7 @@ def cmd_check(args) -> int:
         "witness": [rational_pair(c) for c in res.witness_element.coords]
         if res.witness_element is not None else None,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(doc), args.out)
     return 0 if res.ok else 1
 
 
@@ -173,7 +175,7 @@ def cmd_reduce(args) -> int:
         if trace.distance_bound is not None else None,
         "no_distance_guarantee": trace.distance_bound is None,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(doc), args.out)
     return 0
 
 
@@ -246,7 +248,7 @@ def cmd_verify(args) -> int:
         "reduction_trials": trials,
     }
     ok = sep["ok"] and cnt["ok"] and trials["ok"]
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(doc), args.out)
     return 0 if ok else 1
 
 
@@ -275,7 +277,11 @@ def _verify_reduction_trials(f, units, c2, trials: int, seed: int) -> dict:
             "ok": violations == 0}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a build leaves
+    argparse's formatter and action objects in reference cycles, and
+    parsing leaves none."""
     p = argparse.ArgumentParser(
         prog="arakelov",
         description="Arakelov divisor arithmetic: strongly C-reduced divisors, "

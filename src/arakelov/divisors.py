@@ -156,10 +156,6 @@ def principal_divisor(x: FieldElement) -> ArakelovDivisor:
     return ArakelovDivisor(ideal, f.embed(x).abs())
 
 
-def zero_divisor(f: NumberField) -> ArakelovDivisor:
-    return ArakelovDivisor(unit_ideal(f), ArchVector.ones(f.degs, f.prec), d_form=True)
-
-
 def add(d1: ArakelovDivisor, d2: ArakelovDivisor) -> ArakelovDivisor:
     return ArakelovDivisor(multiply(d1.ideal, d2.ideal), d1.u.mul(d2.u))
 

@@ -99,6 +99,24 @@ def fmt_real(x) -> str:
     return repr(float(x))
 
 
+def json_text(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) plus a newline, for
+    documents with string keys. The standard library indents through
+    closures that call each other, which leave reference cycles behind on
+    every call; this recursion leaves none and emits the same bytes."""
+    return _json_indented(doc, "\n") + "\n"
+
+
+def _json_indented(x, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(x, dict) and x:
+        return ("{" + ",".join(inner + json.dumps(k) + ": " + _json_indented(v, inner)
+                               for k, v in sorted(x.items())) + newline + "}")
+    if isinstance(x, (list, tuple)) and x:
+        return "[" + ",".join(inner + _json_indented(v, inner) for v in x) + newline + "]"
+    return json.dumps(x)
+
+
 def census_rows(census: SredCensus, positions=None) -> list[dict]:
     pos_by_key = {}
     if positions:
@@ -132,7 +150,7 @@ def census_json(census: SredCensus, positions=None) -> str:
         "usual_reduced_count": sum(1 for e in census.entries if e.usual_reduced),
         "entries": census_rows(census, positions),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def census_csv(census: SredCensus, positions=None) -> str:

@@ -9,6 +9,7 @@ evaluated informationally alongside it, never asserted on its own.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -264,13 +265,33 @@ def _log_position(f: NumberField, e: CensusEntry) -> LogVector:
     return cache[key]
 
 
+def _pairs_by_bound(lattice: LogLattice, members: list, points: list[LogVector]):
+    """(bound, a, b) for the pairs of members, a before b, by ascending
+    lower bound on the distance of points[a] - points[b]; see
+    LogLattice.pairs_by_bound."""
+    for bound, i, j in lattice.pairs_by_bound(points):
+        yield bound, members[i], members[j]
+
+
 def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     """Pairwise oriented distances of same-narrow-component entries against
     the separation constant; failures are reported, not silenced.
 
-    Each entry is embedded and sign-tested once; a pair's target is the
+    Each entry is embedded and sign-tested once. A pair's target is the
     difference of the two log positions plus the log vector of the unit
-    product that the XOR of their sign vectors asks for."""
+    product that the XOR of their sign vectors asks for; pairs whose XOR no
+    unit product reaches lie in different narrow components and are not
+    compared.
+
+    Only the pairs that a lower bound cannot rule out get a closest-vector
+    search. A unit product u takes the signs of each entry of a component
+    to those of its first entry; for two entries, u1 u2 and the pair's own
+    unit product differ by a totally positive unit, whose log lies in the
+    lattice, as does log u^2. So the points position + log|u| differ by
+    the pairs' targets modulo the lattice, and LogLattice.pairs_by_bound
+    orders the pairs by their bounds. Pairs are visited by ascending bound
+    until it passes both the least distance met and the violation
+    threshold; violations are reported in pair order."""
     c2 = as_c_squared(c)
     if c2 != census.c_squared:
         raise ValueError("C parameter does not match the census")
@@ -282,34 +303,58 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
         if e.narrow_tag is not None:
             groups.setdefault(e.narrow_tag, []).append(
                 (e, _log_position(f, e), _sign_vector(f, e.generator)))
-    min_gap = None
-    pairs = 0
-    violations = []
     unit_logs = units.log_embeddings()
     unit_signs = [_sign_vector(f, eps) for eps in units.generators]
     tp_lattice = LogLattice(units.log_embeddings(tp_only=True))
-    for tag, group in sorted(groups.items()):
-        for a, (e1, p1, s1) in enumerate(group):
-            for e2, p2, s2 in group[a + 1:]:
-                found = _positive_associate(f, s1 ^ s2, unit_signs)
-                if found is None:
-                    continue  # same wide class but different narrow component
-                target = p1.sub(p2)
-                for i, v in enumerate(unit_logs):
-                    if found[1] >> i & 1:
-                        target = target.add(v)
-                dist = tp_lattice.closest_norm(target)
-                pairs += 1
-                if min_gap is None or dist < min_gap:
-                    min_gap = dist
-                if dist < delta - mpf(10) ** (-9):
-                    violations.append((e1, e2, dist))
+    masks: dict[int, int | None] = {}  # sign XOR -> unit product, or None
+
+    def mask(pattern: int) -> int | None:
+        if pattern not in masks:
+            found = _positive_associate(f, pattern, unit_signs)
+            masks[pattern] = None if found is None else found[1]
+        return masks[pattern]
+
+    def shifted(p: LogVector, bits: int) -> LogVector:
+        for i, v in enumerate(unit_logs):
+            if bits >> i & 1:
+                p = p.add(v)
+        return p
+
+    ordered = sorted(groups.items())
+    pairs = 0
+    streams = []
+    for g, (_, group) in enumerate(ordered):
+        components: list[tuple[int, list, list]] = []
+        for k, (_, p, s) in enumerate(group):
+            for s0, members, points in components:
+                if (bits := mask(s ^ s0)) is not None:
+                    members.append((g, k))
+                    points.append(shifted(p, bits))
+                    break
+            else:
+                components.append((s, [(g, k)], [p]))
+        for _, members, points in components:
+            pairs += len(members) * (len(members) - 1) // 2
+            streams.append(_pairs_by_bound(tp_lattice, members, points))
+    threshold = delta - mpf(10) ** (-9)
+    min_gap = None
+    violations = []
+    for bound, (g, a), (_, b) in heapq.merge(*streams, key=lambda x: x[0]):
+        if min_gap is not None and bound > max(min_gap, threshold):
+            break
+        group = ordered[g][1]
+        (e1, p1, s1), (e2, p2, s2) = group[a], group[b]
+        dist = tp_lattice.closest_norm(shifted(p1.sub(p2), mask(s1 ^ s2)))
+        if min_gap is None or dist < min_gap:
+            min_gap = dist
+        if dist < threshold:
+            violations.append(((g, a, b), (e1, e2, dist)))
     return {
         "delta": delta,
         "delta_coarse": separation_delta(c2, f.prec, coarse=True),
         "pairs": pairs,
         "min_gap": min_gap,
-        "violations": violations,
+        "violations": [v for _, v in sorted(violations, key=lambda x: x[0])],
         "ok": not violations,
     }
 
@@ -317,7 +362,9 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
 def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
     """Check the census size and the unit-ball counts against the volume
     bounds; both the sqrt(3) and the coarser 3 constants are evaluated, the
-    sqrt(3) one is authoritative."""
+    sqrt(3) one is authoritative. Only the same-class pairs whose lower
+    bound (LogLattice.pairs_by_bound) is at most 1 get a closest-vector
+    search."""
     f = census.field
     if f.n != 2 or f.r1 != 2:
         raise ValueError("count verification requires a real quadratic field")
@@ -338,11 +385,15 @@ def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
     m = len(ents)
     lattice = LogLattice(units.log_embeddings())
     pos = [_log_position(f, e) for e in ents]
+    classes: dict[str | None, list[int]] = {}
+    for a, e in enumerate(ents):
+        classes.setdefault(e.class_tag, []).append(a)
     ball_counts = [1] * m  # same-class entries within Pic distance 1
-    for a in range(m):
-        for b in range(a + 1, m):
-            if (ents[a].class_tag == ents[b].class_tag
-                    and lattice.closest_norm(pos[a].sub(pos[b])) <= 1):
+    for members in classes.values():
+        for bound, a, b in _pairs_by_bound(lattice, members, [pos[a] for a in members]):
+            if bound > 1:
+                break
+            if lattice.closest_norm(pos[a].sub(pos[b])) <= 1:
                 ball_counts[a] += 1
                 ball_counts[b] += 1
     max_ball = max(ball_counts) if ball_counts else 0

@@ -4,7 +4,9 @@ logarithmic embedding used by the class-group distances.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import isqrt
 
 from mpmath import mp
@@ -195,6 +197,12 @@ def totally_positive_adjust(f: NumberField, g: FieldElement,
     return None if found is None else g * _unit_product(f, units.generators, *found)
 
 
+def _slack(prec: int):
+    """2^(-prec/2): the relative and absolute margin that covers the
+    rounding of a closest-vector search at precision prec."""
+    return mp.mpf(2) ** (-(prec // 2))
+
+
 class LogLattice:
     """The lattice spanned by log vectors under the degree-weighted norm,
     with its Gram matrix G = L D L^T factorised once, for closest-vector
@@ -208,7 +216,11 @@ class LogLattice:
     that cover the rounding of c and of the factorisation at the working
     precision. The true minimiser lies inside that ellipsoid in any rank,
     so the result is the certified closest vector; in rank one at most two
-    candidates are evaluated."""
+    candidates are evaluated.
+
+    pairs_by_bound(points) orders the pairs of many targets by a lower
+    bound on their distance, so that a caller runs closest_norm only on the
+    pairs that the bound cannot place beyond its radius."""
 
     def __init__(self, gens: list[LogVector]):
         self.gens = tuple(gens)
@@ -232,6 +244,12 @@ class LogLattice:
                 cols.append(x)
             self._proj = [[col[i] for col in cols] for i in range(r)]
 
+    def _minimiser(self, target: LogVector) -> list:
+        """c = -G^-1 (<g_i, target>)_i, the real coefficients at which
+        ||target + sum c_i g_i|| is least; call inside the working
+        precision. c is linear in the target."""
+        return [-sum(p * tv for p, tv in zip(row, target.values)) for row in self._proj]
+
     def closest_norm(self, target: LogVector):
         """min over integer a of || target + sum a_i gens_i ||."""
         gens = self.gens
@@ -241,7 +259,7 @@ class LogLattice:
         d, l = self._d, self._l
         prec = max(target.prec, self.prec)
         with mp.workprec(prec):
-            c = [-sum(p * tv for p, tv in zip(row, target.values)) for row in self._proj]
+            c = self._minimiser(target)
             babai = [int(mp.floor(ci + 0.5)) for ci in c]
             # Babai's value (a - c)^T G (a - c) = sum_i d_i (a_i - mid_i)^2,
             # summed as _fincke_pohst sums it, so Babai's point is visited
@@ -249,7 +267,7 @@ class LogLattice:
             for i in reversed(range(r)):
                 mid = c[i] - sum(l[k][i] * (babai[k] - c[k]) for k in range(i + 1, r))
                 used += d[i] * (babai[i] - mid) ** 2
-            slack = mp.mpf(2) ** (-(prec // 2))
+            slack = _slack(prec)
             radius = used * (1 + slack) + slack
             best = None
             for _, coeffs in _fincke_pohst(d, l, c, radius):
@@ -262,6 +280,76 @@ class LogLattice:
                     best = norm_sq
             # sqrt is monotone, so this is the least of the candidates' norms
             return mp.sqrt(best)
+
+    def pairs_by_bound(self, points: list[LogVector]):
+        """Yield (bound, i, j) for every pair i < j of points, lazily and in
+        ascending order of bound, where bound is at most
+        closest_norm(points[i].sub(points[j])); a caller that needs the
+        pairs within a radius stops at the first bound beyond it.
+
+        The bound. c is linear in the target, so the pair's minimiser is
+        c(points[i]) - c(points[j]), one coordinate step per point. With
+        G = L D L^T every integer a has (a - c)^T G (a - c) >=
+        d_{r-1} dist(c_{r-1}, Z)^2, the outermost level of Fincke-Pohst, so
+        sqrt(d_{r-1}) dist(c_{r-1}, Z) is a lower bound on the distance in
+        any rank; in rank one it is the distance when the target lies in
+        the span of the generators. In rank zero it is 0.
+
+        Its error. The keys c_{r-1} mod 1 are integers in units of 2^-prec,
+        so the walks around the circle below are exact. Rounded are c (a
+        few units of 2^-prec times |c| and the condition of G), each key's
+        last unit, and sqrt(d_{r-1}) with its product: an error of order
+        2^-prec sqrt(d_{r-1}) (|c| + 1). The bound yielded is the computed
+        one less closest_norm's own slack, 2^(-prec/2) relative and
+        absolute, which dominates that error as it dominates the rounding
+        of closest_norm (unit log lattices are far from
+        2^(prec/2)-ill-conditioned); so a pair whose yielded bound exceeds
+        a radius has a closest_norm beyond that radius too.
+
+        The search. The keys are sorted once around the circle R/Z; from
+        every key two walks step outward, right while the gap is at most
+        half the circle and left while it is less, so each other key is met
+        once at its circular distance. A heap holds each walk's next gap
+        and yields the pairs by it, each from its lower index. Stopping at
+        a radius costs O((m + k) log m) for m points and k pairs met."""
+        m = len(points)
+        prec = max([self.prec] + [p.prec for p in points])
+        one = 1 << prec
+        with mp.workprec(prec):
+            if self.gens:
+                scale = mp.ldexp(mp.sqrt(self._d[-1]), -prec)
+                keys = [int(mp.floor(mp.ldexp(self._minimiser(p)[-1], prec))) % one
+                        for p in points]
+            else:
+                scale, keys = mp.zero, [0] * m
+            slack = _slack(prec)
+        order = sorted(range(m), key=keys.__getitem__)
+        # the circle unrolled over three turns: every key t in [0, one) finds
+        # the keys within half a turn on either side without wrapping
+        ring = ([keys[j] - one for j in order] + [keys[j] for j in order]
+                + [keys[j] + one for j in order])
+        heap = []
+        for i, t in enumerate(keys):
+            start = bisect_left(ring, t, m, 2 * m)
+            _push_walk(heap, ring, one, i, t, start, 1)
+            _push_walk(heap, ring, one, i, t, start - 1, -1)
+        while heap:
+            gap, i, q, step = heappop(heap)
+            _push_walk(heap, ring, one, i, keys[i], q + step, step)
+            j = order[q % m]
+            if i < j:
+                with mp.workprec(prec):
+                    bound = (scale * gap - slack) / (1 + slack)
+                yield bound, i, j
+
+
+def _push_walk(heap, ring, one: int, i: int, t: int, q: int, step: int):
+    """Push the walk of key t on to ring[q] when that key lies on the walk's
+    side of the circle of circumference one: up to half a turn to the right
+    (step 1), or short of half a turn to the left (step -1)."""
+    gap = (ring[q] - t) * step
+    if 2 * gap < one or (2 * gap == one and step > 0):
+        heappush(heap, (gap, i, q, step))
 
 
 def min_log_norm_modulo(target: LogVector, gens: list[LogVector]):

@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from arakelov.ideals import enumerate_integral_ideals, ideal_from_generators, scale_ideal
+from arakelov.ideals import enumerate_integral_ideals, ideal_from_generators, scale_ideal, unit_ideal
 from arakelov.numfield import ArchVector, create_field, fraction_to_mpf
 
 
@@ -54,6 +54,13 @@ def conjugate_ideal(i):
     """Image of an ideal of a quadratic field under its nontrivial automorphism."""
     f = i.field
     return ideal_from_generators(f, [f.conjugate(w) for w in i.basis_elements()])
+
+
+def zero_divisor(f):
+    """The trivial divisor d(O_F) = (O_F, 1)."""
+    from arakelov.divisors import ArakelovDivisor
+
+    return ArakelovDivisor(unit_ideal(f), ArchVector.ones(f.degs, f.prec), d_form=True)
 
 
 def random_fractional_ideal(f, rng: random.Random, norm_bound: int = 20):

@@ -771,3 +771,72 @@ def brute_is_minimal_poly(min_poly, basis, elem) -> bool:
         below = 1 - mpf(2) ** (-PICK_PREC // 2)
         inside = _oracle_box(places, rows, w, mpf(1))
         return not any(all(x < below for x in mags) for _, mags in inside)
+
+
+# ---------------------------------------------------------------------------
+# The pair stage of verify: every pair, every closest vector by a box scan
+
+def brute_lattice_distance(target, gens, degs) -> float:
+    """min over integer a of ||target + sum a_i gens_i||, by brute_closest_norm
+    on the dual box: the minimiser's v = sum a_i gens_i has ||v|| <= 2 ||target||,
+    so |a_i| <= 2 ||target|| sqrt((G^-1)_ii)."""
+    gram = [[sum(d * x * y for x, y, d in zip(gi, gj, degs)) for gj in gens] for gi in gens]
+    reach = 2 * math.sqrt(sum(d * x * x for x, d in zip(target, degs)))
+    inv = _inv(gram)
+    spans = [int(reach * math.sqrt(inv[i][i])) + 1 for i in range(len(gens))]
+    return brute_closest_norm(target, gens, degs, spans)
+
+
+def brute_pair_stage(entries, unit_logs, unit_signs, tp_logs, degs, delta) -> dict:
+    """Separation and unit-ball counts of a census over all pairs, in floats.
+
+    entries: (narrow_tag, class_tag, signs, position) per census entry, signs
+    a bit mask over the real places (bit p set when negative there), position
+    the log position as floats per place. Separation compares the pairs of
+    one narrow tag (tags sorted, then census order) for which some product
+    of units turns the XOR of their signs all positive or all negative: the
+    target is the difference of the positions plus that product's log,
+    modulo the totally positive logs. A pair closer than delta - 1e-9
+    violates. Counts: per entry, the entries of its class tag (itself
+    included) within distance 1 modulo the unit logs. Returns pairs, min_gap,
+    the violating pairs (a, b) in order, ball_counts and every compared
+    pair's distance."""
+    all_neg = sum(1 << p for p, d in enumerate(degs) if d == 1)
+    r = len(unit_logs)
+    gaps = {}
+    for tag in sorted({e[0] for e in entries}):
+        group = [k for k, e in enumerate(entries) if e[0] == tag]
+        for x, a in enumerate(group):
+            for b in group[x + 1:]:
+                mask = next((m for m in range(1 << r)
+                             if entries[a][2] ^ entries[b][2]
+                             ^ _xor_bits(unit_signs, m) in (0, all_neg)), None)
+                if mask is None:
+                    continue
+                target = [u - v for u, v in zip(entries[a][3], entries[b][3])]
+                for i, log in enumerate(unit_logs):
+                    if mask >> i & 1:
+                        target = [t + w for t, w in zip(target, log)]
+                gaps[a, b] = brute_lattice_distance(target, tp_logs, degs)
+    ball_counts = [1] * len(entries)
+    for a, b in ((a, b) for a in range(len(entries)) for b in range(a + 1, len(entries))):
+        if entries[a][1] == entries[b][1]:
+            target = [u - v for u, v in zip(entries[a][3], entries[b][3])]
+            if brute_lattice_distance(target, unit_logs, degs) <= 1:
+                ball_counts[a] += 1
+                ball_counts[b] += 1
+    return {
+        "pairs": len(gaps),
+        "min_gap": min(gaps.values(), default=None),
+        "violations": [ab for ab, g in gaps.items() if g < delta - 1e-9],
+        "ball_counts": ball_counts,
+        "gaps": gaps,
+    }
+
+
+def _xor_bits(signs, mask: int) -> int:
+    out = 0
+    for i, s in enumerate(signs):
+        if mask >> i & 1:
+            out ^= s
+    return out

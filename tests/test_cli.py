@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -290,18 +291,24 @@ CLI_DIGESTS = {
     ("q7.json", "cycle"): "e22513e4c3972803aedc981bc05ecb2d02e8721ad86393ce39ed58e0860340b5",
     ("q7.json", "info"): "d16f8c0112be5eea284d8ff72fae59b6020f604af5cd67263025e86b46e41eb8",
     ("q7.json", "verify --C 1"): "678599c823396bb1d77e6995a0ee6de491210782779f8f43c864d1afe2a9fa32",
+    ("q7.json", "verify --C 2"): "8bbcdc159e0cd9fc159ae8cf76539faeb4cd995a85860f02237248f128cbdf74",
+    ("q7.json", "verify --C 3"): "66f0f9429d2e894070cdb2799a5aece964ecfeaea6a4630f2c157d0a07bf5aac",
     ("q7.json", "verify --C sqrt2"): "ea6e9b3a57f2db4b02d57270b9eaf0613839a32a92940a724ff0d7891b5361fa",
     ("q73.json", "census --C 2"): "ee595c55c52e99ba9b84dcb9448948147ce8a3c4ef288ee89790964c4dffd6e9",
     ("q73.json", "census --C sqrt2"): "0708417a13352a588828c1c1e7849f9cc721f80971e1f12cfb8462e7709724b9",
     ("q73.json", "cycle"): "7949c69a9117d7657f784b62579fdc38fafa67b9b4da1c51053871624d991033",
     ("q73.json", "info"): "e63ed8d1b9fb72c34a37fb5ac07b79fb0825402d78940c5dea384ecda273f68c",
     ("q73.json", "verify --C 1"): "b9b943bb0427397ac11074a07bd536dd8572a54bed60f42dd656a801bf3e16b2",
+    ("q73.json", "verify --C 2"): "65b7bc35ba7fdc138dfea29748cc3b03bedad238860a604aad0ec90342fbc6a7",
+    ("q73.json", "verify --C 3"): "2ccb961c5913d160fb63be054aaddb9e2a530d0d1018a7af584a8f6b24f0035f",
     ("q73.json", "verify --C sqrt2"): "6c3a01964fcf56779361740de1c50889ec40603f60edcbc9291dc6bdd65f1a24",
     ("q79.json", "census --C 2"): "84b28f741c0f89ee57b5e9f11c6f02a60622d02768d263e5ebc5d4f3bf0d3de8",
     ("q79.json", "census --C sqrt2"): "c602b4366db44536d04248a70abc2ccd2d3788ffef57edc2f444c165620a3f4b",
     ("q79.json", "cycle"): "e22513e4c3972803aedc981bc05ecb2d02e8721ad86393ce39ed58e0860340b5",
     ("q79.json", "info"): "2eac09d751bfe1e953e457ba22ac6e6ec7762a64e4f93bf7bbab58ea40f635b4",
     ("q79.json", "verify --C 1"): "ddc31d4a995ba0faf0b011ec7c0512570315cf287cce5b900a4784fad528b5d3",
+    ("q79.json", "verify --C 2"): "b9da33943db573239507951d2fe7c5f4320cfdc7bd888daf812f7cb3da2427c7",
+    ("q79.json", "verify --C 3"): "5d12b383389eebfd730a195f82d4835b2cf575e3b7820df70cf85d139d958a5b",
     ("q79.json", "verify --C sqrt2"): "101209bc82c1a0be953d694d737cba3dc147d46ef41c3f5bd7cd8da1010b8b94",
 }
 
@@ -315,7 +322,8 @@ def _digest_cases():
         poly = doc["min_poly"]
         if len(poly) == 3 and poly[1] ** 2 - 4 * poly[0] * poly[2] > 0:
             # real quadratic
-            cmds += ["census --C 2", "cycle", "verify --C 1", "verify --C sqrt2"]
+            cmds += ["census --C 2", "cycle", "verify --C 1", "verify --C sqrt2",
+                     "verify --C 2", "verify --C 3"]
         # twisted divisors <field>_div_*.json are reduced on their field
         for div in sorted(FIELDS_DIR.glob(f"{path.stem}_div_*.json")):
             cmds.append(f"reduce --C sqrt2 --divisor {div.name}")
@@ -331,3 +339,17 @@ def test_cli_stdout_bytes_pinned(capsys, name, cmd):
     code, out, _ = run(capsys, [sub, "--field", str(FIELDS_DIR / name), *rest])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[(name, cmd)]
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    """The parser is built once per process and reports are indented without
+    closures, so a second info call leaves nothing for the collector."""
+    argv = ["info", "--field", str(FIELDS_DIR / "q7.json")]
+    assert run(capsys, argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -50,10 +50,11 @@ from arakelov.units import (
     totally_positive_adjust,
     unit_lattice_from_elements,
 )
-from conftest import random_degree_zero_divisor, random_fractional_ideal
+from conftest import random_degree_zero_divisor, random_fractional_ideal, zero_divisor
 from oracles import (
     brute_closest_norm,
     brute_is_minimal,
+    brute_lattice_distance,
     brute_reduced_neighbor,
     fundamental_unit_is_minimal,
 )
@@ -250,8 +251,6 @@ def test_lll_jump_guard_never_false_certificate(f7):
 
 
 def test_reduce_identity(f7):
-    from arakelov.divisors import zero_divisor
-
     d0 = zero_divisor(f7)
     for c in (1, "sqrt2", 2):
         out, trace = reduce(d0, c)
@@ -430,6 +429,78 @@ def test_closest_vector_rank_two_matches_oracle():
         u, v, w = rng.uniform(-10, 10), rng.uniform(-3, 3), rng.uniform(-1, 1)
         targets.append(_log_vector((u + 0.05 * v + w, -u + 0.05 * v + w, -0.1 * v + w), degs))
     _check_closest([g1, g2], [50, 6], targets)
+
+
+def _check_pairs_by_bound(gens, points):
+    """Every pair i < j comes once, by ascending bound, and no bound exceeds
+    the pair's closest_norm; cut at an attained distance as the radius, the
+    pairs met hold every pair within it, the boundary pair included."""
+    lattice = LogLattice(gens)
+    degs = points[0].degs
+    floats = [[float(v) for v in g.values] for g in gens]
+    got = list(lattice.pairs_by_bound(points))
+    m = len(points)
+    assert sorted((i, j) for _, i, j in got) == [(i, j) for i in range(m) for j in range(i + 1, m)]
+    assert [b for b, _, _ in got] == sorted(b for b, _, _ in got)
+    dist = {}
+    for bound, i, j in got:
+        target = points[i].sub(points[j])
+        dist[i, j] = lattice.closest_norm(target)
+        assert bound <= dist[i, j]
+        want = brute_lattice_distance([float(v) for v in target.values], floats, degs)
+        assert abs(float(dist[i, j]) - want) <= 1e-9 * max(1.0, want)
+    attained = sorted(dist.values())
+    for radius in attained[:3] + attained[3::len(attained) // 5]:
+        met = set()
+        for bound, i, j in lattice.pairs_by_bound(points):
+            if bound > radius:
+                break
+            met.add((i, j))
+        assert {ij for ij, d in dist.items() if d <= radius} <= met
+
+
+def _random_points(rng, gens, degs, spread, m):
+    """m random log vectors, then a copy of one and a copy of another moved
+    by a generator, so that some pairs lie at distance zero."""
+    points = [_log_vector([rng.uniform(-spread, spread) for _ in degs], degs) for _ in range(m)]
+    points.append(points[rng.randrange(m)])
+    if gens:
+        points.append(points[rng.randrange(m)].add(gens[rng.randrange(len(gens))]))
+    return points
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pairs_by_bound_rank_one(seed):
+    f = create_field([-73, 0, 1])
+    gens = quadratic_units(f).log_embeddings()
+    rng = random.Random(seed)
+    reg = float(gens[0].values[0])
+    points = _random_points(rng, gens, f.degs, 3 * reg, 14)
+    # on the trace-zero line the bound is the distance
+    line = [_log_vector((t, -t), f.degs) for t in (rng.uniform(-3, 3) * reg for _ in range(12))]
+    _check_pairs_by_bound(gens, points)
+    _check_pairs_by_bound(gens, line + line[:2])
+    _check_pairs_by_bound([], points)
+
+
+def test_pairs_by_bound_exact_ties():
+    """With g = (1, -1) every coordinate step is exact, so the points t g for
+    dyadic t put keys at equal places and half a turn apart: each such pair
+    still comes exactly once."""
+    degs = (1, 1)
+    steps = [0, 1, 0.5, 0.25, 0.75, 1.5, -0.5, 2, 0.25]
+    _check_pairs_by_bound([_log_vector((1, -1), degs)],
+                          [_log_vector((t, -t), degs) for t in steps])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pairs_by_bound_rank_two(seed):
+    """The units theta, theta - 1 of x^3 - 3x + 1."""
+    f = create_field([1, -3, 0, 1])
+    th = f.gen()
+    gens = unit_lattice_from_elements(f, [th, th - f.one()]).log_embeddings()
+    rng = random.Random(seed)
+    _check_pairs_by_bound(gens, _random_points(rng, gens, f.degs, 2, 12))
 
 
 def test_totally_positive_adjust_uses_unit_products():

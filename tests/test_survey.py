@@ -7,15 +7,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 import arakelov
+from arakelov import survey
 from arakelov.divisors import is_strongly_c_reduced, quadratic_units
 from arakelov.ideals import ideal_norm, invert, unit_ideal
 from arakelov.numfield import create_field
 from arakelov.survey import (
     CensusEntry,
     DeskScaleExceeded,
+    _log_position,
     classify_components,
     cycle_length,
     cycle_positions,
@@ -25,8 +27,9 @@ from arakelov.survey import (
     verify_counts,
     verify_separation,
 )
+from arakelov.units import LogLattice, _sign_vector
 from conftest import conjugate_ideal
-from oracles import brute_census
+from oracles import brute_census, brute_pair_stage
 
 
 def test_sred_norm_bound_exact(f73, f7, fi):
@@ -238,3 +241,77 @@ def test_separation_delta_constants():
     assert abs(d_fine - math.log(1 + math.sqrt(3) / 4)) < 1e-12
     assert abs(d_coarse - math.log(1 + 3 / 4)) < 1e-12
     assert d_coarse > d_fine
+
+
+def _floats(v):
+    return [float(x) for x in v.values]
+
+
+def _oracle_pair_stage(f, census, units, delta):
+    entries = [(e.narrow_tag, e.class_tag, _sign_vector(f, e.generator),
+                _floats(_log_position(f, e))) for e in census.entries]
+    return brute_pair_stage(entries, [_floats(v) for v in units.log_embeddings()],
+                            [_sign_vector(f, u) for u in units.generators],
+                            [_floats(v) for v in units.log_embeddings(tp_only=True)],
+                            f.degs, delta)
+
+
+def _violating_indices(census, rep):
+    index = {e.ideal.key(): k for k, e in enumerate(census.entries)}
+    return [(index[e1.ideal.key()], index[e2.ideal.key()]) for e1, e2, _ in rep["violations"]]
+
+
+@pytest.mark.parametrize("poly,c", [([-73, 0, 1], "sqrt2"), ([-79, 0, 1], 3),
+                                    ([-1009, 0, 1], 2), ([-4909, 0, 1], 2),
+                                    ([5, 0, 1], 2)])
+def test_pair_stage_matches_all_pairs_oracle(poly, c, monkeypatch):
+    """verify_separation and verify_counts run closest-vector searches only
+    on the pairs a lower bound leaves open; every pair scanned by the
+    oracle gives the same pair count, least gap, violations and unit-ball
+    counts. Q(sqrt(-5)) has unit rank zero, where every pair is searched
+    and, with the complex place's argument ignored, every same-class pair
+    sits at distance 0."""
+    f = create_field(poly)
+    units = quadratic_units(f)
+    census = classify_components(enumerate_sred(f, c), units)
+    rep = verify_separation(census, c, units)
+    want = _oracle_pair_stage(f, census, units, float(rep["delta"]))
+    assert rep["pairs"] == want["pairs"]
+    assert abs(float(rep["min_gap"]) - want["min_gap"]) <= 1e-9
+    assert _violating_indices(census, rep) == want["violations"]
+    if f.r1 == 2:
+        assert verify_counts(census, units)["max_unit_ball"] == max(want["ball_counts"])
+        # a threshold inside the spread of the gaps, clear of every gap,
+        # makes the nearer third of the pairs violations, in pair order
+        gaps = sorted(set(want["gaps"].values()))
+        k = next(k for k in range(len(gaps) // 3, len(gaps) - 1)
+                 if gaps[k + 1] - gaps[k] > 1e-6)
+        raised = (gaps[k] + gaps[k + 1]) / 2
+        real = survey.separation_delta
+        monkeypatch.setattr(survey, "separation_delta", lambda c2, prec=64, coarse=False:
+                            real(c2, prec, coarse) if coarse else mpf(raised))
+        rep = verify_separation(census, c, units)
+        want = _oracle_pair_stage(f, census, units, raised)
+        assert len(want["violations"]) > want["pairs"] // 4
+        assert _violating_indices(census, rep) == want["violations"]
+        assert not rep["ok"]
+
+
+def test_pair_stage_closest_vector_calls_q1009(monkeypatch):
+    """Separation and counts on Q(sqrt 1009) at C=2 (91 entries, 583
+    pairs) searched 1,166 closest vectors over all pairs; the lower bound
+    leaves at most a fifth of them."""
+    f = create_field([-1009, 0, 1])
+    units = quadratic_units(f)
+    census = classify_components(enumerate_sred(f, 2), units)
+    calls = []
+    real = LogLattice.closest_norm
+
+    def counted(self, target):
+        calls.append(target)
+        return real(self, target)
+
+    monkeypatch.setattr(LogLattice, "closest_norm", counted)
+    assert verify_separation(census, 2, units)["ok"]
+    assert verify_counts(census, units)["ok"]
+    assert len(calls) <= 1166 // 5
