@@ -11,13 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from mpmath import mp, mpf
 
-from .exact import Surd, floor_minus_c_plus_sqrt, sign_surd
+from .exact import (
+    CF_STEP_CAP,
+    Surd,
+    cf_backward,
+    cf_cycle,
+    cf_forward,
+    cf_is_reduced,
+    sign_surd,
+)
 from .ideals import (
     FractionalIdeal,
     PlainLattice,
+    _from_vectors,
     ideal_from_generators,
     invert,
     multiply,
@@ -50,6 +60,8 @@ from .numfield import (
 from .units import (
     UnitLattice,
     UnitsUnavailable,
+    _quadratic_root,
+    _surd_element,
     min_log_norm_modulo,
     quadratic_units,
     totally_positive_adjust,
@@ -67,8 +79,6 @@ __all__ = [
 
 # principal_generator outside quadratic fields searches x^T G x <= n N(Q)^2 * this
 PRINCIPAL_SEARCH_FACTOR = 64
-# continued-fraction and cycle walks in to_reduced take O(log N(Q)) steps
-_CF_STEP_CAP = 100000
 
 
 class UndecidedPrincipality(RuntimeError):
@@ -345,28 +355,10 @@ def _real_quadratic(f: NumberField) -> bool:
     return f.n == 2 and f.r1 == 2
 
 
-def _from_surd(f: NumberField, x: Surd) -> FieldElement:
-    """The element whose embedding at place 0 is x (inverse of surd_embed)."""
-    return f.element(f.from_power([x.a + x.b * f.min_poly[1], 2 * x.b]))
-
-
-def _normalised_root(x: Surd) -> Surd:
-    """A basis root of Z + Z x with x > x' and -1 < x' < 0: x signed so
-    that its sqrt-coefficient is positive, plus floor(-x')."""
-    if x.b < 0:
-        x = x.scale(Fraction(-1))
-    return Surd(x.a + floor_minus_c_plus_sqrt(x.a, x.b * x.b * x.disc), x.b, x.disc)
-
-
-def _is_reduced_root(x: Surd) -> bool:
-    """x > 1 and -1 < x' < 0, which make Z + Z x reduced."""
-    return (sign_surd(x.a - 1, x.b, x.disc) > 0 and sign_surd(x.a, -x.b, x.disc) < 0
-            and sign_surd(x.a + 1, -x.b, x.disc) > 0)
-
-
-def _reduced_root(f: NumberField, j: FractionalIdeal) -> Surd | None:
-    """For a reduced J of a real quadratic field, the x with J = Z + Z x,
-    x > 1 and -1 < x' < 0 (at place 0); None when J is not reduced.
+def _reduced_root(f: NumberField, j: FractionalIdeal) -> tuple[int, int] | None:
+    """For a reduced J of a real quadratic field, the (p, q) of the root
+    x = (p + sqrt(f.disc))/q with J = Z + Z x, x > 1 and -1 < x' < 0 (at
+    place 0); None when J is not reduced.
 
     J is reduced (1 in J and minimal) exactly when J ∩ Q = Z and the
     normalised root of its second HNF basis element exceeds 1: then an
@@ -375,35 +367,28 @@ def _reduced_root(f: NumberField, j: FractionalIdeal) -> Surd | None:
     places."""
     if j.hnf[0][0] != j.den:
         return None
-    x = _normalised_root(f.surd_embed(j.basis_elements()[1], 0))
-    return x if sign_surd(x.a - 1, x.b, x.disc) > 0 else None
-
-
-def _reduced_neighbor(f: NumberField, j: FractionalIdeal) -> FieldElement:
-    """Forward infrastructure step: a reduced J is Z + Z·w with w > 1 and
-    -1 < w' < 0, and w is the element of J with the least first embedding
-    above 1 and |w'| < 1."""
-    w = _reduced_root(f, j)
-    if w is None:
-        raise ValueError("ideal is not reduced: 1 is not a primitive minimal element")
-    return _from_surd(f, w)
+    p, q = _quadratic_root(f, j.basis_elements()[1])
+    return (p, q) if cf_is_reduced(p, q, isqrt(f.disc)) else None
 
 
 def reduced_cycle(f: NumberField, start: FractionalIdeal):
     """The cycle of reduced ideals through `start` (ValueError unless it is
-    reduced), as a list of (ideal, gamma) with ideal = gamma^{-1} * start."""
+    reduced), as a list of (ideal, gamma) with ideal = gamma^{-1} * start.
+
+    Forward steps take the root x_k of each ideal Z + Z x_k to the root of
+    the next, Z + Z/x_k, and gamma is the product of the x_k so far."""
     if not _real_quadratic(f):
         raise ValueError("reduced cycles exist for real quadratic fields only")
+    root = _reduced_root(f, start)
+    if root is None:
+        raise ValueError("ideal is not reduced: 1 is not a primitive minimal element")
+    p0, q0 = root
     out = [(start, f.one())]
-    j, gam = start, f.one()
-    for _ in range(100000):
-        mu = _reduced_neighbor(f, j)
-        j = scale_ideal(j, mu.inverse())
-        gam = gam * mu
-        if j == start:
-            return out
-        out.append((j, gam))
-    raise RuntimeError("reduced cycle failed to close")
+    for p, q, u, v in cf_cycle(p0, q0, f.disc)[1:-1]:
+        x = _surd_element(f, Fraction(p, q), Fraction(1, q))
+        gam = _surd_element(f, u + Fraction(v * p0, q0), Fraction(v, q0))
+        out.append((_from_vectors(f, [[1, 0], list(x.coords)]), gam))
+    return out
 
 
 def _principal_cycle(f: NumberField):
@@ -436,7 +421,7 @@ def _box_minimum_real_quadratic(f: NumberField, q: FractionalIdeal) -> FieldElem
     multiplies by x (forward) or by x - floor x (backward). The run is
     collected and its least T2, then least canonical coordinates, picked,
     exactly as the box enumeration does. Surds are values at place 0."""
-    disc = f._surd_disc()
+    disc, s = f.disc, isqrt(f.disc)
     side = _box_side(f)
     bound_sq = side * side
     w = _u_weights(f, divisor_d(q).u)[0]
@@ -445,41 +430,40 @@ def _box_minimum_real_quadratic(f: NumberField, q: FractionalIdeal) -> FieldElem
         sq = g * g
         return sign_surd(w * sq.a - bound_sq, w * sq.b * (1 - 2 * place), disc) <= 0
 
-    def forward(x: Surd, g: Surd):
-        return _normalised_root(x.inverse()), g * x
-
-    def backward(x: Surd, g: Surd):
-        y = Surd(x.a - x.floor(), x.b, disc)
-        return y.inverse(), g * y
+    def step(p: int, d: int, g: Surd, forward: bool):
+        """The next (p, d, g) for x = (p + sqrt(disc))/d: g times x
+        (forward) or times x - floor x = (-p' + sqrt(disc))/d (backward)."""
+        p1, d1 = (cf_forward if forward else cf_backward)(p, d, disc, s)
+        mult = p if forward else -p1
+        return p1, d1, g * Surd(Fraction(mult, d), Fraction(1, d), disc)
 
     r = Fraction(q.hnf[0][0], q.den)
-    x = _normalised_root(f.surd_embed(q.basis_elements()[1], 0).scale(1 / r))
-    g = Surd(r, Fraction(0), disc)
-    for _ in range(_CF_STEP_CAP):
-        if _is_reduced_root(x):
+    state = (*_quadratic_root(f, q.basis_elements()[1] / r), Surd(r, Fraction(0), disc))
+    for _ in range(CF_STEP_CAP):
+        if cf_is_reduced(state[0], state[1], s):
             break
-        x, g = backward(x, g)
+        state = step(*state, False)
     else:
         raise RuntimeError("continued fraction failed to reach a reduced root")
     # walk onto the run of minima inside the box
-    for _ in range(_CF_STEP_CAP):
-        if not in_box(g, 0):
-            x, g = backward(x, g)
-        elif not in_box(g, 1):
-            x, g = forward(x, g)
+    for _ in range(CF_STEP_CAP):
+        if not in_box(state[2], 0):
+            state = step(*state, False)
+        elif not in_box(state[2], 1):
+            state = step(*state, True)
         else:
             break
     else:
         raise RuntimeError("no minimum of the ideal lies in the box of d(Q)")
     # backward steps shrink |sigma_0| and grow |sigma_1|; forward the reverse
-    run = [g]
-    for step, place in ((backward, 1), (forward, 0)):
-        state = step(x, g)
-        while in_box(state[1], place):
-            run.append(state[1])
-            state = step(*state)
+    run = [state[2]]
+    for forward, place in ((False, 1), (True, 0)):
+        nxt = step(*state, forward)
+        while in_box(nxt[2], place):
+            run.append(nxt[2])
+            nxt = step(*nxt, forward)
     best = min((2 * (h.a * h.a + h.b * h.b * disc),
-                _canonical_sign(tuple(_from_surd(f, h).coords))) for h in run)
+                _canonical_sign(tuple(_surd_element(f, h.a, h.b).coords))) for h in run)
     return f.element(best[1])
 
 

@@ -216,21 +216,12 @@ class Surd:
         self.b = Fraction(b)
         self.disc = disc
 
-    def __add__(self, other: "Surd") -> "Surd":
-        return Surd(self.a + other.a, self.b + other.b, self.disc)
-
-    def __sub__(self, other: "Surd") -> "Surd":
-        return Surd(self.a - other.a, self.b - other.b, self.disc)
-
     def __mul__(self, other: "Surd") -> "Surd":
         return Surd(
             self.a * other.a + self.b * other.b * self.disc,
             self.a * other.b + self.b * other.a,
             self.disc,
         )
-
-    def scale(self, c: Fraction) -> "Surd":
-        return Surd(self.a * c, self.b * c, self.disc)
 
     def abs_sq(self) -> Fraction:
         """|a + b sqrt(disc)|² as a rational; exact for disc < 0, and for
@@ -247,23 +238,67 @@ class Surd:
             raise ValueError("no sign for complex surd")
         return sign_surd(self.a, self.b, self.disc)
 
-    def inverse(self) -> "Surd":
-        n = self.a * self.a - self.b * self.b * self.disc
-        return Surd(self.a / n, -self.b / n, self.disc)
-
-    def floor(self) -> int:
-        """Exact floor of an irrational real surd a +- sqrt(s): floor(a + sqrt(s)),
-        or floor(a - sqrt(s)) = -floor(sqrt(s) - a) - 1 as sqrt(s) is irrational."""
-        s = self.b * self.b * self.disc
-        if self.b > 0:
-            return floor_minus_c_plus_sqrt(-self.a, s)
-        return -floor_minus_c_plus_sqrt(self.a, s) - 1
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self) -> str:
         return f"Surd({self.a} + {self.b}*sqrt({self.disc}))"
+
+
+# ---------------------------------------------------------------------------
+# The continued-fraction step on quadratic irrationals x = (p + sqrt(disc))/q
+# with integers p, q and q | disc - p^2, disc > 0 not a square. The infra-
+# structure walks of a real quadratic order (units, reduced cycles, minima)
+# all take these steps. x is reduced when x > 1 and -1 < x' < 0.
+
+# a reduced cycle closes in O(sqrt(disc) log disc) steps
+CF_STEP_CAP = 100000
+
+
+def cf_floor(p: int, q: int, s: int) -> int:
+    """floor((p + sqrt(disc))/q) for s = isqrt(disc): sqrt(disc) lies
+    strictly between s and s + 1, so p + sqrt(disc) has floor p + s and
+    -p - sqrt(disc) has floor -p - s - 1."""
+    return (p + s) // q if q > 0 else (-p - s - 1) // -q
+
+
+def cf_is_reduced(p: int, q: int, s: int) -> bool:
+    """x > 1 (q - p < sqrt(disc)), x' < 0 (p < sqrt(disc)) and x' > -1
+    (p + q > sqrt(disc)), for q > 0 and s = isqrt(disc)."""
+    return q > 0 and q - s <= p <= s < p + q
+
+
+def cf_forward(p: int, q: int, disc: int, s: int) -> tuple[int, int]:
+    """From a reduced x to the reduced root of Z + Z/x; the multiplier is
+    x. 1/x = (-p + sqrt(disc))/q' with q' = (disc - p^2)/q > 0, plus the
+    floor of -(1/x)' = (p + sqrt(disc))/q'."""
+    q = (disc - p * p) // q
+    return (p + s) // q * q - p, q
+
+
+def cf_backward(p: int, q: int, disc: int, s: int) -> tuple[int, int]:
+    """x -> 1/(x - floor x); the multiplier is x - floor x."""
+    p = cf_floor(p, q, s) * q - p
+    return p, (disc - p * p) // q
+
+
+def cf_cycle(p: int, q: int, disc: int) -> list[tuple[int, int, int, int]]:
+    """The reduced roots x_0, ..., x_l = x_0 that forward steps visit from
+    the reduced x_0 = (p + sqrt(disc))/q, as (p_k, q_k, u_k, v_k) with
+    x_0 x_1 ... x_{k-1} = u_k + v_k x_0; the last product is a unit.
+
+    x_k = floor(x_k) + 1/x_{k-1}, so the products gamma_k obey the
+    convergent recurrence gamma_{k+1} = floor(x_k) gamma_k + gamma_{k-1}
+    and stay integers on {1, x_0}."""
+    s = math.isqrt(disc)
+    p0, q0 = p, q
+    u0, v0, u1, v1 = 1, 0, 0, 1  # gamma_0 = 1, gamma_1 = x_0
+    out = [(p, q, u0, v0)]
+    for _ in range(CF_STEP_CAP):
+        p, q = cf_forward(p, q, disc, s)
+        out.append((p, q, u1, v1))
+        if (p, q) == (p0, q0):
+            return out
+        a = (p + s) // q
+        u0, v0, u1, v1 = u1, v1, a * u1 + u0, a * v1 + v0
+    raise RuntimeError("continued fraction failed to close")
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +359,6 @@ def sturm_real_root_count(coeffs: list[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # Integer floors of square roots
-
-def floor_minus_c_plus_sqrt(c: Fraction, s: Fraction) -> int:
-    """Largest integer x with x <= -c + sqrt(s) (requires s >= 0).
-
-    The range [-c - sqrt(s), -c + sqrt(s)] may contain no integer, so the
-    one-sided condition is tested: x + c <= sqrt(s)."""
-    if s < 0:
-        raise ValueError("negative radicand")
-
-    def ok(t: int) -> bool:
-        v = t + c
-        return v <= 0 or v * v <= s
-
-    x = math.floor(-c + math.sqrt(float(s))) if s < 10**30 else math.floor(-c) + math.isqrt(int(s))
-    while ok(x + 1):
-        x += 1
-    while not ok(x):
-        x -= 1
-    return x
-
 
 def frac_isqrt_floor(f: Fraction) -> int:
     """floor(sqrt(f)) for f >= 0."""

@@ -206,10 +206,6 @@ class ArchVector:
         return LogVector(vals, self.degs, self.prec)
 
     @staticmethod
-    def ones(degs: tuple[int, ...], prec: int = DEFAULT_PREC) -> "ArchVector":
-        return ArchVector(tuple(mpf(1) for _ in degs), degs, prec)
-
-    @staticmethod
     def constant(value, degs: tuple[int, ...], prec: int = DEFAULT_PREC) -> "ArchVector":
         with mp.workprec(prec):
             v = mpf(value) if not isinstance(value, Fraction) else fraction_to_mpf(value, prec)

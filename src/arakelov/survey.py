@@ -296,6 +296,8 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     if c2 != census.c_squared:
         raise ValueError("C parameter does not match the census")
     f = census.field
+    if f.n != 2 or f.r1 != 2:
+        raise ValueError("separation verification requires a real quadratic field")
     tagged = classify_components(census, units)
     delta = separation_delta(c2, f.prec)
     groups: dict[str, list] = {}

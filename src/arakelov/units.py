@@ -6,11 +6,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from math import isqrt
 
 from mpmath import mp
 
+from .exact import cf_cycle
 from .lattice import _fincke_pohst, _ldl
 from .numfield import FieldElement, LogVector, NumberField
 
@@ -65,46 +67,35 @@ class UnitsUnavailable(ValueError):
     pass
 
 
-def _continued_fraction_unit(t: int, nrm: int) -> tuple[int, int]:
-    """Fundamental unit coefficients (x, y) with eps = x + y*gamma for the
-    order Z[gamma], gamma a root of X^2 - t X + nrm (real quadratic).
+def _sqrt_disc(f: NumberField) -> tuple[int, Fraction]:
+    """(sgn, t) with sqrt(f.disc) = sgn (2 w - t) at place 0, for the order
+    basis {1, w} of a real quadratic field: w = b0 + b1 theta has trace
+    t = 2 b0 - b1 c1 and w - w' = b1 (theta - theta') = b1 sqrt(D0), where
+    theta's discriminant D0 = f.disc / b1^2."""
+    (b0, b1), c1 = f.basis[1], f.min_poly[1]
+    return (1 if b1 > 0 else -1), 2 * b0 - b1 * c1
 
-    Works on the purely periodic shift of gamma; the convergents over one
-    period assemble the smallest unit above 1.
-    """
-    d = t * t - 4 * nrm
-    if d <= 0:
-        raise UnitsUnavailable("not a real quadratic order")
-    s = isqrt(d)
-    if s * s == d:
-        raise UnitsUnavailable("degenerate (split) quadratic algebra")
-    # conjugate root (t - sqrt d)/2; shift gamma by m so the result is
-    # purely periodic: psi = gamma + m with conjugate in (-1, 0)
-    # floor((t - sqrt d)/2) = floor((t - s - 1)/2) since d is not a square
-    floor_conj = (t - s - 1) // 2
-    m = -floor_conj - 1
-    p = t + 2 * m
-    q = 2
-    assert (d - p * p) % q == 0
-    p0, q0 = p, q
-    q_prev, q_cur = 0, 1  # q_{-1}, q_0 after consuming a_0
-    a = (p + s) // q
-    first = True
-    qm2, qm1 = 1, 0  # convergent denominators q_{k-2}, q_{k-1}
-    k = 0
-    while True:
-        if not first and (p, q) == (p0, q0):
-            break
-        first = False
-        a = (p + s) // q
-        qm2, qm1 = qm1, a * qm1 + qm2
-        p = a * q - p
-        q = (d - p * p) // q
-        k += 1
-        if k > 10 * d + 100:
-            raise RuntimeError("continued fraction failed to close")
-    # eps = q_{l-1} * psi + q_{l-2} = q_{l-1} * gamma + (q_{l-1} m + q_{l-2})
-    return qm1 * m + qm2, qm1
+
+def _surd_element(f: NumberField, a: Fraction, b: Fraction) -> FieldElement:
+    """The element a + b sqrt(f.disc), sqrt(f.disc) positive at place 0."""
+    sgn, t = _sqrt_disc(f)
+    return f.element([a - b * sgn * t, 2 * b * sgn])
+
+
+def _quadratic_root(f: NumberField, x: FieldElement) -> tuple[int, int]:
+    """(p, q) with Z + Z x = Z + Z (p + sqrt(f.disc))/q, q > 0 and the
+    root's conjugate in (-1, 0), sqrt(f.disc) positive at place 0: the root
+    is +-x plus an integer. p and q are integers, with q | f.disc - p^2,
+    whenever Z + Z x is a module over the order."""
+    sgn, t = _sqrt_disc(f)
+    x0, x1 = x.coords
+    a, b = x0 + x1 * t / 2, sgn * x1 / 2  # x = a + b sqrt(f.disc)
+    if b < 0:
+        a, b = -a, -b
+    p, q = a / b, 1 / b
+    assert p.denominator == q.denominator == 1, "Z + Z x is not a module over the order"
+    p, q = int(p), int(q)
+    return p + (isqrt(f.disc) - p) // q * q, q
 
 
 def quadratic_units(f: NumberField) -> UnitLattice:
@@ -118,13 +109,12 @@ def quadratic_units(f: NumberField) -> UnitLattice:
         raise UnitsUnavailable("units are computed only for quadratic fields")
     if f.r2 == 1:
         return UnitLattice(f, (), ())
-    gamma = f.element([0, 1])
-    t, nrm = int(gamma.trace()), int(gamma.norm())
-    x, y = _continued_fraction_unit(t, nrm)
-    eps = f.element([x, y])
+    p, q = _quadratic_root(f, f.element([0, 1]))
+    *_, (_, _, u, v) = cf_cycle(p, q, f.disc)
+    eps = _surd_element(f, u + Fraction(v * p, q), Fraction(v, q))
     assert abs(eps.norm()) == 1, "continued fraction did not produce a unit"
-    if f.sign_at_place(eps, 0) < 0:
-        eps = -eps
+    if _sqrt_disc(f)[0] < 0:
+        eps = eps.inverse()  # the unit exceeds 1 where w exceeds its conjugate
     return UnitLattice(f, (eps,), _totally_positive_generators(f, (eps,)))
 
 

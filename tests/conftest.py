@@ -60,7 +60,7 @@ def zero_divisor(f):
     """The trivial divisor d(O_F) = (O_F, 1)."""
     from arakelov.divisors import ArakelovDivisor
 
-    return ArakelovDivisor(unit_ideal(f), ArchVector.ones(f.degs, f.prec), d_form=True)
+    return ArakelovDivisor(unit_ideal(f), ArchVector.constant(1, f.degs, f.prec), d_form=True)
 
 
 def random_fractional_ideal(f, rng: random.Random, norm_bound: int = 20):

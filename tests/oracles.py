@@ -281,10 +281,6 @@ class QuadField:
     def conj(self, pair):
         return (pair[0], -pair[1])
 
-    def norm(self, coords) -> Fraction:
-        a, b = self.embed_pair(coords)
-        return a * a - b * b * self.d0
-
     def trace_gram(self, basis) -> list[list[Fraction]]:
         """Gram of pairs under x -> (sigma0 x)^2 + (sigma1 x)^2."""
         out = []
@@ -501,21 +497,28 @@ def _one_primitive(qf: QuadField, basis) -> bool:
     return not any(member(Fraction(1, k), 0) for k in range(2, kmax + 1))
 
 
-def fundamental_unit_is_minimal(d0: int, x: int, y: int) -> bool:
+def fundamental_unit_is_minimal(d0: int, x: int, y: int, w=None) -> bool:
     """Scan check that (x, y) on {1, w} is the smallest unit above 1: no
-    coordinate pair below it has |norm| one."""
-    qf = QuadField(d0)
-    target = qf.embed_pair((x, y))
+    coordinate pair below it has |norm| one.
+
+    w: the order's second basis element as (a, b) ~ a + b sqrt(d0); None
+    means the maximal order's, as in QuadField."""
+    wa, wb = (Fraction(c) for c in (w if w is not None else QuadField(d0).w))
+
+    def embed(c0, c1):
+        return (c0 + c1 * wa, c1 * wb)
+
+    target = embed(x, y)
     # sigma0 of candidate must be in (1, sigma0(eps)); scan y' up to y
     for yp in range(-abs(int(y)) - 1, abs(int(y)) + 2):
         for xp in range(-abs(int(x)) - 2, abs(int(x)) + 3):
             if (xp, yp) in ((x, y), (1, 0)):
                 continue
-            if abs(qf.norm((xp, yp))) != 1:
+            pair = embed(xp, yp)
+            if abs(pair[0] * pair[0] - pair[1] * pair[1] * d0) != 1:
                 continue
-            pair = qf.embed_pair((xp, yp))
-            if surd_sign(pair[0] - 1, pair[1], qf.d0) > 0 and \
-                    surd_abs_less(pair, target, qf.d0):
+            if surd_sign(pair[0] - 1, pair[1], d0) > 0 and \
+                    surd_abs_less(pair, target, d0):
                 return False
     return True
 

@@ -28,7 +28,6 @@ from arakelov.divisors import (
 from arakelov.divisors import (
     _jump_assemble,
     _principal_cycle,
-    _reduced_neighbor,
     to_reduced,
 )
 from arakelov.ideals import (
@@ -209,11 +208,26 @@ def test_is_reduced_usual_matches_oracle(d):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("d", [7, 73, 79, 1009])
-def test_to_reduced_matches_box_pick(d):
+# Orders of Q(sqrt d) given by (d, basis), beyond the maximal orders on
+# their default bases. basis None is create_field's default, which for
+# x^2 - 28 and x^2 - 45 is the power basis (discriminants 112 and 180); with
+# Z[sqrt 5] (discriminant 20) these orders are not maximal, and some of
+# their ideals are not invertible. Z[sqrt 7] on {1, -sqrt 7} has its w below
+# its conjugate at place 0.
+OTHER_ORDERS = [pytest.param(5, [[1, 0], [0, 1]], id="5-power"),
+                pytest.param(28, None, id="28"), pytest.param(45, None, id="45"),
+                pytest.param(7, [[1, 0], [0, -1]], id="7-negated")]
+
+
+def _maximal(*ds):
+    return [pytest.param(d, None, id=str(d)) for d in ds]
+
+
+@pytest.mark.parametrize("d,basis", _maximal(7, 73, 79, 1009) + OTHER_ORDERS)
+def test_to_reduced_matches_box_pick(d, basis):
     """The continued-fraction walk lands on the minimal element that the
     box enumeration of d(Q) picks, and 1 is minimal in the result."""
-    f = create_field([-d, 0, 1])
+    f = create_field([-d, 0, 1], basis)
     moved = 0
     for q in _census_and_inverses(f, ["sqrt2", 2]):
         g = minimal_element_bounded(f, q, divisor_d(q).u)
@@ -347,6 +361,16 @@ def test_quadratic_units_examples(f7, f73, fi):
     assert fundamental_unit_is_minimal(
         73, int(u73.generators[0].coords[0]), int(u73.generators[0].coords[1])
     )
+    # power-basis orders: Z[sqrt5], Z[sqrt28] = Z[2 sqrt7], Z[sqrt45] = Z[3 sqrt5]
+    for d, basis, want in ((5, [[1, 0], [0, 1]], (2, 1)), (28, None, (127, 24)),
+                           (45, None, (161, 24))):
+        eps = quadratic_units(create_field([-d, 0, 1], basis)).generators[0]
+        assert eps.coords == want
+        assert fundamental_unit_is_minimal(d, *want, w=(0, 1))
+    # on {1, -sqrt7} the unit still exceeds 1 where w exceeds its conjugate:
+    # 8 + 3 w = 8 - 3 sqrt7 at place 0
+    eps = quadratic_units(create_field([-7, 0, 1], [[1, 0], [0, -1]])).generators[0]
+    assert eps.coords == (8, 3)
 
 
 def test_quadratic_units_rejects_other_degrees(f_cubic):
@@ -520,28 +544,31 @@ def test_principal_cycle_lengths(f7, f73):
     assert len(_principal_cycle(f7)) == 4
     assert len(_principal_cycle(f73)) == 9  # the usual-reduced principal count
     assert len(_principal_cycle(create_field([-10007, 0, 1]))) == 60
+    # the power-basis orders of OTHER_ORDERS, walked against the oracle in
+    # test_reduced_neighbor_matches_oracle
+    lengths = [len(_principal_cycle(create_field([-d, 0, 1], basis)))
+               for d, basis in ((5, [[1, 0], [0, 1]]), (28, None), (45, None))]
+    assert lengths == [1, 4, 6]
 
 
-@pytest.mark.parametrize("d", [7, 73, 1009, 10007])
-def test_reduced_neighbor_matches_oracle(d):
-    """Each forward step, from O and from the reduced ideals of J^-1 for the
-    first ideals J of norm > 1, against an exhaustive box scan."""
-    f = create_field([-d, 0, 1])
+@pytest.mark.parametrize("d,basis", _maximal(7, 73, 1009, 10007) + OTHER_ORDERS)
+def test_reduced_neighbor_matches_oracle(d, basis):
+    """Each step of reduced_cycle, from O and from the reduced ideals of
+    J^-1 for the first ideals J of norm > 1, against an exhaustive box
+    scan: the oracle's neighbor mu of each entry (J, gamma) divides J into
+    the next entry, or back into the start after the last, and
+    gamma^-1 gamma_next = mu."""
+    f = create_field([-d, 0, 1], basis)
     starts = [unit_ideal(f)] + [
         to_reduced(f, invert(j))[0] for j in enumerate_integral_ideals(f, 12)[1:4]
     ]
     classes = set()
     for start in starts:
-        j, steps = start, 0
-        while True:
-            mu = _reduced_neighbor(f, j)
-            assert tuple(mu.coords) == brute_reduced_neighbor(
-                f.min_poly, f.basis, j.den, j.hnf)
-            j = scale_ideal(j, mu.inverse())
-            steps += 1
-            if j == start:
-                break
-            assert steps < 200
+        cycle = reduced_cycle(f, start)
+        for (j, gam), (j_next, gam_next) in zip(cycle, cycle[1:] + [(start, None)]):
+            mu = f.element(brute_reduced_neighbor(f.min_poly, f.basis, j.den, j.hnf))
+            assert scale_ideal(j, mu.inverse()) == j_next
+            assert gam_next is None or gam * mu == gam_next
         classes.add(principal_generator(f, start) is not None)
     if d == 1009:
         assert classes == {True, False}  # a non-principal cycle is walked too

@@ -195,7 +195,7 @@ def test_is_minimal_examples(f7):
 
 
 def test_minimal_element_bounded_trivial(f7):
-    u = ArchVector.ones(f7.degs, f7.prec)
+    u = ArchVector.constant(1, f7.degs, f7.prec)
     assert minimal_element_bounded(f7, unit_ideal(f7), u) == f7.one()
 
 

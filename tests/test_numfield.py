@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from arakelov.exact import Surd
+from arakelov.exact import cf_floor
 from arakelov.ideals import ideal_from_generators, unit_ideal
 from arakelov.lattice import enumerate_box, is_minimal
 from arakelov.numfield import (
@@ -323,7 +323,7 @@ def test_quartic_field_constructs():
 
 
 def test_archvector_ops(f7):
-    v = ArchVector.ones(f7.degs, f7.prec)
+    v = ArchVector.constant(1, f7.degs, f7.prec)
     assert abs(float(v.mul(v).norm_sq()) - 2) < 1e-30
     w = embed(f7, f7.element([1, 1])).abs()
     assert abs(float(w.mul(w.inv()).norm_sq()) - 2) < 1e-30
@@ -348,17 +348,26 @@ def test_embed_interval_matches_rational_horner(min_poly):
 
 
 def test_surd_floor_matches_isqrt():
-    """floor(A/Q + (B/Q) sqrt(D)) against an isqrt oracle, for both signs of
-    B: with r = isqrt(B^2 D) < |B| sqrt(D) < r + 1 the value lies strictly
-    between two consecutive integers over Q, so its floor is
-    (A + r) // Q for B > 0 and (A - r - 1) // Q for B < 0. Large B take
-    the isqrt branch of the floor."""
+    """cf_floor((p + sqrt(disc))/q) against exact sign tests, for both
+    signs of q and disc up to about 10^34, where a float square root is
+    wrong: m is the floor when m <= x < m + 1, and c < x is decided by
+    the sign of c q - p against sqrt(disc), squared."""
+    def below(c, p, q, disc):  # c < (p + sqrt(disc))/q
+        t = c * q - p
+        if q > 0:
+            return t < 0 or t * t < disc
+        return t > 0 and t * t > disc
+
     rng = random.Random(29)
     for k in range(600):
-        disc = rng.choice([2, 3, 5, 7, 73, 1009, 10007])
-        q = rng.randint(1, 30)
-        a = rng.randint(-10 ** 6, 10 ** 6)
-        b = rng.choice([-1, 1]) * rng.randint(1, 10 ** (4 if k % 2 else 17))
-        r = math.isqrt(b * b * disc)
-        want = (a + r) // q if b > 0 else (a - r - 1) // q
-        assert Surd(Fraction(a, q), Fraction(b, q), disc).floor() == want
+        disc = rng.randint(2, 10 ** (3 if k % 3 == 0 else 12 if k % 3 == 1 else 34))
+        if math.isqrt(disc) ** 2 == disc:
+            disc += 1
+        s = math.isqrt(disc)
+        q = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.choice([1, 6, 20]))
+        p = rng.randint(-10 ** 18, 10 ** 18)
+        m = cf_floor(p, q, s)
+        assert below(m, p, q, disc) and not below(m + 1, p, q, disc)
+    # a float square root misplaces the floor here
+    disc = (10 ** 17 + 3) ** 2 - 1
+    assert cf_floor(0, 1, math.isqrt(disc)) == 10 ** 17 + 2 != math.floor(math.sqrt(disc))

@@ -27,7 +27,7 @@ from arakelov.survey import (
     verify_counts,
     verify_separation,
 )
-from arakelov.units import LogLattice, _sign_vector
+from arakelov.units import LogLattice, _sign_vector, unit_lattice_from_elements
 from conftest import conjugate_ideal
 from oracles import brute_census, brute_pair_stage
 
@@ -186,12 +186,22 @@ def test_separation_q7_c2(f7):
     assert rep["ok"]
 
 
-def test_separation_singleton_vacuous(fi):
-    units = quadratic_units(fi)
-    census = enumerate_sred(fi, 1)
-    census = classify_components(census, units)
+def test_separation_singleton_vacuous(fi, f_cubic):
+    """A one-entry census has no pair. Fields that are not real quadratic
+    are refused: Q(i) would report its two entries at C=2 as a violating
+    pair (the torus factor of the oriented group is ignored), and the
+    census of x^3 - 2 is never classified, so it would pass vacuously."""
+    f2 = create_field([-2, 0, 1])
+    units = quadratic_units(f2)
+    census = classify_components(enumerate_sred(f2, 1), units)
+    assert len(census.entries) == 1
     rep = verify_separation(census, 1, units)
     assert rep["pairs"] == 0 and rep["ok"]
+    th = f_cubic.gen()
+    cubic_units = unit_lattice_from_elements(f_cubic, [th * th + th + f_cubic.one()])
+    for f, units in ((fi, quadratic_units(fi)), (f_cubic, cubic_units)):
+        with pytest.raises(ValueError, match="real quadratic"):
+            verify_separation(enumerate_sred(f, 2), 2, units)
 
 
 def test_separation_rejects_mismatched_c(f73):
@@ -262,15 +272,12 @@ def _violating_indices(census, rep):
 
 
 @pytest.mark.parametrize("poly,c", [([-73, 0, 1], "sqrt2"), ([-79, 0, 1], 3),
-                                    ([-1009, 0, 1], 2), ([-4909, 0, 1], 2),
-                                    ([5, 0, 1], 2)])
+                                    ([-1009, 0, 1], 2), ([-4909, 0, 1], 2)])
 def test_pair_stage_matches_all_pairs_oracle(poly, c, monkeypatch):
     """verify_separation and verify_counts run closest-vector searches only
     on the pairs a lower bound leaves open; every pair scanned by the
     oracle gives the same pair count, least gap, violations and unit-ball
-    counts. Q(sqrt(-5)) has unit rank zero, where every pair is searched
-    and, with the complex place's argument ignored, every same-class pair
-    sits at distance 0."""
+    counts."""
     f = create_field(poly)
     units = quadratic_units(f)
     census = classify_components(enumerate_sred(f, c), units)
@@ -279,22 +286,21 @@ def test_pair_stage_matches_all_pairs_oracle(poly, c, monkeypatch):
     assert rep["pairs"] == want["pairs"]
     assert abs(float(rep["min_gap"]) - want["min_gap"]) <= 1e-9
     assert _violating_indices(census, rep) == want["violations"]
-    if f.r1 == 2:
-        assert verify_counts(census, units)["max_unit_ball"] == max(want["ball_counts"])
-        # a threshold inside the spread of the gaps, clear of every gap,
-        # makes the nearer third of the pairs violations, in pair order
-        gaps = sorted(set(want["gaps"].values()))
-        k = next(k for k in range(len(gaps) // 3, len(gaps) - 1)
-                 if gaps[k + 1] - gaps[k] > 1e-6)
-        raised = (gaps[k] + gaps[k + 1]) / 2
-        real = survey.separation_delta
-        monkeypatch.setattr(survey, "separation_delta", lambda c2, prec=64, coarse=False:
-                            real(c2, prec, coarse) if coarse else mpf(raised))
-        rep = verify_separation(census, c, units)
-        want = _oracle_pair_stage(f, census, units, raised)
-        assert len(want["violations"]) > want["pairs"] // 4
-        assert _violating_indices(census, rep) == want["violations"]
-        assert not rep["ok"]
+    assert verify_counts(census, units)["max_unit_ball"] == max(want["ball_counts"])
+    # a threshold inside the spread of the gaps, clear of every gap,
+    # makes the nearer third of the pairs violations, in pair order
+    gaps = sorted(set(want["gaps"].values()))
+    k = next(k for k in range(len(gaps) // 3, len(gaps) - 1)
+             if gaps[k + 1] - gaps[k] > 1e-6)
+    raised = (gaps[k] + gaps[k + 1]) / 2
+    real = survey.separation_delta
+    monkeypatch.setattr(survey, "separation_delta", lambda c2, prec=64, coarse=False:
+                        real(c2, prec, coarse) if coarse else mpf(raised))
+    rep = verify_separation(census, c, units)
+    want = _oracle_pair_stage(f, census, units, raised)
+    assert len(want["violations"]) > want["pairs"] // 4
+    assert _violating_indices(census, rep) == want["violations"]
+    assert not rep["ok"]
 
 
 def test_pair_stage_closest_vector_calls_q1009(monkeypatch):
