@@ -17,7 +17,6 @@ from mpmath import mp, mpf
 
 from .exact import (
     CF_STEP_CAP,
-    Surd,
     cf_backward,
     cf_cycle,
     cf_forward,
@@ -61,7 +60,6 @@ from .units import (
     UnitLattice,
     UnitsUnavailable,
     _quadratic_root,
-    _surd_element,
     min_log_norm_modulo,
     quadratic_units,
     totally_positive_adjust,
@@ -385,8 +383,8 @@ def reduced_cycle(f: NumberField, start: FractionalIdeal):
     p0, q0 = root
     out = [(start, f.one())]
     for p, q, u, v in cf_cycle(p0, q0, f.disc)[1:-1]:
-        x = _surd_element(f, Fraction(p, q), Fraction(1, q))
-        gam = _surd_element(f, u + Fraction(v * p0, q0), Fraction(v, q0))
+        x = f.from_surd(Fraction(p, q), Fraction(1, q))
+        gam = f.from_surd(u + Fraction(v * p0, q0), Fraction(v, q0))
         out.append((_from_vectors(f, [[1, 0], list(x.coords)]), gam))
     return out
 
@@ -420,25 +418,30 @@ def _box_minimum_real_quadratic(f: NumberField, q: FractionalIdeal) -> FieldElem
     where |sigma_0| grows and |sigma_1| shrinks; one step along the chain
     multiplies by x (forward) or by x - floor x (backward). The run is
     collected and its least T2, then least canonical coordinates, picked,
-    exactly as the box enumeration does. Surds are values at place 0."""
+    exactly as the box enumeration does. Elements are carried as the pairs
+    (a, b) of a + b sqrt(disc) that f.surd gives."""
     disc, s = f.disc, isqrt(f.disc)
     side = _box_side(f)
     bound_sq = side * side
     w = _u_weights(f, divisor_d(q).u)[0]
 
-    def in_box(g: Surd, place: int) -> bool:
-        sq = g * g
-        return sign_surd(w * sq.a - bound_sq, w * sq.b * (1 - 2 * place), disc) <= 0
+    def in_box(g: tuple[Fraction, Fraction], place: int) -> bool:
+        # w sigma(g)^2 = w (a^2 + b^2 disc +- 2ab sqrt(disc)) <= bound^2
+        a, b = g
+        return sign_surd(w * (a * a + b * b * disc) - bound_sq,
+                         w * 2 * a * b * (1 - 2 * place), disc) <= 0
 
-    def step(p: int, d: int, g: Surd, forward: bool):
+    def step(p: int, d: int, g: tuple[Fraction, Fraction], forward: bool):
         """The next (p, d, g) for x = (p + sqrt(disc))/d: g times x
-        (forward) or times x - floor x = (-p' + sqrt(disc))/d (backward)."""
+        (forward) or times x - floor x = (-p' + sqrt(disc))/d (backward),
+        that is g times (m + sqrt(disc))/d."""
         p1, d1 = (cf_forward if forward else cf_backward)(p, d, disc, s)
-        mult = p if forward else -p1
-        return p1, d1, g * Surd(Fraction(mult, d), Fraction(1, d), disc)
+        m = p if forward else -p1
+        a, b = g
+        return p1, d1, ((a * m + b * disc) / d, (a + b * m) / d)
 
     r = Fraction(q.hnf[0][0], q.den)
-    state = (*_quadratic_root(f, q.basis_elements()[1] / r), Surd(r, Fraction(0), disc))
+    state = (*_quadratic_root(f, q.basis_elements()[1] / r), (r, Fraction(0)))
     for _ in range(CF_STEP_CAP):
         if cf_is_reduced(state[0], state[1], s):
             break
@@ -462,8 +465,8 @@ def _box_minimum_real_quadratic(f: NumberField, q: FractionalIdeal) -> FieldElem
         while in_box(nxt[2], place):
             run.append(nxt[2])
             nxt = step(*nxt, forward)
-    best = min((2 * (h.a * h.a + h.b * h.b * disc),
-                _canonical_sign(tuple(_surd_element(f, h.a, h.b).coords))) for h in run)
+    best = min((2 * (a * a + b * b * disc), _canonical_sign(tuple(f.from_surd(a, b).coords)))
+               for a, b in run)
     return f.element(best[1])
 
 

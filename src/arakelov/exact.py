@@ -140,22 +140,27 @@ def hnf_with_denominator(vectors: list[Vec], n: int) -> tuple[int, list[list[int
     return den, h
 
 
-def hnf_solve(h: list[list[int]], den: int, target: Vec) -> Vec | None:
-    """Coordinates c with H c / den = target, or None if target is outside
-    the rational span (never happens for full-rank H)."""
+def hnf_contains(h: list[list[int]], target: list[int]) -> bool:
+    """Whether the integer vector lies in the lattice spanned by the columns
+    of the upper-triangular H: back-substitution in integers, which fails
+    at the first row whose remainder is not zero."""
     n = len(h)
-    c: Vec = [Fraction(0)] * n
-    rhs = [Fraction(t) * den for t in target]
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i] - sum((Fraction(h[i][j]) * c[j] for j in range(i + 1, n)), Fraction(0))
-        c[i] = acc / h[i][i]
-    return c
+    c = [0] * n
+    for r in range(n - 1, -1, -1):
+        acc = target[r] - sum(h[r][s] * c[s] for s in range(r + 1, n))
+        c[r], rem = divmod(acc, h[r][r])
+        if rem:
+            return False
+    return True
 
 
 def hnf_membership(h: list[list[int]], den: int, target: Vec) -> bool:
-    """Whether target (rational coords) lies in the lattice H/den."""
-    c = hnf_solve(h, den, target)
-    return all(x.denominator == 1 for x in c)
+    """Whether target (rational coords) lies in the lattice H/den; H c is
+    integral for integer c, so den * target must be integral first."""
+    scaled = [Fraction(t) * den for t in target]
+    if any(x.denominator != 1 for x in scaled):
+        return False
+    return hnf_contains(h, [x.numerator for x in scaled])
 
 
 def kernel_basis(m: list[list[int]]) -> list[list[int]]:
@@ -204,42 +209,6 @@ def sign_surd(a: Fraction, b: Fraction, disc: int) -> int:
     t = a * a - b * b * disc  # sign(a + b√D) = sign(a)·sign(a² − b²D) for mixed signs
     s = (t > 0) - (t < 0)
     return s if a > 0 else -s
-
-
-class Surd:
-    """Exact element a + b*sqrt(disc) of a real or imaginary quadratic field."""
-
-    __slots__ = ("a", "b", "disc")
-
-    def __init__(self, a: Fraction, b: Fraction, disc: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.disc = disc
-
-    def __mul__(self, other: "Surd") -> "Surd":
-        return Surd(
-            self.a * other.a + self.b * other.b * self.disc,
-            self.a * other.b + self.b * other.a,
-            self.disc,
-        )
-
-    def abs_sq(self) -> Fraction:
-        """|a + b sqrt(disc)|² as a rational; exact for disc < 0, and for
-        disc > 0 equals the square of the real value."""
-        if self.disc < 0:
-            return self.a * self.a - self.b * self.b * self.disc
-        sq = self * self
-        if sq.b == 0:
-            return sq.a
-        raise ValueError("square is irrational; compare with sign_surd instead")
-
-    def sign(self) -> int:
-        if self.disc < 0:
-            raise ValueError("no sign for complex surd")
-        return sign_surd(self.a, self.b, self.disc)
-
-    def __repr__(self) -> str:
-        return f"Surd({self.a} + {self.b}*sqrt({self.disc}))"
 
 
 # ---------------------------------------------------------------------------

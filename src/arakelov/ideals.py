@@ -14,7 +14,7 @@ from itertools import product
 
 from mpmath import mpf
 
-from .exact import hnf_membership, hnf_upper, hnf_with_denominator, kernel_basis
+from .exact import hnf_contains, hnf_membership, hnf_upper, hnf_with_denominator, kernel_basis
 from .numfield import FieldElement, NumberField, mpf_to_fraction
 
 
@@ -194,16 +194,9 @@ def _is_module_closed(t, h: list[list[int]]) -> bool:
     """Whether the column HNF h spans a module over the order with
     multiplication table t: each b_k * h_j must solve back to integers."""
     n = len(h)
-    for k in range(1, n):  # multiplication by b_1 = 1 is trivially fine
-        for j in range(n):
-            prod = [sum(t[k][m][r] * h[m][j] for m in range(n)) for r in range(n)]
-            c = [0] * n
-            for r in range(n - 1, -1, -1):
-                acc = prod[r] - sum(h[r][s] * c[s] for s in range(r + 1, n))
-                c[r], rem = divmod(acc, h[r][r])
-                if rem:
-                    return False
-    return True
+    return all(hnf_contains(h, [sum(t[k][m][r] * h[m][j] for m in range(n)) for r in range(n)])
+               for k in range(1, n)  # multiplication by b_1 = 1 is trivially fine
+               for j in range(n))
 
 
 def _primes_up_to(limit: int) -> list[int]:

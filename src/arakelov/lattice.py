@@ -3,10 +3,12 @@ matrices, LLL reduction, exact shortest-vector and box enumeration,
 minimality tests and the covolume identity.
 
 Gram matrices are stored with exact rational entries plus a certified
-entrywise error bound. Quadratic fields and scalar scales produce error
-zero, so every comparison there is exact; other inputs carry a tiny bound
-from the interval embeddings and refine themselves when a decision falls
-inside it.
+entrywise error bound. Totally real fields under one weight at every place
+and imaginary quadratic fields produce error zero. Real quadratic fields
+under unequal per-place weights (every reduction ellipsoid) carry
+|b| 2^-prec per entry from a rational approximation of sqrt(disc), and
+other fields a tiny bound from the interval embeddings; those Grams refine
+themselves when a decision falls inside the bound.
 """
 from __future__ import annotations
 
@@ -147,23 +149,21 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
             return scale * sum(a * b for a, b in zip(row_t[i], rows[j])), Fraction(0)
 
     elif f.n == 2 and f.r2 == 1:
-        # single complex place: 2|u|^2 (a_i a_j + b_i b_j |D|), exact
-        d = -f._surd_disc()
-        coords = [f.surd_embed(x, 0) for x in basis]
+        # single complex place: 2|u|^2 (a_i a_j - b_i b_j disc), exact
+        pairs = [f.surd(x) for x in basis]
 
         def entry(i, j):
-            ci, cj = coords[i], coords[j]
-            return 2 * w[0] * (ci.a * cj.a + ci.b * cj.b * d), Fraction(0)
+            (ai, bi), (aj, bj) = pairs[i], pairs[j]
+            return 2 * w[0] * (ai * aj - bi * bj * f.disc), Fraction(0)
 
     elif f.n == 2:
         # real quadratic, per-place weights: entries live in Q(sqrt disc)
-        disc = f._surd_disc()
-        r, eps = _sqrt_approx(disc, prec)
+        r, eps = _sqrt_approx(f.disc, prec)
 
         def entry(i, j):
-            s = f.surd_embed(basis[i] * basis[j], 0)
-            a_part = (w[0] + w[1]) * s.a
-            b_part = (w[0] - w[1]) * s.b
+            a, b = f.surd(basis[i] * basis[j])
+            a_part = (w[0] + w[1]) * a
+            b_part = (w[0] - w[1]) * b
             return a_part + b_part * r, abs(b_part) * eps
 
     else:

@@ -5,7 +5,8 @@ Exact data (rational coordinates, structure constants, discriminant) is kept
 in Fractions. Embeddings are carried at a working precision (128 bits by
 default) with certified error radii; comparisons that land too close to a
 decision boundary escalate the precision under the one policy of _escalate,
-and quadratic fields short-circuit comparisons to exact surd arithmetic so
+and quadratic fields short-circuit signs and comparisons to exact arithmetic
+on the pairs (a, b) of x = a + b sqrt(disc) that NumberField.surd gives, so
 those never escalate at all.
 """
 from __future__ import annotations
@@ -17,7 +18,6 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .exact import (
-    Surd,
     mat_det,
     mat_inv,
     mat_vec,
@@ -369,25 +369,29 @@ class NumberField:
         """The root of the minimal polynomial as a field element."""
         return self.element(self.from_power([Fraction(int(j == 1)) for j in range(self.n)]))
 
-    # -- quadratic surd backend --------------------------------------------
+    # -- exact quadratic arithmetic ----------------------------------------
 
-    def _surd_disc(self) -> int:
-        c0, c1 = self.min_poly[0], self.min_poly[1]
-        return c1 * c1 - 4 * c0
+    def surd(self, x: "FieldElement") -> tuple[Fraction, Fraction]:
+        """(a, b) with x = a + b sqrt(disc) in a quadratic field, disc the
+        order's discriminant: sqrt(disc) is positive at place 0 (i sqrt|disc|
+        at the complex place), and place 1 takes x to a - b sqrt(disc).
 
-    def surd_embed(self, x: "FieldElement", place: int) -> Surd:
-        """Exact embedding of x at a place of a quadratic field.
-
-        Real places are ordered so that place 0 takes theta to the larger
-        root ( +sqrt(disc) branch )."""
+        Place 0 takes theta to its larger root (its root of positive
+        imaginary part at a complex place), so for the basis {1, w} with
+        w = b0 + b1 theta, sqrt(disc) = sgn(b1) (2 w - t), t = Tr(w) =
+        2 b0 - b1 c1: w - w' = b1 (theta - theta') and disc = (w - w')^2."""
         if self.n != 2:
-            raise ValueError("surd embeddings exist only for quadratic fields")
-        p, q = self.to_power(x.coords)
-        c1 = self.min_poly[1]
-        d = self._surd_disc()
-        sgn = 1 if place == 0 else -1
-        # theta = (-c1 + s*sqrt(d))/2
-        return Surd(p - q * Fraction(c1, 2), sgn * q * Fraction(1, 2), d)
+            raise ValueError("surd pairs exist only for quadratic fields")
+        (b0, b1), c1 = self.basis[1], self.min_poly[1]
+        x0, x1 = x.coords
+        return x0 + x1 * (2 * b0 - b1 * c1) / 2, (x1 if b1 > 0 else -x1) / 2
+
+    def from_surd(self, a: Fraction, b: Fraction) -> "FieldElement":
+        """The element a + b sqrt(disc) in the convention of surd."""
+        (b0, b1), c1 = self.basis[1], self.min_poly[1]
+        if b1 < 0:
+            b = -b
+        return self.element([a - b * (2 * b0 - b1 * c1), 2 * b])
 
     # -- certified embeddings ----------------------------------------------
 
@@ -560,12 +564,14 @@ class NumberField:
         scale_sq^k q^2 - t^k; otherwise the precision doubles. A tie always
         overlaps, so this orders the work, not the answer."""
         if self.n == 2:
-            s = self.surd_embed(x, place)
-            if s.disc < 0:
-                diff = scale_sq * s.abs_sq() - t
+            # sigma(x)^2 = a^2 + b^2 disc +- 2ab sqrt(disc); |sigma(x)|^2 =
+            # a^2 - b^2 disc at the complex place
+            a, b = self.surd(x)
+            if self.r2:
+                diff = scale_sq * (a * a - b * b * self.disc) - t
                 return (diff > 0) - (diff < 0)
-            sq = s * s
-            return sign_surd(scale_sq * sq.a - t, scale_sq * sq.b, s.disc)
+            return sign_surd(scale_sq * (a * a + b * b * self.disc) - t,
+                             scale_sq * 2 * a * b * (1 - 2 * place), self.disc)
 
         def exact_sign() -> int | None:
             power = x
@@ -589,7 +595,10 @@ class NumberField:
     def sign_at_place(self, x: "FieldElement", place: int) -> int:
         """Certified sign of sigma(x) at a real place (x nonzero)."""
         if self.n == 2:
-            return self.surd_embed(x, place).sign()
+            if self.r2:
+                raise ValueError("sign only defined at real places")
+            a, b = self.surd(x)
+            return sign_surd(a, b * (1 - 2 * place), self.disc)
 
         def attempt(prec: int):
             re_iv, im_iv = self.embed_interval(x, place, prec)
@@ -634,11 +643,8 @@ class NumberField:
 
     def conjugate(self, x: "FieldElement") -> "FieldElement":
         """Image under the nontrivial automorphism (quadratic fields only)."""
-        if self.n != 2:
-            raise ValueError("conjugation implemented for quadratic fields only")
-        p, q = self.to_power(x.coords)
-        c1 = self.min_poly[1]
-        return self.element(self.from_power([p - q * c1, -q]))
+        a, b = self.surd(x)
+        return self.from_surd(a, -b)
 
     def __repr__(self) -> str:
         return f"NumberField({list(self.min_poly)}, disc={self.disc})"

@@ -67,29 +67,12 @@ class UnitsUnavailable(ValueError):
     pass
 
 
-def _sqrt_disc(f: NumberField) -> tuple[int, Fraction]:
-    """(sgn, t) with sqrt(f.disc) = sgn (2 w - t) at place 0, for the order
-    basis {1, w} of a real quadratic field: w = b0 + b1 theta has trace
-    t = 2 b0 - b1 c1 and w - w' = b1 (theta - theta') = b1 sqrt(D0), where
-    theta's discriminant D0 = f.disc / b1^2."""
-    (b0, b1), c1 = f.basis[1], f.min_poly[1]
-    return (1 if b1 > 0 else -1), 2 * b0 - b1 * c1
-
-
-def _surd_element(f: NumberField, a: Fraction, b: Fraction) -> FieldElement:
-    """The element a + b sqrt(f.disc), sqrt(f.disc) positive at place 0."""
-    sgn, t = _sqrt_disc(f)
-    return f.element([a - b * sgn * t, 2 * b * sgn])
-
-
 def _quadratic_root(f: NumberField, x: FieldElement) -> tuple[int, int]:
     """(p, q) with Z + Z x = Z + Z (p + sqrt(f.disc))/q, q > 0 and the
     root's conjugate in (-1, 0), sqrt(f.disc) positive at place 0: the root
     is +-x plus an integer. p and q are integers, with q | f.disc - p^2,
     whenever Z + Z x is a module over the order."""
-    sgn, t = _sqrt_disc(f)
-    x0, x1 = x.coords
-    a, b = x0 + x1 * t / 2, sgn * x1 / 2  # x = a + b sqrt(f.disc)
+    a, b = f.surd(x)
     if b < 0:
         a, b = -a, -b
     p, q = a / b, 1 / b
@@ -109,11 +92,12 @@ def quadratic_units(f: NumberField) -> UnitLattice:
         raise UnitsUnavailable("units are computed only for quadratic fields")
     if f.r2 == 1:
         return UnitLattice(f, (), ())
-    p, q = _quadratic_root(f, f.element([0, 1]))
+    w = f.element([0, 1])
+    p, q = _quadratic_root(f, w)
     *_, (_, _, u, v) = cf_cycle(p, q, f.disc)
-    eps = _surd_element(f, u + Fraction(v * p, q), Fraction(v, q))
+    eps = f.from_surd(u + Fraction(v * p, q), Fraction(v, q))
     assert abs(eps.norm()) == 1, "continued fraction did not produce a unit"
-    if _sqrt_disc(f)[0] < 0:
+    if f.surd(w)[1] < 0:  # w lies below its conjugate at place 0
         eps = eps.inverse()  # the unit exceeds 1 where w exceeds its conjugate
     return UnitLattice(f, (eps,), _totally_positive_generators(f, (eps,)))
 

@@ -278,9 +278,6 @@ class QuadField:
         c0, c1 = Fraction(coords[0]), Fraction(coords[1])
         return (c0 + c1 * self.w[0], c1 * self.w[1])
 
-    def conj(self, pair):
-        return (pair[0], -pair[1])
-
     def trace_gram(self, basis) -> list[list[Fraction]]:
         """Gram of pairs under x -> (sigma0 x)^2 + (sigma1 x)^2."""
         out = []

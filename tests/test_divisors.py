@@ -41,7 +41,7 @@ from arakelov.ideals import (
     unit_ideal,
 )
 from arakelov.lattice import GramMatrix, minimal_element_bounded
-from arakelov.numfield import ArchVector, LogVector, create_field
+from arakelov.numfield import ArchVector, LogVector, create_field, fraction_to_mpf
 from arakelov.survey import enumerate_sred
 from arakelov.units import (
     LogLattice,
@@ -221,6 +221,33 @@ OTHER_ORDERS = [pytest.param(5, [[1, 0], [0, 1]], id="5-power"),
 
 def _maximal(*ds):
     return [pytest.param(d, None, id=str(d)) for d in ds]
+
+
+@pytest.mark.parametrize("d,basis", _maximal(73, 1009, -1, -5) + OTHER_ORDERS)
+def test_surd_place_convention(d, basis):
+    """surd(x) = (a, b) with x = a + b sqrt(disc), disc the order's
+    discriminant: a + b sqrt(disc) is sigma_0(x) (sqrt(disc) = i sqrt|disc|
+    at a complex place), a - b sqrt(disc) is sigma_1(x), and (a, -b) is
+    the conjugate. On {1, -sqrt 7} the sign rule for b_1 < 0 is exercised."""
+    f = create_field([-d, 0, 1], basis)
+    rng = random.Random(d)
+    tol = mpf(2) ** -100
+    for _ in range(40):
+        x = f.element([Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(2)])
+        a, b = f.surd(x)
+        assert f.from_surd(a, b) == x
+        assert f.conjugate(x) == f.from_surd(a, -b)
+        values = f.embed(x, 256).values
+        with mp.workprec(256):
+            am, bm = fraction_to_mpf(a, 256), fraction_to_mpf(b, 256)
+            if f.r2:
+                root = mp.mpc(0, mp.sqrt(-f.disc))
+                assert abs(values[0] - (am + bm * root)) < tol
+                assert abs(abs(values[0]) ** 2 - fraction_to_mpf(a * a - b * b * f.disc, 256)) < tol
+            else:
+                root = mp.sqrt(f.disc)
+                assert abs(values[0] - (am + bm * root)) < tol
+                assert abs(values[1] - (am - bm * root)) < tol
 
 
 @pytest.mark.parametrize("d,basis", _maximal(7, 73, 79, 1009) + OTHER_ORDERS)

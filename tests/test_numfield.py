@@ -316,6 +316,12 @@ def test_conjugation(f7):
     assert f7.conjugate(f7.conjugate(x)) == x
 
 
+def test_sign_at_complex_place_raises(fi, f_cubic):
+    for f, place in ((fi, 0), (f_cubic, 1)):
+        with pytest.raises(ValueError):
+            f.sign_at_place(f.gen(), place)
+
+
 def test_quartic_field_constructs():
     f = create_field([1, 0, 0, 0, 1])  # x^4 + 1, needs the full factor test
     assert (f.r1, f.r2) == (0, 2)
