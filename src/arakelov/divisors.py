@@ -245,22 +245,16 @@ def lll_jump(f: NumberField, ideal: FractionalIdeal):
     (For a true basis vector b_1 primitivity always holds: b_1/d is never a
     lattice point; the guard stays for contract safety.)
     """
-    div, _ = _lll_jump_detailed(f, ideal)
-    return div
-
-
-def _lll_jump_detailed(f: NumberField, ideal: FractionalIdeal):
     b1 = lll_first_vector(gram_of(f, ideal)).element
     return _jump_assemble(f, ideal, b1)
 
 
 def _jump_assemble(f: NumberField, ideal: FractionalIdeal, b1: FieldElement):
+    """d(J) for J = b1^{-1} I when 1 is primitive in J, else None."""
     j = scale_ideal(ideal, b1.inverse())
-    diag = {"first_vector": b1, "jump_ideal": j}
     if not one_is_primitive(j):
-        diag["reason"] = "1 is not primitive in the jumped ideal"
-        return None, diag
-    return divisor_d(j), diag
+        return None
+    return divisor_d(j)
 
 
 # ---------------------------------------------------------------------------

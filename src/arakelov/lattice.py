@@ -9,6 +9,13 @@ under unequal per-place weights (every reduction ellipsoid) carry
 |b| 2^-prec per entry from a rational approximation of sqrt(disc), and
 other fields a tiny bound from the interval embeddings; those Grams refine
 themselves when a decision falls inside the bound.
+
+LLL runs on the Gram scaled to integers with its integral Gram-Schmidt
+data, and the shortest-vector search behind the lambda_1 test runs the one
+Fincke-Pohst loop on that same integer data. Boxes, principal generators
+and the unit lattice's closest vectors (units.LogLattice) run the loop on
+Fraction or mpf rows from _ldl: they do not LLL first, so there is no
+integral Gram-Schmidt data to reuse.
 """
 from __future__ import annotations
 
@@ -25,7 +32,6 @@ from .numfield import (
     FieldElement,
     NumberField,
     _escalate,
-    _iv_mul,
     fraction_to_mpf,
     mpf_to_fraction,
 )
@@ -167,26 +173,36 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
             return a_part + b_part * r, abs(b_part) * eps
 
     else:
-        # general field: certified interval embeddings, one per element and place
-        emb = [[f.embed_interval(x, place, prec) for place in range(f.num_places)]
-               for x in basis]
+        # general field: certified interval embeddings on integer endpoints.
+        # At place p every element's rectangle is brought over one
+        # denominator den_p, so a product of two intervals is four integer
+        # products over den_p^2; scale[p] = common deg_p w_p / den_p^2 is an
+        # integer for the common denominator of those factors. A positive
+        # common denominator keeps each min and max in place, so the
+        # entries are those of rational interval arithmetic.
+        emb, factors = [], []
+        for place in range(f.num_places):
+            raw = [f.embed_interval(x, place, prec, numerators=True) for x in basis]
+            den = math.lcm(*(r[0] for r in raw))
+            emb.append([_rescale(r, den // r[0]) for r in raw])
+            factors.append(w[place] * f.degs[place] / (den * den))
+        common = math.lcm(*(q.denominator for q in factors))
+        scale = [q.numerator * (common // q.denominator) for q in factors]
 
         def entry(i, j):
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for place in range(f.num_places):
-                ri, ii = emb[i][place]
-                rj, ij = emb[j][place]
-                if ii is None:
-                    plo, phi = _iv_mul(ri, rj)
-                else:
-                    alo, ahi = _iv_mul(ri, rj)
-                    blo, bhi = _iv_mul(ii, ij)
-                    plo, phi = alo + blo, ahi + bhi
-                weight = w[place] * (2 if f.degs[place] == 2 else 1)
-                lo += weight * plo
-                hi += weight * phi
-            return (lo + hi) / 2, (hi - lo) / 2
+            lo = hi = 0
+            for k, rects in zip(scale, emb):
+                (ril, rih), im_i = rects[i]
+                (rjl, rjh), im_j = rects[j]
+                ps = (ril * rjl, ril * rjh, rih * rjl, rih * rjh)
+                plo, phi = min(ps), max(ps)
+                if im_i is not None:
+                    (iil, iih), (ijl, ijh) = im_i, im_j
+                    ps = (iil * ijl, iil * ijh, iih * ijl, iih * ijh)
+                    plo, phi = plo + min(ps), phi + max(ps)
+                lo += k * plo
+                hi += k * phi
+            return Fraction(lo + hi, 2 * common), Fraction(hi - lo, 2 * common)
 
     # every backend is symmetric in (i, j): fill the upper triangle, mirror it
     entries = [[None] * n for _ in range(n)]
@@ -198,6 +214,13 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
             err = max(err, e)
 
     return GramMatrix(f, tuple(basis), tuple(w), _freeze(entries), err, prec)
+
+
+def _rescale(rect, m: int):
+    """An embed_interval numerator rectangle (den, re_iv, im_iv) as the pair
+    (re_iv, im_iv) of numerators over den * m."""
+    _, (rl, rh), im = rect
+    return (rl * m, rh * m), None if im is None else (im[0] * m, im[1] * m)
 
 
 def _int_trace_form(f: NumberField) -> list[list[int]]:
@@ -269,22 +292,26 @@ def _int_gram_schmidt(g: list[list[int]]):
     return d, lam
 
 
-def lll_reduce(g: GramMatrix):
-    """LLL with delta = LLL_DELTA on the Gram matrix; returns (transform,
-    reduced GramMatrix).
+def _int_entries(entries) -> tuple[list[list[int]], int]:
+    """(cur, den): the rational entries as integers over their lcm den."""
+    den = math.lcm(*(x.denominator for row in entries for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in entries], den
 
-    The transform rows express the reduced basis on the source basis; the
-    reduced GramMatrix carries that reduced basis as its source.
 
-    The entries are scaled to integers by their lcm, and the run keeps the
-    integral Gram-Schmidt data of _int_gram_schmidt: size reduction takes
-    q = round(mu_kj) = floor((2 lam_kj + d_j+1) / (2 d_j+1)), and the
-    Lovasz condition B_k >= (delta - mu^2) B_k-1 reads
+def _lll_core(entries):
+    """LLL with delta = LLL_DELTA on integers: (umat, cur, den, d, lam).
+
+    The entries are scaled to integers cur over their lcm den, and the run
+    keeps the integral Gram-Schmidt data of _int_gram_schmidt: size
+    reduction takes q = round(mu_kj) = floor((2 lam_kj + d_j+1) / (2 d_j+1)),
+    and the Lovasz condition B_k >= (delta - mu^2) B_k-1 reads
     d_k+1 d_k-1 + lam^2 >= delta d_k^2. Every decision is the rational one.
+    On return umat is the transform (rows on the source basis), cur the
+    reduced Gram times den, and (d, lam) the integral Gram-Schmidt data of
+    cur, d[0] = 1.
     """
-    n = g.size
-    den = math.lcm(*(x.denominator for row in g.entries for x in row))
-    cur = [[x.numerator * (den // x.denominator) for x in row] for row in g.entries]
+    n = len(entries)
+    cur, den = _int_entries(entries)
     umat = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def apply_row_op(dst: int, src: int, q: int):
@@ -325,48 +352,32 @@ def lll_reduce(g: GramMatrix):
             swap_rows(k, k - 1)
             d, lam = _int_gram_schmidt(cur)
             k = max(k - 1, 1)
+    return umat, cur, den, d, lam
+
+
+def _reduced_gram(g: GramMatrix, umat, cur, den: int) -> GramMatrix:
+    """The GramMatrix of the reduced basis umat * g.source, entries cur / den."""
     basis = tuple(_combinations(g.field, g.source, umat)) if g.source else ()
     # entry (i, j) is U_i G U_j^T of the midpoints: off by ||U_i||_1 ||U_j||_1 err
     err = g.err * max(sum(abs(c) for c in row) for row in umat) ** 2
     entries = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
-    reduced = GramMatrix(g.field, basis, g.weights, entries, err, g.prec)
-    return [row[:] for row in umat], reduced
+    return GramMatrix(g.field, basis, g.weights, entries, err, g.prec)
+
+
+def lll_reduce(g: GramMatrix):
+    """LLL with delta = LLL_DELTA on the Gram matrix; returns (transform,
+    reduced GramMatrix).
+
+    The transform rows express the reduced basis on the source basis; the
+    reduced GramMatrix carries that reduced basis as its source. The run
+    is _lll_core's, on integers; this packs its transform and integer Gram.
+    """
+    umat, cur, den, _, _ = _lll_core(g.entries)
+    return umat, _reduced_gram(g, umat, cur, den)
 
 
 # ---------------------------------------------------------------------------
 # Fincke-Pohst enumeration
-
-def _fincke_pohst(d, l, centre, radius):
-    """Yield (value, a) for every integer vector a with
-    (a - centre)^T G (a - centre) = value <= radius, where G = L D L^T is
-    given by the factors (d, l) of _ldl. Depth first: the last coordinate
-    varies slowest and each coordinate runs in ascending order. The same
-    loop runs on Fraction data (exact) and on mpf data (at the working
-    precision).
-
-    With mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k) the value is
-    sum_i d_i (a_i - mid_i)^2; part[i] holds the terms k >= i of the current
-    prefix, and rows[i] the remaining points of level i.
-    """
-    n = len(d)
-    a = [0] * n
-    part = [0] * (n + 1)
-    rows = [None] * n
-    i = n - 1
-    rows[i] = _fincke_pohst_row(0, d[i], centre[i], radius)
-    while i < n:
-        step = next(rows[i], None)
-        if step is None:
-            i += 1
-        elif i:
-            a[i], part[i] = step
-            i -= 1
-            mid = centre[i] - sum(l[k][i] * (a[k] - centre[k]) for k in range(i + 1, n))
-            rows[i] = _fincke_pohst_row(part[i + 1], d[i], mid, radius)
-        else:
-            a[0], value = step
-            yield value, tuple(a)
-
 
 def _fincke_pohst_row(used, di, mid, radius):
     """Yield (x, used + di (x - mid)^2) for every integer x where that is at
@@ -394,6 +405,76 @@ def _fincke_pohst_row(used, di, mid, radius):
     while (value := used + di * (x - mid) ** 2) <= radius:
         yield x, value
         x += 1
+
+
+def _fincke_pohst_int_row(used, level, mid, radius):
+    """The integer row: level = (c, e), and the value is
+    used + c (e x - mid)^2 for integers throughout. It is at most radius
+    exactly when |e x - mid| <= t = isqrt((radius - used) // c), so the
+    run is x = ceil((mid - t) / e), ... while e x - mid <= t."""
+    c, e = level
+    t = math.isqrt((radius - used) // c)
+    x = -((t - mid) // e)
+    while (v := e * x - mid) <= t:
+        yield x, used + c * v * v
+        x += 1
+
+
+def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
+    """Yield (value, a) for every integer vector a with
+    (a - centre)^T G (a - centre) = value <= radius, where G = L D L^T is
+    given by the factors (d, l) of _ldl. Depth first: the last coordinate
+    varies slowest and each coordinate runs in ascending order. The same
+    loop runs on Fraction data (exact), on mpf data (at the working
+    precision) and, with row=_fincke_pohst_int_row, on the integer levels
+    of _int_search.
+
+    With mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k) the value is
+    sum_i d_i (a_i - mid_i)^2; part[i] holds the terms k >= i of the current
+    prefix, and rows[i] the remaining points of level i.
+    """
+    n = len(d)
+    a = [0] * n
+    part = [0] * (n + 1)
+    rows = [None] * n
+    i = n - 1
+    rows[i] = row(0, d[i], centre[i], radius)
+    while i < n:
+        step = next(rows[i], None)
+        if step is None:
+            i += 1
+        elif i:
+            a[i], part[i] = step
+            i -= 1
+            mid = centre[i] - sum(l[k][i] * (a[k] - centre[k]) for k in range(i + 1, n))
+            rows[i] = row(part[i + 1], d[i], mid, radius)
+        else:
+            a[0], value = step
+            yield value, tuple(a)
+
+
+def _int_search(cur: list[list[int]], den: int, d: list[int], lam, radius: Fraction):
+    """Yield (value, x) for every nonzero integer x with
+    value = x^T G x <= radius, G = cur / den with cur an integer Gram and
+    (d, lam) its integral Gram-Schmidt data, in the order of
+    enumerate_quadratic_form on G.
+
+    With m = lcm_i d_i d_i+1 and S_i = sum_{k > i} lam_ki x_k,
+
+        m x^T cur x = sum_i c_i (d_i+1 x_i + S_i)^2,   c_i = m / (d_i d_i+1),
+
+    so the loop runs on the levels (c_i, d_i+1) with row
+    _fincke_pohst_int_row against the integer bound floor(m den radius):
+    integers at every node, and a value becomes a Fraction only when its
+    vector is yielded."""
+    n = len(cur)
+    m = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    levels = [(m // (d[i] * d[i + 1]), d[i + 1]) for i in range(n)]
+    scale = m * den  # a node's value over scale is x^T G x
+    bound = radius.numerator * scale // radius.denominator
+    for value, x in _fincke_pohst(levels, lam, [0] * n, bound, _fincke_pohst_int_row):
+        if any(x):
+            yield Fraction(value, scale), x
 
 
 def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
@@ -435,18 +516,20 @@ def _element_of(g: GramMatrix, coeffs) -> FieldElement | None:
     return _combinations(g.field, g.source, [coeffs])[0]
 
 
+def _fine_gram(gram: GramMatrix, radius: Fraction) -> GramMatrix:
+    """gram, refined until err * 4n^2, the error a short vector's value can
+    carry, is at most radius * _ENUM_SLACK; an exact Gram as it is."""
+    n = gram.size
+    slack = radius * _ENUM_SLACK
+    return _refining(gram, lambda g: g if g.err * (4 * n * n) <= slack else None)
+
+
 def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction):
     """Yield (value, coeffs) for every nonzero lattice vector with
     x^T G x <= radius, coefficients on gram.source, both signs, in the order
     of enumerate_quadratic_form; _element_of(gram, coeffs) is the vector.
-
-    An inexact Gram is refined first until err * 4n^2, the error a short
-    vector's value can carry, is below radius * _ENUM_SLACK.
-    """
-    n = gram.size
-    slack = radius * _ENUM_SLACK
-    gram = _refining(gram, lambda g: g if g.err * (4 * n * n) <= slack else None)
-    yield from enumerate_quadratic_form(gram.entries, radius)
+    An inexact Gram is refined first (_fine_gram)."""
+    yield from enumerate_quadratic_form(_fine_gram(gram, radius).entries, radius)
 
 
 def shortest_vector(g: GramMatrix) -> ShortVector:
@@ -456,18 +539,31 @@ def shortest_vector(g: GramMatrix) -> ShortVector:
 
 
 def _shortest_attempt(g: GramMatrix) -> ShortVector:
-    umat, red = lll_reduce(g)
+    """Shortest vector of g at its precision: LLL, then the Fincke-Pohst
+    loop on integers inside the LLL radius, the least diagonal entry of
+    the reduced Gram.
+
+    An exact Gram is searched on _lll_core's integer Gram and integral
+    Gram-Schmidt data (_int_search): no _ldl, no Fraction per node, and
+    only the winner becomes a FieldElement. An inexact Gram widens the
+    radius by its error, refines the reduced basis's Gram (_fine_gram) and
+    is searched the same way on the integral data of that midpoint Gram.
+    The (value, coeffs) are those of enumerate_quadratic_form on the same
+    entries, in the same order.
+    """
     n = g.size
-    radius = min(red.entries[i][i] for i in range(n))
+    umat, cur, den, d, lam = _lll_core(g.entries)
+    radius = Fraction(min(cur[i][i] for i in range(n)), den)
     if g.err:
         radius = radius * (1 + _ENUM_SLACK) + g.err * (4 * n * n)
+        fine = _fine_gram(_reduced_gram(g, umat, cur, den), radius)
+        cur, den = _int_entries(fine.entries)
+        d, lam = _int_gram_schmidt(cur)
     # map back to source-basis coefficients
     mapped = []
-    for val, x in _enumerate_ellipsoid(red, radius):
-        orig = tuple(
-            sum(x[i] * umat[i][j] for i in range(n)) for j in range(n)
-        )
-        mapped.append((val, _canonical_sign(orig)))
+    for value, x in _int_search(cur, den, d, lam, radius):
+        orig = tuple(sum(x[i] * umat[i][j] for i in range(n)) for j in range(n))
+        mapped.append((value, _canonical_sign(orig)))
     if not mapped:
         raise RuntimeError("enumeration found no vectors inside the LLL radius")
     best = min(v for v, _ in mapped)
@@ -487,9 +583,9 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector:
 
 
 def lll_first_vector(g: GramMatrix) -> ShortVector:
-    umat, red = lll_reduce(g)
+    umat, cur, den, _, _ = _lll_core(g.entries)
     coeffs = _canonical_sign(tuple(umat[0]))
-    return ShortVector(coeffs, _element_of(g, coeffs), red.entries[0][0],
+    return ShortVector(coeffs, _element_of(g, coeffs), Fraction(cur[0][0], den),
                        g.value_error(coeffs))
 
 

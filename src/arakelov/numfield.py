@@ -69,11 +69,6 @@ def _iv_add(a: Interval, b: Interval) -> Interval:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _iv_mul(a: Interval, b: Interval) -> Interval:
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
-
-
 def _iv_cmp(a: Interval, b: Interval) -> int | None:
     """Certified sign of x - y for x in a and y in b: +-1 when the intervals
     are disjoint, None (undecided) when they overlap."""
@@ -508,9 +503,12 @@ class NumberField:
                                      for iv in ivs])
         return self._cache[key]
 
-    def embed_interval(self, x: "FieldElement", place: int, prec: int):
+    def embed_interval(self, x: "FieldElement", place: int, prec: int,
+                       numerators: bool = False):
         """Certified rectangle (re_iv, im_iv) for sigma(x); im_iv is None at
-        real places.
+        real places. With numerators=True the endpoints stay integers:
+        (den, re_iv, im_iv), each endpoint a numerator over the one positive
+        denominator den.
 
         Interval Horner runs on integers: the power coordinates over their
         lcm dc, the root box over its denominator dt, so after k steps every
@@ -529,22 +527,25 @@ class NumberField:
                 scale *= dt
                 ps = (lo * tl, lo * th, hi * tl, hi * th)
                 lo, hi = min(ps) + c * scale, max(ps) + c * scale
-            den = dc * scale
-            return (Fraction(lo, den), Fraction(hi, den)), None
-        (rl, rh), (il, ih) = box
-        al = ah = cs[0]
-        bl = bh = 0
-        for c in cs[1:]:
-            scale *= dt
-            rr = (al * rl, al * rh, ah * rl, ah * rh)
-            ii = (bl * il, bl * ih, bh * il, bh * ih)
-            ri = (al * il, al * ih, ah * il, ah * ih)
-            ir = (bl * rl, bl * rh, bh * rl, bh * rh)
-            al, ah, bl, bh = (min(rr) - max(ii) + c * scale, max(rr) - min(ii) + c * scale,
-                              min(ri) + min(ir), max(ri) + max(ir))
+            re_iv, im_iv = (lo, hi), None
+        else:
+            (rl, rh), (il, ih) = box
+            al = ah = cs[0]
+            bl = bh = 0
+            for c in cs[1:]:
+                scale *= dt
+                rr = (al * rl, al * rh, ah * rl, ah * rh)
+                ii = (bl * il, bl * ih, bh * il, bh * ih)
+                ri = (al * il, al * ih, ah * il, ah * ih)
+                ir = (bl * rl, bl * rh, bh * rl, bh * rh)
+                al, ah, bl, bh = (min(rr) - max(ii) + c * scale, max(rr) - min(ii) + c * scale,
+                                  min(ri) + min(ir), max(ri) + max(ir))
+            re_iv, im_iv = (al, ah), (bl, bh)
         den = dc * scale
-        return ((Fraction(al, den), Fraction(ah, den)),
-                (Fraction(bl, den), Fraction(bh, den)))
+        if numerators:
+            return den, re_iv, im_iv
+        return ((Fraction(re_iv[0], den), Fraction(re_iv[1], den)),
+                None if im_iv is None else (Fraction(im_iv[0], den), Fraction(im_iv[1], den)))
 
     def abs_sq_interval(self, x: "FieldElement", place: int, prec: int) -> Interval:
         re_iv, im_iv = self.embed_interval(x, place, prec)

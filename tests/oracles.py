@@ -238,6 +238,36 @@ def interval_horner(pcoords, root_ivs):
     return re, (im if len(root_ivs) == 2 else None)
 
 
+def interval_gram(pcoord_rows, places, weights):
+    """(entries, err) of the certified Gram over rational intervals: entry
+    (i, j) is the midpoint of sum_p deg_p w_p Re(sigma_p(b_i) conj(sigma_p(b_j)))
+    by interval arithmetic on the rectangles of interval_horner, err the
+    largest half-width. places holds (deg, root_ivs) per place, pcoord_rows
+    the power coordinates of each basis element."""
+    def mul(a, b):
+        ps = [x * y for x in a for y in b]
+        return min(ps), max(ps)
+
+    rects = [[interval_horner(row, ivs) for _, ivs in places] for row in pcoord_rows]
+    n = len(pcoord_rows)
+    entries = [[None] * n for _ in range(n)]
+    err = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            lo = hi = Fraction(0)
+            for p, (deg, _) in enumerate(places):
+                (ri, ii), (rj, ij) = rects[i][p], rects[j][p]
+                plo, phi = mul(ri, rj)
+                if ii is not None:
+                    qlo, qhi = mul(ii, ij)
+                    plo, phi = plo + qlo, phi + qhi
+                lo += deg * weights[p] * plo
+                hi += deg * weights[p] * phi
+            entries[i][j] = (lo + hi) / 2
+            err = max(err, (hi - lo) / 2)
+    return tuple(tuple(row) for row in entries), err
+
+
 # ---------------------------------------------------------------------------
 # Independent quadratic-field machinery (surds carried as (a, b) ~ a + b*sqrt(D))
 

@@ -286,9 +286,7 @@ def test_lll_jump_random_quadratic_fields():
 
 def test_lll_jump_guard_never_false_certificate(f7):
     # a deliberately non-basis vector: J = (1/2) O_F has 1/2, guard refuses
-    res, diag = _jump_assemble(f7, unit_ideal(f7), f7.rational(2))
-    assert res is None
-    assert "not primitive" in diag["reason"]
+    assert _jump_assemble(f7, unit_ideal(f7), f7.rational(2)) is None
 
 
 def test_reduce_identity(f7):

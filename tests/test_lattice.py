@@ -24,6 +24,10 @@ from arakelov.lattice import (
     _canonical_sign,
     _ellipsoid_gram,
     _gram,
+    _int_entries,
+    _int_gram_schmidt,
+    _int_search,
+    _lll_core,
     covolume_check,
     enumerate_box,
     enumerate_quadratic_form,
@@ -33,7 +37,7 @@ from arakelov.lattice import (
     minimal_element_bounded,
     shortest_vector,
 )
-from arakelov.numfield import ArchVector, LogVector, create_field
+from arakelov.numfield import ArchVector, LogVector, create_field, mpf_to_fraction
 from arakelov.units import LogLattice, unit_lattice_from_elements
 from conftest import random_degree_zero_divisor, random_fractional_ideal
 from oracles import (
@@ -44,6 +48,7 @@ from oracles import (
     brute_qform_points,
     brute_shortest_sq,
     fraction_lll,
+    interval_gram,
 )
 
 
@@ -413,25 +418,103 @@ def test_lll_transform_is_scale_invariant(rows, scale):
     assert reds.entries == tuple(tuple(scale * x for x in r) for r in red.entries)
 
 
-def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7):
+def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7, f_cubic):
     """An exact Gram's shortest vector builds one field element, the winner,
-    however many vectors the enumeration visits."""
-    calls = []
+    however many vectors the enumeration visits: no reduced-basis element
+    is built, and no _ldl runs. The cubic x^3 - 2 has a complex place, so
+    its Gram is inexact and still builds the reduced basis to refine it."""
+    calls, rows = [], []
     inner = lattice_module._element_of
+    inner_comb = lattice_module._combinations
 
     def count(g, coeffs):
         calls.append(coeffs)
         return inner(g, coeffs)
 
+    def count_rows(f, source, coeff_rows):
+        rows.extend(coeff_rows)
+        return inner_comb(f, source, coeff_rows)
+
+    def no_ldl(g):
+        raise AssertionError("_ldl called")
+
     monkeypatch.setattr(lattice_module, "_element_of", count)
+    monkeypatch.setattr(lattice_module, "_combinations", count_rows)
+    monkeypatch.setattr(lattice_module, "_ldl", no_ldl)
     lat, _ = plain_alpha_lattice(f7)
     for f, lattice in ((f73, unit_ideal(f73)), (f7, lat),
                        (f73, enumerate_integral_ideals(f73, 20)[-1])):
         gram = gram_of(f, lattice)
         assert gram.err == 0
         calls.clear()
+        rows.clear()
         sv = lattice_module._shortest_attempt(gram)
         assert calls == [sv.coeffs]
+        assert rows == [sv.coeffs]
+    gram = gram_of(f_cubic, unit_ideal(f_cubic))
+    assert gram.err > 0
+    rows.clear()
+    sv = lattice_module._shortest_attempt(gram)
+    assert len(rows) == 3 + 1 and rows[-1] == sv.coeffs
+
+
+def _int_points(entries, radius):
+    """_int_search on a rational Gram, from its own integral data."""
+    cur, den = _int_entries(entries)
+    d, lam = _int_gram_schmidt(cur)
+    return list(_int_search(cur, den, d, lam, Fraction(radius)))
+
+
+def _lll_radius_points(entries):
+    """(reduced entries, LLL radius, _int_search at that radius on
+    _lll_core's own data)."""
+    n = len(entries)
+    _, cur, den, d, lam = _lll_core(entries)
+    assert (d, lam) == _int_gram_schmidt(cur)
+    reduced = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
+    radius = Fraction(min(cur[i][i] for i in range(n)), den)
+    return reduced, radius, list(_int_search(cur, den, d, lam, radius))
+
+
+def _canonical_shortest(entries):
+    """(lambda_1^2, least positive-leading coefficients attaining it) by the
+    brute scan."""
+    best = brute_shortest_sq(entries)
+    minimal = [x for value, x in brute_qform_points(entries, best) if value == best]
+    return best, min(x for x in minimal if next(c for c in x if c) > 0)
+
+
+def test_integer_search_matches_rational_enumeration():
+    """The integer search yields the (value, coeffs) list of
+    enumerate_quadratic_form: at the LLL radius on the reduced Gram, and at
+    other radii on the Gram as given, over seeded random rational Grams of
+    rank 1-4, tie-heavy forms and a skewed one; shortest_vector agrees with
+    the brute scan and keeps the canonical tie-break."""
+    rng = random.Random(16)
+    grams = []
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(n)]
+        g = [[sum(b[i][k] * b[j][k] for k in range(n)) + Fraction(int(i == j), rng.randint(1, 5))
+              for j in range(n)] for i in range(n)]
+        grams.append(g)
+    grams += [
+        [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],  # Z[i]: 4 minima
+        [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]],  # hexagonal: 6 minima
+        [[Fraction(2), Fraction(1), Fraction(1)], [Fraction(1), Fraction(2), Fraction(1)],
+         [Fraction(1), Fraction(1), Fraction(2)]],  # A3: 12 minima
+        [[Fraction(1, 97), Fraction(1, 30)], [Fraction(1, 30), Fraction(3, 2)]],  # skewed
+    ]
+    for g in grams:
+        entries = tuple(tuple(r) for r in g)
+        reduced, radius, got = _lll_radius_points(entries)
+        assert got == enumerate_quadratic_form(reduced, radius)
+        for scale in (Fraction(1, 2), 1, Fraction(5, 2)):
+            r = scale * min(g[i][i] for i in range(len(g)))
+            assert _int_points(entries, r) == enumerate_quadratic_form(entries, r)
+        sv = shortest_vector(GramMatrix.from_entries(g))
+        assert (sv.length_sq, sv.coeffs) == _canonical_shortest(entries)
 
 
 def test_rank2_hermite_bound(f7, f73):
@@ -509,11 +592,44 @@ def test_enumerate_quadratic_form_matches_brute_scan():
 
 def test_enumerate_quadratic_form_on_census_grams(f_cubic):
     """Grams the lambda_1 test sees on x^3 - 2 (inverses of integral ideals,
-    inexact midpoints), at the C = 1 threshold n and at 2n."""
+    inexact midpoints), at the C = 1 threshold n and at 2n: the rational
+    enumeration and the integer search of the lambda_1 test give the brute
+    scan's points, and the shortest vector is the brute minimum within its
+    certified error."""
     for ideal in enumerate_integral_ideals(f_cubic, 6):
-        g = gram_of(f_cubic, invert(ideal)).entries
+        gram = gram_of(f_cubic, invert(ideal))
+        g = gram.entries
         for radius in (Fraction(3), Fraction(6)):
             _assert_qform_points_match(g, radius)
+            assert _int_points(g, radius) == enumerate_quadratic_form(g, radius)
+        sv = shortest_vector(gram)
+        assert abs(sv.length_sq - brute_shortest_sq(g)) <= sv.length_sq_err
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1],
+                                      [-1, -1, 0, 0, 1], [1, 0, 0, 0, 1]])
+def test_interval_gram_matches_rational_oracle(min_poly):
+    """The integer-endpoint interval backend gives exactly the entries and
+    err of Gram building over rational intervals, for the basis of O and of
+    an ideal, under unit and twisted per-place weights, at 128 and 256 bits."""
+    f = create_field(min_poly)
+    rng = random.Random(len(min_poly))
+    bases = [tuple(unit_ideal(f).basis_elements()),
+             tuple(invert(enumerate_integral_ideals(f, 8)[-1]).basis_elements())]
+    twisted = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in range(f.num_places)]
+    for prec in (128, 256):
+        places = []
+        for kind, v, rad in f.places_mpf(prec):
+            parts = [v] if kind == "R" else [v.real, v.imag]
+            places.append((1 if kind == "R" else 2,
+                           [(mpf_to_fraction(p) - rad, mpf_to_fraction(p) + rad)
+                            for p in parts]))
+        for basis in bases:
+            rows = [f.to_power(b.coords) for b in basis]
+            for w in ([Fraction(1)] * f.num_places, twisted):
+                gram = _gram(f, basis, w, prec)
+                assert gram.err > 0
+                assert (gram.entries, gram.err) == interval_gram(rows, places, w)
 
 
 def test_enumerators_leave_no_reference_cycles():

@@ -197,9 +197,9 @@ def interval_precisions(monkeypatch):
     seen = []
     inner = NumberField.embed_interval
 
-    def record(self, x, place, prec):
+    def record(self, x, place, prec, **kw):
         seen.append(prec)
-        return inner(self, x, place, prec)
+        return inner(self, x, place, prec, **kw)
 
     monkeypatch.setattr(NumberField, "embed_interval", record)
     return seen
