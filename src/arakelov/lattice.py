@@ -12,10 +12,14 @@ themselves when a decision falls inside the bound.
 
 LLL runs on the Gram scaled to integers with its integral Gram-Schmidt
 data, and the shortest-vector search behind the lambda_1 test runs the one
-Fincke-Pohst loop on that same integer data. Boxes, principal generators
-and the unit lattice's closest vectors (units.LogLattice) run the loop on
-Fraction or mpf rows from _ldl: they do not LLL first, so there is no
-integral Gram-Schmidt data to reuse.
+Fincke-Pohst loop on that same integer data. An inexact Gram is searched at
+its own precision: its midpoints, whose integers run far longer than their
+certified error warrants, are rounded to a grid a few bits below that
+error, LLL and the search run on the rounded Gram, and only the candidates
+found are valued exactly on the midpoints (_rounded_attempt). Boxes,
+principal generators and the unit lattice's closest vectors
+(units.LogLattice) run the loop on Fraction or mpf rows from _ldl: they do
+not LLL first, so there is no integral Gram-Schmidt data to reuse.
 """
 from __future__ import annotations
 
@@ -39,6 +43,8 @@ from .numfield import (
 LLL_DELTA = Fraction(99, 100)
 DEGREE_TOL = 1e-9
 _ENUM_SLACK = Fraction(1, 2 ** 20)
+_LLL_ALPHA = 1 / (LLL_DELTA - Fraction(1, 4))  # ||b_1||^2 <= _LLL_ALPHA^(n-1) lambda_1^2
+_ROUND_GUARD = 8  # bits below an inexact Gram's error that its rounding keeps
 
 
 def _sqrt_approx(d: int, prec: int) -> tuple[Fraction, Fraction]:
@@ -298,20 +304,19 @@ def _int_entries(entries) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in entries], den
 
 
-def _lll_core(entries):
-    """LLL with delta = LLL_DELTA on integers: (umat, cur, den, d, lam).
+def _lll_core(cur: list[list[int]]):
+    """LLL with delta = LLL_DELTA on an integer Gram: (umat, cur, d, lam).
 
-    The entries are scaled to integers cur over their lcm den, and the run
-    keeps the integral Gram-Schmidt data of _int_gram_schmidt: size
+    The run keeps the integral Gram-Schmidt data of _int_gram_schmidt: size
     reduction takes q = round(mu_kj) = floor((2 lam_kj + d_j+1) / (2 d_j+1)),
     and the Lovasz condition B_k >= (delta - mu^2) B_k-1 reads
-    d_k+1 d_k-1 + lam^2 >= delta d_k^2. Every decision is the rational one.
-    On return umat is the transform (rows on the source basis), cur the
-    reduced Gram times den, and (d, lam) the integral Gram-Schmidt data of
-    cur, d[0] = 1.
+    d_k+1 d_k-1 + lam^2 >= delta d_k^2. Every decision is the rational one,
+    so a Gram scaled by a positive constant gets the same transform. On
+    return umat is the transform (rows on the source basis), cur the reduced
+    Gram (the argument, reduced in place) and (d, lam) its integral
+    Gram-Schmidt data, d[0] = 1.
     """
-    n = len(entries)
-    cur, den = _int_entries(entries)
+    n = len(cur)
     umat = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def apply_row_op(dst: int, src: int, q: int):
@@ -352,7 +357,7 @@ def _lll_core(entries):
             swap_rows(k, k - 1)
             d, lam = _int_gram_schmidt(cur)
             k = max(k - 1, 1)
-    return umat, cur, den, d, lam
+    return umat, cur, d, lam
 
 
 def _reduced_gram(g: GramMatrix, umat, cur, den: int) -> GramMatrix:
@@ -372,7 +377,8 @@ def lll_reduce(g: GramMatrix):
     reduced GramMatrix carries that reduced basis as its source. The run
     is _lll_core's, on integers; this packs its transform and integer Gram.
     """
-    umat, cur, den, _, _ = _lll_core(g.entries)
+    cur, den = _int_entries(g.entries)
+    umat, cur, _, _ = _lll_core(cur)
     return umat, _reduced_gram(g, umat, cur, den)
 
 
@@ -545,45 +551,122 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector:
 
     An exact Gram is searched on _lll_core's integer Gram and integral
     Gram-Schmidt data (_int_search): no _ldl, no Fraction per node, and
-    only the winner becomes a FieldElement. An inexact Gram widens the
-    radius by its error, refines the reduced basis's Gram (_fine_gram) and
-    is searched the same way on the integral data of that midpoint Gram.
-    The (value, coeffs) are those of enumerate_quadratic_form on the same
-    entries, in the same order.
+    only the winner becomes a FieldElement. The (value, coeffs) are those
+    of enumerate_quadratic_form on the same entries, in the same order.
+
+    An inexact Gram runs the same steps on its midpoints rounded to its
+    certified error (_rounded_attempt), refined until that rounding is fine
+    enough for the radius; the candidates are valued exactly on the
+    midpoints, and the one picked is reported with the error the midpoints
+    allow (3 margin + spread).
     """
-    n = g.size
-    umat, cur, den, d, lam = _lll_core(g.entries)
-    radius = Fraction(min(cur[i][i] for i in range(n)), den)
     if g.err:
-        radius = radius * (1 + _ENUM_SLACK) + g.err * (4 * n * n)
-        fine = _fine_gram(_reduced_gram(g, umat, cur, den), radius)
-        cur, den = _int_entries(fine.entries)
-        d, lam = _int_gram_schmidt(cur)
-    # map back to source-basis coefficients
-    mapped = []
-    for value, x in _int_search(cur, den, d, lam, radius):
-        orig = tuple(sum(x[i] * umat[i][j] for i in range(n)) for j in range(n))
-        mapped.append((value, _canonical_sign(orig)))
+        return _refining(g, _rounded_attempt)
+    n = g.size
+    cur, den = _int_entries(g.entries)
+    umat, cur, d, lam = _lll_core(cur)
+    radius = Fraction(min(cur[i][i] for i in range(n)), den)
+    mapped = [(value, _canonical_sign(_on_source(umat, x)))
+              for value, x in _int_search(cur, den, d, lam, radius)]
     if not mapped:
         raise RuntimeError("enumeration found no vectors inside the LLL radius")
     best = min(v for v, _ in mapped)
-    if g.err == 0:
-        winners = sorted({x for v, x in mapped if v == best})
-        coeffs = winners[0]
-        return ShortVector(coeffs, _element_of(g, coeffs), best, Fraction(0))
-    # inexact entries: any candidate within the certified margin may be the
-    # true minimiser; report the canonical one with the spread folded into
-    # the error so threshold decisions stay honest
+    coeffs = min(x for v, x in mapped if v == best)
+    return ShortVector(coeffs, _element_of(g, coeffs), best, Fraction(0))
+
+
+def _on_source(umat, x) -> tuple[int, ...]:
+    """Coefficients on the source basis of x on the reduced basis umat."""
+    n = len(umat)
+    return tuple(sum(x[i] * umat[i][j] for i in range(n)) for j in range(n))
+
+
+def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
+    """_shortest_attempt for an inexact Gram g at its precision, or None
+    when g is too coarse for the search.
+
+    The midpoints G carry integers far longer than their error e warrants,
+    so LLL and the search run on H, G rounded to the nearest multiples of
+    2^-k with 2^-k <= e / 2^_ROUND_GUARD: |H - G| <= delta = 2^-(k+1)
+    entrywise. Every candidate is mapped back through the transform U and
+    valued exactly on G, one integer quadratic form each, and the pick is
+    the rule for inexact Grams: best, the least value; margin, the largest
+    value_error; the close set, values within best + 2 margin; the least
+    coefficients in it; error 3 margin + spread.
+
+    Why the candidates suffice. Write v_G, v_H for the two forms,
+    L = n tr(H^-1) and eps = (e + delta) L.
+      (1) ||x||_1^2 <= n ||x||_2^2 <= L v_H(x) for every real x, since
+          tr(H^-1) bounds 1 / (least eigenvalue of H).
+      (2) |v_G(x) - v_H(x)| <= delta ||x||_1^2 <= eps v_H(x), so
+          (1 - eps) v_H(x) <= v_G(x) <= (1 + eps) v_H(x).
+    The candidates are the x with v_H(x) <= R = r (1 + s), r the least
+    diagonal entry of U H U^T and s = _ENUM_SLACK. By (2) every x with
+    v_G(x) <= (1 - eps) R is one, and best <= v_G(that row) <= b = r (1 + eps).
+    By (1) and (2) a set of vectors with v_G <= V has margin at most
+    m(V) = e L V / (1 - eps). The candidates have v_G <= (1 + eps) R. A
+    search of G itself, LLL on G and then the radius r_G (1 + s) + 4 n^2 e
+    with r_G its least reduced diagonal entry, has r_G <= a^(n-1) best (the
+    LLL bound, a = 1 / (LLL_DELTA - 1/4)). Both radii thus lie below
+    V = a^(n-1) (1 + s) b + 4 n^2 e, and both margins are at most m(V).
+    When (1 - eps) R >= b + 2 m(V), which is checked, the candidates hold
+    every vector within best + 2 margin of either search; otherwise the
+    attempt returns None and _refining refines g. Both searches thus value
+    the same vectors at the same midpoint values, so best and, unless some
+    vector's value lies strictly between best plus twice the one margin and
+    best plus twice the other, the close set, winner, value and spread are
+    the same rationals; only the error term 3 margin can differ, by less
+    than 3 m(V).
+    """
+    n, e = g.size, g.err
+    k = e.denominator.bit_length() - e.numerator.bit_length() + 1 + _ROUND_GUARD
+    scale = 1 << k
+    cur = [[((x.numerator << (k + 1)) + x.denominator) // (2 * x.denominator) for x in row]
+           for row in g.entries]
+    ell = n * scale * _inverse_trace(cur)
+    umat, cur, d, lam = _lll_core(cur)
+    r = Fraction(min(cur[i][i] for i in range(n)), scale)
+    radius = r * (1 + _ENUM_SLACK)
+    eps = (e + Fraction(1, 2 * scale)) * ell
+    if eps >= 1:
+        return None
+    b = r * (1 + eps)
+    far = _LLL_ALPHA ** (n - 1) * (1 + _ENUM_SLACK) * b + 4 * n * n * e
+    if (1 - eps) * radius < b + 2 * e * ell * far / (1 - eps):
+        return None
+    exact, den = _int_entries(g.entries)
+    found = {_canonical_sign(_on_source(umat, x))
+             for _, x in _int_search(cur, scale, d, lam, radius)}
+    mapped = [(Fraction(_int_qform(exact, x), den), x) for x in found]
+    best = min(v for v, _ in mapped)
     margin = max(g.value_error(x) for _, x in mapped)
     close = sorted((v, x) for v, x in mapped if v <= best + 2 * margin)
     val, coeffs = min(close, key=lambda t: (t[1], t[0]))
     spread = close[-1][0] - best
-    return ShortVector(coeffs, _element_of(g, coeffs), val,
-                       3 * margin + spread)
+    return ShortVector(coeffs, _element_of(g, coeffs), val, 3 * margin + spread)
+
+
+def _inverse_trace(cur: list[list[int]]) -> Fraction:
+    """tr(cur^-1) of a positive-definite integer Gram: its principal
+    (n-1)-minors over its determinant."""
+    n = len(cur)
+
+    def det(rows):
+        return _int_gram_schmidt([[cur[i][j] for j in rows] for i in rows])[0][-1]
+
+    return Fraction(sum(det([i for i in range(n) if i != m]) for m in range(n)),
+                    det(range(n)))
+
+
+def _int_qform(g: list[list[int]], x) -> int:
+    """x^T g x for an integer matrix g."""
+    return sum(xi * sum(gij * xj for gij, xj in zip(row, x) if xj)
+               for row, xi in zip(g, x) if xi)
 
 
 def lll_first_vector(g: GramMatrix) -> ShortVector:
-    umat, cur, den, _, _ = _lll_core(g.entries)
+    cur, den = _int_entries(g.entries)
+    umat, cur, _, _ = _lll_core(cur)
     coeffs = _canonical_sign(tuple(umat[0]))
     return ShortVector(coeffs, _element_of(g, coeffs), Fraction(cur[0][0], den),
                        g.value_error(coeffs))
@@ -668,10 +751,13 @@ def _degree(ideal: FractionalIdeal, u: ArchVector):
 def _box_side(f: NumberField) -> Fraction:
     """Side of the closed box in which minimal_element_bounded searches a
     degree-zero pair: the box-bound constant to the power 1/n, at the field
-    precision, widened by 2^-64."""
-    with mp.workprec(f.prec):
-        target = f.partial_constant() ** (mpf(1) / f.n)
-        return mpf_to_fraction(target) * (1 + Fraction(1, 1 << 64))
+    precision, widened by 2^-64. A per-field constant, cached."""
+    key = ("box_side", f.prec)
+    if key not in f._cache:
+        with mp.workprec(f.prec):
+            target = f.partial_constant() ** (mpf(1) / f.n)
+        f._cache[key] = mpf_to_fraction(target) * (1 + Fraction(1, 1 << 64))
+    return f._cache[key]
 
 
 def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,

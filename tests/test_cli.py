@@ -193,6 +193,17 @@ def test_census_refusal_exit_code(field_file, capsys):
     assert "refused" in err
 
 
+def test_census_exact_tie_exits_at_precision_cap(capsys):
+    """On x^3 - 2 at C = 1 some divisor's lambda_1^2 equals the threshold
+    n / C^2 exactly, so no precision of its inexact Gram decides it: the
+    census gives up with exit 3 and the precision message, and no output."""
+    field = str(Path(__file__).resolve().parent.parent / "fields" / "cubic2.json")
+    code, out, err = run(capsys, ["census", "--C", "1", "--field", field])
+    assert code == 3
+    assert out == ""
+    assert err == "error: gram matrix refinement exceeded precision cap\n"
+
+
 @pytest.mark.parametrize("exc", ["PrecisionExhausted", "UndecidedPrincipality"])
 def test_internal_limit_exit_code(field_file, capsys, monkeypatch, exc):
     import arakelov.cli as cli

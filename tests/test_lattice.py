@@ -419,10 +419,10 @@ def test_lll_transform_is_scale_invariant(rows, scale):
 
 
 def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7, f_cubic):
-    """An exact Gram's shortest vector builds one field element, the winner,
-    however many vectors the enumeration visits: no reduced-basis element
-    is built, and no _ldl runs. The cubic x^3 - 2 has a complex place, so
-    its Gram is inexact and still builds the reduced basis to refine it."""
+    """A shortest vector builds one field element, the winner, however many
+    vectors the enumeration visits: no reduced-basis element is built, and
+    no _ldl runs. That holds for exact Grams and for the inexact Gram of
+    x^3 - 2 (a complex place), whose rounded search needs no refinement."""
     calls, rows = [], []
     inner = lattice_module._element_of
     inner_comb = lattice_module._combinations
@@ -453,9 +453,16 @@ def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7, f_cubic):
         assert rows == [sv.coeffs]
     gram = gram_of(f_cubic, unit_ideal(f_cubic))
     assert gram.err > 0
+
+    def no_refine(g):
+        raise AssertionError("refine called")
+
+    monkeypatch.setattr(GramMatrix, "refine", no_refine)
+    calls.clear()
     rows.clear()
     sv = lattice_module._shortest_attempt(gram)
-    assert len(rows) == 3 + 1 and rows[-1] == sv.coeffs
+    assert calls == [sv.coeffs]
+    assert rows == [sv.coeffs]
 
 
 def _int_points(entries, radius):
@@ -469,7 +476,8 @@ def _lll_radius_points(entries):
     """(reduced entries, LLL radius, _int_search at that radius on
     _lll_core's own data)."""
     n = len(entries)
-    _, cur, den, d, lam = _lll_core(entries)
+    cur, den = _int_entries(entries)
+    _, cur, d, lam = _lll_core(cur)
     assert (d, lam) == _int_gram_schmidt(cur)
     reduced = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
     radius = Fraction(min(cur[i][i] for i in range(n)), den)
@@ -482,6 +490,81 @@ def _canonical_shortest(entries):
     best = brute_shortest_sq(entries)
     minimal = [x for value, x in brute_qform_points(entries, best) if value == best]
     return best, min(x for x in minimal if next(c for c in x if c) > 0)
+
+
+def _ceil_log2(q: Fraction) -> int:
+    """The least c with 2^c >= q, for a positive rational q."""
+    c = 0
+    while Fraction(1 << c) < q:
+        c += 1
+    while c > 0 and Fraction(1 << (c - 1)) >= q:
+        c -= 1
+    return c
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1], [-1, -1, 0, 0, 1]])
+def test_rounded_shortest_matches_midpoint_oracle(monkeypatch, min_poly):
+    """On inexact Grams the lambda_1 search runs on the midpoints rounded to
+    the Gram's error. On inverses of seeded integral ideals of norm <= 30,
+    under unit weights (the d-form the census tests) and twisted per-place
+    weights: _shortest_attempt gives the brute scan's canonical shortest
+    coefficients with their exact midpoint value, its error covers the
+    brute minimum of the Gram refined twice (min() of an empty scan fails
+    the test), and _lll_core sees integers
+    of at most ceil(log2(1/err)) + 64 bits plus the largest entry's."""
+    f = create_field(min_poly)
+    rng = random.Random(len(min_poly) + sum(min_poly))
+    sizes = []
+    inner = lattice_module._lll_core
+
+    def spy(cur):
+        sizes.append(max(abs(x).bit_length() for row in cur for x in row))
+        return inner(cur)
+
+    monkeypatch.setattr(lattice_module, "_lll_core", spy)
+    for ideal in rng.sample(enumerate_integral_ideals(f, 30), 3):
+        lattice = invert(ideal)
+        twist = ArchVector(tuple(mpf(rng.randint(1, 9)) / rng.randint(1, 9)
+                                 for _ in range(f.num_places)), f.degs, f.prec)
+        for u in (None, twist):
+            gram = gram_of(f, lattice, u)
+            assert gram.err > 0
+            sizes.clear()
+            sv = lattice_module._shortest_attempt(gram)
+            # the brute points at or below the reported value: their least
+            # value is the reported one, and sv.coeffs the least canonical
+            # vector attaining it
+            points = brute_qform_points(gram.entries, sv.length_sq)
+            assert min(v for v, _ in points) == sv.length_sq
+            assert sv.coeffs == min(x for v, x in points
+                                    if v == sv.length_sq and next(c for c in x if c) > 0)
+            # the minimum of the twice refined Gram lies within the error
+            finer = gram.refine().refine()
+            points = brute_qform_points(finer.entries, sv.length_sq + sv.length_sq_err)
+            assert min(v for v, _ in points) >= sv.length_sq - sv.length_sq_err
+            top = max(abs(x) for row in gram.entries for x in row)
+            assert sizes
+            assert max(sizes) <= _ceil_log2(1 / gram.err) + 64 + math.ceil(top).bit_length()
+
+
+def test_rounded_shortest_refines_a_coarse_gram(f73):
+    """A Gram whose error is too coarse for the certified bound of the
+    rounded search is refined, not searched: at 4 bits a strongly twisted
+    Q(sqrt 73) Gram gives no attempt, and shortest_vector escalates to a
+    result whose error covers the brute minimum at 256 bits, attained by
+    the reported coefficients."""
+    w = [Fraction(50), Fraction(1, 50)]
+    for ideal in enumerate_integral_ideals(f73, 3):
+        basis = tuple(ideal.basis_elements())
+        coarse = _gram(f73, basis, w, 4)
+        assert coarse.err > 0
+        assert lattice_module._rounded_attempt(coarse) is None
+        sv = shortest_vector(coarse)
+        fine = _gram(f73, basis, w, 256)
+        points = brute_qform_points(fine.entries, sv.length_sq + sv.length_sq_err)
+        least = min(v for v, _ in points)
+        assert least >= sv.length_sq - sv.length_sq_err
+        assert sv.coeffs in {_canonical_sign(x) for v, x in points if v == least}
 
 
 def test_integer_search_matches_rational_enumeration():
