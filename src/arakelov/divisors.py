@@ -127,7 +127,7 @@ def as_c_squared(c) -> Fraction:
 # ---------------------------------------------------------------------------
 # Divisors
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArakelovDivisor:
     """Pair (I, u) of a fractional ideal and positive archimedean weights."""
 
@@ -179,7 +179,7 @@ def degree(d: ArakelovDivisor):
 # ---------------------------------------------------------------------------
 # Strongly C-reduced testing
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Outcome of the strongly C-reduced test with its evidence."""
 
@@ -260,7 +260,7 @@ def _jump_assemble(f: NumberField, ideal: FractionalIdeal, b1: FieldElement):
 # ---------------------------------------------------------------------------
 # Reduction (nearest strongly C-reduced divisor)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionTrace:
     """Record of a reduction run: the initial minimal element, each division
     step with the shortest-vector length it fixed, the accumulated weight

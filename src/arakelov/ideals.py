@@ -18,7 +18,7 @@ from .exact import hnf_contains, hnf_membership, hnf_upper, hnf_with_denominator
 from .numfield import FieldElement, NumberField, mpf_to_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FractionalIdeal:
     """Nonzero fractional ideal: columns of hnf divided by den form a basis
     on the integral basis of the field."""

@@ -20,6 +20,9 @@ found are valued exactly on the midpoints (_rounded_attempt). Boxes,
 principal generators and the unit lattice's closest vectors
 (units.LogLattice) run the loop on Fraction or mpf rows from _ldl: they do
 not LLL first, so there is no integral Gram-Schmidt data to reuse.
+
+hermite_power(n) is gamma_n^n, the exact cap on lambda_1^(2n) / det G that
+lets the census reject an inverse ideal from its covolume alone.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ def _sqrt_approx(d: int, prec: int) -> tuple[Fraction, Fraction]:
     return r, Fraction(1, 1 << prec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GramMatrix:
     """Positive-definite Gram matrix of a scaled lattice basis.
 
@@ -114,7 +117,7 @@ def _refining(gram: GramMatrix, attempt):
     return _escalate(at, gram.prec, "gram matrix refinement exceeded precision cap")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortVector:
     """Nonzero lattice vector with exact squared length bookkeeping."""
 
@@ -542,6 +545,21 @@ def shortest_vector(g: GramMatrix) -> ShortVector:
     """A shortest nonzero vector, exact for exact Gram matrices; ties are
     broken toward the lexicographically smallest positive-leading coeffs."""
     return _refining(g, _shortest_attempt)
+
+
+# gamma_n^n for n = 1..8 (Conway-Sloane, Sphere Packings, Lattices and
+# Groups, ch. 1, Table 1.2), attained by Z, A2, A3, D4, D5, E6, E7 and E8
+_HERMITE_POWERS = (Fraction(1), Fraction(4, 3), Fraction(2), Fraction(4),
+                   Fraction(8), Fraction(64, 3), Fraction(64), Fraction(256))
+
+
+def hermite_power(n: int) -> Fraction:
+    """gamma_n^n, Hermite's constant to the n-th power: every rank-n lattice
+    has lambda_1^(2n) <= gamma_n^n det G. Exact for n <= 8; above, Hermite's
+    bound (4/3)^(n(n-1)/2)."""
+    if n <= len(_HERMITE_POWERS):
+        return _HERMITE_POWERS[n - 1]
+    return Fraction(4, 3) ** (n * (n - 1) // 2)
 
 
 def _shortest_attempt(g: GramMatrix) -> ShortVector:

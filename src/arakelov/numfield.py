@@ -156,7 +156,7 @@ def _is_squarefree_int(d: int) -> bool:
 # ---------------------------------------------------------------------------
 # Archimedean vectors
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchVector:
     """Vector over the infinite places: signed values (embeddings) or
     positive magnitudes, with the place degrees for the weighted norm."""
@@ -207,7 +207,7 @@ class ArchVector:
         return ArchVector(tuple(v for _ in degs), degs, prec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogVector:
     """Logarithms of archimedean magnitudes, one real entry per place."""
 
@@ -463,11 +463,35 @@ class NumberField:
         bound sum |c_k| |theta|^k by more than those bits has lost them to
         cancellation and is evaluated again at doubled precision, so each
         value keeps about prec correct bits and a nonzero x never embeds
-        to 0; past MAX_PREC this raises PrecisionExhausted."""
+        to 0; past MAX_PREC this raises PrecisionExhausted. Real quadratic
+        fields take _embed_real_quadratic, which cannot cancel."""
         prec = prec or self.prec
-        pcoords = self.to_power(x.coords)
-        vals = tuple(self._embed_at(pcoords, i, prec) for i in range(self.num_places))
+        if self.n == 2 and self.r1 == 2:
+            vals = self._embed_real_quadratic(x, prec)
+        else:
+            pcoords = self.to_power(x.coords)
+            vals = tuple(self._embed_at(pcoords, i, prec) for i in range(self.num_places))
         return ArchVector(vals, self.degs, prec)
+
+    def _embed_real_quadratic(self, x: "FieldElement", prec: int):
+        """(sigma_0(x), sigma_1(x)) for x = a + b sqrt(disc), place 1 taking
+        sqrt(disc) to its negative. At the place where a and b sqrt(disc)
+        share a sign the sum has no cancellation; the other place is the
+        exact norm a^2 - b^2 disc divided by it. Each step costs at most a
+        few of the 32 guard bits, so both values, rounded to prec + 16 bits
+        as Horner's are, stay within a few units in their last place."""
+        a, b = self.surd(x)
+        if a == 0 and b == 0:
+            return mpf(0), mpf(0)
+        work = prec + 32
+        big_place = 0 if a * b >= 0 else 1
+        sb = b if big_place == 0 else -b
+        with mp.workprec(work):
+            big = fraction_to_mpf(a, work) + fraction_to_mpf(sb, work) * mp.sqrt(self.disc)
+            small = fraction_to_mpf(a * a - b * b * self.disc, work) / big
+        with mp.workprec(prec + 16):
+            big, small = +big, +small
+        return (big, small) if big_place == 0 else (small, big)
 
     def _embed_at(self, pcoords: list[Fraction], place: int, prec: int):
         def attempt(work: int):
@@ -654,7 +678,7 @@ class NumberField:
 # ---------------------------------------------------------------------------
 # Field elements
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """Element with exact rational coordinates on the integral basis."""
 

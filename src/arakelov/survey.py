@@ -37,6 +37,7 @@ from .ideals import (
     multiply,
     unit_ideal,
 )
+from .lattice import hermite_power
 from .numfield import FieldElement, LogVector, NumberField, fraction_to_mpf
 from .units import LogLattice, _positive_associate, _sign_vector
 
@@ -56,7 +57,7 @@ class DeskScaleExceeded(RuntimeError):
 CANDIDATE_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusEntry:
     """One strongly C-reduced divisor d(I), with tags filled by the
     classification pass."""
@@ -70,7 +71,7 @@ class CensusEntry:
     generator: FieldElement | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SredCensus:
     field: NumberField
     c_squared: Fraction
@@ -97,17 +98,31 @@ def enumerate_sred(f: NumberField, c) -> SredCensus:
 
     For an integral J, 1/p lies in J^-1 exactly when J lies in pO, that is
     when p divides every entry of J's HNF; so 1 is primitive in J^-1 exactly
-    when those entries have gcd 1, and no other J is inverted."""
+    when those entries have gcd 1, and no other J is inverted.
+
+    An inverse I whose covolume already rules it out gets no lambda_1
+    search. The unit-weight Gram of I is Re(M^H M) over all n embeddings
+    of a basis, so det G = |disc(O)| N(I)^2 in every signature, and
+    Hermite's inequality lambda_1^(2n) <= gamma_n^n det G (hermite_power)
+    gives lambda_1^2 < n/C^2 whenever
+    gamma_n^n |disc(O)| N(I)^2 < (n/C^2)^n, all exact rationals. The
+    inequality is strict, so lambda_1^2 = n/C^2 is still tested. N(I) is
+    the norm of the computed inverse, not 1/N(J): for a J that is not
+    invertible (in an order that is not Gorenstein) the two differ."""
     c2 = as_c_squared(c)
     bound = sred_norm_bound(f, c2)
     estimate = count_sublattices_up_to(f.n, bound, CANDIDATE_CAP)
     if estimate > CANDIDATE_CAP:
         raise DeskScaleExceeded(bound, CANDIDATE_CAP)
+    cap = hermite_power(f.n) * abs(f.disc)
+    need = (Fraction(f.n) / c2) ** f.n
     entries = []
     for j in enumerate_integral_ideals(f, bound):
         if math.gcd(*(x for row in j.hnf for x in row)) != 1:
             continue
         i = invert(j)
+        if cap * i.norm() ** 2 < need:
+            continue
         res = is_strongly_c_reduced(f, i, CSquared(c2))
         if res.ok:
             entries.append(

@@ -17,7 +17,7 @@ from .lattice import _fincke_pohst, _ldl
 from .numfield import FieldElement, LogVector, NumberField
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitLattice:
     """Logarithmic lattice of a set of fundamental units.
 

@@ -32,6 +32,7 @@ from arakelov.lattice import (
     enumerate_box,
     enumerate_quadratic_form,
     gram_of,
+    hermite_power,
     is_minimal,
     lll_reduce,
     minimal_element_bounded,
@@ -609,6 +610,75 @@ def test_rank2_hermite_bound(f7, f73):
             lam = shortest_vector(gram).length_sq
             covol = math.sqrt(float(gram.det()))
             assert float(lam) <= math.sqrt(4.0 / 3.0) * covol * (1 + 1e-12)
+
+
+def _root_gram(kind: str, n: int) -> list[list[int]]:
+    """Cartan matrix of the root lattice A_n, D_n or E_n. A_n is a chain of
+    n nodes; D_n and E_n move the last node of that chain onto the third
+    node from the far end (D_n) or from the near end (E_n)."""
+    edges = [(k, k + 1) for k in range(n - 1)]
+    if kind == "D":
+        edges[-1] = (n - 3, n - 1)
+    elif kind == "E":
+        edges[-1] = (2, n - 1)
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
+    return g
+
+
+@pytest.mark.parametrize("kind,n,det", [("A", 1, 2), ("A", 2, 3), ("A", 3, 4), ("D", 4, 4),
+                                        ("D", 5, 4), ("E", 6, 3), ("E", 7, 2), ("E", 8, 1)])
+def test_hermite_table_attained_by_root_lattices(kind, n, det):
+    """The lattices behind the table attain it: lambda_1^(2n) = gamma_n^n det
+    (A_1 = sqrt2 Z stands in for Z). Ranks up to 4 by exhaustive search,
+    the rest by shortest_vector."""
+    g = _root_gram(kind, n)
+    gram = GramMatrix.from_entries(g)
+    assert gram.det() == det
+    lam = brute_shortest_sq(g) if n <= 4 else shortest_vector(gram).length_sq
+    assert lam == 2
+    assert lam ** n == hermite_power(n) * det
+
+
+def test_hermite_bound_on_seeded_integer_grams():
+    rng = random.Random(41)
+    for n in range(2, 7):
+        for _ in range(12):
+            while True:
+                b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                if mat_det([[Fraction(x) for x in row] for row in b]) != 0:
+                    break
+            g = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+            gram = GramMatrix.from_entries(g)
+            lam = shortest_vector(gram).length_sq
+            assert lam ** n <= hermite_power(n) * gram.det()
+
+
+def test_hermite_table_within_hermites_bound():
+    for n in range(1, 9):
+        assert hermite_power(n) <= Fraction(4, 3) ** (n * (n - 1) // 2)
+    assert hermite_power(9) == Fraction(4, 3) ** 36
+
+
+@pytest.mark.parametrize("min_poly,basis", [
+    ([-73, 0, 1], None), ([1, 0, 1], None), ([1, 0, 1], [[1, 0], [0, 2]]),
+    ([1, -3, 0, 1], None), ([-2, 0, 0, 1], None), ([-3, -1, 0, 1], None),
+    ([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]])])
+def test_unit_gram_determinant_is_disc_times_norm_squared(min_poly, basis):
+    """det G = |disc(O)| N(I)^2 for the unit-weight Gram of any ideal, in
+    every signature; exactly where the Gram is exact, within the entries'
+    certified error otherwise."""
+    f = create_field(min_poly, basis)
+    for j in enumerate_integral_ideals(f, 20)[:12]:
+        for ideal in (j, invert(j)):
+            gram = gram_of(f, ideal)
+            want = abs(f.disc) * ideal.norm() ** 2
+            if gram.err == 0:
+                assert gram.det() == want
+            else:
+                assert abs(gram.det() / want - 1) < Fraction(1, 2 ** 100)
 
 
 def test_enumerate_box_and_is_minimal_against_oracle(f73):

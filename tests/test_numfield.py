@@ -99,6 +99,43 @@ def test_embed_survives_cancellation():
     assert abs(eps.norm()) == 1
 
 
+@pytest.mark.parametrize("min_poly", [pytest.param([-73, 0, 1], id="73"),
+                                      pytest.param([-18, -1, 1], id="x2-x-18"),
+                                      pytest.param([-45, 0, 1], id="x2-45")])
+def test_real_quadratic_embed_far_from_cancellation(min_poly):
+    """Real quadratic embeddings of huge units, their inverses and seeded
+    elements of mixed sign, against a + b sqrt(disc) evaluated directly
+    with four times the coordinates' bits: each value within 2^-prec of it,
+    relatively. eps^300 in Q(sqrt 73) has 3,318-bit coordinates and a
+    conjugate near 1e-999, which cancels in any Horner evaluation."""
+    from arakelov.units import quadratic_units
+
+    f = create_field(min_poly)
+    eps = quadratic_units(f).generators[0]
+    rng = random.Random(7)
+    xs = [eps ** k for k in (1, 40, 300, -300)]
+    xs += [f.element([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 9))
+                      for _ in range(2)]) for _ in range(20)]
+    for x in xs:
+        a, b = f.surd(x)
+        bits = 4 * max(q.numerator.bit_length() + q.denominator.bit_length() for q in (a, b))
+        values = f.embed(x).values
+        with mp.workprec(bits + f.prec):
+            am, bm = mpf(a.numerator) / a.denominator, mpf(b.numerator) / b.denominator
+            root = mp.sqrt(f.disc)
+            for v, want in zip(values, (am + bm * root, am - bm * root)):
+                assert abs(v - want) <= abs(want) * mpf(2) ** -f.prec
+
+
+def test_embed_q73_unit_power_300(f73):
+    """Horner on eps^300 cancelled past the precision cap and raised."""
+    from arakelov.units import quadratic_units
+
+    eps = quadratic_units(f73).generators[0]
+    big, small = f73.embed(eps ** 300).values
+    assert mp.nstr(big, 3) == "7.59e+998" and mp.nstr(small, 3) == "1.32e-999"
+
+
 def test_embed_gaussian_i(fi):
     v = embed(fi, fi.element([0, 1]))
     assert abs(float(v.norm_sq()) - 2) < 1e-30  # degree-weighted

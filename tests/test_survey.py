@@ -321,3 +321,63 @@ def test_pair_stage_closest_vector_calls_q1009(monkeypatch):
     assert verify_separation(census, 2, units)["ok"]
     assert verify_counts(census, units)["ok"]
     assert len(calls) <= 1166 // 5
+
+
+_CUBE_ROOT_2_SUBORDER = [[1, 0, 0], [0, 2, 0], [0, 0, 2]]  # Z + 2Z[cbrt 2], not Gorenstein
+HERMITE_CENSUSES = (
+    [pytest.param([-d, 0, 1], None, c, id=f"{d}-{c}") for d in (73, 1009) for c in (1, "sqrt2", 2)]
+    + [pytest.param([1, 0, 1], None, 2, id="i-2"), pytest.param([5, 0, 1], None, 2, id="-5-2")]
+    # O of Q(sqrt-3) is the hexagonal lattice: Hermite's bound holds with
+    # equality, and at C=1 so does lambda_1^2 = n/C^2, which the cut keeps
+    + [pytest.param([1, 1, 1], None, c, id=f"-3-{c}") for c in (1, 2)]
+    + [pytest.param(p, None, "sqrt2", id=name) for name, p in
+       (("x3-2", [-2, 0, 0, 1]), ("x3-x-3", [-3, -1, 0, 1]), ("x3-3x+1", [1, -3, 0, 1]))]
+    + [pytest.param([-5, 0, 1], [[1, 0], [0, 1]], 2, id="Z[sqrt5]-2"),
+       pytest.param([-45, 0, 1], None, 2, id="x2-45-2"),
+       pytest.param([1, 0, 1], [[1, 0], [0, 2]], 2, id="Z[2i]-2"),
+       pytest.param([-2, 0, 0, 1], _CUBE_ROOT_2_SUBORDER, "sqrt2", id="Z+2Z[cbrt2]")]
+)
+
+
+@pytest.mark.parametrize("poly,basis,c", HERMITE_CENSUSES)
+def test_hermite_cut_keeps_every_entry(poly, basis, c, monkeypatch):
+    """The census that skips the inverses Hermite's inequality rules out
+    equals the census that tests them all (the cut disabled by a gamma_n^n
+    no covolume can undercut)."""
+    cut = enumerate_sred(create_field(poly, basis), c)
+    monkeypatch.setattr(survey, "hermite_power", lambda n: Fraction(10) ** 100)
+    full = enumerate_sred(create_field(poly, basis), c)
+    assert cut.entries == full.entries
+    assert cut.norm_bound == full.norm_bound
+
+
+def _counting(calls: list, fn):
+    def wrapped(*args):
+        calls.append(None)
+        return fn(*args)
+    return wrapped
+
+
+def test_hermite_cut_counts_on_benchmark_censuses(monkeypatch):
+    """Over the six benchmark censuses, 487 inverses are formed and 291 of
+    them need a lambda_1 search."""
+    inverted, searched = [], []
+    monkeypatch.setattr(survey, "invert", _counting(inverted, survey.invert))
+    monkeypatch.setattr(survey, "is_strongly_c_reduced",
+                        _counting(searched, survey.is_strongly_c_reduced))
+    for poly, c in (([-73, 0, 1], "sqrt2"), ([-1009, 0, 1], 2), ([-10007, 0, 1], "sqrt2"),
+                    ([1, 0, 1], 2), ([-2, 0, 0, 1], "sqrt2"), ([-3, -1, 0, 1], "sqrt2")):
+        enumerate_sred(create_field(poly), c)
+    assert (len(inverted), len(searched)) == (487, 291)
+
+
+def test_hermite_cut_uses_the_inverses_norm(monkeypatch):
+    """In Z + 2Z[cbrt 2] the 16 ideals J of norm <= 40 that are not
+    invertible have N((O:J)) = 1/(2 N(J)). The cut reads the covolume of the
+    computed inverse, so 70 of the 31-entry census's inverses are searched;
+    1/N(J) would overstate it and search 75."""
+    searched = []
+    monkeypatch.setattr(survey, "is_strongly_c_reduced",
+                        _counting(searched, survey.is_strongly_c_reduced))
+    census = enumerate_sred(create_field([-2, 0, 0, 1], _CUBE_ROOT_2_SUBORDER), "sqrt2")
+    assert (len(census), len(searched)) == (31, 70)
