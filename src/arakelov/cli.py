@@ -25,7 +25,7 @@ from .divisors import (
     reduce as reduce_divisor,
 )
 from .ideals import enumerate_integral_ideals
-from .numfield import ArchVector, PrecisionExhausted, fraction_to_mpf
+from .numfield import MAX_PREC, ArchVector, PrecisionExhausted, fraction_to_mpf
 from .serialize import (
     census_csv,
     census_json,
@@ -53,11 +53,14 @@ from .units import LogLattice, UnitsUnavailable, min_log_norm_modulo
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"malformed JSON in {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise SystemExit2(f"{path} does not hold a JSON object")
+    return doc
 
 
 class SystemExit2(Exception):
@@ -75,8 +78,8 @@ def _emit(text: str, out: str | None):
 def _load_field_arg(args):
     spec = _read_json(args.field)
     prec = getattr(args, "precision", None)
-    if prec is not None and prec < 64:
-        raise SystemExit2("precision must be at least 64 bits")
+    if prec is not None and not 64 <= prec <= MAX_PREC:
+        raise SystemExit2(f"precision must be between 64 and {MAX_PREC} bits")
     try:
         return load_field(spec, prec)
     except ValueError as exc:
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, c_flag=True):
         sp.add_argument("--field", required=True, help="field specification JSON")
         sp.add_argument("--precision", type=int, default=None,
-                        help="working precision in bits (default 128)")
+                        help="working precision in bits, 64 to 4096 (default 128)")
         sp.add_argument("--out", default=None, help="write output to a file")
         if c_flag:
             sp.add_argument("--C", default="1", help="reduction parameter "

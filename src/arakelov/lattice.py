@@ -137,8 +137,7 @@ def _u_weights(f: NumberField, u: ArchVector | None) -> list[Fraction]:
         if d == 1:
             out.append(mpf_to_fraction(v) ** 2)
         else:
-            re = mpf_to_fraction(v.real) if hasattr(v, "real") else mpf_to_fraction(v)
-            im = mpf_to_fraction(v.imag) if hasattr(v, "imag") else Fraction(0)
+            re, im = mpf_to_fraction(v.real), mpf_to_fraction(v.imag)
             out.append(re * re + im * im)
     return out
 
@@ -191,7 +190,7 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
         # entries are those of rational interval arithmetic.
         emb, factors = [], []
         for place in range(f.num_places):
-            raw = [f.embed_interval(x, place, prec, numerators=True) for x in basis]
+            raw = [f.embed_interval(x, place, prec) for x in basis]
             den = math.lcm(*(r[0] for r in raw))
             emb.append([_rescale(r, den // r[0]) for r in raw])
             factors.append(w[place] * f.degs[place] / (den * den))

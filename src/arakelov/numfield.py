@@ -2,12 +2,13 @@
 archimedean algebra with its degree-weighted metric.
 
 Exact data (rational coordinates, structure constants, discriminant) is kept
-in Fractions. Embeddings are carried at a working precision (128 bits by
-default) with certified error radii; comparisons that land too close to a
-decision boundary escalate the precision under the one policy of _escalate,
-and quadratic fields short-circuit signs and comparisons to exact arithmetic
-on the pairs (a, b) of x = a + b sqrt(disc) that NumberField.surd gives, so
-those never escalate at all.
+in Fractions. sigma(x) has one evaluation per field kind, each with a proven
+error bound: quadratic fields use the pair (a, b) of x = a + b sqrt(disc)
+that NumberField.surd gives, every other field the centre of the certified
+rectangle of embed_interval (interval Horner on integer numerators over
+certified root boxes). Comparisons that land too close to a decision
+boundary escalate the precision under the one policy of _escalate; quadratic
+signs and comparisons are exact on the surd pair and never escalate.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .exact import (
     mat_det,
@@ -27,9 +29,6 @@ from .exact import (
 
 DEFAULT_PREC = 128
 MAX_PREC = 4096
-
-Interval = tuple[Fraction, Fraction]
-
 
 class PrecisionExhausted(RuntimeError):
     """A certified comparison could not be decided below the precision cap."""
@@ -63,13 +62,9 @@ def fraction_to_mpf(q: Fraction, prec: int):
 
 
 # ---------------------------------------------------------------------------
-# Interval arithmetic over exact rational endpoints
+# Interval arithmetic on integer endpoints (numerators over one denominator)
 
-def _iv_add(a: Interval, b: Interval) -> Interval:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _iv_cmp(a: Interval, b: Interval) -> int | None:
+def _iv_cmp(a: tuple[int, int], b: tuple[int, int]) -> int | None:
     """Certified sign of x - y for x in a and y in b: +-1 when the intervals
     are disjoint, None (undecided) when they overlap."""
     if a[0] > b[1]:
@@ -79,12 +74,12 @@ def _iv_cmp(a: Interval, b: Interval) -> int | None:
     return None
 
 
-def _iv_sq(a: Interval) -> Interval:
+def _iv_sq(a: tuple[int, int]) -> tuple[int, int]:
     if a[0] >= 0:
         return (a[0] * a[0], a[1] * a[1])
     if a[1] <= 0:
         return (a[1] * a[1], a[0] * a[0])
-    return (Fraction(0), max(a[0] * a[0], a[1] * a[1]))
+    return (0, max(a[0] * a[0], a[1] * a[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +296,9 @@ class NumberField:
         if key not in self._cache:
             n = self.n
             table = []
-            for i in range(n):
+            for pi in self.basis:  # the basis rows are power coordinates
                 row = []
-                pi = self.to_power([Fraction(int(k == i)) for k in range(n)])
-                for j in range(n):
-                    pj = self.to_power([Fraction(int(k == j)) for k in range(n)])
+                for pj in self.basis:
                     prod = [Fraction(0)] * (2 * n - 1)
                     for a, ca in enumerate(pi):
                         if ca:
@@ -396,21 +389,9 @@ class NumberField:
         prec = prec or self.prec
         key = ("places", prec)
         if key not in self._cache:
-            self._cache[key] = self._compute_places(prec)
+            self._cache[key] = _escalate(self._try_roots, prec,
+                                         "could not certify root isolation")
         return self._cache[key]
-
-    def _compute_places(self, prec: int):
-        n = self.n
-        if n == 2:
-            c0, c1 = self.min_poly[0], self.min_poly[1]
-            d = c1 * c1 - 4 * c0
-            rad = Fraction(1, 2 ** (prec + 4))
-            with mp.workprec(prec + 16):
-                s = mp.sqrt(abs(d))
-                if d > 0:
-                    return [("R", (-c1 + s) / 2, rad), ("R", (-c1 - s) / 2, rad)]
-                return [("C", mpc(mpf(-c1) / 2, s / 2), rad)]
-        return _escalate(self._try_roots, prec, "could not certify root isolation")
 
     def _try_roots(self, prec: int):
         n = self.n
@@ -457,58 +438,62 @@ class NumberField:
             return [("R", v, r) for v, r in reals] + [("C", v, r) for v, r in cplx]
 
     def embed(self, x: "FieldElement", prec: int | None = None) -> ArchVector:
-        """Signed embedding vector (sigma(x)) over the infinite places.
-
-        Horner's rule runs with 16 guard bits. A value below its magnitude
-        bound sum |c_k| |theta|^k by more than those bits has lost them to
-        cancellation and is evaluated again at doubled precision, so each
-        value keeps about prec correct bits and a nonzero x never embeds
-        to 0; past MAX_PREC this raises PrecisionExhausted. Real quadratic
-        fields take _embed_real_quadratic, which cannot cancel."""
+        """Signed embedding vector (sigma(x)) over the infinite places, each
+        value within 2^-prec of |sigma(x)|, relatively, and a nonzero x never
+        embeds to 0. Quadratic fields take _embed_quadratic, which is exact
+        up to rounding; every other field takes the centre of embed_interval's
+        certified rectangle (_embed_at)."""
         prec = prec or self.prec
-        if self.n == 2 and self.r1 == 2:
-            vals = self._embed_real_quadratic(x, prec)
+        if self.n == 2:
+            vals = self._embed_quadratic(x, prec)
         else:
-            pcoords = self.to_power(x.coords)
-            vals = tuple(self._embed_at(pcoords, i, prec) for i in range(self.num_places))
+            vals = tuple(self._embed_at(x, i, prec) for i in range(self.num_places))
         return ArchVector(vals, self.degs, prec)
 
-    def _embed_real_quadratic(self, x: "FieldElement", prec: int):
-        """(sigma_0(x), sigma_1(x)) for x = a + b sqrt(disc), place 1 taking
-        sqrt(disc) to its negative. At the place where a and b sqrt(disc)
-        share a sign the sum has no cancellation; the other place is the
-        exact norm a^2 - b^2 disc divided by it. Each step costs at most a
-        few of the 32 guard bits, so both values, rounded to prec + 16 bits
-        as Horner's are, stay within a few units in their last place."""
+    def _embed_quadratic(self, x: "FieldElement", prec: int):
+        """sigma(x) for x = a + b sqrt(disc) in the convention of surd. At
+        the complex place it is a + i b sqrt|disc|: neither part is a sum.
+        At real places, the place where a and b sqrt(disc) share a sign has
+        no cancellation; the other place is the exact norm a^2 - b^2 disc
+        divided by it. Each step costs at most a few of the 32 guard bits,
+        so the values, rounded to prec + 16 bits, stay within a few units in
+        their last place."""
         a, b = self.surd(x)
-        if a == 0 and b == 0:
-            return mpf(0), mpf(0)
         work = prec + 32
-        big_place = 0 if a * b >= 0 else 1
-        sb = b if big_place == 0 else -b
         with mp.workprec(work):
-            big = fraction_to_mpf(a, work) + fraction_to_mpf(sb, work) * mp.sqrt(self.disc)
-            small = fraction_to_mpf(a * a - b * b * self.disc, work) / big
+            if self.r2:
+                vals = (mpc(fraction_to_mpf(a, work),
+                            fraction_to_mpf(b, work) * mp.sqrt(-self.disc)),)
+            elif a == 0 and b == 0:
+                vals = (mpf(0), mpf(0))
+            else:
+                big_place = 0 if a * b >= 0 else 1
+                sb = b if big_place == 0 else -b
+                big = fraction_to_mpf(a, work) + fraction_to_mpf(sb, work) * mp.sqrt(self.disc)
+                small = fraction_to_mpf(a * a - b * b * self.disc, work) / big
+                vals = (big, small) if big_place == 0 else (small, big)
         with mp.workprec(prec + 16):
-            big, small = +big, +small
-        return (big, small) if big_place == 0 else (small, big)
+            return tuple(+v for v in vals)
 
-    def _embed_at(self, pcoords: list[Fraction], place: int, prec: int):
+    def _embed_at(self, x: "FieldElement", place: int, prec: int):
+        """sigma(x) at one place: the centre c of embed_interval's rectangle
+        at the first precision where the rectangle's diagonal is at most
+        2^-(prec+16) |c|, each part rounded to nearest at prec + 16 bits.
+        sigma(x) lies in the rectangle, so the value is within
+        2^-(prec+17) |c| + 2^-(prec+16) |c| < 2^-prec |sigma(x)| of it; a
+        zero x has a zero rectangle and embeds to exactly 0. Past MAX_PREC
+        this raises PrecisionExhausted."""
         def attempt(work: int):
-            kind, v, _ = self.places_mpf(work)[place]
-            with mp.workprec(work + 16):
-                acc = mpc(0) if kind == "C" else mpf(0)
-                bound, r = mpf(0), abs(v)
-                for c in reversed(pcoords):
-                    cm = fraction_to_mpf(c, work + 16)
-                    acc = acc * v + cm
-                    bound = bound * r + abs(cm)
-                # Horner's error is about bound * 2^-(work+16); keep it
-                # below |acc| * 2^-prec
-                if abs(acc) * 2 ** (work + 16 - prec) < bound:
-                    return None
-            with mp.workprec(prec + 16):
-                return +acc
+            den, (rl, rh), im = self.embed_interval(x, place, work)
+            # numerators over 2 den: the centre's parts and the side lengths
+            cr, wr = rl + rh, 2 * (rh - rl)
+            ci, wi = (0, 0) if im is None else (im[0] + im[1], 2 * (im[1] - im[0]))
+            if (wr * wr + wi * wi) << (2 * prec + 32) > cr * cr + ci * ci:
+                return None
+            re = from_rational(cr, 2 * den, prec + 16, round_nearest)
+            if im is None:
+                return mp.make_mpf(re)
+            return mp.make_mpc((re, from_rational(ci, 2 * den, prec + 16, round_nearest)))
 
         return _escalate(attempt, prec,
                          f"embedding at place {place} cancels below {MAX_PREC} bits")
@@ -527,12 +512,10 @@ class NumberField:
                                      for iv in ivs])
         return self._cache[key]
 
-    def embed_interval(self, x: "FieldElement", place: int, prec: int,
-                       numerators: bool = False):
-        """Certified rectangle (re_iv, im_iv) for sigma(x); im_iv is None at
-        real places. With numerators=True the endpoints stay integers:
-        (den, re_iv, im_iv), each endpoint a numerator over the one positive
-        denominator den.
+    def embed_interval(self, x: "FieldElement", place: int, prec: int):
+        """Certified rectangle (den, re_iv, im_iv) for sigma(x): each
+        endpoint an integer numerator over the one positive denominator den,
+        im_iv None at real places.
 
         Interval Horner runs on integers: the power coordinates over their
         lcm dc, the root box over its denominator dt, so after k steps every
@@ -565,17 +548,7 @@ class NumberField:
                 al, ah, bl, bh = (min(rr) - max(ii) + c * scale, max(rr) - min(ii) + c * scale,
                                   min(ri) + min(ir), max(ri) + max(ir))
             re_iv, im_iv = (al, ah), (bl, bh)
-        den = dc * scale
-        if numerators:
-            return den, re_iv, im_iv
-        return ((Fraction(re_iv[0], den), Fraction(re_iv[1], den)),
-                None if im_iv is None else (Fraction(im_iv[0], den), Fraction(im_iv[1], den)))
-
-    def abs_sq_interval(self, x: "FieldElement", place: int, prec: int) -> Interval:
-        re_iv, im_iv = self.embed_interval(x, place, prec)
-        if im_iv is None:
-            return _iv_sq(re_iv)
-        return _iv_add(_iv_sq(re_iv), _iv_sq(im_iv))
+        return dc * scale, re_iv, im_iv
 
     # -- certified comparisons ----------------------------------------------
 
@@ -607,9 +580,19 @@ class NumberField:
                 power = power * x
             return None
 
+        # times the positive denominators of t and scale_sq and den^2,
+        # scale_sq |sigma(x)|^2 - t becomes s L - t_num den^2 for L in the
+        # numerator interval of |sigma(x)|^2 over den^2
+        s, t_num = scale_sq.numerator * t.denominator, t.numerator * scale_sq.denominator
+
         def attempt(prec: int):
-            lo, hi = self.abs_sq_interval(x, place, prec)
-            sgn = _iv_cmp((lo * scale_sq, hi * scale_sq), (t, t))
+            den, re_iv, im_iv = self.embed_interval(x, place, prec)
+            lo, hi = _iv_sq(re_iv)
+            if im_iv is not None:
+                ilo, ihi = _iv_sq(im_iv)
+                lo, hi = lo + ilo, hi + ihi
+            bound = t_num * den * den
+            sgn = _iv_cmp((lo * s, hi * s), (bound, bound))
             if sgn is None and prec == self.prec:
                 return exact_sign()
             return sgn
@@ -626,7 +609,7 @@ class NumberField:
             return sign_surd(a, b * (1 - 2 * place), self.disc)
 
         def attempt(prec: int):
-            re_iv, im_iv = self.embed_interval(x, place, prec)
+            _, re_iv, im_iv = self.embed_interval(x, place, prec)
             if im_iv is not None:
                 raise ValueError("sign only defined at real places")
             return _iv_cmp(re_iv, (0, 0))
@@ -641,27 +624,14 @@ class NumberField:
         with mp.workprec(prec):
             return (mpf(2) / mp.pi) ** self.r2 * mp.sqrt(abs(self.disc))
 
-    def trace_of_basis(self) -> list[Fraction]:
-        key = "trb"
-        if key not in self._cache:
-            out = []
-            for i in range(self.n):
-                coords = [Fraction(int(k == i)) for k in range(self.n)]
-                m = self.mult_matrix(coords)
-                out.append(sum((m[k][k] for k in range(self.n)), Fraction(0)))
-            self._cache[key] = out
-        return self._cache[key]
-
     def trace_form(self) -> list[list[Fraction]]:
         """Matrix Tr(b_i b_j): integral for an order, det = disc."""
         key = "tf"
         if key not in self._cache:
-            t = self.mult_table()
-            trb = self.trace_of_basis()
-            n = self.n
+            t, n = self.mult_table(), self.n
+            trb = [sum(t[i][k][k] for k in range(n)) for i in range(n)]  # Tr(b_i)
             self._cache[key] = [
-                [sum((Fraction(t[i][j][k]) * trb[k] for k in range(n)), Fraction(0))
-                 for j in range(n)]
+                [Fraction(sum(t[i][j][k] * trb[k] for k in range(n))) for j in range(n)]
                 for i in range(n)
             ]
         return self._cache[key]
@@ -763,8 +733,11 @@ def create_field(min_poly, integral_basis=None, prec: int = DEFAULT_PREC) -> Num
     basis; the first row must be 1).
 
     Quadratic x^2 - d with d squarefree gets the canonical maximal-order
-    basis automatically; other fields default to the power basis.
+    basis automatically; other fields default to the power basis. prec
+    above MAX_PREC is a ValueError: no escalation could start there.
     """
+    if prec > MAX_PREC:
+        raise ValueError(f"precision above the {MAX_PREC}-bit cap")
     coeffs = [int(c) for c in min_poly]
     if len(coeffs) < 3:
         raise FieldConstructionError("degree must be at least 2")

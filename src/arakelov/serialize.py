@@ -18,14 +18,38 @@ from .survey import SredCensus
 from .units import UnitLattice, unit_lattice_from_elements
 
 
+def parse_int(v) -> int:
+    """An integer from a JSON integer or a decimal string. Anything else (a
+    float, a bool, a list) is a ValueError: 1.9 is never truncated to 1."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"not an integer: {v!r}")
+    return int(v)
+
+
 def parse_rational(v) -> Fraction:
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return Fraction(int(v[0]), int(v[1]))
-    if isinstance(v, float):
-        return Fraction(v)
+    """A rational from an integer, a string such as "3/4", a finite float,
+    or a [numerator, denominator] pair of integers."""
+    try:
+        if isinstance(v, (list, tuple)) and len(v) == 2:
+            return Fraction(parse_int(v[0]), parse_int(v[1]))
+        if isinstance(v, (int, str, float)) and not isinstance(v, bool):
+            return Fraction(v)
+    except (ZeroDivisionError, OverflowError):
+        pass
     raise ValueError(f"not a rational: {v!r}")
+
+
+def _parse_list(v, parse, what: str) -> list:
+    """[parse(x) for x in v] for a JSON list v; anything else is a ValueError."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list")
+    return [parse(x) for x in v]
+
+
+def _parse_rows(spec: dict, key: str, parse=parse_rational) -> list[list]:
+    """spec[key] as a list of lists: matrix rows or coordinate vectors."""
+    return _parse_list(spec[key], lambda row: _parse_list(row, parse, f'a row of "{key}"'),
+                       f'"{key}"')
 
 
 def rational_pair(q: Fraction):
@@ -39,13 +63,12 @@ def load_field(spec: dict, prec: int | None = None) -> tuple[NumberField, UnitLa
         raise ValueError('field specification must contain "min_poly"')
     basis = None
     if spec.get("integral_basis") is not None:
-        basis = [[parse_rational(x) for x in row] for row in spec["integral_basis"]]
+        basis = _parse_rows(spec, "integral_basis")
     kwargs = {"prec": prec} if prec else {}
-    f = create_field([int(c) for c in spec["min_poly"]], basis, **kwargs)
+    f = create_field(_parse_list(spec["min_poly"], parse_int, '"min_poly"'), basis, **kwargs)
     units = None
     if spec.get("units"):
-        elements = [f.element([parse_rational(c) for c in coords])
-                    for coords in spec["units"]]
+        elements = [f.element(coords) for coords in _parse_rows(spec, "units")]
         units = unit_lattice_from_elements(f, elements)
     return f, units
 
@@ -54,17 +77,15 @@ def load_lattice(f: NumberField, spec: dict) -> FractionalIdeal | PlainLattice:
     """Ideal from {"den": m, "hnf": [[...]]} or {"gens": [...]}; a plain
     Z-lattice (not closed under the ring) from {"plain_basis": [...]}."""
     if "plain_basis" in spec:
-        basis = tuple(
-            f.element([parse_rational(c) for c in coords])
-            for coords in spec["plain_basis"]
-        )
+        basis = tuple(f.element(coords) for coords in _parse_rows(spec, "plain_basis"))
         return PlainLattice(f, basis)
     if "gens" in spec:
-        gens = [f.element([parse_rational(c) for c in coords]) for coords in spec["gens"]]
-        return ideal_from_generators(f, gens)
+        return ideal_from_generators(f, [f.element(c) for c in _parse_rows(spec, "gens")])
     if "den" in spec and "hnf" in spec:
-        den = int(spec["den"])
-        hnf = tuple(tuple(int(x) for x in row) for row in spec["hnf"])
+        den = parse_int(spec["den"])
+        hnf = tuple(tuple(row) for row in _parse_rows(spec, "hnf", parse_int))
+        if den <= 0 or len(hnf) != f.n or any(len(row) != f.n for row in hnf):
+            raise ValueError("hnf specification needs den > 0 and an n x n hnf")
         ideal = FractionalIdeal(f, den, hnf)
         # round-trip through the canonical form to validate closure
         canon = ideal_from_generators(f, ideal.basis_elements())
@@ -77,6 +98,8 @@ def load_lattice(f: NumberField, spec: dict) -> FractionalIdeal | PlainLattice:
 def load_divisor(f: NumberField, spec: dict) -> ArakelovDivisor:
     """Divisor from {"ideal": <ideal spec>, "u": [per-place reals]} or the
     {"ideal": ..., "d_of_ideal": true} shortcut."""
+    if not isinstance(spec.get("ideal"), dict):
+        raise ValueError('divisor specification needs an "ideal" object')
     lattice = load_lattice(f, spec["ideal"])
     if not isinstance(lattice, FractionalIdeal):
         raise ValueError("divisors are built on fractional ideals")
@@ -85,7 +108,7 @@ def load_divisor(f: NumberField, spec: dict) -> ArakelovDivisor:
     if "u" not in spec:
         raise ValueError('divisor specification needs "u" or "d_of_ideal": true')
     with mp.workprec(f.prec):
-        vals = tuple(mpf(str(x)) for x in spec["u"])
+        vals = tuple(_parse_list(spec["u"], lambda x: mpf(str(x)), '"u"'))
     if len(vals) != f.num_places or any(not mp.isfinite(v) or v <= 0 for v in vals):
         raise ValueError("u must give one positive real per infinite place")
     return ArakelovDivisor(lattice, ArchVector(vals, f.degs, f.prec))

@@ -870,3 +870,17 @@ def _xor_bits(signs, mask: int) -> int:
         if mask >> i & 1:
             out ^= s
     return out
+
+
+def oracle_embed(min_poly, pcoords, prec: int) -> list:
+    """sigma_k(x) at every place, ordered as in _oracle_places, for the
+    element with rational power coordinates pcoords: the sum of c_j z^j at
+    mpmath roots. It runs at 4 prec bits plus deg times the largest bit
+    length of the coordinates' numerators and denominators, which pays for
+    the cancellation of an element whose norm those bound below; compare
+    the values at 4 prec bits or more."""
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in pcoords)
+    with mp.workprec(4 * prec + (len(min_poly) - 1) * (bits + 8)):
+        places = _oracle_places(min_poly)
+        return [sum((mpf(c.numerator) / c.denominator * z ** j for j, c in enumerate(pcoords)),
+                    mpf(0)) for z, _ in places]

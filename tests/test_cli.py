@@ -281,9 +281,63 @@ def test_precision_flag(field_file, capsys):
     f = field_file("f7.json", {"min_poly": [-7, 0, 1]})
     code, out, _ = run(capsys, ["info", "--field", f, "--precision", "256"])
     assert code == 0
-    code, _, err = run(capsys, ["info", "--field", f, "--precision", "32"])
-    assert code == 2
-    assert "at least 64" in err
+    assert run(capsys, ["info", "--field", f, "--precision", "4096"])[0] == 0
+    for bad in ("32", "8192"):
+        code, _, err = run(capsys, ["info", "--field", f, "--precision", bad])
+        assert code == 2
+        assert "precision must be between 64 and 4096 bits" in err
+
+
+Q7 = {"min_poly": [-7, 0, 1]}
+UNIT_IDEAL = {"den": 1, "hnf": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("field,ideal,divisor", [
+    ({"min_poly": 5}, None, None),
+    ({"min_poly": [-73, 0, 1.9]}, None, None),
+    ({"min_poly": [-7, 0, 1], "integral_basis": [[1, 0], [[1, 0], 1]]}, None, None),
+    ([-7, 0, 1], None, None),
+    (Q7, {"gens": [[[1, 0], 0]]}, None),
+    (Q7, {"gens": 7}, None),
+    (Q7, {"den": 1, "hnf": [[1, 0]]}, None),
+    (Q7, None, {"u": [1, 1]}),
+    (Q7, None, {"ideal": UNIT_IDEAL, "u": 5}),
+    (Q7, None, {"ideal": {"gens": [[1, [2, 0]]]}, "u": [1, 1]}),
+])
+def test_malformed_specs_are_usage_errors(field_file, capsys, field, ideal, divisor):
+    """A malformed field, ideal or divisor file exits 2 with an error line,
+    never with a traceback or the negative-result code 1."""
+    argv = ["info", "--field", field_file("f.json", field)]
+    if ideal is not None:
+        argv = ["check", *argv[1:], "--C", "1", "--ideal", field_file("i.json", ideal)]
+    if divisor is not None:
+        argv = ["reduce", *argv[1:], "--C", "1", "--divisor", field_file("d.json", divisor)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_quadratic_fields_isolate_no_roots(field_file, capsys, monkeypatch):
+    """Quadratic embeddings, signs and comparisons come from the surd pair:
+    census, check, reduce and verify never isolate a root."""
+    from arakelov.numfield import NumberField
+
+    def no_roots(self, prec=None):
+        raise AssertionError("root isolation in a quadratic field")
+
+    monkeypatch.setattr(NumberField, "_try_roots", no_roots)
+    monkeypatch.setattr(NumberField, "places_mpf", no_roots)
+    e = math.e
+    # verify reports need a real quadratic field: Q(i) exits 2 before any work
+    for name, u, verify_code in (("gaussian.json", [1.0], 2), ("q73.json", [e, 1 / e], 0)):
+        f = str(FIELDS_DIR / name)
+        div = field_file("d.json", {"ideal": UNIT_IDEAL, "u": u})
+        ideal = field_file("i.json", {"gens": [[2, 0], [1, 1]]})
+        assert run(capsys, ["census", "--field", f, "--C", "sqrt2"])[0] == 0
+        assert run(capsys, ["check", "--field", f, "--C", "sqrt2", "--ideal", ideal])[0] in (0, 1)
+        assert run(capsys, ["reduce", "--field", f, "--C", "sqrt2", "--divisor", div])[0] == 0
+        code = run(capsys, ["verify", "--field", f, "--C", "sqrt2", "--trials", "3"])[0]
+        assert code == verify_code
 
 
 FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"

@@ -21,7 +21,7 @@ from arakelov.numfield import (
     norm_trace,
     partial_f,
 )
-from oracles import interval_horner
+from oracles import interval_horner, oracle_embed
 
 small_rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -375,7 +375,8 @@ def test_archvector_ops(f7):
 @pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1], [1, 0, 0, 0, 1]])
 def test_embed_interval_matches_rational_horner(min_poly):
     """The integer Horner of embed_interval gives exactly the rectangle of
-    Horner over rational intervals, at every place and two precisions."""
+    Horner over rational intervals, at every place and two precisions: its
+    numerator rectangle over den is that rational rectangle."""
     f = create_field(min_poly)
     rng = random.Random(17)
     elems = [f.one(), f.gen(), f.gen() ** (f.n - 1)]
@@ -386,8 +387,65 @@ def test_embed_interval_matches_rational_horner(min_poly):
             parts = [v] if kind == "R" else [v.real, v.imag]
             ivs = [(mpf_to_fraction(p) - rad, mpf_to_fraction(p) + rad) for p in parts]
             for x in elems:
-                want = interval_horner(f.to_power(x.coords), ivs)
-                assert f.embed_interval(x, place, prec) == want
+                den, *rect = f.embed_interval(x, place, prec)
+                got = tuple(None if iv is None else (Fraction(iv[0], den), Fraction(iv[1], den))
+                            for iv in rect)
+                assert got == interval_horner(f.to_power(x.coords), ivs)
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1],
+                                      [1, 0, 0, 0, 1], [-1, -1, 0, 0, 1]])
+def test_embed_within_prec_of_oracle(min_poly):
+    """Every value of embed is within 2^-prec of sigma(x), relatively, at
+    mpmath roots with enough bits to absorb any cancellation; in x^3 - 2
+    also for units eps^(+-200), whose coordinates cancel to about 580 bits
+    at one place, and theta - q with q within 2^-300 of 2^(1/3). Zero
+    embeds to exactly 0."""
+    f = create_field(min_poly)
+    rng = random.Random(41)
+    th = f.gen()
+    elems = [f.one(), th, th ** (f.n - 1), -th + f.rational(Fraction(1, 3))]
+    elems += [f.element([Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                         for _ in range(f.n)]) for _ in range(10)]
+    if min_poly == [-2, 0, 0, 1]:
+        eps = th * th + th + f.one()  # a unit: (theta - 1) eps = theta^3 - 1 = 1
+        with mp.workprec(400):
+            q = Fraction(int(mp.nint(mp.cbrt(2) * 2 ** 300)), 2 ** 300)
+        elems += [eps ** 200, eps ** -200, th - f.rational(q)]
+    for prec in (128, 256):
+        assert all(v == 0 for v in f.embed(f.zero(), prec).values)
+        for x in elems:
+            want = oracle_embed(min_poly, f.to_power(x.coords), prec)
+            got = f.embed(x, prec).values
+            with mp.workprec(4 * prec):
+                for g, w in zip(got, want):
+                    assert type(g) is type(w)
+                    assert abs(g - w) <= abs(w) * mpf(2) ** -prec
+
+
+@pytest.mark.parametrize("min_poly", [[1, 0, 1], [5, 0, 1], [1, 1, 1]])
+def test_imaginary_quadratic_embed_is_exact(min_poly):
+    """sigma(c0 + c1 theta) = a + i b sqrt|disc| at the one place, theta its
+    root of positive imaginary part: a = c0 - c1 p1/2 and b sqrt|disc| =
+    c1 sqrt(4 p0 - p1^2)/2 for theta^2 + p1 theta + p0. Each part is one
+    product, so it comes out rounded to prec + 16 bits, and a part that is
+    zero is exactly 0."""
+    f = create_field(min_poly)
+    p0, p1 = min_poly[0], min_poly[1]
+    rng = random.Random(p0 + p1)
+    elems = [f.one(), f.gen(), f.rational(Fraction(-7, 3)), f.zero()]
+    elems += [f.element([Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                         for _ in range(2)]) for _ in range(12)]
+    for prec in (128, 256):
+        for x in elems:
+            c0, c1 = f.to_power(x.coords)
+            (got,) = f.embed(x, prec).values
+            re = c0 - c1 * Fraction(p1, 2)
+            assert (got.real == 0) == (re == 0) and (got.imag == 0) == (c1 == 0)
+            assert abs(mpf_to_fraction(got.real) - re) <= abs(re) / 2 ** (prec + 15)
+            with mp.workprec(4 * prec):
+                im = mpf(c1.numerator) / c1.denominator * mp.sqrt(4 * p0 - p1 * p1) / 2
+                assert abs(got.imag - im) <= abs(im) * mpf(2) ** -(prec + 15)
 
 
 def test_surd_floor_matches_isqrt():
