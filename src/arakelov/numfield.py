@@ -48,10 +48,13 @@ def _escalate(attempt, start: int, what: str):
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (binary floats are exact rationals)."""
+    """Exact rational value of an mpf (binary floats are exact rationals);
+    an infinity or NaN is a ValueError."""
     if x == 0:
         return Fraction(0)
     sign, man, exp, _ = x._mpf_
+    if not man:  # mpmath's inf, -inf and nan carry a zero mantissa
+        raise ValueError(f"{x} has no rational value")
     val = Fraction(man) * (Fraction(2) ** exp)
     return -val if sign else val
 

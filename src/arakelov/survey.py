@@ -31,6 +31,7 @@ from .divisors import (
 from .exact import frac_isqrt_floor
 from .ideals import (
     FractionalIdeal,
+    _basis_denominator,
     count_sublattices_up_to,
     enumerate_integral_ideals,
     invert,
@@ -43,13 +44,14 @@ from .units import LogLattice, _positive_associate, _sign_vector
 
 
 class DeskScaleExceeded(RuntimeError):
-    """The census norm bound implies too many candidate ideals."""
+    """The norm limit the census enumerates through implies too many
+    candidate ideals."""
 
-    def __init__(self, bound: int, estimate: int):
-        self.bound = bound
+    def __init__(self, limit: int, estimate: int):
+        self.limit = limit
         self.estimate = estimate
         super().__init__(
-            f"census bound {bound} implies more than {estimate} candidate "
+            f"census norm limit {limit} implies more than {estimate} candidate "
             f"sublattices; refusing at desk scale"
         )
 
@@ -108,16 +110,31 @@ def enumerate_sred(f: NumberField, c) -> SredCensus:
     gamma_n^n |disc(O)| N(I)^2 < (n/C^2)^n, all exact rationals. The
     inequality is strict, so lambda_1^2 = n/C^2 is still tested. N(I) is
     the norm of the computed inverse, not 1/N(J): for a J that is not
-    invertible (in an order that is not Gorenstein) the two differ."""
+    invertible (in an order that is not Gorenstein) the two differ.
+
+    In a monogenic order O = Z[alpha] (every quadratic order, and any order
+    whose basis is unimodular over the power basis) they never differ, so
+    only the Hermite window N(J) <= m = floor(sqrt(gamma_n^n |disc(O)|
+    (C^2/n)^n)) is listed. Such an O is Gorenstein: its dual
+    O^v = delta^-1 O under the trace form is invertible, delta = g'(alpha)
+    for the minimal polynomial g of alpha. For an integral J,
+    (O^v : J) = J^v, so (O : J) = delta J^v, and
+    N(J^v) = N(O^v)/N(J) = 1/(|N(delta)| N(J)) gives N((O : J)) = 1/N(J).
+    Every J past m then has gamma_n^n |disc(O)| N(I)^2 < (n/C^2)^n, and
+    every J within it passes that test, ties included. Other orders list
+    the whole bound and rely on the test after inversion."""
     c2 = as_c_squared(c)
     bound = sred_norm_bound(f, c2)
-    estimate = count_sublattices_up_to(f.n, bound, CANDIDATE_CAP)
-    if estimate > CANDIDATE_CAP:
-        raise DeskScaleExceeded(bound, CANDIDATE_CAP)
     cap = hermite_power(f.n) * abs(f.disc)
     need = (Fraction(f.n) / c2) ** f.n
+    limit = bound
+    if f.n == 2 or _basis_denominator(f) == 1:
+        limit = min(bound, frac_isqrt_floor(cap / need))
+    estimate = count_sublattices_up_to(f.n, limit, CANDIDATE_CAP)
+    if estimate > CANDIDATE_CAP:
+        raise DeskScaleExceeded(limit, CANDIDATE_CAP)
     entries = []
-    for j in enumerate_integral_ideals(f, bound):
+    for j in enumerate_integral_ideals(f, limit):
         if math.gcd(*(x for row in j.hnf for x in row)) != 1:
             continue
         i = invert(j)

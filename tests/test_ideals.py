@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import arakelov.ideals as ideals_module
 from arakelov.ideals import (
@@ -131,6 +131,52 @@ def test_enumerate_floors_the_bound_exactly(fi, bound):
     # just below 10: the norm-10 ideals (1 + i)(2 +- i) are out
     assert enumerate_integral_ideals(fi, bound) == enumerate_integral_ideals(fi, 9)
     assert enumerate_integral_ideals(fi, mpf(10)) == enumerate_integral_ideals(fi, 10)
+
+
+@pytest.mark.parametrize("bound", [mp.inf, -mp.inf, mp.nan, math.inf, -math.inf, math.nan])
+def test_enumerate_refuses_a_non_finite_bound(fi, bound):
+    with pytest.raises(ValueError):
+        enumerate_integral_ideals(fi, bound)
+
+
+@pytest.mark.parametrize("poly,basis", [
+    pytest.param([-5, 0, 1], [[1, 0], [0, 1]], id="Z[sqrt5]"),
+    pytest.param([3, 0, 1], [[1, 0], [0, 1]], id="Z[sqrt-3]"),
+    pytest.param([1, 0, 1], [[1, 0], [0, 3]], id="Z[3i]"),
+    pytest.param([-16, 0, 0, 1], None, id="Z[2cbrt2]"),
+    pytest.param([-2, 0, 0, 1], None, id="x3-2"),
+    pytest.param([-3, -1, 0, 1], None, id="x3-x-3"),
+])
+def test_inverse_norm_is_reciprocal_in_monogenic_orders(poly, basis):
+    """A monogenic order is Gorenstein, so N((O : J)) N(J) = 1 for every
+    integral J, invertible or not: the premise of the census's Hermite
+    window. The orders include non-maximal ones, where some J are not
+    invertible."""
+    f = create_field(poly, basis)
+    assert f.n == 2 or ideals_module._basis_denominator(f) == 1
+    for j in enumerate_integral_ideals(f, 80):
+        assert invert(j).norm() * j.norm() == 1, j
+
+
+def test_inverses_share_the_last_unit_row(f73, f_cubic):
+    """A census holds every inverse it keeps; their last HNF row
+    (0, ..., 0, 1) is one tuple per degree, not one per ideal."""
+    for f in (f73, f_cubic):
+        a, b = (invert(j) for j in enumerate_integral_ideals(f, 12)[1:3])
+        assert a.hnf[-1] == (0,) * (f.n - 1) + (1,)
+        assert a.hnf[-1] is b.hnf[-1]
+
+
+@pytest.mark.parametrize("k,counts", [(2, {1: 162, Fraction(1, 2): 32}),
+                                      (3, {1: 143, Fraction(1, 3): 21})])
+def test_inverse_norm_falls_short_in_z_plus_k_z_cbrt2(k, counts):
+    """Z + kZ[cbrt 2] is not Gorenstein: some J of norm <= 80 have
+    N((O : J)) N(J) = 1/k, which is why the census's Hermite window asks for
+    a monogenic order."""
+    f = create_field([-2, 0, 0, 1], [[1, 0, 0], [0, k, 0], [0, 0, k]])
+    assert ideals_module._basis_denominator(f) == k
+    got = Counter(invert(j).norm() * j.norm() for j in enumerate_integral_ideals(f, 80))
+    assert got == counts
 
 
 def test_enumerate_gaussian_bound_five(fi):

@@ -101,6 +101,13 @@ def test_ellipsoid_gram_refines_with_its_weights(f73, f_cubic):
                 assert abs(x - y) <= g.err + fine.err
 
 
+def test_gram_refuses_an_infinite_weight(f73, f_cubic):
+    # f_cubic's second place is complex, so its entry is an mpc
+    for f, values in ((f73, (mpf(1), mp.inf)), (f_cubic, (mpf(1), mp.mpc(mp.inf, 1)))):
+        with pytest.raises(ValueError):
+            gram_of(f, unit_ideal(f), ArchVector(values, f.degs, f.prec))
+
+
 def test_refine_keeps_a_gram_without_field():
     g = GramMatrix.from_entries([[2, 1], [1, 3]])
     assert g.refine() == g

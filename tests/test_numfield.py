@@ -448,6 +448,12 @@ def test_imaginary_quadratic_embed_is_exact(min_poly):
                 assert abs(got.imag - im) <= abs(im) * mpf(2) ** -(prec + 15)
 
 
+@pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan])
+def test_mpf_to_fraction_refuses_non_finite(x):
+    with pytest.raises(ValueError):
+        mpf_to_fraction(x)
+
+
 def test_surd_floor_matches_isqrt():
     """cf_floor((p + sqrt(disc))/q) against exact sign tests, for both
     signs of q and disc up to about 10^34, where a float square root is

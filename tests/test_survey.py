@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 import arakelov
 from arakelov import survey
 from arakelov.divisors import is_strongly_c_reduced, quadratic_units
-from arakelov.ideals import ideal_norm, invert, unit_ideal
+from arakelov.ideals import enumerate_integral_ideals, ideal_norm, invert, unit_ideal
 from arakelov.numfield import create_field
 from arakelov.survey import (
     CensusEntry,
@@ -359,16 +359,44 @@ def _counting(calls: list, fn):
 
 
 def test_hermite_cut_counts_on_benchmark_censuses(monkeypatch):
-    """Over the six benchmark censuses, 487 inverses are formed and 291 of
-    them need a lambda_1 search."""
-    inverted, searched = [], []
+    """The six benchmark orders are monogenic, so each census lists only
+    its Hermite window: 430 integral ideals, whose 291 inverses all need a
+    lambda_1 search."""
+    listed, inverted, searched = [], [], []
+
+    def listing(f, bound):
+        out = enumerate_integral_ideals(f, bound)
+        listed.extend(out)
+        return out
+
+    monkeypatch.setattr(survey, "enumerate_integral_ideals", listing)
     monkeypatch.setattr(survey, "invert", _counting(inverted, survey.invert))
     monkeypatch.setattr(survey, "is_strongly_c_reduced",
                         _counting(searched, survey.is_strongly_c_reduced))
     for poly, c in (([-73, 0, 1], "sqrt2"), ([-1009, 0, 1], 2), ([-10007, 0, 1], "sqrt2"),
                     ([1, 0, 1], 2), ([-2, 0, 0, 1], "sqrt2"), ([-3, -1, 0, 1], "sqrt2")):
         enumerate_sred(create_field(poly), c)
-    assert (len(inverted), len(searched)) == (487, 291)
+    assert (len(listed), len(inverted), len(searched)) == (430, 291, 291)
+
+
+@pytest.mark.parametrize("poly,c,size", [
+    pytest.param([-3, -1, 0, 1], 3, 35, id="x3-x-3-3"),
+    pytest.param([-1, -1, 0, 0, 1], "sqrt2", 1, id="x4-x-1-sqrt2"),
+])
+def test_hermite_window_census_matches_the_full_bound(poly, c, size, monkeypatch):
+    """Within its Hermite window the census fits under CANDIDATE_CAP, where
+    the full norm bound would be refused; it equals the census through the
+    full bound, with the cap lifted, that an order not known to be monogenic
+    would take."""
+    windowed = enumerate_sred(create_field(poly), c)
+    monkeypatch.setattr(survey, "_basis_denominator", lambda f: 2)
+    with pytest.raises(DeskScaleExceeded):
+        enumerate_sred(create_field(poly), c)
+    monkeypatch.setattr(survey, "CANDIDATE_CAP", 10 ** 12)
+    full = enumerate_sred(create_field(poly), c)
+    assert len(windowed) == size
+    assert windowed.entries == full.entries
+    assert windowed.norm_bound == full.norm_bound
 
 
 def test_hermite_cut_uses_the_inverses_norm(monkeypatch):
