@@ -81,9 +81,11 @@ def _load_field_arg(args):
     if prec is not None and not 64 <= prec <= MAX_PREC:
         raise SystemExit2(f"precision must be between 64 and {MAX_PREC} bits")
     try:
-        return load_field(spec, prec)
+        f, units = load_field(spec, prec)
     except ValueError as exc:
         raise SystemExit2(f"bad field specification: {exc}")
+    args.loaded_field = f
+    return f, units
 
 
 def _c_arg(args) -> Fraction:
@@ -351,6 +353,11 @@ def main(argv=None) -> int:
     except (UnitsUnavailable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the field's caches hold elements, ideals and log vectors that refer
+        # back to it; emptying them lets the field go without the collector
+        if (f := getattr(args, "loaded_field", None)) is not None:
+            f._cache.clear()
 
 
 if __name__ == "__main__":

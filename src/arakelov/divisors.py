@@ -43,7 +43,6 @@ from .lattice import (
     _enumerate_ellipsoid,
     _refining,
     _shortest_attempt,
-    _u_weights,
     gram_of,
     is_minimal,
     lll_first_vector,
@@ -363,47 +362,122 @@ def _reduced_root(f: NumberField, j: FractionalIdeal) -> tuple[int, int] | None:
     return (p, q) if cf_is_reduced(p, q, isqrt(f.disc)) else None
 
 
+def _root_ideal(f: NumberField, p: int, q: int) -> FractionalIdeal:
+    """The reduced ideal Z + Z x of the reduced root x = (p + sqrt(disc))/q."""
+    x = f.from_surd(Fraction(p, q), Fraction(1, q))
+    return _from_vectors(f, [[1, 0], list(x.coords)])
+
+
+def _surd_mul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction],
+              disc: int) -> tuple[Fraction, Fraction]:
+    """x y for surd pairs (a, b) of a + b sqrt(disc)."""
+    (a, b), (c, d) = x, y
+    return a * c + b * d * disc, a * d + b * c
+
+
+def _surd_div(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction],
+              disc: int) -> tuple[Fraction, Fraction]:
+    """x / y for surd pairs: x times the conjugate of y, over the norm of y."""
+    c, d = y
+    n = c * c - d * d * disc
+    return _surd_mul(x, (c / n, -d / n), disc)
+
+
+def _cycle_walk(f: NumberField, p0: int, q0: int):
+    """(p_k, q_k, gamma_k) for the reduced roots x_k = (p_k + sqrt(disc))/q_k
+    of the cycle through the reduced root (p0, q0), in forward order from
+    it, with J_k = gamma_k^{-1} J_0 for the ideals J_k = Z + Z x_k and
+    gamma_k = x_0 ... x_{k-1} as a surd pair."""
+    return [(p, q, (u + Fraction(v * p0, q0), Fraction(v, q0)))
+            for p, q, u, v in cf_cycle(p0, q0, f.disc)[:-1]]
+
+
 def reduced_cycle(f: NumberField, start: FractionalIdeal):
     """The cycle of reduced ideals through `start` (ValueError unless it is
     reduced), as a list of (ideal, gamma) with ideal = gamma^{-1} * start.
 
-    Forward steps take the root x_k of each ideal Z + Z x_k to the root of
-    the next, Z + Z/x_k, and gamma is the product of the x_k so far."""
+    Forward steps take the reduced root x_k of each ideal Z + Z x_k to the
+    root of the next, Z + Z/x_k, and gamma is the product of the x_k so
+    far: the integer (p, q) walk that the class registry takes too, with
+    each root's ideal built at the end."""
     if not _real_quadratic(f):
         raise ValueError("reduced cycles exist for real quadratic fields only")
     root = _reduced_root(f, start)
     if root is None:
         raise ValueError("ideal is not reduced: 1 is not a primitive minimal element")
-    p0, q0 = root
-    out = [(start, f.one())]
-    for p, q, u, v in cf_cycle(p0, q0, f.disc)[1:-1]:
-        x = f.from_surd(Fraction(p, q), Fraction(1, q))
-        gam = f.from_surd(u + Fraction(v * p0, q0), Fraction(v, q0))
-        out.append((_from_vectors(f, [[1, 0], list(x.coords)]), gam))
-    return out
+    return [(start if k == 0 else _root_ideal(f, p, q), f.from_surd(*gam))
+            for k, (p, q, gam) in enumerate(_cycle_walk(f, *root))]
 
 
-def _principal_cycle(f: NumberField):
-    if "principal_cycle" not in f._cache:
-        f._cache["principal_cycle"] = reduced_cycle(f, unit_ideal(f))
-    return f._cache["principal_cycle"]
+# The class registry of a real quadratic field maps each reduced root
+# (p, q) that a walk has reached to (tag, 1/gamma): J(p, q) = gamma^{-1}
+# rep(tag), with J(p, q) = Z + Z (p + sqrt(disc))/q and 1/gamma a surd pair.
+# The principal cycle (rep O, tag "principal") is walked when the registry
+# is made; classify_components walks one more cycle per new class, whose
+# representative is its ideal of least key(). A walk's start fixes the
+# gammas of its class up to units, so classes are entered in census order
+# only: principal_generator reads the registry, sharing the principal walk.
+
+def _class_registry(f: NumberField) -> dict:
+    reg = f._cache.get("class_registry")
+    if reg is None:
+        reg = f._cache["class_registry"] = {}
+        _register_cycle(f, reg, _reduced_root(f, unit_ideal(f)), "principal")
+    return reg
+
+
+def _register_cycle(f: NumberField, reg: dict, root: tuple[int, int], tag: str | None = None):
+    """Enter the cycle through the reduced root under `tag`, or, for None,
+    under the key of its least ideal, the only ideals the registry builds:
+    J_k = gamma_k^{-1} J_0 and rep = gamma_rep^{-1} J_0 give
+    J_k = (gamma_rep / gamma_k) rep."""
+    walk = _cycle_walk(f, *root)
+    rep_gam = (Fraction(1), Fraction(0))
+    if tag is None:
+        key, rep_gam = min(((_root_ideal(f, p, q).key(), gam) for p, q, gam in walk),
+                           key=lambda kg: kg[0])
+        tag = "cls" + ":".join(str(x) for x in key)
+    for p, q, gam in walk:
+        reg[(p, q)] = (tag, _surd_div(rep_gam, gam, f.disc))
+
+
+def _class_of(f: NumberField, ideal: FractionalIdeal,
+              register: bool) -> tuple[str | None, tuple[Fraction, Fraction] | None]:
+    """(tag, gen) with ideal = gen * rep(tag) and gen a surd pair, for a
+    fractional ideal of a real quadratic field: the reduced root of its box
+    minimum g is looked up in the class registry, and gen = g / gamma. A
+    root that no walk has reached has its cycle entered when `register`
+    is set; otherwise (None, None) is returned."""
+    reg = _class_registry(f)
+    p, q, g = _box_walk(f, ideal)
+    if (p, q) not in reg:
+        if not register:
+            return None, None
+        _register_cycle(f, reg, (p, q))
+    tag, gam_inv = reg[(p, q)]
+    return tag, _surd_mul(g, gam_inv, f.disc)
 
 
 def to_reduced(f: NumberField, q: FractionalIdeal) -> tuple[FractionalIdeal, FieldElement]:
     """(J, g) with Q = g·J and 1 minimal in J.
 
     g is the minimal element that minimal_element_bounded picks in the box
-    of d(Q); real quadratic fields reach it by continued fractions instead
-    of enumerating the box."""
+    of d(Q). Real quadratic fields reach it by the integer continued-
+    fraction walk of _box_walk instead of enumerating the box, and build J
+    from the reduced root (p + sqrt(disc))/q that the walk ends on, as
+    Z + Z (p + sqrt(disc))/q; that (p, q) is also J's key in the class
+    registry."""
     if _real_quadratic(f):
-        g = _box_minimum_real_quadratic(f, q)
-    else:
-        g = minimal_element_bounded(f, q, divisor_d(q).u)
+        p, d, g = _box_walk(f, q)
+        return _root_ideal(f, p, d), f.from_surd(*g)
+    g = minimal_element_bounded(f, q, divisor_d(q).u)
     return scale_ideal(q, g.inverse()), g
 
 
-def _box_minimum_real_quadratic(f: NumberField, q: FractionalIdeal) -> FieldElement:
-    """minimal_element_bounded(f, Q, d(Q).u) without the box enumeration.
+def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fraction, Fraction]]:
+    """(p, d, g): the g that minimal_element_bounded(f, Q, d(Q).u) picks, as
+    a surd pair, without the box enumeration, and the reduced root
+    (p + sqrt(disc))/d of J = g^{-1} Q.
 
     Q = r(Z + Z x) with r Q's rational generator. The continued fraction
     x -> 1/(x - floor x) walks Z + Z x = y (Z + Z/y), y = x - floor x, to a
@@ -412,72 +486,87 @@ def _box_minimum_real_quadratic(f: NumberField, q: FractionalIdeal) -> FieldElem
     where |sigma_0| grows and |sigma_1| shrinks; one step along the chain
     multiplies by x (forward) or by x - floor x (backward). The run is
     collected and its least T2, then least canonical coordinates, picked,
-    exactly as the box enumeration does. Elements are carried as the pairs
-    (a, b) of a + b sqrt(disc) that f.surd gives."""
+    exactly as the box enumeration does.
+
+    Every state keeps Q = g (Z + Z x), so g lies in Q, whose surd pairs lie
+    in Z^2 / (2 den(Q)): g is carried as the integer numerators (A, B) of
+    (A + B sqrt(disc)) / (2 den(Q)), and a step's product is divided
+    exactly."""
     disc, s = f.disc, isqrt(f.disc)
+    m = 2 * q.den
     side = _box_side(f)
-    bound_sq = side * side
-    w = _u_weights(f, divisor_d(q).u)[0]
+    # (u sigma(g))^2 <= side^2 at both places, for u = man 2^exp the exact
+    # binary value of d(Q)'s weight and sigma(g) = (A +- B sqrt(disc))/m,
+    # cleared of m^2 and the denominators of u^2 and side^2
+    man, exp = divisor_d(q).u.values[0].man_exp
+    wk = (man * side.denominator) ** 2 << max(0, 2 * exp)
+    lim = (side.numerator * m) ** 2 << max(0, -2 * exp)
 
-    def in_box(g: tuple[Fraction, Fraction], place: int) -> bool:
-        # w sigma(g)^2 = w (a^2 + b^2 disc +- 2ab sqrt(disc)) <= bound^2
-        a, b = g
-        return sign_surd(w * (a * a + b * b * disc) - bound_sq,
-                         w * 2 * a * b * (1 - 2 * place), disc) <= 0
+    def in_box(state, place: int) -> bool:
+        _, _, a, b = state
+        return sign_surd(wk * (a * a + b * b * disc) - lim,
+                         wk * 2 * a * b * (1 - 2 * place), disc) <= 0
 
-    def step(p: int, d: int, g: tuple[Fraction, Fraction], forward: bool):
-        """The next (p, d, g) for x = (p + sqrt(disc))/d: g times x
+    def step(state, forward: bool):
+        """The next (p, d, A, B) for x = (p + sqrt(disc))/d: g times x
         (forward) or times x - floor x = (-p' + sqrt(disc))/d (backward),
-        that is g times (m + sqrt(disc))/d."""
+        that is g times (k + sqrt(disc))/d."""
+        p, d, a, b = state
         p1, d1 = (cf_forward if forward else cf_backward)(p, d, disc, s)
-        m = p if forward else -p1
-        a, b = g
-        return p1, d1, ((a * m + b * disc) / d, (a + b * m) / d)
+        k = p if forward else -p1
+        a1, ra = divmod(a * k + b * disc, d)
+        b1, rb = divmod(a + b * k, d)
+        if ra or rb:
+            raise RuntimeError("a continued-fraction step left the ideal")
+        return p1, d1, a1, b1
 
-    r = Fraction(q.hnf[0][0], q.den)
-    state = (*_quadratic_root(f, q.basis_elements()[1] / r), (r, Fraction(0)))
+    # Q = r (Z + Z x): r = h00/den, x = (h01 + h11 w)/h00 for the basis {1, w}
+    (h00, h01), (_, h11) = q.hnf
+    x = f.element([Fraction(h01, h00), Fraction(h11, h00)])
+    state = (*_quadratic_root(f, x), 2 * h00, 0)
     for _ in range(CF_STEP_CAP):
         if cf_is_reduced(state[0], state[1], s):
             break
-        state = step(*state, False)
+        state = step(state, False)
     else:
         raise RuntimeError("continued fraction failed to reach a reduced root")
     # walk onto the run of minima inside the box
     for _ in range(CF_STEP_CAP):
-        if not in_box(state[2], 0):
-            state = step(*state, False)
-        elif not in_box(state[2], 1):
-            state = step(*state, True)
+        if not in_box(state, 0):
+            state = step(state, False)
+        elif not in_box(state, 1):
+            state = step(state, True)
         else:
             break
     else:
         raise RuntimeError("no minimum of the ideal lies in the box of d(Q)")
     # backward steps shrink |sigma_0| and grow |sigma_1|; forward the reverse
-    run = [state[2]]
+    run = [state]
     for forward, place in ((False, 1), (True, 0)):
-        nxt = step(*state, forward)
-        while in_box(nxt[2], place):
-            run.append(nxt[2])
-            nxt = step(*nxt, forward)
-    best = min((2 * (a * a + b * b * disc), _canonical_sign(tuple(f.from_surd(a, b).coords)))
-               for a, b in run)
-    return f.element(best[1])
+        nxt = step(state, forward)
+        while in_box(nxt, place):
+            run.append(nxt)
+            nxt = step(nxt, forward)
+    # T2 = 2 (A^2 + B^2 disc) / m^2; the canonical sign decides T2 ties only
+    t2 = min(a * a + b * b * disc for _, _, a, b in run)
+    best = min((_canonical_sign(f.from_surd(Fraction(a, m), Fraction(b, m)).coords), p, d)
+               for p, d, a, b in run if a * a + b * b * disc == t2)
+    return best[1], best[2], f.surd(f.element(best[0]))
 
 
 def principal_generator(f: NumberField, q: FractionalIdeal) -> FieldElement | None:
     """A generator of Q when Q is principal, else None.
 
-    Real quadratic fields walk the principal reduced-ideal cycle (complete).
-    Imaginary quadratic fields use exact norm matching (complete). Other
-    fields search short vectors up to a declared radius and raise
-    UndecidedPrincipality when nothing is found inside it.
+    Real quadratic fields look the reduced root of Q's box minimum up in
+    the class registry, whose principal cycle is complete: Q is principal
+    exactly when the root lies on it. Imaginary quadratic fields use exact
+    norm matching (complete). Other fields search short vectors up to a
+    declared radius and raise UndecidedPrincipality when nothing is found
+    inside it.
     """
     if _real_quadratic(f):
-        j, g = to_reduced(f, q)
-        for jk, gam in _principal_cycle(f):
-            if jk == j:
-                return g * gam.inverse()
-        return None
+        tag, gen = _class_of(f, q, register=False)
+        return f.from_surd(*gen) if tag == "principal" else None
     # scale to an integral ideal first
     qi = scale_ideal(q, f.rational(q.den)) if q.den != 1 else q
     m = qi.norm()

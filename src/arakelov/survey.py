@@ -3,6 +3,13 @@ inverse-ideal norm bound, classification by (narrow) ideal class, positions
 on the principal cycle, and verification of the separation and counting
 bounds.
 
+In a real quadratic field a class is a cycle of reduced ideals, and a
+reduced ideal Z + Z x is its reduced root x = (p + sqrt(disc))/q. The
+classification keys every entry by the integer pair (p, q) of its box
+minimum's reduced ideal in one registry per field (divisors._class_of),
+which principal_generator reads too; each class's cycle is walked once,
+and only then are ideals built, to name it by its least ideal.
+
 The separation constant is log(1 + sqrt(3)/(2 C^2)); the coarser variant
 with 3 in place of sqrt(3) appears in some counting statements and is
 evaluated informationally alongside it, never asserted on its own.
@@ -19,16 +26,14 @@ from mpmath import mp, mpf
 from .divisors import (
     CSquared,
     UnitLattice,
-    _principal_cycle,
+    _class_of,
     as_c_squared,
     is_reduced_usual,
     is_strongly_c_reduced,
     principal_generator,
     quadratic_units,
-    reduced_cycle,
-    to_reduced,
 )
-from .exact import frac_isqrt_floor
+from .exact import frac_isqrt_floor, sign_surd
 from .ideals import (
     FractionalIdeal,
     _basis_denominator,
@@ -156,38 +161,6 @@ def enumerate_sred(f: NumberField, c) -> SredCensus:
 # ---------------------------------------------------------------------------
 # Classification
 
-def _class_cycles(f: NumberField):
-    """Registry of reduced-ideal cycles, seeded with the principal one."""
-    key = "class_cycles"
-    if key not in f._cache:
-        principal = _principal_cycle(f)
-        registry = {"principal": principal}
-        member_map = {}
-        for jk, gam in principal:
-            member_map[jk] = ("principal", gam)
-        f._cache[key] = (registry, member_map)
-    return f._cache[key]
-
-
-def _locate_class(f: NumberField, reduced: FractionalIdeal):
-    """(tag, gamma) with reduced = gamma^{-1} * rep(tag); walks and caches a
-    new cycle when the ideal belongs to an unseen class."""
-    registry, member_map = _class_cycles(f)
-    if reduced in member_map:
-        return member_map[reduced]
-    cycle = reduced_cycle(f, reduced)
-    rep_key = min(jk.key() for jk, _ in cycle)
-    rep, rep_gam = next((jk, gam) for jk, gam in cycle if jk.key() == rep_key)
-    tag = "cls" + ":".join(str(x) for x in rep_key)
-    # re-anchor generators on the canonical representative:
-    # jk = gam^{-1} start and rep = rep_gam^{-1} start give
-    # jk = (gam * rep_gam^{-1})^{-1} rep
-    registry[tag] = cycle
-    for jk, gam in cycle:
-        member_map[jk] = (tag, gam * rep_gam.inverse())
-    return member_map[reduced]
-
-
 def classify_components(census: SredCensus, units: UnitLattice | None = None) -> SredCensus:
     """Fill ideal-class and narrow-class tags (quadratic fields).
 
@@ -195,6 +168,12 @@ def classify_components(census: SredCensus, units: UnitLattice | None = None) ->
     narrow tag appends whether that generator has a totally positive
     associate. Non-quadratic fields are returned untagged, and a census
     whose entries are all tagged is returned unchanged.
+
+    Real quadratic entries are sorted through the field's class registry
+    (divisors._class_of): the reduced root (p, q) of each entry's box
+    minimum is looked up, a class is walked once when its first entry
+    arrives, and the generator is a surd quotient whose signs are read
+    exactly, so no entry builds an ideal or inverts an element.
     """
     f = census.field
     if f.n != 2 or all(e.class_tag is not None for e in census.entries):
@@ -206,12 +185,11 @@ def classify_components(census: SredCensus, units: UnitLattice | None = None) ->
     unit_signs = [_sign_vector(f, eps) for eps in units.generators]
     out = []
     for e in census.entries:
-        j_red, g = to_reduced(f, e.ideal)
-        tag, gam = _locate_class(f, j_red)
-        gen = g * gam.inverse()  # e.ideal = gen * rep
-        tp = _positive_associate(f, _sign_vector(f, gen), unit_signs) is not None
+        tag, (a, b) = _class_of(f, e.ideal, register=True)  # e.ideal = gen * rep
+        signs = (sign_surd(a, b, f.disc) < 0) | (sign_surd(a, -b, f.disc) < 0) << 1
+        tp = _positive_associate(f, signs, unit_signs) is not None
         narrow = f"{tag}|tp" if tp else f"{tag}|ntp"
-        out.append(replace(e, class_tag=tag, narrow_tag=narrow, generator=gen))
+        out.append(replace(e, class_tag=tag, narrow_tag=narrow, generator=f.from_surd(a, b)))
     return replace(census, entries=tuple(out))
 
 

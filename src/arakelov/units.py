@@ -28,6 +28,13 @@ class UnitLattice:
     generators: tuple[FieldElement, ...]
     totally_positive: tuple[FieldElement, ...]
 
+    def __post_init__(self):
+        f, r = self.field, len(self.generators)
+        if r != f.r1 + f.r2 - 1:
+            raise UnitsUnavailable(
+                f"{r} unit{'' if r == 1 else 's'} supplied, "
+                f"the unit rank is {f.r1 + f.r2 - 1}")
+
     def rank(self) -> int:
         return len(self.generators)
 
@@ -55,9 +62,6 @@ def _log_covolume(f: NumberField, logs: list[LogVector]):
         with mp.workprec(v.prec):
             return abs(v.values[0])
     r = len(logs)
-    if r != f.r1 + f.r2 - 1:
-        raise UnitsUnavailable(
-            f"{r} units supplied, the unit rank is {f.r1 + f.r2 - 1}")
     with mp.workprec(f.prec):
         m = mp.matrix([[v.degs[i] * v.values[i] for v in logs] for i in range(r)])
         return abs(mp.det(m))
@@ -103,10 +107,20 @@ def quadratic_units(f: NumberField) -> UnitLattice:
 
 
 def unit_lattice_from_elements(f: NumberField, elements: list[FieldElement]) -> UnitLattice:
-    """Unit lattice from user-supplied fundamental units (any degree)."""
+    """Unit lattice from user-supplied fundamental units (any degree): one
+    per unit rank r1 + r2 - 1, each of norm +-1. A real quadratic field's
+    unit must be +-eps^(+-1) for the fundamental unit eps of
+    quadratic_units; other degrees are not checked for index."""
     for e in elements:
         if abs(e.norm()) != 1:
             raise UnitsUnavailable("supplied element is not a unit (|norm| != 1)")
+    if f.n == 2 and f.r1 == 2 and len(elements) == 1:
+        eps = quadratic_units(f).generators[0]
+        inv = eps.inverse()
+        if elements[0] not in (eps, -eps, inv, -inv):
+            raise UnitsUnavailable(
+                "supplied unit is not fundamental: it is not +-eps^(+-1) for the "
+                "fundamental unit eps of the order")
     gens = tuple(elements)
     tp = _totally_positive_generators(f, gens)
     return UnitLattice(f, gens, tp)

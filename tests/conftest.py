@@ -12,6 +12,21 @@ from arakelov.ideals import enumerate_integral_ideals, ideal_from_generators, sc
 from arakelov.numfield import ArchVector, create_field, fraction_to_mpf
 
 
+# Orders of Q(sqrt d) given by (d, basis), beyond the maximal orders on
+# their default bases. basis None is create_field's default, which for
+# x^2 - 28 and x^2 - 45 is the power basis (discriminants 112 and 180); with
+# Z[sqrt 5] (discriminant 20) these orders are not maximal, and some of
+# their ideals are not invertible. Z[sqrt 7] on {1, -sqrt 7} has its w below
+# its conjugate at place 0.
+OTHER_ORDERS = [pytest.param(5, [[1, 0], [0, 1]], id="5-power"),
+                pytest.param(28, None, id="28"), pytest.param(45, None, id="45"),
+                pytest.param(7, [[1, 0], [0, -1]], id="7-negated")]
+
+
+def maximal_orders(*ds):
+    return [pytest.param(d, None, id=str(d)) for d in ds]
+
+
 @pytest.fixture()
 def field_tmp(tmp_path):
     """Write a field-specification JSON and return its path."""

@@ -77,6 +77,33 @@ def test_info_rank_two_regulator(field_file, capsys):
     assert code == 2 and "unit rank is 1" in err
 
 
+# eps = 943 + 250 (1 + sqrt73)/2 is the fundamental unit of Q(sqrt73)
+@pytest.mark.parametrize("units,refusal", [
+    pytest.param([[2014249, 534000]], "not fundamental", id="eps-squared"),
+    pytest.param([[943, 250], [943, 250]], "unit rank is 1", id="two-units"),
+    pytest.param([[-1193, 250]], None, id="eps-inverse"),
+    pytest.param([[-943, -250]], None, id="minus-eps"),
+])
+@pytest.mark.parametrize("cmd", [["info"], ["verify", "--C", "2", "--trials", "2"]])
+def test_real_quadratic_units_must_be_fundamental(field_file, capsys, units, refusal, cmd):
+    f = field_file("f73.json", {"min_poly": [-73, 0, 1], "units": units})
+    code, _, err = run(capsys, [cmd[0], "--field", f, *cmd[1:]])
+    if refusal is None:
+        assert code == 0
+    else:
+        assert code == 2 and refusal in err
+
+
+def test_unit_count_must_match_the_rank(field_file, capsys):
+    """x^3 - 3x + 1 is totally real, of unit rank two: theta alone is
+    refused, as are three units."""
+    for units in ([[0, 1, 0]], [[0, 1, 0], [-1, 1, 0], [0, 1, 0]]):
+        f = field_file("f81.json", {"min_poly": [1, -3, 0, 1], "units": units})
+        code, _, err = run(capsys, ["info", "--field", f])
+        assert code == 2
+        assert f"{len(units)} unit" in err and "unit rank is 2" in err
+
+
 def test_check_plain_lattice_exit_codes(field_file, capsys):
     f = field_file("f7.json", {"min_poly": [-7, 0, 1]})
     lat = field_file("plain.json", {"plain_basis": [[1, 0], [[1, 4], [1, 4]]]})
@@ -407,14 +434,18 @@ def test_cli_stdout_bytes_pinned(capsys, name, cmd):
 
 
 def test_main_leaves_no_cyclic_garbage(capsys):
-    """The parser is built once per process and reports are indented without
-    closures, so a second info call leaves nothing for the collector."""
-    argv = ["info", "--field", str(FIELDS_DIR / "q7.json")]
-    assert run(capsys, argv)[0] == 0
-    gc.collect()
-    gc.disable()
-    try:
+    """The parser is built once per process, reports are indented without
+    closures, and the loaded field's caches are emptied when the command
+    returns, so a second info or verify call leaves nothing for the
+    collector."""
+    for argv in (["info", "--field", str(FIELDS_DIR / "q7.json")],
+                 ["verify", "--field", str(FIELDS_DIR / "q7.json"), "--C", "2",
+                  "--trials", "2"]):
         assert run(capsys, argv)[0] == 0
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -26,8 +26,8 @@ from arakelov.divisors import (
     reduction_distance_bound,
 )
 from arakelov.divisors import (
+    _class_registry,
     _jump_assemble,
-    _principal_cycle,
     to_reduced,
 )
 from arakelov.ideals import (
@@ -49,7 +49,13 @@ from arakelov.units import (
     totally_positive_adjust,
     unit_lattice_from_elements,
 )
-from conftest import random_degree_zero_divisor, random_fractional_ideal, zero_divisor
+from conftest import (
+    OTHER_ORDERS,
+    maximal_orders,
+    random_degree_zero_divisor,
+    random_fractional_ideal,
+    zero_divisor,
+)
 from oracles import (
     brute_closest_norm,
     brute_is_minimal,
@@ -208,22 +214,7 @@ def test_is_reduced_usual_matches_oracle(d):
     assert verdicts == {True, False}
 
 
-# Orders of Q(sqrt d) given by (d, basis), beyond the maximal orders on
-# their default bases. basis None is create_field's default, which for
-# x^2 - 28 and x^2 - 45 is the power basis (discriminants 112 and 180); with
-# Z[sqrt 5] (discriminant 20) these orders are not maximal, and some of
-# their ideals are not invertible. Z[sqrt 7] on {1, -sqrt 7} has its w below
-# its conjugate at place 0.
-OTHER_ORDERS = [pytest.param(5, [[1, 0], [0, 1]], id="5-power"),
-                pytest.param(28, None, id="28"), pytest.param(45, None, id="45"),
-                pytest.param(7, [[1, 0], [0, -1]], id="7-negated")]
-
-
-def _maximal(*ds):
-    return [pytest.param(d, None, id=str(d)) for d in ds]
-
-
-@pytest.mark.parametrize("d,basis", _maximal(73, 1009, -1, -5) + OTHER_ORDERS)
+@pytest.mark.parametrize("d,basis", maximal_orders(73, 1009, -1, -5) + OTHER_ORDERS)
 def test_surd_place_convention(d, basis):
     """surd(x) = (a, b) with x = a + b sqrt(disc), disc the order's
     discriminant: a + b sqrt(disc) is sigma_0(x) (sqrt(disc) = i sqrt|disc|
@@ -250,7 +241,7 @@ def test_surd_place_convention(d, basis):
                 assert abs(values[1] - (am - bm * root)) < tol
 
 
-@pytest.mark.parametrize("d,basis", _maximal(7, 73, 79, 1009) + OTHER_ORDERS)
+@pytest.mark.parametrize("d,basis", maximal_orders(7, 73, 79, 1009) + OTHER_ORDERS)
 def test_to_reduced_matches_box_pick(d, basis):
     """The continued-fraction walk lands on the minimal element that the
     box enumeration of d(Q) picks, and 1 is minimal in the result."""
@@ -565,18 +556,22 @@ def test_totally_positive_adjust_uses_unit_products():
     assert abs((gp / g).norm()) == 1
 
 
-def test_principal_cycle_lengths(f7, f73):
-    assert len(_principal_cycle(f7)) == 4
-    assert len(_principal_cycle(f73)) == 9  # the usual-reduced principal count
-    assert len(_principal_cycle(create_field([-10007, 0, 1]))) == 60
-    # the power-basis orders of OTHER_ORDERS, walked against the oracle in
-    # test_reduced_neighbor_matches_oracle
-    lengths = [len(_principal_cycle(create_field([-d, 0, 1], basis)))
-               for d, basis in ((5, [[1, 0], [0, 1]]), (28, None), (45, None))]
-    assert lengths == [1, 4, 6]
+def test_principal_cycle_lengths():
+    """The roots the class registry files under the principal class when it
+    is made are the principal cycle, walked once per field: reduced_cycle
+    from O, with the usual-reduced principal counts (9 for Q(sqrt73))."""
+    fields = [create_field([-d, 0, 1], basis) for d, basis in (
+        (7, None), (73, None), (10007, None),
+        # the power-basis orders of OTHER_ORDERS, walked against the oracle
+        # in test_reduced_neighbor_matches_oracle
+        (5, [[1, 0], [0, 1]]), (28, None), (45, None))]
+    lengths = [sum(tag == "principal" for tag, _ in _class_registry(f).values())
+               for f in fields]
+    assert lengths == [4, 9, 60, 1, 4, 6]
+    assert lengths == [len(reduced_cycle(f, unit_ideal(f))) for f in fields]
 
 
-@pytest.mark.parametrize("d,basis", _maximal(7, 73, 1009, 10007) + OTHER_ORDERS)
+@pytest.mark.parametrize("d,basis", maximal_orders(7, 73, 1009, 10007) + OTHER_ORDERS)
 def test_reduced_neighbor_matches_oracle(d, basis):
     """Each step of reduced_cycle, from O and from the reduced ideals of
     J^-1 for the first ideals J of norm > 1, against an exhaustive box

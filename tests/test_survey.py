@@ -10,9 +10,16 @@ import pytest
 from mpmath import mp, mpf
 
 import arakelov
-from arakelov import survey
-from arakelov.divisors import is_strongly_c_reduced, quadratic_units
-from arakelov.ideals import enumerate_integral_ideals, ideal_norm, invert, unit_ideal
+from arakelov import divisors, survey
+from arakelov.divisors import is_strongly_c_reduced, principal_generator, quadratic_units
+from arakelov.ideals import (
+    FractionalIdeal,
+    enumerate_integral_ideals,
+    ideal_norm,
+    invert,
+    scale_ideal,
+    unit_ideal,
+)
 from arakelov.numfield import create_field
 from arakelov.survey import (
     CensusEntry,
@@ -27,8 +34,13 @@ from arakelov.survey import (
     verify_counts,
     verify_separation,
 )
-from arakelov.units import LogLattice, _sign_vector, unit_lattice_from_elements
-from conftest import conjugate_ideal
+from arakelov.units import (
+    LogLattice,
+    _sign_vector,
+    totally_positive_adjust,
+    unit_lattice_from_elements,
+)
+from conftest import OTHER_ORDERS, conjugate_ideal, maximal_orders
 from oracles import brute_census, brute_pair_stage
 
 
@@ -123,23 +135,50 @@ def test_classification_q73_principal(f73):
     census = classify_components(enumerate_sred(f73, "sqrt2"), units)
     assert {e.class_tag for e in census.entries} == {"principal"}
     assert len({e.narrow_tag for e in census.entries}) == 1
-    # generators reproduce the ideals
-    from arakelov.ideals import ideal_from_generators
 
+
+def _class_representative(f, tag):
+    """The ideal a class tag names: O for the principal class, else the
+    ideal whose key() the tag spells."""
+    if tag == "principal":
+        return unit_ideal(f)
+    den, *h = (int(x) for x in tag[len("cls"):].split(":"))
+    return FractionalIdeal(f, den, tuple(tuple(h[i:i + f.n]) for i in range(0, len(h), f.n)))
+
+
+@pytest.mark.parametrize("d,basis", maximal_orders(73, 79, 1009) + OTHER_ORDERS)
+def test_classification_generators_match_representatives(d, basis):
+    """Every entry's ideal is its generator times its class representative,
+    and the narrow tag says whether the generator has a totally positive
+    associate."""
+    f = create_field([-d, 0, 1], basis)
+    units = quadratic_units(f)
+    census = classify_components(enumerate_sred(f, "sqrt2" if d == 73 else 2), units)
+    assert census.entries
     for e in census.entries:
-        assert ideal_from_generators(f73, [e.generator]) == e.ideal
+        assert scale_ideal(_class_representative(f, e.class_tag), e.generator) == e.ideal
+        tp = totally_positive_adjust(f, e.generator, units) is not None
+        assert e.narrow_tag == e.class_tag + ("|tp" if tp else "|ntp")
+    if d in (79, 1009):
+        assert len({e.class_tag for e in census.entries}) > 1
 
 
-def test_classification_q79_three_classes(f79):
+def test_classification_q79_three_classes(monkeypatch):
+    """Q(sqrt79) has class number three. The classification walks one cycle
+    per class, the principal one included, and principal_generator reads
+    the same registry, so it walks none."""
+    f79 = create_field([-79, 0, 1])
+    walks = []
+    monkeypatch.setattr(divisors, "cf_cycle", _counting(walks, divisors.cf_cycle))
     units = quadratic_units(f79)
     census = classify_components(enumerate_sred(f79, "sqrt2"), units)
     tags = {e.class_tag for e in census.entries}
-    assert len(tags) == 3  # class number three
+    assert len(tags) == 3
     assert "principal" in tags
-    # the class registry holds the one principal-cycle walk, not a second one
-    from arakelov.divisors import _principal_cycle
-
-    assert f79._cache["class_cycles"][0]["principal"] is _principal_cycle(f79)
+    assert len(walks) == 3
+    for e in census.entries:
+        assert (principal_generator(f79, e.ideal) is not None) == (e.class_tag == "principal")
+    assert len(walks) == 3
 
 
 def test_classification_q7_narrow_split(f7):
