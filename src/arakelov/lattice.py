@@ -21,6 +21,12 @@ principal generators and the unit lattice's closest vectors
 (units.LogLattice) run the loop on Fraction or mpf rows from _ldl: they do
 not LLL first, so there is no integral Gram-Schmidt data to reuse.
 
+Every search about the origin walks half the Fincke-Pohst tree: x and -x
+have one value, so the loop yields only the x whose last nonzero
+coordinate is positive. enumerate_quadratic_form and _int_search add the
+other signs back in their sorted order; the lambda_1 search needs only each
+pair's canonical sign, and a box checks each pair once at its places.
+
 hermite_power(n) is gamma_n^n, the exact cap on lambda_1^(2n) / det G that
 lets the census reject an inverse ideal from its covolume alone.
 """
@@ -387,7 +393,7 @@ def lll_reduce(g: GramMatrix):
 # ---------------------------------------------------------------------------
 # Fincke-Pohst enumeration
 
-def _fincke_pohst_row(used, di, mid, radius):
+def _fincke_pohst_row(used, di, mid, radius, start=None):
     """Yield (x, used + di (x - mid)^2) for every integer x where that is at
     most radius, ascending; a level holds no list of its points.
 
@@ -395,34 +401,37 @@ def _fincke_pohst_row(used, di, mid, radius):
     floor(mid) + 1, so the points at or below the floor form a run
     [lo, floor]. lo is found by doubling steps down from the floor, then
     halving them; the walk then climbs from lo while the value stays inside.
+    A given start (a half-tree level, where mid = 0) replaces lo.
     """
-    floor = int(mid)  # toward zero, exact for Fraction and mpf
-    if floor > mid:
-        floor -= 1
-    # every x in [lo, floor] is inside; once a doubling step fails, lo - step
-    # is outside and the halving steps close the gap
-    lo, step = floor + 1, 1
-    while used + di * (lo - step - mid) ** 2 <= radius:
-        lo -= step
-        step *= 2
-    while step > 1:
-        step //= 2
-        if used + di * (lo - step - mid) ** 2 <= radius:
-            lo -= step
-    x = lo
+    if start is None:
+        floor = int(mid)  # toward zero, exact for Fraction and mpf
+        if floor > mid:
+            floor -= 1
+        # every x in [lo, floor] is inside; once a doubling step fails,
+        # lo - step is outside and the halving steps close the gap
+        start, step = floor + 1, 1
+        while used + di * (start - step - mid) ** 2 <= radius:
+            start -= step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if used + di * (start - step - mid) ** 2 <= radius:
+                start -= step
+    x = start
     while (value := used + di * (x - mid) ** 2) <= radius:
         yield x, value
         x += 1
 
 
-def _fincke_pohst_int_row(used, level, mid, radius):
+def _fincke_pohst_int_row(used, level, mid, radius, start=None):
     """The integer row: level = (c, e), and the value is
     used + c (e x - mid)^2 for integers throughout. It is at most radius
     exactly when |e x - mid| <= t = isqrt((radius - used) // c), so the
-    run is x = ceil((mid - t) / e), ... while e x - mid <= t."""
+    run is x = ceil((mid - t) / e), ... while e x - mid <= t; a given start
+    (a half-tree level, where mid = 0) replaces its first point."""
     c, e = level
     t = math.isqrt((radius - used) // c)
-    x = -((t - mid) // e)
+    x = -((t - mid) // e) if start is None else start
     while (v := e * x - mid) <= t:
         yield x, used + c * v * v
         x += 1
@@ -432,21 +441,31 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
     """Yield (value, a) for every integer vector a with
     (a - centre)^T G (a - centre) = value <= radius, where G = L D L^T is
     given by the factors (d, l) of _ldl. Depth first: the last coordinate
-    varies slowest and each coordinate runs in ascending order. The same
-    loop runs on Fraction data (exact), on mpf data (at the working
-    precision) and, with row=_fincke_pohst_int_row, on the integer levels
-    of _int_search.
+    varies slowest and each coordinate runs in ascending order, so the
+    vectors come sorted on their reversed tuple. The same loop runs on
+    Fraction data (exact), on mpf data (at the working precision) and, with
+    row=_fincke_pohst_int_row, on the integer levels of _int_half.
+
+    centre None is the origin, and there the loop walks half its tree
+    (Fincke-Pohst, Math. Comp. 1985): a and -a have one value, so only the
+    nonzero a whose last nonzero coordinate is positive are yielded. A level
+    whose higher coordinates are all zero has mid = 0, and its row starts at
+    0, or at 1 on level 0, which skips the origin. Any other centre, a
+    computed one that happens to be zero included, walks the whole tree.
 
     With mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k) the value is
     sum_i d_i (a_i - mid_i)^2; part[i] holds the terms k >= i of the current
     prefix, and rows[i] the remaining points of level i.
     """
     n = len(d)
+    half = centre is None
+    if half:
+        centre = [0] * n
     a = [0] * n
     part = [0] * (n + 1)
     rows = [None] * n
     i = n - 1
-    rows[i] = row(0, d[i], centre[i], radius)
+    rows[i] = row(0, d[i], centre[i], radius, int(i == 0) if half else None)
     while i < n:
         step = next(rows[i], None)
         if step is None:
@@ -455,34 +474,48 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
             a[i], part[i] = step
             i -= 1
             mid = centre[i] - sum(l[k][i] * (a[k] - centre[k]) for k in range(i + 1, n))
-            rows[i] = row(part[i + 1], d[i], mid, radius)
+            start = int(i == 0) if half and not any(a[i + 1:]) else None
+            rows[i] = row(part[i + 1], d[i], mid, radius, start)
         else:
             a[0], value = step
             yield value, tuple(a)
 
 
-def _int_search(cur: list[list[int]], den: int, d: list[int], lam, radius: Fraction):
-    """Yield (value, x) for every nonzero integer x with
-    value = x^T G x <= radius, G = cur / den with cur an integer Gram and
-    (d, lam) its integral Gram-Schmidt data, in the order of
-    enumerate_quadratic_form on G.
+def _both_signs(half: list) -> list:
+    """The half tree's (value, x) list with every (value, -x) added, sorted
+    on the reversed tuple as the whole tree yields it: each -x has a
+    negative last nonzero coordinate, so all of them come first, and
+    negation reverses the order, so they are the half negated in reverse."""
+    return [(v, tuple(-c for c in x)) for v, x in reversed(half)] + half
+
+
+def _int_half(cur: list[list[int]], den: int, d: list[int], lam, radius: Fraction):
+    """Yield (value, x) for one x of each pair +-x of nonzero integer
+    vectors with value = x^T G x <= radius, G = cur / den with cur an
+    integer Gram and (d, lam) its integral Gram-Schmidt data: the x whose
+    last nonzero coordinate is positive, sorted on the reversed tuple.
 
     With m = lcm_i d_i d_i+1 and S_i = sum_{k > i} lam_ki x_k,
 
         m x^T cur x = sum_i c_i (d_i+1 x_i + S_i)^2,   c_i = m / (d_i d_i+1),
 
-    so the loop runs on the levels (c_i, d_i+1) with row
-    _fincke_pohst_int_row against the integer bound floor(m den radius):
-    integers at every node, and a value becomes a Fraction only when its
-    vector is yielded."""
+    so the half tree of _fincke_pohst runs on the levels (c_i, d_i+1) with
+    row _fincke_pohst_int_row against the integer bound
+    floor(m den radius): integers at every node, and a value becomes a
+    Fraction only when its vector is yielded."""
     n = len(cur)
     m = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
     levels = [(m // (d[i] * d[i + 1]), d[i + 1]) for i in range(n)]
     scale = m * den  # a node's value over scale is x^T G x
     bound = radius.numerator * scale // radius.denominator
-    for value, x in _fincke_pohst(levels, lam, [0] * n, bound, _fincke_pohst_int_row):
-        if any(x):
-            yield Fraction(value, scale), x
+    for value, x in _fincke_pohst(levels, lam, None, bound, _fincke_pohst_int_row):
+        yield Fraction(value, scale), x
+
+
+def _int_search(cur: list[list[int]], den: int, d: list[int], lam, radius: Fraction):
+    """The list enumerate_quadratic_form gives on G = cur / den, both signs
+    of every vector in the same order, from _int_half's integer search."""
+    return _both_signs(list(_int_half(cur, den, d, lam, radius)))
 
 
 def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
@@ -490,11 +523,13 @@ def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
     """All nonzero integer vectors x with x^T G x <= radius.
 
     Returns (value, coeffs) pairs, both signs of each vector, sorted
-    lexicographically on the reversed coefficient tuple.
+    lexicographically on the reversed coefficient tuple. The search walks
+    half the tree (_fincke_pohst about the origin); the second half of the
+    list is its own output, one of each +-x pair, and the first half the
+    negatives it adds.
     """
     d, l = _ldl([list(r) for r in entries])
-    return [(value, a) for value, a in _fincke_pohst(d, l, [0] * len(d), radius)
-            if any(a)]
+    return _both_signs(list(_fincke_pohst(d, l, None, radius)))
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -532,12 +567,13 @@ def _fine_gram(gram: GramMatrix, radius: Fraction) -> GramMatrix:
     return _refining(gram, lambda g: g if g.err * (4 * n * n) <= slack else None)
 
 
-def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction):
-    """Yield (value, coeffs) for every nonzero lattice vector with
-    x^T G x <= radius, coefficients on gram.source, both signs, in the order
-    of enumerate_quadratic_form; _element_of(gram, coeffs) is the vector.
-    An inexact Gram is refined first (_fine_gram)."""
-    yield from enumerate_quadratic_form(_fine_gram(gram, radius).entries, radius)
+def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction) -> list:
+    """The (value, coeffs) list of enumerate_quadratic_form for every nonzero
+    lattice vector with x^T G x <= radius, coefficients on gram.source:
+    both signs, and its second half one of each +-x pair;
+    _element_of(gram, coeffs) is the vector. An inexact Gram is refined
+    first (_fine_gram)."""
+    return enumerate_quadratic_form(_fine_gram(gram, radius).entries, radius)
 
 
 def shortest_vector(g: GramMatrix) -> ShortVector:
@@ -567,9 +603,10 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector:
     the reduced Gram.
 
     An exact Gram is searched on _lll_core's integer Gram and integral
-    Gram-Schmidt data (_int_search): no _ldl, no Fraction per node, and
-    only the winner becomes a FieldElement. The (value, coeffs) are those
-    of enumerate_quadratic_form on the same entries, in the same order.
+    Gram-Schmidt data (_int_half): no _ldl, no Fraction per node, and
+    only the winner becomes a FieldElement. The search yields one vector of
+    each +-x pair, whose canonical sign is the pair's, so the pick is that
+    of the whole of enumerate_quadratic_form on the same entries.
 
     An inexact Gram runs the same steps on its midpoints rounded to its
     certified error (_rounded_attempt), refined until that rounding is fine
@@ -584,7 +621,7 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector:
     umat, cur, d, lam = _lll_core(cur)
     radius = Fraction(min(cur[i][i] for i in range(n)), den)
     mapped = [(value, _canonical_sign(_on_source(umat, x)))
-              for value, x in _int_search(cur, den, d, lam, radius)]
+              for value, x in _int_half(cur, den, d, lam, radius)]
     if not mapped:
         raise RuntimeError("enumeration found no vectors inside the LLL radius")
     best = min(v for v, _ in mapped)
@@ -653,7 +690,7 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
         return None
     exact, den = _int_entries(g.entries)
     found = {_canonical_sign(_on_source(umat, x))
-             for _, x in _int_search(cur, scale, d, lam, radius)}
+             for _, x in _int_half(cur, scale, d, lam, radius)}
     mapped = [(Fraction(_int_qform(exact, x), den), x) for x in found]
     best = min(v for v, _ in mapped)
     margin = max(g.value_error(x) for _, x in mapped)
@@ -714,18 +751,21 @@ def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
                 strict: bool):
     """Yield (value, coeffs, g) for every nonzero lattice element g with
     u_sigma |sigma(g)| < bound_sigma at every place (<= when strict is
-    False), in the order of enumerate_quadratic_form.
+    False): each point of the half tree in enumeration order, followed by
+    its negative.
 
     The candidates come from the degree-weighted ellipsoid relaxation, value
     being x^T G x on its Gram (the weighted T2 of g over the bounds squared);
     each is then checked per place with cmp_abs_sq, so the points are exact
-    with respect to the given rational bounds.
+    with respect to the given rational bounds. |sigma(-g)| = |sigma(g)|, so
+    the check runs once per pair +-g, on the half tree's g.
     """
     b = _bounds_fractions(bounds, f.num_places)
     w = _u_weights(f, u)
     gram = _ellipsoid_gram(f, lattice, w, b)
     radius = Fraction(f.n) * (1 + _ENUM_SLACK)
-    for value, coeffs in _enumerate_ellipsoid(gram, radius):
+    pairs = _enumerate_ellipsoid(gram, radius)
+    for value, coeffs in pairs[len(pairs) // 2:]:
         g = _element_of(gram, coeffs)
         for place in range(f.num_places):
             sgn = f.cmp_abs_sq(g, place, b[place] ** 2, w[place])
@@ -733,13 +773,14 @@ def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
                 break
         else:
             yield value, coeffs, g
+            yield value, tuple(-c for c in coeffs), -g
 
 
 def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
                   strict: bool = True) -> list[FieldElement]:
     """All nonzero lattice elements g with u_sigma |sigma(g)| < bound_sigma
-    at every place (<= when strict is False), sorted by their coefficients
-    on the lattice basis."""
+    at every place (<= when strict is False), both signs of each, sorted by
+    their coefficients on the lattice basis."""
     points = sorted(_box_points(f, lattice, u, bounds, strict), key=lambda p: p[1])
     return [g for _, _, g in points]
 

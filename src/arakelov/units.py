@@ -14,7 +14,7 @@ from mpmath import mp
 
 from .exact import cf_cycle
 from .lattice import _fincke_pohst, _ldl
-from .numfield import FieldElement, LogVector, NumberField
+from .numfield import FieldElement, LogVector, NumberField, mpf_to_fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +110,9 @@ def unit_lattice_from_elements(f: NumberField, elements: list[FieldElement]) -> 
     """Unit lattice from user-supplied fundamental units (any degree): one
     per unit rank r1 + r2 - 1, each of norm +-1. A real quadratic field's
     unit must be +-eps^(+-1) for the fundamental unit eps of
-    quadratic_units; other degrees are not checked for index."""
+    quadratic_units; other degrees must be multiplicatively independent
+    (_dependent, tested only on the right count, which UnitLattice checks)
+    and are not checked for index."""
     for e in elements:
         if abs(e.norm()) != 1:
             raise UnitsUnavailable("supplied element is not a unit (|norm| != 1)")
@@ -121,9 +123,57 @@ def unit_lattice_from_elements(f: NumberField, elements: list[FieldElement]) -> 
             raise UnitsUnavailable(
                 "supplied unit is not fundamental: it is not +-eps^(+-1) for the "
                 "fundamental unit eps of the order")
+    elif elements and len(elements) == f.r1 + f.r2 - 1 and _dependent(f, elements):
+        raise UnitsUnavailable("supplied units are multiplicatively dependent")
     gens = tuple(elements)
     tp = _totally_positive_generators(f, gens)
     return UnitLattice(f, gens, tp)
+
+
+def _dependent(f: NumberField, units: list[FieldElement]) -> bool:
+    """Whether r units, r the unit rank of f, are multiplicatively dependent.
+
+    An independent system has regulator at least R_F >= 0.2052 (Friedman,
+    "Analytic formulas for the regulator of a number field", Invent. Math.
+    1989), a dependent one regulator 0, and 1/5 lies between. In rank one
+    the regulator is deg_0 |log |sigma_0(u)||, below 1/5 exactly when
+    v = u^deg_0 has 5/6 < |sigma_0(v)| < 6/5 (log 6/5 < 1/5), which
+    cmp_abs_sq decides exactly. In higher rank the system is dependent when
+    its regulator plus the error bound of _regulator_error is below 1/5.
+    """
+    if len(units) == 1:
+        v = units[0] ** f.degs[0]
+        return (f.cmp_abs_sq(v, 0, Fraction(36, 25)) < 0
+                and f.cmp_abs_sq(v, 0, Fraction(25, 36)) > 0)
+    reg, err = _regulator_error(f, units)
+    return mpf_to_fraction(reg + err) < Fraction(1, 5)
+
+
+def _regulator_error(f: NumberField, units: list[FieldElement]):
+    """(R, e): R = |det(deg_i log|sigma_i(u_j)|)|_{i, j < r} at the field
+    precision p, and a bound e >= |R - R_true|.
+
+    embed and abs leave each |sigma_i(u_j)| within a relative 2^(2-p), and
+    log adds a relative 2^-p, so each log L is within 2^(3-p) (1 + |L|) of
+    its true value and each entry m = deg_i L within 2^(3-p) (deg_i + |m|):
+    summed over row i, a bound err_i on its 1-norm error. Each term of the
+    multilinear expansion of det(M + E) - det(M) is bounded by Hadamard's
+    inequality, so the rows' 1-norms N_i give
+    |det(M + E) - det(M)| <= prod (N_i + err_i) - prod N_i. The determinant
+    itself runs 32 bits above p, so its rounding stays below 2^-p prod N_i.
+    """
+    r, p = len(units), f.prec
+    logs = [f.embed(u).abs().log() for u in units]
+    with mp.workprec(p + 32):
+        tiny = mp.ldexp(1, -p)
+        rows = [[logs[j].degs[i] * logs[j].values[i] for j in range(r)] for i in range(r)]
+        norms = [sum(abs(x) for x in row) for row in rows]
+        errs = [sum(8 * tiny * (logs[0].degs[i] + abs(x)) for x in row)
+                for i, row in enumerate(rows)]
+        hadamard = mp.fprod(norms)
+        reg = abs(mp.det(mp.matrix(rows)))
+        err = mp.fprod(n + e for n, e in zip(norms, errs)) - hadamard + tiny * hadamard
+    return reg, err
 
 
 def _sign_vector(f: NumberField, x: FieldElement) -> int:

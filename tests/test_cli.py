@@ -104,6 +104,37 @@ def test_unit_count_must_match_the_rank(field_file, capsys):
         assert f"{len(units)} unit" in err and "unit rank is 2" in err
 
 
+# theta is a root of x^3 - 3x + 1 (unit rank two, regulator of (theta,
+# theta - 1) 0.849); x^3 - 2 has unit rank one and only the torsion units +-1
+@pytest.mark.parametrize("min_poly,units,dependent", [
+    pytest.param([1, -3, 0, 1], [[0, 1, 0], [0, 1, 0]], True, id="theta-theta"),
+    pytest.param([1, -3, 0, 1], [[0, 1, 0], [0, -1, 0]], True, id="theta-minus-theta"),
+    pytest.param([1, -3, 0, 1], [[0, 1, 0], [0, 0, 1]], True, id="theta-theta-squared"),
+    pytest.param([1, -3, 0, 1], [[0, 1, 0], [-1, 1, 0]], False, id="theta-theta-minus-1"),
+    pytest.param([-2, 0, 0, 1], [[-1, 0, 0]], True, id="cubic-minus-one"),
+    pytest.param([-2, 0, 0, 1], [[-1, 1, 0]], False, id="cubic-fundamental"),
+])
+def test_dependent_units_are_refused(field_file, capsys, min_poly, units, dependent):
+    """Units whose regulator is provably below every number field's are
+    multiplicatively dependent: info and reduce exit 2 and name the fault.
+    An independent system loads, and info prints a nonzero regulator."""
+    f = field_file("f.json", {"min_poly": min_poly, "units": units})
+    code, out, err = run(capsys, ["info", "--field", f])
+    if dependent:
+        assert code == 2 and "multiplicatively dependent" in err
+    else:
+        assert code == 0 and float(json.loads(out)["regulator"]) > 0.2
+    # the trivial divisor (O, 1): one weight per place, three real places on
+    # x^3 - 3x + 1, a real and a complex one on x^3 - 2
+    places = 3 if min_poly == [1, -3, 0, 1] else 2
+    d = field_file("d.json", {"ideal": {"gens": [[1, 0, 0]]}, "u": ["1"] * places})
+    code, _, err = run(capsys, ["reduce", "--field", f, "--divisor", d, "--C", "2"])
+    if dependent:
+        assert code == 2 and "multiplicatively dependent" in err
+    else:
+        assert code == 0
+
+
 def test_check_plain_lattice_exit_codes(field_file, capsys):
     f = field_file("f7.json", {"min_poly": [-7, 0, 1]})
     lat = field_file("plain.json", {"plain_basis": [[1, 0], [[1, 4], [1, 4]]]})

@@ -629,6 +629,113 @@ def test_principal_generator_detects_nonprincipal(f79):
     assert principal_generator(f79, p3) is None
 
 
+# (min_poly, norm limit, {HNF basis of an integral ideal: principal_generator's
+# coefficients, or None when the ideal is not principal}): every integral
+# ideal up to the limit. principal_generator returns the first vector of
+# enumerate_quadratic_form's order whose norm matches, so these pin that
+# order's pick as well as the verdict.
+PRINCIPAL_GENERATOR_PINS = [
+    ([1, 0, 1], 30, {
+        ((1, 0), (0, 1)): (0, -1),
+        ((2, 0), (1, 1)): (-1, -1),
+        ((2, 0), (0, 2)): (0, -2),
+        ((5, 0), (2, 1)): (1, -2),
+        ((5, 0), (3, 1)): (-1, -2),
+        ((4, 0), (2, 2)): (-2, -2),
+        ((3, 0), (0, 3)): (0, -3),
+        ((10, 0), (3, 1)): (1, -3),
+        ((10, 0), (7, 1)): (-1, -3),
+        ((13, 0), (5, 1)): (-2, -3),
+        ((13, 0), (8, 1)): (2, -3),
+        ((4, 0), (0, 4)): (0, -4),
+        ((17, 0), (4, 1)): (1, -4),
+        ((17, 0), (13, 1)): (-1, -4),
+        ((6, 0), (3, 3)): (-3, -3),
+        ((10, 0), (4, 2)): (2, -4),
+        ((10, 0), (6, 2)): (-2, -4),
+        ((5, 0), (0, 5)): (0, -5),
+        ((25, 0), (7, 1)): (-3, -4),
+        ((25, 0), (18, 1)): (3, -4),
+        ((26, 0), (5, 1)): (1, -5),
+        ((26, 0), (21, 1)): (-1, -5),
+        ((29, 0), (12, 1)): (-2, -5),
+        ((29, 0), (17, 1)): (2, -5),
+    }),
+    ([5, 0, 1], 30, {
+        ((1, 0), (0, 1)): (-1, 0),
+        ((2, 0), (1, 1)): None,
+        ((3, 0), (1, 1)): None,
+        ((3, 0), (2, 1)): None,
+        ((2, 0), (0, 2)): (-2, 0),
+        ((5, 0), (0, 1)): (0, -1),
+        ((6, 0), (1, 1)): (-1, -1),
+        ((6, 0), (5, 1)): (1, -1),
+        ((7, 0), (3, 1)): None,
+        ((7, 0), (4, 1)): None,
+        ((4, 0), (2, 2)): None,
+        ((3, 0), (0, 3)): (-3, 0),
+        ((9, 0), (2, 1)): (-2, -1),
+        ((9, 0), (7, 1)): (2, -1),
+        ((10, 0), (5, 1)): None,
+        ((6, 0), (2, 2)): None,
+        ((6, 0), (4, 2)): None,
+        ((14, 0), (3, 1)): (-3, -1),
+        ((14, 0), (11, 1)): (3, -1),
+        ((15, 0), (5, 1)): None,
+        ((15, 0), (10, 1)): None,
+        ((4, 0), (0, 4)): (-4, 0),
+        ((6, 0), (3, 3)): None,
+        ((18, 0), (7, 1)): None,
+        ((18, 0), (11, 1)): None,
+        ((10, 0), (0, 2)): (0, -2),
+        ((21, 0), (4, 1)): (-4, -1),
+        ((21, 0), (10, 1)): (1, -2),
+        ((21, 0), (11, 1)): (-1, -2),
+        ((21, 0), (17, 1)): (4, -1),
+        ((23, 0), (8, 1)): None,
+        ((23, 0), (15, 1)): None,
+        ((12, 0), (2, 2)): (-2, -2),
+        ((12, 0), (10, 2)): (2, -2),
+        ((5, 0), (0, 5)): (-5, 0),
+        ((9, 0), (3, 3)): None,
+        ((9, 0), (6, 3)): None,
+        ((27, 0), (7, 1)): None,
+        ((27, 0), (20, 1)): None,
+        ((14, 0), (6, 2)): None,
+        ((14, 0), (8, 2)): None,
+        ((29, 0), (13, 1)): (3, -2),
+        ((29, 0), (16, 1)): (-3, -2),
+        ((30, 0), (5, 1)): (-5, -1),
+        ((30, 0), (25, 1)): (5, -1),
+    }),
+    ([-2, 0, 0, 1], 5, {
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): (1, 3, -3),
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1)): (-6, -5, -4),
+        ((3, 0, 0), (1, 1, 0), (2, 0, 1)): (-11, -9, -7),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 1)): (-4, 12, -7),
+        ((5, 0, 0), (2, 1, 0), (1, 0, 1)): (-9, 21, -11),
+    }),
+    ([1, -3, 0, 1], 9, {
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): (12, -3, -5),
+        ((3, 0, 0), (1, 1, 0), (2, 0, 1)): (45, -8, -17),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)): (120, -14, -42),
+        ((3, 0, 0), (0, 3, 0), (1, 2, 1)): (134, -17, -46),
+    }),
+]
+
+
+@pytest.mark.parametrize("min_poly,limit,pins", PRINCIPAL_GENERATOR_PINS,
+                         ids=["Q(i)", "Q(sqrt-5)", "x^3-2", "x^3-3x+1"])
+def test_principal_generator_pins(min_poly, limit, pins):
+    f = create_field(min_poly)
+    got = {}
+    for ideal in enumerate_integral_ideals(f, limit):
+        g = principal_generator(f, ideal)
+        basis = tuple(tuple(int(c) for c in b.coords) for b in ideal.basis_elements())
+        got[basis] = None if g is None else tuple(int(c) for c in g.coords)
+    assert got == pins
+
+
 def test_pic_distance_examples(f7):
     units = quadratic_units(f7)
     base = divisor_d(unit_ideal(f7))

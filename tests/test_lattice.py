@@ -19,15 +19,22 @@ from arakelov.ideals import (
     unit_ideal,
 )
 from arakelov.lattice import (
+    _ENUM_SLACK,
     GramMatrix,
     _box_side,
     _canonical_sign,
     _ellipsoid_gram,
+    _fincke_pohst,
+    _fincke_pohst_row,
+    _fine_gram,
     _gram,
     _int_entries,
     _int_gram_schmidt,
+    _int_half,
     _int_search,
+    _ldl,
     _lll_core,
+    _u_weights,
     covolume_check,
     enumerate_box,
     enumerate_quadratic_form,
@@ -748,6 +755,118 @@ def test_enumerate_quadratic_form_matches_brute_scan():
     g = [[Fraction(1, 97), Fraction(1, 30)], [Fraction(1, 30), Fraction(3, 2)]]
     for radius in (Fraction(1, 5), Fraction(2)):
         _assert_qform_points_match(g, radius)
+
+
+def _half_tree_grams(rng):
+    """Seeded positive-definite Grams of rank 1-4: random rational ones,
+    and diagonal and block-diagonal integer ones, on which mid is 0 at
+    every level below a zero prefix and a level's row is symmetric."""
+    grams = []
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        grams.append([[sum(b[i][k] * b[j][k] for k in range(n)) + Fraction(int(i == j), 2)
+                       for j in range(n)] for i in range(n)])
+    for n in range(1, 5):
+        grams.append([[Fraction(rng.randint(1, 4) if i == j else 0) for j in range(n)]
+                      for i in range(n)])
+    grams += [
+        [[Fraction(x) for x in row] for row in rows] for rows in (
+            [[2, 1, 0], [1, 2, 0], [0, 0, 3]],
+            [[3, 0, 0], [0, 2, -1], [0, -1, 2]],
+            [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+            [[1, 0, 0, 0], [0, 2, 1, 0], [0, 1, 2, 0], [0, 0, 0, 5]],
+        )]
+    return grams
+
+
+def _assert_one_of_each_pair(half):
+    """No origin, and of each pair +-x only the x whose last nonzero
+    coordinate is positive."""
+    for _, x in half:
+        assert any(x)
+        assert next(c for c in reversed(x) if c) > 0
+    assert len({x for _, x in half}) == len(half)
+
+
+def _with_negatives(half):
+    points = half + [(v, tuple(-c for c in x)) for v, x in half]
+    return sorted(points, key=lambda p: p[1][::-1])
+
+
+def test_origin_centred_search_walks_half_the_tree():
+    """About the origin (centre None) _fincke_pohst yields one vector of
+    each pair +-x and no origin; with the other signs added its output is
+    the brute scan's, on Fraction rows, on mpf rows and on _int_half's
+    integer levels, and _int_search and enumerate_quadratic_form are that
+    same list."""
+    rng = random.Random(22)
+    for g in _half_tree_grams(rng):
+        n = len(g)
+        entries = tuple(tuple(r) for r in g)
+        radius = Fraction(rng.randint(1, 6), rng.randint(1, 2)) * min(g[i][i] for i in range(n))
+        want = brute_qform_points(g, radius)
+        d, l = _ldl(g)
+        half = list(_fincke_pohst(d, l, None, radius))
+        _assert_one_of_each_pair(half)
+        assert _with_negatives(half) == want
+        assert enumerate_quadratic_form(entries, radius) == want
+        cur, den = _int_entries(entries)
+        dd, lam = _int_gram_schmidt(cur)
+        half = list(_int_half(cur, den, dd, lam, radius))
+        _assert_one_of_each_pair(half)
+        assert _with_negatives(half) == want
+        assert _int_search(cur, den, dd, lam, radius) == want
+        if all(x.denominator == 1 for row in g for x in row):
+            # integer values never meet a half-integer radius, so mpf rows
+            # at the working precision decide every point as the exact ones
+            edge = Fraction(2 * int(radius) + 1, 2)
+            with mp.workprec(64):
+                dm, lm = _ldl([[mpf(int(x)) for x in row] for row in g])
+                half = list(_fincke_pohst(dm, lm, None, mpf(edge.numerator) / 2))
+            _assert_one_of_each_pair(half)
+            coeffs = sorted((x for _, x in _with_negatives(half)), key=lambda x: x[::-1])
+            assert coeffs == [x for _, x in brute_qform_points(g, edge)]
+
+
+def test_half_tree_halves_the_box_rows(f73):
+    """The box Gram of O twisted by (e^6, e^-6) in Q(sqrt 73), as
+    minimal_element_bounded builds it, is skewed: its top row runs over
+    391 values of the last coordinate and opens 391 level-0 rows in the
+    whole tree. The half tree opens at most half of them plus one."""
+    with mp.workprec(f73.prec):
+        u = ArchVector((mp.exp(6), mp.exp(-6)), f73.degs, f73.prec)
+    box = _box_side(f73)
+    radius = Fraction(f73.n) * (1 + _ENUM_SLACK)
+    gram = _fine_gram(_ellipsoid_gram(f73, unit_ideal(f73), _u_weights(f73, u), [box, box]),
+                      radius)
+    d, l = _ldl([list(r) for r in gram.entries])
+    level0 = []
+
+    def counting(used, di, *rest):
+        if di is d[0]:
+            level0.append(used)
+        return _fincke_pohst_row(used, di, *rest)
+
+    half = list(_fincke_pohst(d, l, None, radius, counting))
+    whole_tree_rows = 391
+    assert 0 < len(level0) <= whole_tree_rows // 2 + 1
+    level0.clear()
+    whole = list(_fincke_pohst(d, l, [0, 0], radius, counting))
+    assert len(level0) == whole_tree_rows
+    assert sorted(x for _, x in whole if any(x)) == sorted(
+        x for _, y in half for x in (y, tuple(-c for c in y)))
+
+
+def test_closest_norm_of_a_zero_target_keeps_the_origin():
+    """A computed centre that is zero walks the whole tree: the closest
+    vector to the zero target is the origin itself, at distance 0."""
+    f = create_field([1, -3, 0, 1])
+    th = f.gen()
+    log_lattice = LogLattice(unit_lattice_from_elements(f, [th, th - f.one()]).log_embeddings())
+    zero = LogVector((mpf(0),) * 3, f.degs, f.prec)
+    assert log_lattice.closest_norm(zero) == 0
 
 
 def test_enumerate_quadratic_form_on_census_grams(f_cubic):
