@@ -224,6 +224,8 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise SystemExit2(f"--trials must be non-negative, got {args.trials}")
     f, units, census = _classified_census(args)
     if units is None or f.n != 2 or f.r1 != 2:
         raise SystemExit2("verification reports need a real quadratic field")

@@ -196,9 +196,11 @@ class CheckResult:
 
 def _lambda_decision(f: NumberField, lattice, threshold: Fraction):
     """(lambda_1^2 >= threshold, witness) with certified margins; a Gram too
-    coarse to decide is refined."""
+    coarse to search or to decide is refined."""
     def attempt(gram):
         sv = _shortest_attempt(gram)
+        if sv is None:
+            return None
         diff = sv.length_sq - threshold
         if sv.length_sq_err == 0 or abs(diff) > sv.length_sq_err:
             return diff >= 0, sv

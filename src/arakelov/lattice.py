@@ -18,13 +18,15 @@ certified error warrants, are rounded to a grid a few bits below that
 error, LLL and the search run on the rounded Gram, and only the candidates
 found are valued exactly on the midpoints (_rounded_attempt). Boxes,
 principal generators and the unit lattice's closest vectors
-(units.LogLattice) run the loop on Fraction or mpf rows from _ldl: they do
-not LLL first, so there is no integral Gram-Schmidt data to reuse.
+(units.LogLattice) do not LLL first: they run the loop on exact Fraction
+rows whose L D L^T factors _ldl reads off the same integral Gram-Schmidt
+data of their Gram. One Gram-Schmidt, _int_gram_schmidt, is behind every
+factorisation, and every Fincke-Pohst row holds ints or Fractions.
 
 Every search about the origin walks half the Fincke-Pohst tree: x and -x
 have one value, so the loop yields only the x whose last nonzero
-coordinate is positive. enumerate_quadratic_form and _int_search add the
-other signs back in their sorted order; the lambda_1 search needs only each
+coordinate is positive. enumerate_quadratic_form adds the other signs back
+in their sorted order (_both_signs); the lambda_1 search needs only each
 pair's canonical sign, and a box checks each pair once at its places.
 
 hermite_power(n) is gamma_n^n, the exact cap on lambda_1^(2n) / det G that
@@ -264,26 +266,6 @@ def gram_of(f: NumberField, lattice: FractionalIdeal | PlainLattice | list[Field
 # ---------------------------------------------------------------------------
 # LLL over exact rationals (Gram only), run on the Gram scaled to integers
 
-def _ldl(g: list[list[Fraction]]):
-    """G = L D L^T for a positive-definite G: (d, l) with l unit lower
-    triangular; l[i][j] (i > j) are the Gram-Schmidt coefficients mu_ij and
-    d the squared Gram-Schmidt lengths. Exact over Fractions; mpf entries
-    give the factorisation at the working precision."""
-    n = len(g)
-    l = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for i in range(n):
-        l[i][i] = Fraction(1)
-        acc = g[i][i] - sum((l[i][k] * l[i][k] * d[k] for k in range(i)), Fraction(0))
-        d[i] = acc
-        if d[i] <= 0:
-            raise ValueError("matrix not positive definite")
-        for j in range(i + 1, n):
-            v = g[j][i] - sum((l[j][k] * l[i][k] * d[k] for k in range(i)), Fraction(0))
-            l[j][i] = v / d[i]
-    return d, l
-
-
 def _int_gram_schmidt(g: list[list[int]]):
     """Integral Gram-Schmidt data of a positive-definite integer Gram
     (Cohen, Alg. 2.6.7): d[i] is the leading i x i minor (d[0] = 1) and
@@ -310,6 +292,24 @@ def _int_entries(entries) -> tuple[list[list[int]], int]:
     """(cur, den): the rational entries as integers over their lcm den."""
     den = math.lcm(*(x.denominator for row in entries for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in entries], den
+
+
+def _ldl(g: list[list[Fraction]]):
+    """G = L D L^T for a positive-definite rational G: (d, l) with l unit
+    lower triangular; l[i][j] (i > j) are the Gram-Schmidt coefficients
+    mu_ij and d the squared Gram-Schmidt lengths, exact Fractions.
+
+    Read off _int_gram_schmidt of G scaled to integers, den G: with D its
+    leading minors and lam its integral coefficients, d_i = D_i+1 / (D_i den)
+    and mu_ij = lam_ij / D_j+1. L D L^T is unique, so these are the
+    factors of any exact elimination."""
+    cur, den = _int_entries(g)
+    dd, lam = _int_gram_schmidt(cur)
+    n = len(cur)
+    d = [Fraction(dd[i + 1], dd[i] * den) for i in range(n)]
+    l = [[Fraction(lam[i][j], dd[j + 1]) if j < i else Fraction(int(i == j))
+          for j in range(n)] for i in range(n)]
+    return d, l
 
 
 def _lll_core(cur: list[list[int]]):
@@ -397,16 +397,15 @@ def _fincke_pohst_row(used, di, mid, radius, start=None):
     """Yield (x, used + di (x - mid)^2) for every integer x where that is at
     most radius, ascending; a level holds no list of its points.
 
-    The value is convex in x with its minimum between floor(mid) and
+    The arguments are ints or Fractions, so every comparison is exact. The
+    value is convex in x with its minimum between floor(mid) and
     floor(mid) + 1, so the points at or below the floor form a run
     [lo, floor]. lo is found by doubling steps down from the floor, then
     halving them; the walk then climbs from lo while the value stays inside.
     A given start (a half-tree level, where mid = 0) replaces lo.
     """
     if start is None:
-        floor = int(mid)  # toward zero, exact for Fraction and mpf
-        if floor > mid:
-            floor -= 1
+        floor = math.floor(mid)
         # every x in [lo, floor] is inside; once a doubling step fails,
         # lo - step is outside and the halving steps close the gap
         start, step = floor + 1, 1
@@ -442,8 +441,8 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
     (a - centre)^T G (a - centre) = value <= radius, where G = L D L^T is
     given by the factors (d, l) of _ldl. Depth first: the last coordinate
     varies slowest and each coordinate runs in ascending order, so the
-    vectors come sorted on their reversed tuple. The same loop runs on
-    Fraction data (exact), on mpf data (at the working precision) and, with
+    vectors come sorted on their reversed tuple. The same loop runs on the
+    exact Fraction data of _ldl with a Fraction centre and radius and, with
     row=_fincke_pohst_int_row, on the integer levels of _int_half.
 
     centre None is the origin, and there the loop walks half its tree
@@ -512,12 +511,6 @@ def _int_half(cur: list[list[int]], den: int, d: list[int], lam, radius: Fractio
         yield Fraction(value, scale), x
 
 
-def _int_search(cur: list[list[int]], den: int, d: list[int], lam, radius: Fraction):
-    """The list enumerate_quadratic_form gives on G = cur / den, both signs
-    of every vector in the same order, from _int_half's integer search."""
-    return _both_signs(list(_int_half(cur, den, d, lam, radius)))
-
-
 def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
                              radius: Fraction):
     """All nonzero integer vectors x with x^T G x <= radius.
@@ -528,7 +521,7 @@ def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
     list is its own output, one of each +-x pair, and the first half the
     negatives it adds.
     """
-    d, l = _ldl([list(r) for r in entries])
+    d, l = _ldl(entries)
     return _both_signs(list(_fincke_pohst(d, l, None, radius)))
 
 
@@ -597,10 +590,10 @@ def hermite_power(n: int) -> Fraction:
     return Fraction(4, 3) ** (n * (n - 1) // 2)
 
 
-def _shortest_attempt(g: GramMatrix) -> ShortVector:
-    """Shortest vector of g at its precision: LLL, then the Fincke-Pohst
-    loop on integers inside the LLL radius, the least diagonal entry of
-    the reduced Gram.
+def _shortest_attempt(g: GramMatrix) -> ShortVector | None:
+    """Shortest vector of g at its precision, or None when g is too coarse
+    to search: LLL, then the Fincke-Pohst loop on integers inside the LLL
+    radius, the least diagonal entry of the reduced Gram.
 
     An exact Gram is searched on _lll_core's integer Gram and integral
     Gram-Schmidt data (_int_half): no _ldl, no Fraction per node, and
@@ -609,13 +602,14 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector:
     of the whole of enumerate_quadratic_form on the same entries.
 
     An inexact Gram runs the same steps on its midpoints rounded to its
-    certified error (_rounded_attempt), refined until that rounding is fine
-    enough for the radius; the candidates are valued exactly on the
-    midpoints, and the one picked is reported with the error the midpoints
-    allow (3 margin + spread).
+    certified error (_rounded_attempt); the candidates are valued exactly
+    on the midpoints, and the one picked is reported with the error the
+    midpoints allow (3 margin + spread). When that rounding is too coarse
+    for the radius the attempt is None, and the caller's _refining, the one
+    escalation loop, refines g.
     """
     if g.err:
-        return _refining(g, _rounded_attempt)
+        return _rounded_attempt(g)
     n = g.size
     cur, den = _int_entries(g.entries)
     umat, cur, d, lam = _lll_core(cur)

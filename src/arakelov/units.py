@@ -8,13 +8,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import isqrt
+from math import floor, isqrt
 
 from mpmath import mp
 
 from .exact import cf_cycle
 from .lattice import _fincke_pohst, _ldl
-from .numfield import FieldElement, LogVector, NumberField, mpf_to_fraction
+from .numfield import FieldElement, LogVector, NumberField, fraction_to_mpf, mpf_to_fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,28 +43,15 @@ class UnitLattice:
         return [self.field.embed(g).abs().log() for g in gens]
 
     def regulator(self):
-        """Covolume of the log lattice; for rank one, log of the larger
-        embedding of the fundamental unit; for rank r >= 2,
-        |det(deg_i log|sigma_i(eps_j)|)| over the first r places."""
-        return _log_covolume(self.field, self.log_embeddings())
+        """Covolume of the log lattice, |det(deg_i log|sigma_i(eps_j)|)| over
+        the first r places in every rank r (0 in rank zero): in rank one
+        deg_0 |log|sigma_0(eps)||, which a complex place 0 doubles."""
+        return _regulator_error(self.field, self.log_embeddings())[0]
 
     def tp_regulator(self):
         """Covolume of the log lattice of the totally positive generators,
         by the same rule as regulator()."""
-        return _log_covolume(self.field, self.log_embeddings(tp_only=True))
-
-
-def _log_covolume(f: NumberField, logs: list[LogVector]):
-    if not logs:
-        return mp.mpf(0)
-    if len(logs) == 1:
-        v = logs[0]
-        with mp.workprec(v.prec):
-            return abs(v.values[0])
-    r = len(logs)
-    with mp.workprec(f.prec):
-        m = mp.matrix([[v.degs[i] * v.values[i] for v in logs] for i in range(r)])
-        return abs(mp.det(m))
+        return _regulator_error(self.field, self.log_embeddings(tp_only=True))[0]
 
 
 class UnitsUnavailable(ValueError):
@@ -145,13 +132,14 @@ def _dependent(f: NumberField, units: list[FieldElement]) -> bool:
         v = units[0] ** f.degs[0]
         return (f.cmp_abs_sq(v, 0, Fraction(36, 25)) < 0
                 and f.cmp_abs_sq(v, 0, Fraction(25, 36)) > 0)
-    reg, err = _regulator_error(f, units)
+    reg, err = _regulator_error(f, [f.embed(u).abs().log() for u in units])
     return mpf_to_fraction(reg + err) < Fraction(1, 5)
 
 
-def _regulator_error(f: NumberField, units: list[FieldElement]):
-    """(R, e): R = |det(deg_i log|sigma_i(u_j)|)|_{i, j < r} at the field
-    precision p, and a bound e >= |R - R_true|.
+def _regulator_error(f: NumberField, logs: list[LogVector]):
+    """(R, e) for the log vectors of r units u_j at the field precision p:
+    R = |det(deg_i log|sigma_i(u_j)|)|_{i, j < r} and a bound
+    e >= |R - R_true|; (0, 0) for no units.
 
     embed and abs leave each |sigma_i(u_j)| within a relative 2^(2-p), and
     log adds a relative 2^-p, so each log L is within 2^(3-p) (1 + |L|) of
@@ -162,8 +150,9 @@ def _regulator_error(f: NumberField, units: list[FieldElement]):
     |det(M + E) - det(M)| <= prod (N_i + err_i) - prod N_i. The determinant
     itself runs 32 bits above p, so its rounding stays below 2^-p prod N_i.
     """
-    r, p = len(units), f.prec
-    logs = [f.embed(u).abs().log() for u in units]
+    if not logs:
+        return mp.zero, mp.zero
+    r, p = len(logs), f.prec
     with mp.workprec(p + 32):
         tiny = mp.ldexp(1, -p)
         rows = [[logs[j].degs[i] * logs[j].values[i] for j in range(r)] for i in range(r)]
@@ -235,26 +224,29 @@ def totally_positive_adjust(f: NumberField, g: FieldElement,
     return None if found is None else g * _unit_product(f, units.generators, *found)
 
 
-def _slack(prec: int):
+def _slack(prec: int) -> Fraction:
     """2^(-prec/2): the relative and absolute margin that covers the
     rounding of a closest-vector search at precision prec."""
-    return mp.mpf(2) ** (-(prec // 2))
+    return Fraction(1, 1 << (prec // 2))
 
 
 class LogLattice:
     """The lattice spanned by log vectors under the degree-weighted norm,
     with its Gram matrix G = L D L^T factorised once, for closest-vector
-    searches against many targets.
+    searches against many targets. G is the exact binary value of the Gram
+    summed at the working precision, and its factors (_ldl) are exact.
 
     closest_norm(t) is min over integer a of ||t + sum a_i g_i||. The real
     minimiser is c = -G^-1 (<g_i, t>)_i, read off a projection stored with
-    the factorisation. The search seeds with Babai's rounding a0 of c, then
-    Fincke-Pohst enumerates every a with (a - c)^T G (a - c) at most
-    Babai's own value, widened by a relative and an absolute 2^(-prec/2)
-    that cover the rounding of c and of the factorisation at the working
-    precision. The true minimiser lies inside that ellipsoid in any rank,
-    so the result is the certified closest vector; in rank one at most two
-    candidates are evaluated.
+    the factorisation and taken at its exact binary value. The search seeds
+    with Babai's rounding a0 of c, then Fincke-Pohst enumerates every a with
+    (a - c)^T G (a - c) at most Babai's own value, widened by a relative and
+    an absolute 2^(-prec/2). The factors, c, Babai's value and the radius
+    are exact rationals, so the search adds no rounding: the widening covers
+    only the rounding of c and of the Gram's sums. The true minimiser lies
+    inside that ellipsoid in any rank, so the result is the certified
+    closest vector; in rank one at most two candidates are evaluated, each
+    valued at the working precision.
 
     pairs_by_bound(points) orders the pairs of many targets by a lower
     bound on their distance, so that a caller runs closest_norm only on the
@@ -267,20 +259,21 @@ class LogLattice:
         if not r:
             return
         with mp.workprec(self.prec):
-            gram = [[sum(d * a * b for a, b, d in zip(gi.values, gj.values, gi.degs))
+            gram = [[mpf_to_fraction(sum(d * a * b for a, b, d in
+                                         zip(gi.values, gj.values, gi.degs)))
                      for gj in gens] for gi in gens]
-            d, l = self._d, self._l = _ldl(gram)
-            # column p of G^-1 B, where B[i][p] = deg_p g_i[p]
-            cols = []
-            for p in range(len(gens[0].values)):
-                x = [g.degs[p] * g.values[p] for g in gens]
-                for i in range(r):
-                    x[i] -= sum(l[i][k] * x[k] for k in range(i))
-                x = [xi / di for xi, di in zip(x, d)]
-                for i in reversed(range(r)):
-                    x[i] -= sum(l[k][i] * x[k] for k in range(i + 1, r))
-                cols.append(x)
-            self._proj = [[col[i] for col in cols] for i in range(r)]
+        d, l = self._d, self._l = _ldl(gram)
+        # column p of G^-1 B, where B[i][p] = deg_p g_i[p], solved exactly
+        cols = []
+        for p in range(len(gens[0].values)):
+            x = [g.degs[p] * mpf_to_fraction(g.values[p]) for g in gens]
+            for i in range(r):
+                x[i] -= sum(l[i][k] * x[k] for k in range(i))
+            x = [xi / di for xi, di in zip(x, d)]
+            for i in reversed(range(r)):
+                x[i] -= sum(l[k][i] * x[k] for k in range(i + 1, r))
+            cols.append(x)
+        self._proj = [[fraction_to_mpf(col[i], self.prec) for col in cols] for i in range(r)]
 
     def _minimiser(self, target: LogVector) -> list:
         """c = -G^-1 (<g_i, target>)_i, the real coefficients at which
@@ -297,16 +290,16 @@ class LogLattice:
         d, l = self._d, self._l
         prec = max(target.prec, self.prec)
         with mp.workprec(prec):
-            c = self._minimiser(target)
-            babai = [int(mp.floor(ci + 0.5)) for ci in c]
-            # Babai's value (a - c)^T G (a - c) = sum_i d_i (a_i - mid_i)^2,
-            # summed as _fincke_pohst sums it, so Babai's point is visited
-            used = 0
-            for i in reversed(range(r)):
-                mid = c[i] - sum(l[k][i] * (babai[k] - c[k]) for k in range(i + 1, r))
-                used += d[i] * (babai[i] - mid) ** 2
-            slack = _slack(prec)
-            radius = used * (1 + slack) + slack
+            c = [mpf_to_fraction(ci) for ci in self._minimiser(target)]
+        babai = [floor(ci + Fraction(1, 2)) for ci in c]
+        # Babai's value (a - c)^T G (a - c) = sum_i d_i (a_i - mid_i)^2, exact
+        used = 0
+        for i in reversed(range(r)):
+            mid = c[i] - sum(l[k][i] * (babai[k] - c[k]) for k in range(i + 1, r))
+            used += d[i] * (babai[i] - mid) ** 2
+        slack = _slack(prec)
+        radius = used * (1 + slack) + slack
+        with mp.workprec(prec):
             best = None
             for _, coeffs in _fincke_pohst(d, l, c, radius):
                 vec = list(target.values)
@@ -336,7 +329,8 @@ class LogLattice:
         Its error. The keys c_{r-1} mod 1 are integers in units of 2^-prec,
         so the walks around the circle below are exact. Rounded are c (a
         few units of 2^-prec times |c| and the condition of G), each key's
-        last unit, and sqrt(d_{r-1}) with its product: an error of order
+        last unit, and sqrt(d_{r-1}) of the exact d_{r-1} with its
+        product: an error of order
         2^-prec sqrt(d_{r-1}) (|c| + 1). The bound yielded is the computed
         one less closest_norm's own slack, 2^(-prec/2) relative and
         absolute, which dominates that error as it dominates the rounding
@@ -355,12 +349,12 @@ class LogLattice:
         one = 1 << prec
         with mp.workprec(prec):
             if self.gens:
-                scale = mp.ldexp(mp.sqrt(self._d[-1]), -prec)
+                scale = mp.ldexp(mp.sqrt(fraction_to_mpf(self._d[-1], prec)), -prec)
                 keys = [int(mp.floor(mp.ldexp(self._minimiser(p)[-1], prec))) % one
                         for p in points]
             else:
                 scale, keys = mp.zero, [0] * m
-            slack = _slack(prec)
+            slack = fraction_to_mpf(_slack(prec), prec)
         order = sorted(range(m), key=keys.__getitem__)
         # the circle unrolled over three turns: every key t in [0, one) finds
         # the keys within half a turn on either side without wrapping

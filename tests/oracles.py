@@ -172,7 +172,22 @@ def _isqrt_floor(f: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# LLL and interval Horner over plain Fractions
+# Gram-Schmidt, LLL and interval Horner over plain Fractions
+
+def fraction_gram_schmidt(entries):
+    """(mu, bs) of a positive-definite Gram matrix over Fractions: the
+    Gram-Schmidt coefficients mu[i][j] (j < i; 0 elsewhere) and the squared
+    Gram-Schmidt lengths bs, by the textbook recurrence."""
+    g = [[Fraction(x) for x in row] for row in entries]
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bs = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (g[i][j] - sum(mu[j][k] * mu[i][k] * bs[k] for k in range(j))) / bs[j]
+        bs[i] = g[i][i] - sum(mu[i][k] ** 2 * bs[k] for k in range(i))
+    return mu, bs
+
 
 def fraction_lll(entries, delta=Fraction(99, 100)):
     """(U, U G U^T) of textbook LLL on a Gram matrix over Fractions.
@@ -190,23 +205,13 @@ def fraction_lll(entries, delta=Fraction(99, 100)):
         return [[sum(u[i][a] * g0[a][b] * u[j][b] for a in range(n) for b in range(n))
                  for j in range(n)] for i in range(n)]
 
-    def gram_schmidt():
-        g = gram()
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bs = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                mu[i][j] = (g[i][j] - sum(mu[j][k] * mu[i][k] * bs[k] for k in range(j))) / bs[j]
-            bs[i] = g[i][i] - sum(mu[i][k] ** 2 * bs[k] for k in range(i))
-        return mu, bs
-
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            mu, _ = gram_schmidt()
+            mu, _ = fraction_gram_schmidt(gram())
             q = math.floor(mu[k][j] + Fraction(1, 2))
             u[k] = [a - q * b for a, b in zip(u[k], u[j])]
-        mu, bs = gram_schmidt()
+        mu, bs = fraction_gram_schmidt(gram())
         if bs[k] >= (delta - mu[k][k - 1] ** 2) * bs[k - 1]:
             k += 1
         else:

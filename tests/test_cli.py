@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,22 @@ def test_info_rank_two_regulator(field_file, capsys):
     f = field_file("fc.json", {"min_poly": [-2, 0, 0, 1], "units": [[-1, 1, 0]] * 2})
     code, _, err = run(capsys, ["info", "--field", f])
     assert code == 2 and "unit rank is 1" in err
+
+
+def test_info_rank_one_regulator_weights_a_complex_place(field_file, capsys):
+    """x^4 + x^3 - x^2 - x + 1 (disc 117) has two complex places and unit
+    rank one. The regulator of theta is deg_0 |log|sigma_0(theta)|| with
+    deg_0 = 2, by the rule of every rank; |sigma(theta)| is r at one place
+    and 1/r at the other, so either root gives it."""
+    f = field_file("f117.json", {"min_poly": [1, -1, -1, 1, 1], "units": [[0, 1, 0, 0]]})
+    code, out, _ = run(capsys, ["info", "--field", f])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["r1"], doc["r2"]) == (0, 2)
+    assert doc["regulator"] == "0.5435350724978696"
+    with mp.workprec(200):
+        root = mp.polyroots([1, 1, -1, -1, 1], maxsteps=100, extraprec=200)[0]
+        assert abs(2 * abs(mp.log(abs(root))) - mp.mpf(doc["regulator"])) < 1e-15
 
 
 # eps = 943 + 250 (1 + sqrt73)/2 is the fundamental unit of Q(sqrt73)
@@ -312,6 +329,53 @@ def test_verify_deterministic_for_seed(field_file, capsys):
     _, out1, _ = run(capsys, args)
     _, out2, _ = run(capsys, args)
     assert out1 == out2
+
+
+def test_verify_trials_must_be_non_negative(capsys):
+    """A negative --trials is a usage error that names the flag, with no
+    report; no trials at all is a report with 0 trials."""
+    f = str(FIELDS_DIR / "q7.json")
+    code, out, err = run(capsys, ["verify", "--field", f, "--C", "2", "--trials", "-3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--trials" in err
+    code, out, _ = run(capsys, ["verify", "--field", f, "--C", "2", "--trials", "0"])
+    assert code == 0
+    assert json.loads(out)["reduction_trials"]["trials"] == 0
+
+
+def test_fincke_pohst_rows_are_exact(field_file, capsys, monkeypatch):
+    """No float reaches a Fincke-Pohst row: census, verify and reduce on
+    Q(sqrt 73) and x^3 - 2 hand every rational row (boxes, generators,
+    closest vectors in the unit log lattice) ints or Fractions, and every
+    integer row (the lambda_1 search) ints."""
+    import arakelov.lattice as lattice_module
+
+    seen = {"rational": 0, "integer": 0}
+    rational_row = lattice_module._fincke_pohst_row
+    integer_row = lattice_module._fincke_pohst_int_row
+
+    def exact_row(used, di, mid, radius, start=None):
+        assert all(isinstance(x, (int, Fraction)) for x in (used, di, mid, radius))
+        seen["rational"] += 1
+        return rational_row(used, di, mid, radius, start)
+
+    def int_row(used, level, mid, radius, start=None):
+        assert all(type(x) is int for x in (used, *level, mid, radius))
+        seen["integer"] += 1
+        return integer_row(used, level, mid, radius, start)
+
+    monkeypatch.setattr(lattice_module._fincke_pohst, "__defaults__", (exact_row,))
+    monkeypatch.setattr(lattice_module, "_fincke_pohst_int_row", int_row)
+    q73 = str(FIELDS_DIR / "q73.json")
+    q73_div = field_file("d.json", {"ideal": UNIT_IDEAL, "u": [math.e ** 3, math.e ** -3]})
+    cubic = str(FIELDS_DIR / "cubic2.json")
+    cubic_div = str(FIELDS_DIR / "cubic2_div_p3.json")
+    for f, div, verify_code in ((q73, q73_div, 0), (cubic, cubic_div, 2)):
+        assert run(capsys, ["census", "--field", f, "--C", "sqrt2"])[0] == 0
+        code = run(capsys, ["verify", "--field", f, "--C", "sqrt2", "--trials", "2"])[0]
+        assert code == verify_code
+        assert run(capsys, ["reduce", "--field", f, "--C", "sqrt2", "--divisor", div])[0] == 0
+    assert seen["rational"] and seen["integer"]
 
 
 def test_verify_skips_cycle_positions(field_file, capsys, monkeypatch):

@@ -30,8 +30,8 @@ from arakelov.lattice import (
     _gram,
     _int_entries,
     _int_gram_schmidt,
+    _both_signs,
     _int_half,
-    _int_search,
     _ldl,
     _lll_core,
     _u_weights,
@@ -46,7 +46,7 @@ from arakelov.lattice import (
     shortest_vector,
 )
 from arakelov.numfield import ArchVector, LogVector, create_field, mpf_to_fraction
-from arakelov.units import LogLattice, unit_lattice_from_elements
+from arakelov.units import LogLattice, quadratic_units, unit_lattice_from_elements
 from conftest import random_degree_zero_divisor, random_fractional_ideal
 from oracles import (
     brute_box,
@@ -55,6 +55,7 @@ from oracles import (
     brute_minimal_pick,
     brute_qform_points,
     brute_shortest_sq,
+    fraction_gram_schmidt,
     fraction_lll,
     interval_gram,
 )
@@ -481,22 +482,23 @@ def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7, f_cubic):
 
 
 def _int_points(entries, radius):
-    """_int_search on a rational Gram, from its own integral data."""
+    """_int_half on a rational Gram, from its own integral data, with both
+    signs of every vector."""
     cur, den = _int_entries(entries)
     d, lam = _int_gram_schmidt(cur)
-    return list(_int_search(cur, den, d, lam, Fraction(radius)))
+    return _both_signs(list(_int_half(cur, den, d, lam, Fraction(radius))))
 
 
 def _lll_radius_points(entries):
-    """(reduced entries, LLL radius, _int_search at that radius on
-    _lll_core's own data)."""
+    """(reduced entries, LLL radius, _int_half at that radius on
+    _lll_core's own data, with both signs of every vector)."""
     n = len(entries)
     cur, den = _int_entries(entries)
     _, cur, d, lam = _lll_core(cur)
     assert (d, lam) == _int_gram_schmidt(cur)
     reduced = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
     radius = Fraction(min(cur[i][i] for i in range(n)), den)
-    return reduced, radius, list(_int_search(cur, den, d, lam, radius))
+    return reduced, radius, _both_signs(list(_int_half(cur, den, d, lam, radius)))
 
 
 def _canonical_shortest(entries):
@@ -580,6 +582,37 @@ def test_rounded_shortest_refines_a_coarse_gram(f73):
         least = min(v for v, _ in points)
         assert least >= sv.length_sq - sv.length_sq_err
         assert sv.coeffs in {_canonical_sign(x) for v, x in points if v == least}
+
+
+def test_lambda_decision_walks_each_precision_once(monkeypatch, f73):
+    """One escalation loop per lambda_1 decision. The 4-bit twisted Gram of
+    O in Q(sqrt 73) above is too coarse to search; with the threshold set
+    to the lambda_1^2 its first search reports, that search cannot decide,
+    and the decision refines on. _rounded_attempt then runs at most once
+    per precision, in ascending order, until a search decides."""
+    import arakelov.divisors as divisors_module
+
+    ideal = unit_ideal(f73)
+    coarse = _gram(f73, tuple(ideal.basis_elements()), [Fraction(50), Fraction(1, 50)], 4)
+    assert lattice_module._rounded_attempt(coarse) is None
+    threshold = shortest_vector(coarse).length_sq
+    calls = []
+    inner = lattice_module._rounded_attempt
+
+    def spy(g):
+        sv = inner(g)
+        calls.append((g.prec, sv))
+        return sv
+
+    monkeypatch.setattr(lattice_module, "_rounded_attempt", spy)
+    monkeypatch.setattr(divisors_module, "gram_of", lambda f, lattice: coarse)
+    ok, sv = divisors_module._lambda_decision(f73, ideal, threshold)
+    precs = [p for p, _ in calls]
+    assert precs[0] == 4 and precs == sorted(set(precs))
+    searched = [s for _, s in calls if s is not None]
+    assert len(searched) >= 2 and searched[0].length_sq == threshold
+    assert abs(sv.length_sq - threshold) > sv.length_sq_err
+    assert ok == (sv.length_sq > threshold)
 
 
 def test_integer_search_matches_rational_enumeration():
@@ -798,9 +831,9 @@ def _with_negatives(half):
 def test_origin_centred_search_walks_half_the_tree():
     """About the origin (centre None) _fincke_pohst yields one vector of
     each pair +-x and no origin; with the other signs added its output is
-    the brute scan's, on Fraction rows, on mpf rows and on _int_half's
-    integer levels, and _int_search and enumerate_quadratic_form are that
-    same list."""
+    the brute scan's, on Fraction rows and on _int_half's integer levels,
+    and _both_signs of the half and enumerate_quadratic_form are that same
+    list."""
     rng = random.Random(22)
     for g in _half_tree_grams(rng):
         n = len(g)
@@ -817,17 +850,7 @@ def test_origin_centred_search_walks_half_the_tree():
         half = list(_int_half(cur, den, dd, lam, radius))
         _assert_one_of_each_pair(half)
         assert _with_negatives(half) == want
-        assert _int_search(cur, den, dd, lam, radius) == want
-        if all(x.denominator == 1 for row in g for x in row):
-            # integer values never meet a half-integer radius, so mpf rows
-            # at the working precision decide every point as the exact ones
-            edge = Fraction(2 * int(radius) + 1, 2)
-            with mp.workprec(64):
-                dm, lm = _ldl([[mpf(int(x)) for x in row] for row in g])
-                half = list(_fincke_pohst(dm, lm, None, mpf(edge.numerator) / 2))
-            _assert_one_of_each_pair(half)
-            coeffs = sorted((x for _, x in _with_negatives(half)), key=lambda x: x[::-1])
-            assert coeffs == [x for _, x in brute_qform_points(g, edge)]
+        assert _both_signs(half) == want
 
 
 def test_half_tree_halves_the_box_rows(f73):
@@ -932,3 +955,56 @@ def test_enumerators_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _log_gram(log_lattice: LogLattice) -> list[list[Fraction]]:
+    """The exact binary value of a log lattice's Gram, summed at its
+    precision as LogLattice sums it."""
+    gens = log_lattice.gens
+    with mp.workprec(log_lattice.prec):
+        return [[mpf_to_fraction(sum(d * a * b for a, b, d in zip(gi.values, gj.values, gi.degs)))
+                 for gj in gens] for gi in gens]
+
+
+def test_ldl_is_the_fraction_gram_schmidt(f73):
+    """_ldl, read off _int_gram_schmidt, gives the textbook Gram-Schmidt of
+    the oracle over Fractions: on seeded exact Grams, on refined interval
+    Grams of x^3 - 2 and x^3 - x - 3, on the twisted Q(sqrt 73) box Gram at
+    t = 6, and on the exact binary log-lattice Grams of Q(sqrt 73) and of
+    x^3 - 3x + 1 with units (theta, theta - 1), whose factors LogLattice
+    keeps."""
+    rng = random.Random(23)
+    grams = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(n)]
+        grams.append([[sum(b[i][k] * b[j][k] for k in range(n))
+                       + Fraction(int(i == j), rng.randint(1, 5)) for j in range(n)]
+                      for i in range(n)])
+    for poly in ([-2, 0, 0, 1], [-3, -1, 0, 1]):
+        f = create_field(poly)
+        for ideal in enumerate_integral_ideals(f, 6):
+            gram = gram_of(f, invert(ideal)).refine()
+            assert gram.err > 0
+            grams.append(gram.entries)
+    with mp.workprec(f73.prec):
+        u = ArchVector((mp.exp(6), mp.exp(-6)), f73.degs, f73.prec)
+    box = _box_side(f73)
+    radius = Fraction(f73.n) * (1 + _ENUM_SLACK)
+    grams.append(_fine_gram(_ellipsoid_gram(f73, unit_ideal(f73), _u_weights(f73, u),
+                                            [box, box]), radius).entries)
+    f81 = create_field([1, -3, 0, 1])
+    th = f81.gen()
+    for units in (quadratic_units(f73), unit_lattice_from_elements(f81, [th, th - f81.one()])):
+        log_lattice = LogLattice(units.log_embeddings())
+        g = _log_gram(log_lattice)
+        assert (log_lattice._d, log_lattice._l) == _ldl(g)
+        grams.append(g)
+    for g in grams:
+        n = len(g)
+        d, l = _ldl(g)
+        mu, bs = fraction_gram_schmidt(g)
+        assert d == bs
+        assert l == [[mu[i][j] if j < i else Fraction(int(i == j)) for j in range(n)]
+                     for i in range(n)]
