@@ -278,15 +278,29 @@ class ReductionTrace:
 
 
 def reduction_distance_bound(f: NumberField, c2: Fraction):
-    """Distance guarantee for reduce() at parameter C^2 = c2; None at C = 1."""
+    """Distance guarantee for reduce() at parameter C^2 = c2; None at C = 1.
+    A per-field constant at each precision, cached: every trace of one
+    field, C and precision holds the same mpf."""
     if c2 == 1:
         return None
-    with mp.workprec(f.prec):
-        log_pf = mp.log(f.partial_constant())
-        if c2 >= f.n:
-            return log_pf
-        factor = mp.log(f.n) / mp.log(fraction_to_mpf(c2, f.prec))
-        return factor * log_pf
+    key = ("distance_bound", c2, f.prec)
+    if key not in f._cache:
+        with mp.workprec(f.prec):
+            log_pf = mp.log(f.partial_constant())
+            if c2 < f.n:
+                log_pf *= mp.log(f.n) / mp.log(fraction_to_mpf(c2, f.prec))
+        f._cache[key] = log_pf
+    return f._cache[key]
+
+
+def _reduction_cap(f: NumberField) -> int:
+    """The cap on reduce()'s shortest-vector steps, 10 * partial_constant
+    + 10 at the field precision; a per-field constant, cached."""
+    key = ("reduction_cap", f.prec)
+    if key not in f._cache:
+        with mp.workprec(f.prec):
+            f._cache[key] = int(10 * f.partial_constant()) + 10
+    return f._cache[key]
 
 
 def reduce(d: ArakelovDivisor, c) -> tuple[ArakelovDivisor, ReductionTrace]:
@@ -311,8 +325,7 @@ def reduce(d: ArakelovDivisor, c) -> tuple[ArakelovDivisor, ReductionTrace]:
     g_acc = f_min
     threshold = Fraction(f.n) / c2
     steps: list[tuple[FieldElement, FractionalIdeal, Fraction]] = []
-    with mp.workprec(f.prec):
-        cap = int(10 * f.partial_constant()) + 10
+    cap = _reduction_cap(f)
     while True:
         ok, sv = _lambda_decision(f, j, threshold)
         if ok:

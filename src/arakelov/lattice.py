@@ -29,6 +29,11 @@ coordinate is positive. enumerate_quadratic_form adds the other signs back
 in their sorted order (_both_signs); the lambda_1 search needs only each
 pair's canonical sign, and a box checks each pair once at its places.
 
+A box is walked lazily, each candidate checked at its places as it comes,
+and the walk takes a lower radius mid-walk (_fincke_pohst's send
+protocol): the box minimum of minimal_element_bounded is a branch and
+bound that searches only inside the ellipsoid of its best point so far.
+
 hermite_power(n) is gamma_n^n, the exact cap on lambda_1^(2n) / det G that
 lets the census reject an inverse ideal from its covolume alone.
 """
@@ -452,6 +457,15 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
     0, or at 1 on level 0, which skips the origin. Any other centre, a
     computed one that happens to be zero included, walks the whole tree.
 
+    A lower radius can be sent mid-walk (branch and bound; Agrell, Eriksson,
+    Vardy and Zeger, "Closest point search in lattices", IEEE Trans. IT
+    2002): walk.send(r) returns the next vector whose value is <= r, and
+    from then on the walk yields exactly the vectors of the whole walk, in
+    its order, whose value is at most the least radius sent. A radius no
+    lower than the one in force changes nothing, and next(walk) sends none.
+    Rows opened from then on take the lower radius; the rows already open
+    are cut by _below.
+
     With mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k) the value is
     sum_i d_i (a_i - mid_i)^2; part[i] holds the terms k >= i of the current
     prefix, and rows[i] the remaining points of level i.
@@ -477,7 +491,25 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
             rows[i] = row(part[i + 1], d[i], mid, radius, start)
         else:
             a[0], value = step
-            yield value, tuple(a)
+            lower = yield value, tuple(a)
+            if lower is not None and lower < radius:
+                # at a leaf every level has an open row, opened at a larger radius
+                radius = lower
+                rows = [_below(r, radius) for r in rows]
+
+
+def _below(row, radius):
+    """The points of a Fincke-Pohst row, opened at a larger radius, whose
+    value is at most radius. A row's values are convex in x, so once a value
+    above radius is no smaller than the one before it, every later value is
+    above radius too, and the row stops there."""
+    last = None
+    for x, value in row:
+        if value <= radius:
+            yield x, value
+        elif last is not None and value >= last:
+            return
+        last = value
 
 
 def _both_signs(half: list) -> list:
@@ -743,31 +775,51 @@ def _ellipsoid_gram(f: NumberField, lattice, w: list[Fraction],
 
 def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
                 strict: bool):
-    """Yield (value, coeffs, g) for every nonzero lattice element g with
-    u_sigma |sigma(g)| < bound_sigma at every place (<= when strict is
-    False): each point of the half tree in enumeration order, followed by
-    its negative.
+    """Yield (value, coeffs, g) for one element g of each pair +-g of
+    nonzero lattice elements with u_sigma |sigma(g)| < bound_sigma at every
+    place (<= when strict is False): the points of the half tree, in
+    enumeration order. |sigma(-g)| = |sigma(g)|, so -g is in the box with g.
 
     The candidates come from the degree-weighted ellipsoid relaxation, value
-    being x^T G x on its Gram (the weighted T2 of g over the bounds squared);
-    each is then checked per place with cmp_abs_sq, so the points are exact
-    with respect to the given rational bounds. |sigma(-g)| = |sigma(g)|, so
-    the check runs once per pair +-g, on the half tree's g.
+    being x^T G x on its Gram (the weighted T2 of g over the bounds squared,
+    on the midpoints of _fine_gram); each is checked per place with
+    cmp_abs_sq as the walk reaches it, so the points are exact with respect
+    to the given rational bounds, and a caller that stops early stops the
+    walk.
+
+    A radius sent at a point goes on to the walk (_fincke_pohst's send
+    protocol): the points that follow are those of the whole list, in its
+    order, whose value is at most the least radius sent.
     """
     b = _bounds_fractions(bounds, f.num_places)
+    b2 = [x * x for x in b]
     w = _u_weights(f, u)
-    gram = _ellipsoid_gram(f, lattice, w, b)
     radius = Fraction(f.n) * (1 + _ENUM_SLACK)
-    pairs = _enumerate_ellipsoid(gram, radius)
-    for value, coeffs in pairs[len(pairs) // 2:]:
+    gram = _fine_gram(_ellipsoid_gram(f, lattice, w, b), radius)
+    walk = _fincke_pohst(*_ldl(gram.entries), None, radius)
+    sent = None
+    while (step := _send(walk, sent)) is not None:
+        value, coeffs = step
         g = _element_of(gram, coeffs)
-        for place in range(f.num_places):
-            sgn = f.cmp_abs_sq(g, place, b[place] ** 2, w[place])
-            if sgn > 0 or (strict and sgn == 0):
-                break
-        else:
-            yield value, coeffs, g
-            yield value, tuple(-c for c in coeffs), -g
+        sent = (yield value, coeffs, g) if _in_box(f, g, b2, w, strict) else None
+
+
+def _in_box(f: NumberField, g: FieldElement, b2, w, strict: bool) -> bool:
+    """Whether w_sigma |sigma(g)|^2 < b2_sigma at every place (<= when
+    strict is False), decided exactly by cmp_abs_sq."""
+    for place in range(f.num_places):
+        sgn = f.cmp_abs_sq(g, place, b2[place], w[place])
+        if sgn > 0 or (strict and sgn == 0):
+            return False
+    return True
+
+
+def _send(walk, radius):
+    """walk.send(radius): the walk's next item, or None once it is done."""
+    try:
+        return walk.send(radius)
+    except StopIteration:
+        return None
 
 
 def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
@@ -775,12 +827,15 @@ def enumerate_box(f: NumberField, lattice, u: ArchVector | None, bounds,
     """All nonzero lattice elements g with u_sigma |sigma(g)| < bound_sigma
     at every place (<= when strict is False), both signs of each, sorted by
     their coefficients on the lattice basis."""
-    points = sorted(_box_points(f, lattice, u, bounds, strict), key=lambda p: p[1])
-    return [g for _, _, g in points]
+    points = []
+    for _, coeffs, g in _box_points(f, lattice, u, bounds, strict):
+        points += [(coeffs, g), (tuple(-c for c in coeffs), -g)]
+    return [g for _, g in sorted(points, key=lambda p: p[0])]
 
 
 def is_minimal(f: NumberField, lattice, x: FieldElement) -> bool:
-    """Whether no nonzero lattice element is strictly smaller at every place."""
+    """Whether no nonzero lattice element is strictly smaller at every place.
+    The box walk is lazy, so the search stops at the first smaller element."""
     if x.is_zero():
         raise ValueError("zero is never minimal")
     if not lattice.contains(x):
@@ -821,6 +876,14 @@ def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
     weighted T2, ties broken by the lexicographically smallest
     positive-leading coefficients, is the pick; it is minimal, since an
     element smaller at every place would lie in the box with a smaller T2.
+
+    The search is branch and bound: each box point's value is sent back to
+    _box_points, so the walk goes on only inside the ellipsoid of the best
+    point so far. A point outside it has a larger value and cannot be the
+    pick; a point of equal value still comes out, since the walk keeps
+    value <= radius, ties included, and every value is the exact rational
+    one on the same Gram midpoints, exact or inexact Gram alike. So the
+    pick is the one of the whole box list.
     """
     deg = _degree(ideal, u)
     if abs(deg) > DEGREE_TOL:
@@ -828,11 +891,14 @@ def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
     box = _box_side(f)
     # the ellipsoid Gram is gram_of(f, ideal, u) over box^2: it orders by T2
     points = _box_points(f, ideal, u, [box] * f.num_places, strict=False)
-    best = min(((value, _canonical_sign(g.coords)) for value, _, g in points),
-               default=None)
-    if best is None:
+    picks = []
+    value = None
+    while (point := _send(points, value)) is not None:
+        value, _, g = point
+        picks.append((value, _canonical_sign(g.coords)))
+    if not picks:
         raise RuntimeError("bounded box is empty; degree-0 precondition violated")
-    return f.element(best[1])
+    return f.element(min(picks)[1])
 
 
 def covolume_check(f: NumberField, divisor) -> tuple:

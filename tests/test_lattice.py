@@ -31,9 +31,11 @@ from arakelov.lattice import (
     _int_entries,
     _int_gram_schmidt,
     _both_signs,
+    _box_points,
     _int_half,
     _ldl,
     _lll_core,
+    _send,
     _u_weights,
     covolume_check,
     enumerate_box,
@@ -303,6 +305,81 @@ def test_is_minimal_matches_oracle_on_root_of_unity_ties():
     cases += [(xo, zeta ** k * x) for k in range(4)]
     cases += [(xo, x * g) for g in (one + zeta, two, one + zeta * zeta)]
     assert _is_minimal_against_oracle(f, cases) == {True, False}
+
+
+def _whole_box_pick(f, ideal, u):
+    """The pick by the rule of minimal_element_bounded over the whole closed
+    box list, nothing sent: the least (value, canonical coordinates)."""
+    side = [_box_side(f)] * f.num_places
+    points = list(_box_points(f, ideal, u, side, strict=False))
+    return min((value, _canonical_sign(g.coords)) for value, _, g in points)
+
+
+def _assert_pick_is_the_whole_box_pick(f, ideal, u):
+    _, coords = _whole_box_pick(f, ideal, u)
+    assert minimal_element_bounded(f, ideal, u) == f.element(coords), ideal.key()
+
+
+@pytest.mark.parametrize("d", [73, 1009])
+def test_branch_and_bound_pick_is_the_whole_box_pick_real_quadratic(d):
+    """Seeded twists (I, u) with |t| <= 8: the pick that sends each box
+    point's value back to the walk is the pick over the whole box list."""
+    f = create_field([-d, 0, 1])
+    rng = random.Random(24 + d)
+    for _ in range(8):
+        divisor = random_degree_zero_divisor(f, rng, spread=8.0)
+        _assert_pick_is_the_whole_box_pick(f, divisor.ideal, divisor.u)
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [-3, -1, 0, 1]])
+def test_branch_and_bound_pick_is_the_whole_box_pick_cubic(min_poly):
+    """Ideals of norm <= 10 twisted by (s e^(2t), s e^(-t)), seeded
+    |t| <= 2, on inexact interval Grams."""
+    f = create_field(min_poly)
+    rng = random.Random(24)
+    for ideal in enumerate_integral_ideals(f, 10):
+        t = rng.uniform(-2, 2)
+        with mp.workprec(f.prec):
+            s = mpf(int(ideal.norm())) ** (-mpf(1) / 3)
+            u = ArchVector((s * mp.exp(2 * t), s * mp.exp(-t)), f.degs, f.prec)
+        _assert_pick_is_the_whole_box_pick(f, ideal, u)
+
+
+def test_branch_and_bound_pick_keeps_value_ties(fi):
+    """d(O) in Q(i): +-1 and +-i share T2, so the pick is decided by the
+    coordinates among points of equal value, all of which still come out."""
+    ideal = unit_ideal(fi)
+    u = divisor_d(ideal).u
+    side = [_box_side(fi)] * fi.num_places
+    points = list(_box_points(fi, ideal, u, side, strict=False))
+    least = min(value for value, _, _ in points)
+    assert len({_canonical_sign(g.coords) for value, _, g in points if value == least}) == 2
+    _assert_pick_is_the_whole_box_pick(fi, ideal, u)
+
+
+def test_is_minimal_stops_at_its_first_box_point(f73, monkeypatch):
+    """5 is not minimal in O of Q(sqrt 73): is_minimal values the walk's
+    candidates only up to the first one inside the box below 5, not the
+    whole ellipsoid."""
+    five = f73.rational(5)
+    scaled = [b * five.inverse() for b in unit_ideal(f73).basis_elements()]
+    ones = [1] * f73.num_places
+    first = next(_box_points(f73, scaled, None, ones, strict=True))
+    radius = Fraction(f73.n) * (1 + _ENUM_SLACK)
+    gram = _fine_gram(_ellipsoid_gram(f73, scaled, _u_weights(f73, None), ones), radius)
+    candidates = [x for _, x in _fincke_pohst(*_ldl(gram.entries), None, radius)]
+    want = candidates.index(first[1]) + 1
+    assert want < len(candidates)
+    valued = []
+    element_of = lattice_module._element_of
+
+    def spy(g, coeffs):
+        valued.append(coeffs)
+        return element_of(g, coeffs)
+
+    monkeypatch.setattr(lattice_module, "_element_of", spy)
+    assert not is_minimal(f73, unit_ideal(f73), five)
+    assert valued == candidates[:want]
 
 
 def test_minimal_element_bounded_rejects_bad_degree(f7):
@@ -851,6 +928,67 @@ def test_origin_centred_search_walks_half_the_tree():
         _assert_one_of_each_pair(half)
         assert _with_negatives(half) == want
         assert _both_signs(half) == want
+
+
+def _walk_with_sends(make_walk, lower, rng):
+    """Drive make_walk() against its whole output, nothing sent: after
+    about half the vectors send lower(value), which may or may not lie
+    below the radius in force, and check that each vector yielded is the
+    next one of the whole walk whose value is at most the least radius
+    sent. Returns how many vectors the whole walk skipped."""
+    whole = iter(list(make_walk()))
+    walk = make_walk()
+    radius = sent = None
+    skipped = 0
+    while True:
+        want = None
+        for point in whole:
+            if radius is None or point[0] <= radius:
+                want = point
+                break
+            skipped += 1
+        got = _send(walk, sent)
+        assert got == want
+        if got is None:
+            return skipped
+        sent = lower(got[0]) if rng.random() < 0.5 else None
+        if sent is not None and (radius is None or sent < radius):
+            radius = sent
+
+
+def test_fincke_pohst_send_lowers_the_radius():
+    """The send protocol on the seeded Grams of the half tree, on exact
+    Fraction rows (about the origin and about a rational centre) and on
+    _int_half's integer levels: a walk that is sent random radii yields
+    exactly the vectors of the whole walk whose value is at most the radius
+    in force, in the same order."""
+    rng = random.Random(2402)
+    skipped = 0
+    for g in _half_tree_grams(rng):
+        n = len(g)
+        radius = Fraction(rng.randint(2, 8), rng.randint(1, 2)) * min(g[i][i] for i in range(n))
+        d, l = _ldl(g)
+        centre = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+
+        def lower(value):
+            return value * Fraction(rng.randint(1, 15), 10)
+
+        for c in (None, centre):
+            skipped += _walk_with_sends(lambda: _fincke_pohst(d, l, c, radius), lower, rng)
+        # _int_half's levels and bound, which its own output is checked against
+        cur, den = _int_entries(g)
+        dd, lam = _int_gram_schmidt(cur)
+        m = math.lcm(*(dd[i] * dd[i + 1] for i in range(n)))
+        levels = [(m // (dd[i] * dd[i + 1]), dd[i + 1]) for i in range(n)]
+        bound = radius.numerator * m * den // radius.denominator
+
+        def int_walk():
+            return _fincke_pohst(levels, lam, None, bound, lattice_module._fincke_pohst_int_row)
+
+        assert [(Fraction(v, m * den), x) for v, x in int_walk()] == list(
+            _int_half(cur, den, dd, lam, radius))
+        skipped += _walk_with_sends(int_walk, lambda v: v * rng.randint(1, 15) // 10, rng)
+    assert skipped > 0
 
 
 def test_half_tree_halves_the_box_rows(f73):
