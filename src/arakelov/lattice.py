@@ -18,10 +18,13 @@ certified error warrants, are rounded to a grid a few bits below that
 error, LLL and the search run on the rounded Gram, and only the candidates
 found are valued exactly on the midpoints (_rounded_attempt). Boxes,
 principal generators and the unit lattice's closest vectors
-(units.LogLattice) do not LLL first: they run the loop on exact Fraction
-rows whose L D L^T factors _ldl reads off the same integral Gram-Schmidt
-data of their Gram. One Gram-Schmidt, _int_gram_schmidt, is behind every
-factorisation, and every Fincke-Pohst row holds ints or Fractions.
+(units.LogLattice) do not LLL first: they run the loop on the exact
+Fraction L D L^T factors that _ldl reads off the same integral
+Gram-Schmidt data of their Gram. One Gram-Schmidt, _int_gram_schmidt, is
+behind every factorisation, and one row, _fincke_pohst_row, behind every
+level of the loop: a level (c, e) about mid holds the x with
+used + c (e x - mid)^2 <= radius, a run of consecutive integers that one
+isqrt bounds, on ints or Fractions alike.
 
 Every search about the origin walks half the Fincke-Pohst tree: x and -x
 have one value, so the loop yields only the x whose last nonzero
@@ -398,57 +401,42 @@ def lll_reduce(g: GramMatrix):
 # ---------------------------------------------------------------------------
 # Fincke-Pohst enumeration
 
-def _fincke_pohst_row(used, di, mid, radius, start=None):
-    """Yield (x, used + di (x - mid)^2) for every integer x where that is at
-    most radius, ascending; a level holds no list of its points.
+def _fincke_pohst_row(used, level, mid, radius, start=None):
+    """Yield (x, used + c (e x - mid)^2) for every integer x where that is
+    at most radius, ascending, for level = (c, e); a level holds no list of
+    its points. The arguments are ints or Fractions, and an int row builds
+    no Fraction.
 
-    The arguments are ints or Fractions, so every comparison is exact. The
-    value is convex in x with its minimum between floor(mid) and
-    floor(mid) + 1, so the points at or below the floor form a run
-    [lo, floor]. lo is found by doubling steps down from the floor, then
-    halving them; the walk then climbs from lo while the value stays inside.
-    A given start (a half-tree level, where mid = 0) replaces lo.
+    With mid = M / D in lowest terms (D = 1 for an int) a point lies inside
+    exactly when |e D x - M| <= t = isqrt(floor((radius - used) D^2 / c)),
+    an integer bound on an integer (Fincke and Pohst, Math. Comp. 1985), so
+    the run is x = ceil((M - t) / (e D)), ... while e D x - M <= t. A given
+    start (a half-tree level, where mid = 0) replaces its first point.
     """
-    if start is None:
-        floor = math.floor(mid)
-        # every x in [lo, floor] is inside; once a doubling step fails,
-        # lo - step is outside and the halving steps close the gap
-        start, step = floor + 1, 1
-        while used + di * (start - step - mid) ** 2 <= radius:
-            start -= step
-            step *= 2
-        while step > 1:
-            step //= 2
-            if used + di * (start - step - mid) ** 2 <= radius:
-                start -= step
-    x = start
-    while (value := used + di * (x - mid) ** 2) <= radius:
-        yield x, value
-        x += 1
-
-
-def _fincke_pohst_int_row(used, level, mid, radius, start=None):
-    """The integer row: level = (c, e), and the value is
-    used + c (e x - mid)^2 for integers throughout. It is at most radius
-    exactly when |e x - mid| <= t = isqrt((radius - used) // c), so the
-    run is x = ceil((mid - t) / e), ... while e x - mid <= t; a given start
-    (a half-tree level, where mid = 0) replaces its first point."""
+    if radius < used:
+        return
     c, e = level
-    t = math.isqrt((radius - used) // c)
-    x = -((t - mid) // e) if start is None else start
-    while (v := e * x - mid) <= t:
-        yield x, used + c * v * v
+    num, den = mid.numerator, mid.denominator
+    t = math.isqrt((radius - used) * den * den // c)
+    step = e * den
+    x = -((t - num) // step) if start is None else start
+    while step * x - num <= t:
+        yield x, used + c * (e * x - mid) ** 2
         x += 1
 
 
-def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
-    """Yield (value, a) for every integer vector a with
-    (a - centre)^T G (a - centre) = value <= radius, where G = L D L^T is
-    given by the factors (d, l) of _ldl. Depth first: the last coordinate
-    varies slowest and each coordinate runs in ascending order, so the
-    vectors come sorted on their reversed tuple. The same loop runs on the
-    exact Fraction data of _ldl with a Fraction centre and radius and, with
-    row=_fincke_pohst_int_row, on the integer levels of _int_half.
+def _fincke_pohst(levels, l, centre, radius):
+    """Yield (value, a) for every integer vector a with value <= radius,
+    where value = sum_i c_i (e_i a_i - mid_i)^2 over the levels (c_i, e_i)
+    and mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k). Depth first:
+    the last coordinate varies slowest and each coordinate runs in
+    ascending order, so the vectors come sorted on their reversed tuple.
+    Every level is one _fincke_pohst_row, looked up at call time.
+
+    On _ldl's factors G = L D L^T the levels are (d_i, 1) and the value is
+    (a - centre)^T G (a - centre), on exact Fractions about any centre;
+    _int_half passes the integer levels of its scaled Gram, lam as l and an
+    integer radius, about the origin.
 
     centre None is the origin, and there the loop walks half its tree
     (Fincke-Pohst, Math. Comp. 1985): a and -a have one value, so only the
@@ -466,11 +454,10 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
     Rows opened from then on take the lower radius; the rows already open
     are cut by _below.
 
-    With mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k) the value is
-    sum_i d_i (a_i - mid_i)^2; part[i] holds the terms k >= i of the current
-    prefix, and rows[i] the remaining points of level i.
+    part[i] holds the terms k >= i of the current prefix's value, and
+    rows[i] the remaining points of level i.
     """
-    n = len(d)
+    n = len(levels)
     half = centre is None
     if half:
         centre = [0] * n
@@ -478,7 +465,8 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
     part = [0] * (n + 1)
     rows = [None] * n
     i = n - 1
-    rows[i] = row(0, d[i], centre[i], radius, int(i == 0) if half else None)
+    rows[i] = _fincke_pohst_row(0, levels[i], centre[i], radius,
+                                int(i == 0) if half else None)
     while i < n:
         step = next(rows[i], None)
         if step is None:
@@ -488,7 +476,7 @@ def _fincke_pohst(d, l, centre, radius, row=_fincke_pohst_row):
             i -= 1
             mid = centre[i] - sum(l[k][i] * (a[k] - centre[k]) for k in range(i + 1, n))
             start = int(i == 0) if half and not any(a[i + 1:]) else None
-            rows[i] = row(part[i + 1], d[i], mid, radius, start)
+            rows[i] = _fincke_pohst_row(part[i + 1], levels[i], mid, radius, start)
         else:
             a[0], value = step
             lower = yield value, tuple(a)
@@ -530,16 +518,16 @@ def _int_half(cur: list[list[int]], den: int, d: list[int], lam, radius: Fractio
 
         m x^T cur x = sum_i c_i (d_i+1 x_i + S_i)^2,   c_i = m / (d_i d_i+1),
 
-    so the half tree of _fincke_pohst runs on the levels (c_i, d_i+1) with
-    row _fincke_pohst_int_row against the integer bound
-    floor(m den radius): integers at every node, and a value becomes a
+    so the half tree of _fincke_pohst runs on the levels (c_i, d_i+1), with
+    l = lam and mid_i = -S_i, against the integer bound floor(m den radius):
+    its one row gets integers at every node, and a value becomes a
     Fraction only when its vector is yielded."""
     n = len(cur)
     m = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
     levels = [(m // (d[i] * d[i + 1]), d[i + 1]) for i in range(n)]
     scale = m * den  # a node's value over scale is x^T G x
     bound = radius.numerator * scale // radius.denominator
-    for value, x in _fincke_pohst(levels, lam, None, bound, _fincke_pohst_int_row):
+    for value, x in _fincke_pohst(levels, lam, None, bound):
         yield Fraction(value, scale), x
 
 
@@ -554,7 +542,7 @@ def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
     negatives it adds.
     """
     d, l = _ldl(entries)
-    return _both_signs(list(_fincke_pohst(d, l, None, radius)))
+    return _both_signs(list(_fincke_pohst([(x, 1) for x in d], l, None, radius)))
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -796,7 +784,8 @@ def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
     w = _u_weights(f, u)
     radius = Fraction(f.n) * (1 + _ENUM_SLACK)
     gram = _fine_gram(_ellipsoid_gram(f, lattice, w, b), radius)
-    walk = _fincke_pohst(*_ldl(gram.entries), None, radius)
+    d, l = _ldl(gram.entries)
+    walk = _fincke_pohst([(x, 1) for x in d], l, None, radius)
     sent = None
     while (step := _send(walk, sent)) is not None:
         value, coeffs = step

@@ -12,7 +12,7 @@ from math import floor, isqrt
 
 from mpmath import mp
 
-from .exact import cf_cycle
+from .exact import cf_cycle, mat_inv
 from .lattice import _fincke_pohst, _ldl
 from .numfield import FieldElement, LogVector, NumberField, fraction_to_mpf, mpf_to_fraction
 
@@ -237,16 +237,17 @@ class LogLattice:
     summed at the working precision, and its factors (_ldl) are exact.
 
     closest_norm(t) is min over integer a of ||t + sum a_i g_i||. The real
-    minimiser is c = -G^-1 (<g_i, t>)_i, read off a projection stored with
-    the factorisation and taken at its exact binary value. The search seeds
-    with Babai's rounding a0 of c, then Fincke-Pohst enumerates every a with
-    (a - c)^T G (a - c) at most Babai's own value, widened by a relative and
-    an absolute 2^(-prec/2). The factors, c, Babai's value and the radius
-    are exact rationals, so the search adds no rounding: the widening covers
-    only the rounding of c and of the Gram's sums. The true minimiser lies
-    inside that ellipsoid in any rank, so the result is the certified
-    closest vector; in rank one at most two candidates are evaluated, each
-    valued at the working precision.
+    minimiser is c = -G^-1 (<g_i, t>)_i, read off the projection G^-1 B
+    (exact.mat_inv) stored with the factorisation and taken at its exact
+    binary value. The search seeds with Babai's rounding a0 of c, valued as
+    (a0 - c)^T G (a0 - c) on G itself, then Fincke-Pohst on the factors
+    enumerates every a with (a - c)^T G (a - c) at most that value, widened
+    by a relative and an absolute 2^(-prec/2). The factors, c, Babai's
+    value and the radius are exact rationals, so the search adds no
+    rounding: the widening covers only the rounding of c and of the Gram's
+    sums. The true minimiser lies inside that ellipsoid in any rank, so the
+    result is the certified closest vector; in rank one at most two
+    candidates are evaluated, each valued at the working precision.
 
     pairs_by_bound(points) orders the pairs of many targets by a lower
     bound on their distance, so that a caller runs closest_norm only on the
@@ -262,18 +263,13 @@ class LogLattice:
             gram = [[mpf_to_fraction(sum(d * a * b for a, b, d in
                                          zip(gi.values, gj.values, gi.degs)))
                      for gj in gens] for gi in gens]
-        d, l = self._d, self._l = _ldl(gram)
-        # column p of G^-1 B, where B[i][p] = deg_p g_i[p], solved exactly
-        cols = []
-        for p in range(len(gens[0].values)):
-            x = [g.degs[p] * mpf_to_fraction(g.values[p]) for g in gens]
-            for i in range(r):
-                x[i] -= sum(l[i][k] * x[k] for k in range(i))
-            x = [xi / di for xi, di in zip(x, d)]
-            for i in reversed(range(r)):
-                x[i] -= sum(l[k][i] * x[k] for k in range(i + 1, r))
-            cols.append(x)
-        self._proj = [[fraction_to_mpf(col[i], self.prec) for col in cols] for i in range(r)]
+        self._gram = gram
+        self._d, self._l = _ldl(gram)
+        # G^-1 B, where B[i][p] = deg_p g_i[p], exact
+        inv = mat_inv(gram)
+        b = [[dg * mpf_to_fraction(v) for v, dg in zip(g.values, g.degs)] for g in gens]
+        self._proj = [[fraction_to_mpf(sum(x * bk[p] for x, bk in zip(row, b)), self.prec)
+                       for p in range(len(b[0]))] for row in inv]
 
     def _minimiser(self, target: LogVector) -> list:
         """c = -G^-1 (<g_i, target>)_i, the real coefficients at which
@@ -287,21 +283,19 @@ class LogLattice:
         if not gens:
             return target.norm()
         r = len(gens)
-        d, l = self._d, self._l
         prec = max(target.prec, self.prec)
         with mp.workprec(prec):
             c = [mpf_to_fraction(ci) for ci in self._minimiser(target)]
-        babai = [floor(ci + Fraction(1, 2)) for ci in c]
-        # Babai's value (a - c)^T G (a - c) = sum_i d_i (a_i - mid_i)^2, exact
-        used = 0
-        for i in reversed(range(r)):
-            mid = c[i] - sum(l[k][i] * (babai[k] - c[k]) for k in range(i + 1, r))
-            used += d[i] * (babai[i] - mid) ** 2
+        # Babai's value (a - c)^T G (a - c), exact
+        diff = [floor(ci + Fraction(1, 2)) - ci for ci in c]
+        used = sum(x * sum(gij * y for gij, y in zip(row, diff))
+                   for row, x in zip(self._gram, diff))
         slack = _slack(prec)
         radius = used * (1 + slack) + slack
         with mp.workprec(prec):
             best = None
-            for _, coeffs in _fincke_pohst(d, l, c, radius):
+            for _, coeffs in _fincke_pohst([(di, 1) for di in self._d], self._l,
+                                           c, radius):
                 vec = list(target.values)
                 for i in range(r):
                     if coeffs[i]:

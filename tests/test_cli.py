@@ -345,27 +345,41 @@ def test_verify_trials_must_be_non_negative(capsys):
 
 def test_fincke_pohst_rows_are_exact(field_file, capsys, monkeypatch):
     """No float reaches a Fincke-Pohst row: census, verify and reduce on
-    Q(sqrt 73) and x^3 - 2 hand every rational row (boxes, generators,
-    closest vectors in the unit log lattice) ints or Fractions, and every
-    integer row (the lambda_1 search) ints."""
+    Q(sqrt 73) and x^3 - 2 hand every row (boxes, generators, closest
+    vectors in the unit log lattice, the lambda_1 search) ints or
+    Fractions, and every row opened under _int_half (the lambda_1 search)
+    ints only."""
     import arakelov.lattice as lattice_module
 
     seen = {"rational": 0, "integer": 0}
-    rational_row = lattice_module._fincke_pohst_row
-    integer_row = lattice_module._fincke_pohst_int_row
+    row = lattice_module._fincke_pohst_row
+    int_half = lattice_module._int_half
+    inside = []
 
-    def exact_row(used, di, mid, radius, start=None):
-        assert all(isinstance(x, (int, Fraction)) for x in (used, di, mid, radius))
-        seen["rational"] += 1
-        return rational_row(used, di, mid, radius, start)
+    def exact_row(used, level, mid, radius, start=None):
+        args = (used, *level, mid, radius)
+        if inside:
+            assert all(type(x) is int for x in args)
+            seen["integer"] += 1
+        else:
+            assert all(isinstance(x, (int, Fraction)) for x in args)
+            seen["rational"] += 1
+        return row(used, level, mid, radius, start)
 
-    def int_row(used, level, mid, radius, start=None):
-        assert all(type(x) is int for x in (used, *level, mid, radius))
-        seen["integer"] += 1
-        return integer_row(used, level, mid, radius, start)
+    def marked_int_half(*args):
+        walk = int_half(*args)
+        while True:
+            inside.append(True)
+            try:
+                step = next(walk, None)
+            finally:
+                inside.pop()
+            if step is None:
+                return
+            yield step
 
-    monkeypatch.setattr(lattice_module._fincke_pohst, "__defaults__", (exact_row,))
-    monkeypatch.setattr(lattice_module, "_fincke_pohst_int_row", int_row)
+    monkeypatch.setattr(lattice_module, "_fincke_pohst_row", exact_row)
+    monkeypatch.setattr(lattice_module, "_int_half", marked_int_half)
     q73 = str(FIELDS_DIR / "q73.json")
     q73_div = field_file("d.json", {"ideal": UNIT_IDEAL, "u": [math.e ** 3, math.e ** -3]})
     cubic = str(FIELDS_DIR / "cubic2.json")

@@ -367,7 +367,8 @@ def test_is_minimal_stops_at_its_first_box_point(f73, monkeypatch):
     first = next(_box_points(f73, scaled, None, ones, strict=True))
     radius = Fraction(f73.n) * (1 + _ENUM_SLACK)
     gram = _fine_gram(_ellipsoid_gram(f73, scaled, _u_weights(f73, None), ones), radius)
-    candidates = [x for _, x in _fincke_pohst(*_ldl(gram.entries), None, radius)]
+    d, l = _ldl(gram.entries)
+    candidates = [x for _, x in _fincke_pohst(_unit_levels(d), l, None, radius)]
     want = candidates.index(first[1]) + 1
     assert want < len(candidates)
     valued = []
@@ -867,6 +868,64 @@ def test_enumerate_quadratic_form_matches_brute_scan():
         _assert_qform_points_match(g, radius)
 
 
+def test_enumerate_quadratic_form_of_a_negative_radius_is_empty():
+    """A radius below 0 holds no vector, and no row takes a square root of
+    a negative bound."""
+    g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
+    assert enumerate_quadratic_form(g, Fraction(-1)) == []
+    assert enumerate_quadratic_form(g, Fraction(-1, 10 ** 9)) == []
+
+
+def _brute_row(used, level, mid, radius, start):
+    """The (x, value) of the row by a scan over a window that holds every
+    point of the seeded rows below."""
+    c, e = level
+    points = [(x, used + c * (e * x - mid) ** 2) for x in range(-400, 401)]
+    return [(x, v) for x, v in points if v <= radius and (start is None or x >= start)]
+
+
+def test_fincke_pohst_row_is_the_brute_scan():
+    """The one Fincke-Pohst row against a scan of x over a wide window: int
+    levels and Fraction levels, mids of denominator 1-7 of either sign,
+    with and without the half tree's start, at a radius equal to a point's
+    value (kept), at radius = used (only the exact-mid point, when there is
+    one) and below used (nothing). An int row yields int values."""
+    rng = random.Random(2501)
+    kinds = {"edge": 0, "exact_mid": 0, "start": 0}
+    for trial in range(600):
+        ints = trial % 2 == 0
+        e = rng.randint(1, 4)
+        if ints:
+            c, used = rng.randint(1, 40), rng.randint(0, 60)
+            mid = rng.randint(-60, 60)
+        else:
+            c = Fraction(rng.randint(1, 40), rng.randint(1, 7))
+            used = Fraction(rng.randint(0, 60), rng.randint(1, 7))
+            mid = Fraction(rng.randint(-60, 60), rng.randint(1, 7))
+        start = None
+        if trial % 5 == 0:
+            mid = 0 * mid
+            start = rng.randint(0, 1)
+            kinds["start"] += 1
+        x0 = rng.randint(-30, 30)
+        radii = [used + rng.randint(0, 500) * (1 if ints else Fraction(1, rng.randint(1, 7))),
+                 used + c * (e * x0 - mid) ** 2, used]
+        if used > 0:
+            radii.append(used - 1)
+        for radius in radii:
+            got = list(_fincke_pohst_row(used, (c, e), mid, radius, start))
+            assert got == _brute_row(used, (c, e), mid, radius, start)
+            if ints:
+                assert all(type(v) is int for _, v in got)
+            if radius == radii[1] and (start is None or x0 >= start):
+                assert (x0, radius) in got
+                kinds["edge"] += 1
+            if radius == used and got:
+                assert [e * x for x, _ in got] == [mid]
+                kinds["exact_mid"] += 1
+    assert all(kinds.values())
+
+
 def _half_tree_grams(rng):
     """Seeded positive-definite Grams of rank 1-4: random rational ones,
     and diagonal and block-diagonal integer ones, on which mid is 0 at
@@ -889,6 +948,11 @@ def _half_tree_grams(rng):
             [[1, 0, 0, 0], [0, 2, 1, 0], [0, 1, 2, 0], [0, 0, 0, 5]],
         )]
     return grams
+
+
+def _unit_levels(d):
+    """_fincke_pohst's levels (d_i, 1) for _ldl's factor d."""
+    return [(x, 1) for x in d]
 
 
 def _assert_one_of_each_pair(half):
@@ -918,7 +982,7 @@ def test_origin_centred_search_walks_half_the_tree():
         radius = Fraction(rng.randint(1, 6), rng.randint(1, 2)) * min(g[i][i] for i in range(n))
         want = brute_qform_points(g, radius)
         d, l = _ldl(g)
-        half = list(_fincke_pohst(d, l, None, radius))
+        half = list(_fincke_pohst(_unit_levels(d), l, None, radius))
         _assert_one_of_each_pair(half)
         assert _with_negatives(half) == want
         assert enumerate_quadratic_form(entries, radius) == want
@@ -974,7 +1038,8 @@ def test_fincke_pohst_send_lowers_the_radius():
             return value * Fraction(rng.randint(1, 15), 10)
 
         for c in (None, centre):
-            skipped += _walk_with_sends(lambda: _fincke_pohst(d, l, c, radius), lower, rng)
+            skipped += _walk_with_sends(lambda: _fincke_pohst(_unit_levels(d), l, c, radius),
+                                        lower, rng)
         # _int_half's levels and bound, which its own output is checked against
         cur, den = _int_entries(g)
         dd, lam = _int_gram_schmidt(cur)
@@ -983,7 +1048,7 @@ def test_fincke_pohst_send_lowers_the_radius():
         bound = radius.numerator * m * den // radius.denominator
 
         def int_walk():
-            return _fincke_pohst(levels, lam, None, bound, lattice_module._fincke_pohst_int_row)
+            return _fincke_pohst(levels, lam, None, bound)
 
         assert [(Fraction(v, m * den), x) for v, x in int_walk()] == list(
             _int_half(cur, den, dd, lam, radius))
@@ -991,7 +1056,7 @@ def test_fincke_pohst_send_lowers_the_radius():
     assert skipped > 0
 
 
-def test_half_tree_halves_the_box_rows(f73):
+def test_half_tree_halves_the_box_rows(f73, monkeypatch):
     """The box Gram of O twisted by (e^6, e^-6) in Q(sqrt 73), as
     minimal_element_bounded builds it, is skewed: its top row runs over
     391 values of the last coordinate and opens 391 level-0 rows in the
@@ -1003,18 +1068,20 @@ def test_half_tree_halves_the_box_rows(f73):
     gram = _fine_gram(_ellipsoid_gram(f73, unit_ideal(f73), _u_weights(f73, u), [box, box]),
                       radius)
     d, l = _ldl([list(r) for r in gram.entries])
+    levels = _unit_levels(d)
     level0 = []
 
-    def counting(used, di, *rest):
-        if di is d[0]:
+    def counting(used, level, *rest):
+        if level is levels[0]:
             level0.append(used)
-        return _fincke_pohst_row(used, di, *rest)
+        return _fincke_pohst_row(used, level, *rest)
 
-    half = list(_fincke_pohst(d, l, None, radius, counting))
+    monkeypatch.setattr(lattice_module, "_fincke_pohst_row", counting)
+    half = list(_fincke_pohst(levels, l, None, radius))
     whole_tree_rows = 391
     assert 0 < len(level0) <= whole_tree_rows // 2 + 1
     level0.clear()
-    whole = list(_fincke_pohst(d, l, [0, 0], radius, counting))
+    whole = list(_fincke_pohst(levels, l, [0, 0], radius))
     assert len(level0) == whole_tree_rows
     assert sorted(x for _, x in whole if any(x)) == sorted(
         x for _, y in half for x in (y, tuple(-c for c in y)))
