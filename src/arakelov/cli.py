@@ -47,7 +47,7 @@ from .survey import (
     verify_counts,
     verify_separation,
 )
-from .units import LogLattice, UnitsUnavailable, min_log_norm_modulo
+from .units import LogLattice, UnitsUnavailable
 
 
 def _read_json(path: str) -> dict:
@@ -157,7 +157,7 @@ def cmd_reduce(args) -> int:
     units = _units_for(f, units)
     distance = None
     if units is not None:
-        distance = min_log_norm_modulo(trace.v.log(), units.log_embeddings())
+        distance = LogLattice(units.log_embeddings()).closest_norm(trace.v.log())
     doc = {
         "final": {
             "den": final.ideal.den,

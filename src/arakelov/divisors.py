@@ -56,10 +56,10 @@ from .numfield import (
     mpf_to_fraction,
 )
 from .units import (
+    LogLattice,
     UnitLattice,
     UnitsUnavailable,
     _quadratic_root,
-    min_log_norm_modulo,
     quadratic_units,
     totally_positive_adjust,
     unit_lattice_from_elements,
@@ -148,10 +148,24 @@ class ArakelovDivisor:
 def divisor_d(ideal: FractionalIdeal) -> ArakelovDivisor:
     """The degree-zero divisor on I with equal weights N(I)^(-1/n)."""
     f = ideal.field
-    n_ideal = ideal.norm()
-    with mp.workprec(f.prec):
-        val = (mpf(n_ideal.numerator) / n_ideal.denominator) ** (-mpf(1) / f.n)
+    val = _equal_weight(f, ideal.norm())
     return ArakelovDivisor(ideal, ArchVector.constant(val, f.degs, f.prec), d_form=True)
+
+
+def _equal_weight(f: NumberField, n_ideal: Fraction):
+    """N^(-1/n) at the field precision: d(I)'s weight at every place, N = N(I)."""
+    with mp.workprec(f.prec):
+        return (mpf(n_ideal.numerator) / n_ideal.denominator) ** (-mpf(1) / f.n)
+
+
+def _equal_weight_man_exp(f: NumberField, n_ideal: Fraction) -> tuple[int, int]:
+    """(man, exp) of _equal_weight(f, n_ideal), the exact binary value of
+    d(I)'s weight, cached per (norm, precision) in the field."""
+    cache = f._cache.setdefault("equal_weights", {})
+    key = (n_ideal, f.prec)
+    if key not in cache:
+        cache[key] = _equal_weight(f, n_ideal).man_exp
+    return cache[key]
 
 
 def principal_divisor(x: FieldElement) -> ArakelovDivisor:
@@ -513,7 +527,7 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fract
     # (u sigma(g))^2 <= side^2 at both places, for u = man 2^exp the exact
     # binary value of d(Q)'s weight and sigma(g) = (A +- B sqrt(disc))/m,
     # cleared of m^2 and the denominators of u^2 and side^2
-    man, exp = divisor_d(q).u.values[0].man_exp
+    man, exp = _equal_weight_man_exp(f, q.norm())
     wk = (man * side.denominator) ** 2 << max(0, 2 * exp)
     lim = (side.numerator * m) ** 2 << max(0, -2 * exp)
 
@@ -631,7 +645,7 @@ def _distance(d1: ArakelovDivisor, d2: ArakelovDivisor, units: UnitLattice,
     with mp.workprec(prec):
         vals = tuple(a / b * c for a, b, c in zip(d1.u.values, d2.u.values, gv.values))
     gens = units.log_embeddings(tp_only=oriented) if units is not None else []
-    return min_log_norm_modulo(ArchVector(vals, f.degs, prec).log(), gens)
+    return LogLattice(gens).closest_norm(ArchVector(vals, f.degs, prec).log())
 
 
 def pic_distance(d1: ArakelovDivisor, d2: ArakelovDivisor,

@@ -16,13 +16,15 @@ Fincke-Pohst loop on that same integer data. An inexact Gram is searched at
 its own precision: its midpoints, whose integers run far longer than their
 certified error warrants, are rounded to a grid a few bits below that
 error, LLL and the search run on the rounded Gram, and only the candidates
-found are valued exactly on the midpoints (_rounded_attempt). Boxes,
-principal generators and the unit lattice's closest vectors
-(units.LogLattice) do not LLL first: they run the loop on the exact
+found are valued exactly on the midpoints (_rounded_attempt). The unit
+lattice's closest vectors (units.LogLattice) run the loop on integer
+levels too (_int_levels), about a dyadic centre scaled to integers. Boxes
+and principal generators do not LLL first: they run the loop on the exact
 Fraction L D L^T factors that _ldl reads off the same integral
-Gram-Schmidt data of their Gram. One Gram-Schmidt, _int_gram_schmidt, is
-behind every factorisation, and one row, _fincke_pohst_row, behind every
-level of the loop: a level (c, e) about mid holds the x with
+Gram-Schmidt data of their Gram, the only users of _ldl with
+enumerate_quadratic_form. One Gram-Schmidt, _int_gram_schmidt, is behind
+every factorisation, and one row, _fincke_pohst_row, behind every level
+of the loop: a level (c, e) about mid holds the x with
 used + c (e x - mid)^2 <= radius, a run of consecutive integers that one
 isqrt bounds, on ints or Fractions alike.
 
@@ -425,24 +427,30 @@ def _fincke_pohst_row(used, level, mid, radius, start=None):
         x += 1
 
 
-def _fincke_pohst(levels, l, centre, radius):
+def _fincke_pohst(levels, l, shift, radius):
     """Yield (value, a) for every integer vector a with value <= radius,
     where value = sum_i c_i (e_i a_i - mid_i)^2 over the levels (c_i, e_i)
-    and mid_i = centre_i - sum_{k > i} l_ki (a_k - centre_k). Depth first:
-    the last coordinate varies slowest and each coordinate runs in
-    ascending order, so the vectors come sorted on their reversed tuple.
-    Every level is one _fincke_pohst_row, looked up at call time.
+    and mid_i = shift_i - sum_{k > i} l_ki a_k. Depth first: the last
+    coordinate varies slowest and each coordinate runs in ascending order,
+    so the vectors come sorted on their reversed tuple. Every level is one
+    _fincke_pohst_row, looked up at call time.
 
+    About a centre c the shift is shift_i = e_i c_i + sum_{k > i} l_ki c_k,
+    so that e_i a_i - mid_i = e_i (a_i - c_i) + sum_{k > i} l_ki (a_k - c_k).
     On _ldl's factors G = L D L^T the levels are (d_i, 1) and the value is
-    (a - centre)^T G (a - centre), on exact Fractions about any centre;
-    _int_half passes the integer levels of its scaled Gram, lam as l and an
-    integer radius, about the origin.
+    (a - c)^T G (a - c), on exact Fractions; _box_points and
+    enumerate_quadratic_form, _ldl's only users, walk them about the
+    origin. _int_half passes the integer levels of its scaled Gram
+    (_int_levels), lam as l and an integer radius, about the origin, and
+    units.LogLattice the same levels about a dyadic centre C / D, with
+    every e_i and l_ki times D and the shift of C on the unscaled levels:
+    its values are integers, D^2 times those about C / D.
 
-    centre None is the origin, and there the loop walks half its tree
+    shift None is the origin, and there the loop walks half its tree
     (Fincke-Pohst, Math. Comp. 1985): a and -a have one value, so only the
     nonzero a whose last nonzero coordinate is positive are yielded. A level
     whose higher coordinates are all zero has mid = 0, and its row starts at
-    0, or at 1 on level 0, which skips the origin. Any other centre, a
+    0, or at 1 on level 0, which skips the origin. Any given shift, a
     computed one that happens to be zero included, walks the whole tree.
 
     A lower radius can be sent mid-walk (branch and bound; Agrell, Eriksson,
@@ -458,14 +466,14 @@ def _fincke_pohst(levels, l, centre, radius):
     rows[i] the remaining points of level i.
     """
     n = len(levels)
-    half = centre is None
+    half = shift is None
     if half:
-        centre = [0] * n
+        shift = [0] * n
     a = [0] * n
     part = [0] * (n + 1)
     rows = [None] * n
     i = n - 1
-    rows[i] = _fincke_pohst_row(0, levels[i], centre[i], radius,
+    rows[i] = _fincke_pohst_row(0, levels[i], shift[i], radius,
                                 int(i == 0) if half else None)
     while i < n:
         step = next(rows[i], None)
@@ -474,7 +482,7 @@ def _fincke_pohst(levels, l, centre, radius):
         elif i:
             a[i], part[i] = step
             i -= 1
-            mid = centre[i] - sum(l[k][i] * (a[k] - centre[k]) for k in range(i + 1, n))
+            mid = shift[i] - sum(l[k][i] * a[k] for k in range(i + 1, n))
             start = int(i == 0) if half and not any(a[i + 1:]) else None
             rows[i] = _fincke_pohst_row(part[i + 1], levels[i], mid, radius, start)
         else:
@@ -508,23 +516,29 @@ def _both_signs(half: list) -> list:
     return [(v, tuple(-c for c in x)) for v, x in reversed(half)] + half
 
 
+def _int_levels(d: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """(m, levels) of an integer Gram cur with integral Gram-Schmidt data
+    (d, lam): with m = lcm_i d_i d_i+1 and S_i = sum_{k > i} lam_ki x_k,
+
+        m x^T cur x = sum_i c_i (d_i+1 x_i + S_i)^2,   c_i = m / (d_i d_i+1),
+
+    for every real x, and the levels are the integer pairs (c_i, d_i+1)."""
+    n = len(d) - 1
+    m = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    return m, [(m // (d[i] * d[i + 1]), d[i + 1]) for i in range(n)]
+
+
 def _int_half(cur: list[list[int]], den: int, d: list[int], lam, radius: Fraction):
     """Yield (value, x) for one x of each pair +-x of nonzero integer
     vectors with value = x^T G x <= radius, G = cur / den with cur an
     integer Gram and (d, lam) its integral Gram-Schmidt data: the x whose
     last nonzero coordinate is positive, sorted on the reversed tuple.
 
-    With m = lcm_i d_i d_i+1 and S_i = sum_{k > i} lam_ki x_k,
-
-        m x^T cur x = sum_i c_i (d_i+1 x_i + S_i)^2,   c_i = m / (d_i d_i+1),
-
-    so the half tree of _fincke_pohst runs on the levels (c_i, d_i+1), with
+    The half tree of _fincke_pohst runs on the levels of _int_levels, with
     l = lam and mid_i = -S_i, against the integer bound floor(m den radius):
     its one row gets integers at every node, and a value becomes a
     Fraction only when its vector is yielded."""
-    n = len(cur)
-    m = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
-    levels = [(m // (d[i] * d[i + 1]), d[i + 1]) for i in range(n)]
+    m, levels = _int_levels(d)
     scale = m * den  # a node's value over scale is x^T G x
     bound = radius.numerator * scale // radius.denominator
     for value, x in _fincke_pohst(levels, lam, None, bound):

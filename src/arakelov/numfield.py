@@ -48,15 +48,22 @@ def _escalate(attempt, start: int, what: str):
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (binary floats are exact rationals);
-    an infinity or NaN is a ValueError."""
-    if x == 0:
-        return Fraction(0)
-    sign, man, exp, _ = x._mpf_
-    if not man:  # mpmath's inf, -inf and nan carry a zero mantissa
-        raise ValueError(f"{x} has no rational value")
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
+    """Exact rational value of an mpf (binary floats are exact rationals):
+    one Fraction of its mantissa over a power of two (mpf_mantissas). An
+    infinity or NaN is a ValueError."""
+    (num,), s = mpf_mantissas((x,))
+    return Fraction(num, 1 << s)
+
+
+def mpf_mantissas(xs) -> tuple[list[int], int]:
+    """(nums, s) with xs[i] = nums[i] / 2^s exactly, s >= 0 the least such:
+    every mantissa read over one power of two. An infinity or NaN is a
+    ValueError."""
+    parts = [x._mpf_ for x in xs]
+    if any(not man and bc for _, man, _, bc in parts):  # inf, -inf, nan
+        raise ValueError("an infinity or NaN has no rational value")
+    s = max([0] + [-exp for _, man, exp, _ in parts if man])
+    return [(-man if sign else man) << (exp + s) for sign, man, exp, _ in parts], s
 
 
 def fraction_to_mpf(q: Fraction, prec: int):
@@ -373,9 +380,21 @@ class NumberField:
         2 b0 - b1 c1: w - w' = b1 (theta - theta') and disc = (w - w')^2."""
         if self.n != 2:
             raise ValueError("surd pairs exist only for quadratic fields")
-        (b0, b1), c1 = self.basis[1], self.min_poly[1]
+        t, sgn = self._surd_data()
         x0, x1 = x.coords
-        return x0 + x1 * (2 * b0 - b1 * c1) / 2, (x1 if b1 > 0 else -x1) / 2
+        n0, d0, n1, d1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+        # a = x0 + x1 t / 2 and b = sgn x1 / 2, each one Fraction of integers
+        return (Fraction(2 * t.denominator * n0 * d1 + t.numerator * n1 * d0,
+                         2 * t.denominator * d0 * d1),
+                Fraction(sgn * n1, 2 * d1))
+
+    def _surd_data(self) -> tuple[Fraction, int]:
+        """(t, sgn(b1)) for surd: t = Tr(w) = 2 b0 - b1 c1, a field constant."""
+        key = "surd"
+        if key not in self._cache:
+            (b0, b1), c1 = self.basis[1], self.min_poly[1]
+            self._cache[key] = (2 * b0 - b1 * c1, 1 if b1 > 0 else -1)
+        return self._cache[key]
 
     def from_surd(self, a: Fraction, b: Fraction) -> "FieldElement":
         """The element a + b sqrt(disc) in the convention of surd."""
@@ -463,20 +482,28 @@ class NumberField:
         their last place."""
         a, b = self.surd(x)
         work = prec + 32
+        root = self._sqrt_abs_disc(work)
         with mp.workprec(work):
             if self.r2:
-                vals = (mpc(fraction_to_mpf(a, work),
-                            fraction_to_mpf(b, work) * mp.sqrt(-self.disc)),)
+                vals = (mpc(fraction_to_mpf(a, work), fraction_to_mpf(b, work) * root),)
             elif a == 0 and b == 0:
                 vals = (mpf(0), mpf(0))
             else:
                 big_place = 0 if a * b >= 0 else 1
                 sb = b if big_place == 0 else -b
-                big = fraction_to_mpf(a, work) + fraction_to_mpf(sb, work) * mp.sqrt(self.disc)
+                big = fraction_to_mpf(a, work) + fraction_to_mpf(sb, work) * root
                 small = fraction_to_mpf(a * a - b * b * self.disc, work) / big
                 vals = (big, small) if big_place == 0 else (small, big)
         with mp.workprec(prec + 16):
             return tuple(+v for v in vals)
+
+    def _sqrt_abs_disc(self, prec: int):
+        """sqrt|disc| rounded to prec bits, a per-precision field constant."""
+        key = ("sqrt_abs_disc", prec)
+        if key not in self._cache:
+            with mp.workprec(prec):
+                self._cache[key] = mp.sqrt(abs(self.disc))
+        return self._cache[key]
 
     def _embed_at(self, x: "FieldElement", place: int, prec: int):
         """sigma(x) at one place: the centre c of embed_interval's rectangle

@@ -264,14 +264,17 @@ def separation_delta(c2: Fraction, prec: int = 64, coarse: bool = False):
 def _log_position(f: NumberField, e: CensusEntry) -> LogVector:
     """p(e) = log|sigma(gen)| - (1/n) log N(I) of a classified entry, so
     that d(I1) - d(I2) + (gen1/gen2) = (O_F, exp(p(e1) - p(e2))); computed
-    once per (ideal, generator) and field."""
+    once per (ideal, generator) and field. The logs, the norm shift and the
+    differences share one working precision, the field's, and round as
+    f.embed(gen).abs().log() does: abs, then log, each at that precision."""
     cache = f._cache.setdefault("log_positions", {})
     key = (e.ideal.key(), e.generator.coords)
     if key not in cache:
-        v = f.embed(e.generator).abs().log()
-        with mp.workprec(v.prec):
-            shift = mp.log(fraction_to_mpf(e.ideal.norm(), v.prec)) / f.n
-            cache[key] = LogVector(tuple(x - shift for x in v.values), v.degs, v.prec)
+        prec = f.prec
+        emb = f.embed(e.generator, prec).values
+        with mp.workprec(prec):
+            shift = mp.log(fraction_to_mpf(e.ideal.norm(), prec)) / f.n
+            cache[key] = LogVector(tuple(mp.log(abs(x)) - shift for x in emb), f.degs, prec)
     return cache[key]
 
 

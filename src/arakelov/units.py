@@ -8,13 +8,20 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import floor, isqrt
+from math import isqrt
 
 from mpmath import mp
 
 from .exact import cf_cycle, mat_inv
-from .lattice import _fincke_pohst, _ldl
-from .numfield import FieldElement, LogVector, NumberField, fraction_to_mpf, mpf_to_fraction
+from .lattice import _fincke_pohst, _int_gram_schmidt, _int_levels, _int_qform
+from .numfield import (
+    FieldElement,
+    LogVector,
+    NumberField,
+    fraction_to_mpf,
+    mpf_mantissas,
+    mpf_to_fraction,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,30 +231,34 @@ def totally_positive_adjust(f: NumberField, g: FieldElement,
     return None if found is None else g * _unit_product(f, units.generators, *found)
 
 
-def _slack(prec: int) -> Fraction:
-    """2^(-prec/2): the relative and absolute margin that covers the
-    rounding of a closest-vector search at precision prec."""
-    return Fraction(1, 1 << (prec // 2))
+def _slack_bits(prec: int) -> int:
+    """h with 2^-h = 2^(-prec/2): the relative and absolute margin that
+    covers the rounding of a closest-vector search at precision prec."""
+    return prec // 2
 
 
 class LogLattice:
     """The lattice spanned by log vectors under the degree-weighted norm,
-    with its Gram matrix G = L D L^T factorised once, for closest-vector
-    searches against many targets. G is the exact binary value of the Gram
-    summed at the working precision, and its factors (_ldl) are exact.
+    for closest-vector searches against many targets. Its Gram G is kept at
+    the exact binary value of the sums at the working precision, as one
+    integer matrix over a power of two, G = gram / 2^k, with the integral
+    Gram-Schmidt data (d, lam) of gram (lattice._int_gram_schmidt).
 
     closest_norm(t) is min over integer a of ||t + sum a_i g_i||. The real
     minimiser is c = -G^-1 (<g_i, t>)_i, read off the projection G^-1 B
-    (exact.mat_inv) stored with the factorisation and taken at its exact
-    binary value. The search seeds with Babai's rounding a0 of c, valued as
-    (a0 - c)^T G (a0 - c) on G itself, then Fincke-Pohst on the factors
-    enumerates every a with (a - c)^T G (a - c) at most that value, widened
-    by a relative and an absolute 2^(-prec/2). The factors, c, Babai's
-    value and the radius are exact rationals, so the search adds no
-    rounding: the widening covers only the rounding of c and of the Gram's
-    sums. The true minimiser lies inside that ellipsoid in any rank, so the
-    result is the certified closest vector; in rank one at most two
-    candidates are evaluated, each valued at the working precision.
+    (exact.mat_inv) stored with the Gram and taken at its exact binary
+    value, c = C / 2^s with integer mantissas C. The search seeds with
+    Babai's rounding a0 of c (Babai, Combinatorica 1986), valued as
+    (a0 - c)^T G (a0 - c) on the integer Gram (_int_qform), then the one
+    Fincke-Pohst loop enumerates every a with (a - c)^T G (a - c) at most
+    that value, widened by a relative and an absolute 2^(-prec/2). It walks
+    the integer levels of gram (_int_levels) about c, every value scaled by
+    m 2^(k + 2s) to an integer, so the radius is floored without loss and
+    the search adds no rounding: the widening covers only the rounding of
+    c and of the Gram's sums. The true minimiser lies inside that ellipsoid
+    in any rank, so the result is the certified closest vector; in rank one
+    at most two candidates are evaluated, each valued at the working
+    precision.
 
     pairs_by_bound(points) orders the pairs of many targets by a lower
     bound on their distance, so that a caller runs closest_norm only on the
@@ -260,13 +271,17 @@ class LogLattice:
         if not r:
             return
         with mp.workprec(self.prec):
-            gram = [[mpf_to_fraction(sum(d * a * b for a, b, d in
-                                         zip(gi.values, gj.values, gi.degs)))
-                     for gj in gens] for gi in gens]
-        self._gram = gram
-        self._d, self._l = _ldl(gram)
+            sums = [sum(d * a * b for a, b, d in zip(gi.values, gj.values, gi.degs))
+                    for gi in gens for gj in gens]
+        flat, k = mpf_mantissas(sums)
+        gram = [flat[i * r:(i + 1) * r] for i in range(r)]
+        d, self._lam = _int_gram_schmidt(gram)
+        self._gram, self._k = gram, k
+        self._m, self._levels = _int_levels(d)
+        # the last squared Gram-Schmidt length of G, d_r / (d_r-1 2^k)
+        self._last = Fraction(d[r], d[r - 1] << k)
         # G^-1 B, where B[i][p] = deg_p g_i[p], exact
-        inv = mat_inv(gram)
+        inv = mat_inv([[Fraction(x, 1 << k) for x in row] for row in gram])
         b = [[dg * mpf_to_fraction(v) for v, dg in zip(g.values, g.degs)] for g in gens]
         self._proj = [[fraction_to_mpf(sum(x * bk[p] for x, bk in zip(row, b)), self.prec)
                        for p in range(len(b[0]))] for row in inv]
@@ -285,17 +300,25 @@ class LogLattice:
         r = len(gens)
         prec = max(target.prec, self.prec)
         with mp.workprec(prec):
-            c = [mpf_to_fraction(ci) for ci in self._minimiser(target)]
-        # Babai's value (a - c)^T G (a - c), exact
-        diff = [floor(ci + Fraction(1, 2)) - ci for ci in c]
-        used = sum(x * sum(gij * y for gij, y in zip(row, diff))
-                   for row, x in zip(self._gram, diff))
-        slack = _slack(prec)
-        radius = used * (1 + slack) + slack
+            centre, s = mpf_mantissas(self._minimiser(target))
+        # c = centre / D, D = 2^s; Babai's a0 = floor(c + 1/2), and
+        # diff = D (a0 - c), so (a0 - c)^T G (a0 - c) = used / 2^(k + 2s)
+        half = (1 << s) >> 1
+        diff = [((x + half) >> s << s) - x for x in centre]
+        used = _int_qform(self._gram, diff)
+        # the radius used (1 + 2^-h) + 2^-h, times m 2^(k + 2s) and
+        # floored: the walk's values are integers
+        h = _slack_bits(prec)
+        bound = self._m * (used * ((1 << h) + 1) + (1 << (self._k + 2 * s))) >> h
+        # the levels about c: e_i and lam times D, and the shifts
+        # e_i C_i + sum_{k > i} lam_ki C_k over D
+        levels = [(c, e << s) for c, e in self._levels]
+        lam = [[x << s for x in row] for row in self._lam]
+        shift = [e * centre[i] + sum(self._lam[k][i] * centre[k] for k in range(i + 1, r))
+                 for i, (_, e) in enumerate(self._levels)]
         with mp.workprec(prec):
             best = None
-            for _, coeffs in _fincke_pohst([(di, 1) for di in self._d], self._l,
-                                           c, radius):
+            for _, coeffs in _fincke_pohst(levels, lam, shift, bound):
                 vec = list(target.values)
                 for i in range(r):
                     if coeffs[i]:
@@ -343,12 +366,12 @@ class LogLattice:
         one = 1 << prec
         with mp.workprec(prec):
             if self.gens:
-                scale = mp.ldexp(mp.sqrt(fraction_to_mpf(self._d[-1], prec)), -prec)
+                scale = mp.ldexp(mp.sqrt(fraction_to_mpf(self._last, prec)), -prec)
                 keys = [int(mp.floor(mp.ldexp(self._minimiser(p)[-1], prec))) % one
                         for p in points]
             else:
                 scale, keys = mp.zero, [0] * m
-            slack = fraction_to_mpf(_slack(prec), prec)
+            slack = mp.ldexp(1, -_slack_bits(prec))
         order = sorted(range(m), key=keys.__getitem__)
         # the circle unrolled over three turns: every key t in [0, one) finds
         # the keys within half a turn on either side without wrapping

@@ -542,6 +542,23 @@ def test_cli_stdout_bytes_pinned(capsys, name, cmd):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_DIGESTS[(name, cmd)]
 
 
+BENCH_FIELDS_DIR = FIELDS_DIR.parent / "perfbench" / "fields"
+# sha256 of the default verify report (--trials 20 --seed 0) on the
+# benchmark's field specs, read in place
+BENCH_VERIFY_DIGESTS = {
+    ("q1009.json", "2"): "7d324122b146e018e6f10b82903fcf1019dd94c742a845064d21bd0d1f5953f8",
+    ("q1009.json", "sqrt2"): "0ca4c04cca898e0f27c0c29eea179afe8330cd57ecc278419fed21f8522f9483",
+    ("q10007.json", "1"): "ccd10b2fe7f81ce287e811d48184c8ca720743f7987f29471f19f12b3939bd9a",
+}
+
+
+@pytest.mark.parametrize("name,c", sorted(BENCH_VERIFY_DIGESTS))
+def test_verify_report_bytes_pinned_on_benchmark_fields(capsys, name, c):
+    code, out, _ = run(capsys, ["verify", "--field", str(BENCH_FIELDS_DIR / name), "--C", c])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BENCH_VERIFY_DIGESTS[(name, c)]
+
+
 def test_main_leaves_no_cyclic_garbage(capsys):
     """The parser is built once per process, reports are indented without
     closures, and the loaded field's caches are emptied when the command

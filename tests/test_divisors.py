@@ -41,8 +41,8 @@ from arakelov.ideals import (
     unit_ideal,
 )
 from arakelov.lattice import GramMatrix, minimal_element_bounded
-from arakelov.numfield import ArchVector, LogVector, create_field, fraction_to_mpf
-from arakelov.survey import enumerate_sred
+from arakelov.numfield import ArchVector, LogVector, create_field, fraction_to_mpf, mpf_mantissas
+from arakelov.survey import enumerate_sred, verify_counts, verify_separation
 from arakelov.units import (
     LogLattice,
     min_log_norm_modulo,
@@ -439,7 +439,22 @@ def _check_closest(gens, spans, targets):
         assert float(min_log_norm_modulo(t, gens)) == got
 
 
-@pytest.mark.parametrize("d", [73, 10007])
+def _zero_and_near_ties(f, gens, seed: int) -> list:
+    """The zero target, at distance 0, and ten targets
+    -(k + 1/2) g_1 - sum_{i > 1} k_i g_i, whose minimisers lie within
+    rounding of Z + 1/2 in their first coordinate."""
+    rng = random.Random(seed)
+    out = [LogVector((mpf(0),) * f.num_places, f.degs, f.prec)]
+    with mp.workprec(f.prec):
+        for _ in range(10):
+            coeffs = [rng.randint(-5, 5) + mpf(1) / 2] + [rng.randint(-5, 5) for _ in gens[1:]]
+            out.append(LogVector(tuple(-sum(c * g.values[p] for c, g in zip(coeffs, gens))
+                                       for p in range(f.num_places)), f.degs, f.prec))
+    assert LogLattice(gens).closest_norm(out[0]) == 0
+    return out
+
+
+@pytest.mark.parametrize("d", [73, 1009, 10007])
 def test_closest_vector_rank_one_matches_oracle(d):
     f = create_field([-d, 0, 1])
     gens = quadratic_units(f).log_embeddings()
@@ -447,7 +462,7 @@ def test_closest_vector_rank_one_matches_oracle(d):
     rng = random.Random(d)
     targets = [_log_vector((rng.uniform(-20, 20) * reg, rng.uniform(-20, 20) * reg), f.degs)
                for _ in range(30)]
-    _check_closest(gens, [40], targets)
+    _check_closest(gens, [40], targets + _zero_and_near_ties(f, gens, d))
 
 
 def test_closest_vector_rank_two_matches_oracle():
@@ -460,7 +475,7 @@ def test_closest_vector_rank_two_matches_oracle():
     rng = random.Random(81)
     targets = [_log_vector([rng.uniform(-8, 8) for _ in range(3)], f.degs)
                for _ in range(20)]
-    _check_closest(gens, [30, 30], targets)
+    _check_closest(gens, [30, 30], targets + _zero_and_near_ties(f, gens, 81))
     degs = (1, 1, 1)
     g1 = _log_vector((1, -1, 0), degs)
     g2 = _log_vector((10.05, -9.95, -0.1), degs)
@@ -469,6 +484,26 @@ def test_closest_vector_rank_two_matches_oracle():
         u, v, w = rng.uniform(-10, 10), rng.uniform(-3, 3), rng.uniform(-1, 1)
         targets.append(_log_vector((u + 0.05 * v + w, -u + 0.05 * v + w, -0.1 * v + w), degs))
     _check_closest([g1, g2], [50, 6], targets)
+
+
+def test_closest_norm_on_exact_babai_ties():
+    """Dyadic lattices whose minimisers lie exactly in Z + 1/2: in rank one
+    two candidates tie at distance sqrt(2)/2, in rank two four at 1, and
+    closest_norm gives that distance, as the brute scan does."""
+    degs = (1, 1, 1, 1)
+    g1, g2 = _log_vector((1, -1, 0, 0), degs), _log_vector((0, 0, 1, -1), degs)
+    for gens in ([g1], [g1, g2]):
+        targets = []
+        for k in range(-4, 4):
+            half = [k + Fraction(1, 2), -k - Fraction(1, 2)][:len(gens)]
+            vals = [-sum(float(c) * float(g.values[p]) for c, g in zip(half, gens))
+                    for p in range(4)]
+            targets.append(_log_vector(vals, degs))
+        with mp.workprec(128):  # every minimiser coordinate lies in Z + 1/2
+            assert all(mpf_mantissas(LogLattice(gens)._minimiser(t))[1] == 1 for t in targets)
+        _check_closest(gens, [12] * len(gens), targets)
+        want = math.sqrt(len(gens) / 2)
+        assert all(abs(float(LogLattice(gens).closest_norm(t)) - want) < 1e-30 for t in targets)
 
 
 def _check_pairs_by_bound(gens, points):
@@ -814,3 +849,61 @@ def test_pic_distance_imaginary_quadratic(fi):
     d2 = divisor_d(ideal_from_generators(fi, [g]))
     dist = pic_distance(d1, d2, units)
     assert dist is not None and float(dist) < 1e-25  # rank-zero torus
+
+
+def _cache_shape(f) -> dict:
+    """Each key of the field's cache with the number of containers and
+    items nested in its value."""
+    def count(v) -> int:
+        if isinstance(v, dict):
+            return 1 + sum(count(x) for x in v.values()) + len(v)
+        if isinstance(v, (list, tuple)):
+            return 1 + sum(count(x) for x in v)
+        return 1
+
+    return {repr(k): count(v) for k, v in f._cache.items()}
+
+
+@pytest.mark.parametrize("min_poly,c", [([1, 0, 1], 2), ([-73, 0, 1], 2), ([-1009, 0, 1], 4),
+                                        ([-10007, 0, 1], 2), ([-2, 0, 0, 1], 2),
+                                        ([-3, -1, 0, 1], 2)],
+                         ids=["i", "73", "1009", "10007", "x3-2", "x3-x-3"])
+def test_repeated_calls_leave_the_field_cache_unchanged(min_poly, c):
+    """After a first round, the same census, strongly-reduced checks and
+    reductions on one field (and, in real quadratic fields, the census's
+    separation and counts) add no key to its cache and grow no value
+    nested in it: what a field keeps is bounded by its inputs, not by the
+    number of calls."""
+    f = create_field(min_poly)
+    c2 = CSquared(Fraction(c))
+    rng = random.Random(len(min_poly) + abs(min_poly[0]))
+    pool = enumerate_integral_ideals(f, 12)
+    divisors = []
+    for k in range(6):
+        ideal = pool[k % len(pool)]
+        t = rng.uniform(-3, 3) if f.num_places == 2 else 0
+        with mp.workprec(f.prec):
+            s = fraction_to_mpf(ideal.norm(), f.prec) ** (-mpf(1) / f.n)
+            if f.num_places == 1:
+                vals = (s,)
+            elif f.r1 == 2:
+                vals = (s * mp.exp(t), s * mp.exp(-t))
+            else:
+                vals = (s * mp.exp(2 * t), s * mp.exp(-t))
+        divisors.append(ArakelovDivisor(ideal, ArchVector(vals, f.degs, f.prec)))
+
+    def round_of_calls():
+        census = enumerate_sred(f, c2)
+        if f.r1 == 2 and f.n == 2:
+            units = quadratic_units(f)
+            verify_separation(census, c2, units)
+            verify_counts(census, units)
+        for ideal in pool[:6]:
+            is_strongly_c_reduced(f, invert(ideal), c2)
+        for d in divisors:
+            reduce(d, c2)
+
+    round_of_calls()
+    first = _cache_shape(f)
+    round_of_calls()
+    assert _cache_shape(f) == first

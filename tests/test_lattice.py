@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import arakelov.lattice as lattice_module
+import arakelov.units as units_module
 from arakelov.divisors import divisor_d
-from arakelov.exact import mat_det
+from arakelov.exact import mat_det, mat_inv
 from arakelov.ideals import (
     PlainLattice,
     _sublattices_of_index,
@@ -1022,7 +1024,8 @@ def _walk_with_sends(make_walk, lower, rng):
 
 def test_fincke_pohst_send_lowers_the_radius():
     """The send protocol on the seeded Grams of the half tree, on exact
-    Fraction rows (about the origin and about a rational centre) and on
+    Fraction rows (about the origin and about a rational centre, whose
+    shifts are c_i + sum_{k > i} l_ki c_k) and on
     _int_half's integer levels: a walk that is sent random radii yields
     exactly the vectors of the whole walk whose value is at most the radius
     in force, in the same order."""
@@ -1033,11 +1036,13 @@ def test_fincke_pohst_send_lowers_the_radius():
         radius = Fraction(rng.randint(2, 8), rng.randint(1, 2)) * min(g[i][i] for i in range(n))
         d, l = _ldl(g)
         centre = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        shift = [centre[i] + sum(l[k][i] * centre[k] for k in range(i + 1, n))
+                 for i in range(n)]
 
         def lower(value):
             return value * Fraction(rng.randint(1, 15), 10)
 
-        for c in (None, centre):
+        for c in (None, shift):
             skipped += _walk_with_sends(lambda: _fincke_pohst(_unit_levels(d), l, c, radius),
                                         lower, rng)
         # _int_half's levels and bound, which its own output is checked against
@@ -1171,13 +1176,61 @@ def _log_gram(log_lattice: LogLattice) -> list[list[Fraction]]:
                  for gj in gens] for gi in gens]
 
 
+@pytest.mark.parametrize("min_poly", [[-73, 0, 1], [1, -3, 0, 1]], ids=["73", "x3-3x+1"])
+def test_closest_norm_walks_exactly_the_babai_ellipsoid(min_poly, monkeypatch):
+    """The integer walk of closest_norm visits exactly the integer a with
+    (a - c)^T G (a - c) <= radius, on Fractions: c the minimiser at its
+    exact binary value, G the exact binary Gram, and the radius Babai's
+    value (a0 - c)^T G (a0 - c), a0 = floor(c + 1/2), widened by a relative
+    and an absolute 2^(-prec/2). The brute scan runs over the box
+    |a_i - c_i| <= sqrt(radius (G^-1)_ii) that holds the ellipsoid."""
+    f = create_field(min_poly)
+    if f.n == 2:
+        gens = quadratic_units(f).log_embeddings()
+    else:
+        th = f.gen()
+        gens = unit_lattice_from_elements(f, [th, th - f.one()]).log_embeddings()
+    log_lattice = LogLattice(gens)
+    g = _log_gram(log_lattice)
+    inv = mat_inv(g)
+    r = len(g)
+    walked = []
+
+    def spy(*args):
+        for value, a in _fincke_pohst(*args):
+            walked.append(a)
+            yield value, a
+
+    monkeypatch.setattr(units_module, "_fincke_pohst", spy)
+    rng = random.Random(26 + r)
+    slack = Fraction(1, 2 ** (f.prec // 2))
+    for _ in range(25):
+        target = LogVector(tuple(mpf(rng.uniform(-12, 12)) for _ in f.degs), f.degs, f.prec)
+        with mp.workprec(f.prec):
+            c = [mpf_to_fraction(x) for x in log_lattice._minimiser(target)]
+
+        def value(a):
+            x = [ai - ci for ai, ci in zip(a, c)]
+            return sum(x[i] * g[i][j] * x[j] for i in range(r) for j in range(r))
+
+        radius = value([math.floor(ci + Fraction(1, 2)) for ci in c]) * (1 + slack) + slack
+        reach = [math.isqrt(math.ceil(radius * inv[i][i])) + 1 for i in range(r)]
+        box = itertools.product(*(range(math.floor(ci) - t, math.ceil(ci) + t + 1)
+                                  for ci, t in zip(c, reach)))
+        want = sorted(a for a in box if value(a) <= radius)
+        walked.clear()
+        log_lattice.closest_norm(target)
+        assert sorted(walked) == want and want
+
+
 def test_ldl_is_the_fraction_gram_schmidt(f73):
     """_ldl, read off _int_gram_schmidt, gives the textbook Gram-Schmidt of
     the oracle over Fractions: on seeded exact Grams, on refined interval
     Grams of x^3 - 2 and x^3 - x - 3, on the twisted Q(sqrt 73) box Gram at
     t = 6, and on the exact binary log-lattice Grams of Q(sqrt 73) and of
-    x^3 - 3x + 1 with units (theta, theta - 1), whose factors LogLattice
-    keeps."""
+    x^3 - 3x + 1 with units (theta, theta - 1), which LogLattice keeps as
+    one integer matrix over a power of two, with the last factor d_r-1
+    that its pair bounds scale by."""
     rng = random.Random(23)
     grams = []
     for _ in range(40):
@@ -1204,7 +1257,9 @@ def test_ldl_is_the_fraction_gram_schmidt(f73):
     for units in (quadratic_units(f73), unit_lattice_from_elements(f81, [th, th - f81.one()])):
         log_lattice = LogLattice(units.log_embeddings())
         g = _log_gram(log_lattice)
-        assert (log_lattice._d, log_lattice._l) == _ldl(g)
+        one = 1 << log_lattice._k
+        assert [[Fraction(x, one) for x in row] for row in log_lattice._gram] == g
+        assert log_lattice._last == _ldl(g)[0][-1]
         grams.append(g)
     for g in grams:
         n = len(g)

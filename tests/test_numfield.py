@@ -17,6 +17,7 @@ from arakelov.numfield import (
     _escalate,
     create_field,
     embed,
+    mpf_mantissas,
     mpf_to_fraction,
     norm_trace,
     partial_f,
@@ -478,3 +479,38 @@ def test_surd_floor_matches_isqrt():
     # a float square root misplaces the floor here
     disc = (10 ** 17 + 3) ** 2 - 1
     assert cf_floor(0, 1, math.isqrt(disc)) == 10 ** 17 + 2 != math.floor(math.sqrt(disc))
+
+
+MANTISSAS = [1, 3, -5, 12345678901234567, -(2 ** 80 + 1), 2 ** 100]
+EXPONENTS = [0, 7, 200, -1, -9, -300]
+
+
+def test_mpf_to_fraction_is_exact():
+    """man 2^exp exactly, for either sign of the mantissa, exp >= 0 and
+    exp < 0, and zero; the value is checked against Fraction powers of 2."""
+    with mp.workprec(256):
+        for man in MANTISSAS:
+            for exp in EXPONENTS:
+                want = Fraction(man) * Fraction(2) ** exp
+                assert mpf_to_fraction(mpf((man, exp))) == want
+                assert mpf_to_fraction(-mpf((man, exp))) == -want
+        assert mpf_to_fraction(mpf(0)) == 0
+        assert mpf_to_fraction(-mpf(0)) == 0
+        assert mpf_to_fraction(mpf(0.1)) == Fraction(0.1)  # a double, exactly
+
+
+def test_mpf_mantissas_share_the_least_power_of_two():
+    """nums / 2^s is each value exactly, and s is the least such: zero, or
+    some numerator is odd. An infinity or NaN is a ValueError."""
+    with mp.workprec(256):
+        rng = random.Random(26)
+        for _ in range(50):
+            xs = [mpf((rng.choice(MANTISSAS), rng.choice(EXPONENTS)))
+                  for _ in range(rng.randint(1, 4))] + [mpf(0)] * rng.randint(0, 1)
+            nums, s = mpf_mantissas(xs)
+            assert [Fraction(x, 2 ** s) for x in nums] == [mpf_to_fraction(x) for x in xs]
+            assert s == 0 or any(x % 2 for x in nums)
+        assert mpf_mantissas([mpf(0), mpf(6)]) == ([0, 6], 0)
+        for bad in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(ValueError):
+                mpf_mantissas([mpf(1), bad])
