@@ -2,7 +2,7 @@
 reduction, census runs, cycle plots and bound-verification reports.
 
 Exit codes: 0 success or affirmative, 1 negative result, 2 usage error,
-3 internal limit (census past desk scale, precision cap, search radius).
+3 internal limit (census past desk scale, precision cap).
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from mpmath import mp, mpf
 from .divisors import (
     ArakelovDivisor,
     CSquared,
-    UndecidedPrincipality,
     as_c_squared,
     is_strongly_c_reduced,
     quadratic_units,
@@ -349,7 +348,7 @@ def main(argv=None) -> int:
     except DeskScaleExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (PrecisionExhausted, UndecidedPrincipality) as exc:
+    except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UnitsUnavailable, ValueError) as exc:

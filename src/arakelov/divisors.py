@@ -36,11 +36,10 @@ from .ideals import (
 )
 from .lattice import (
     DEGREE_TOL,
+    _box_points,
     _box_side,
     _canonical_sign,
     _degree,
-    _element_of,
-    _enumerate_ellipsoid,
     _refining,
     _shortest_attempt,
     gram_of,
@@ -60,27 +59,20 @@ from .units import (
     UnitLattice,
     UnitsUnavailable,
     _quadratic_root,
+    _slack_bits,
     quadratic_units,
     totally_positive_adjust,
     unit_lattice_from_elements,
 )
 
 __all__ = [
-    "ArakelovDivisor", "CheckResult", "ReductionTrace", "UndecidedPrincipality",
+    "ArakelovDivisor", "CheckResult", "ReductionTrace",
     "add", "as_c_squared", "degree", "divisor_d", "is_reduced_usual",
     "is_strongly_c_reduced", "lll_jump", "negate", "oriented_distance",
     "pic_distance", "principal_divisor", "principal_generator",
     "quadratic_units", "reduce", "reduced_cycle", "reduction_distance_bound",
     "unit_lattice_from_elements", "UnitLattice", "UnitsUnavailable",
 ]
-
-# principal_generator outside quadratic fields searches x^T G x <= n N(Q)^2 * this
-PRINCIPAL_SEARCH_FACTOR = 64
-
-
-class UndecidedPrincipality(RuntimeError):
-    """Generator search hit its declared bound without a decision."""
-
 
 class CSquared:
     """An already-squared reduction parameter (kept exact as a Fraction)."""
@@ -92,32 +84,29 @@ class CSquared:
 
 
 def as_c_squared(c) -> Fraction:
-    """Exact square of the reduction parameter C.
+    """Exact square of the reduction parameter C, which must be at least 1.
 
     Accepts ints, Fractions, floats (squared at their exact binary value),
     CSquared markers, and strings: either a rational literal like "2" or
     "1.5", or "sqrtR" / "sqrt(R)" for the square root of a rational R.
     """
+    s = c.strip().lower().replace(" ", "") if isinstance(c, str) else None
     if isinstance(c, CSquared):
         c2 = c.c2
-        if c2 < 1:
-            raise ValueError("reduction parameter C must be at least 1")
-        return c2
-    if isinstance(c, str):
-        s = c.strip().lower().replace(" ", "")
-        if s.startswith("sqrt"):
-            inner = s[4:]
-            if inner.startswith("(") and inner.endswith(")"):
-                inner = inner[1:-1]
-            c2 = Fraction(inner)
-        else:
-            c2 = Fraction(s) ** 2
-    elif isinstance(c, Fraction) or isinstance(c, int):
-        c2 = Fraction(c) ** 2
-    elif isinstance(c, float):
-        c2 = Fraction(c) ** 2
+    elif s is not None and s.startswith("sqrt"):
+        inner = s[4:]
+        if inner.startswith("(") and inner.endswith(")"):
+            inner = inner[1:-1]
+        c2 = Fraction(inner)
     else:
-        c2 = mpf_to_fraction(c) ** 2
+        if s is not None:
+            root = Fraction(s)
+        elif isinstance(c, (Fraction, int, float)):
+            root = Fraction(c)
+        else:
+            root = mpf_to_fraction(c)
+        # C |C| is C^2 with the sign of C, so a negative C fails the check too
+        c2 = root * abs(root)
     if c2 < 1:
         raise ValueError("reduction parameter C must be at least 1")
     return c2
@@ -583,40 +572,50 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fract
     return best[1], best[2], f.surd(f.element(best[0]))
 
 
-def principal_generator(f: NumberField, q: FractionalIdeal) -> FieldElement | None:
+def principal_generator(f: NumberField, q: FractionalIdeal,
+                        units: UnitLattice | None = None) -> FieldElement | None:
     """A generator of Q when Q is principal, else None.
 
     Real quadratic fields look the reduced root of Q's box minimum up in
     the class registry, whose principal cycle is complete: Q is principal
-    exactly when the root lies on it. Imaginary quadratic fields use exact
-    norm matching (complete). Other fields search short vectors up to a
-    declared radius and raise UndecidedPrincipality when nothing is found
-    inside it.
+    exactly when the root lies on it. The walk takes O(R) cycle steps, where
+    the box below would hold about 4 eps / sqrt(disc) points.
+
+    Every other field walks the closed box of Q with
+    |sigma(g)| <= N(Q)^(1/n) exp(rho_sigma) at each place, where
+    rho_sigma = 1/2 sum_i |log|sigma(u_i)|| over the units, that is
+    N(Q)^(1/n) prod_i max(|sigma(u_i)|, |sigma(u_i)|^-1)^(1/2), and returns
+    its first point g with |N(g)| = N(Q): g lies in Q and (g) has Q's norm,
+    so (g) = Q, exactly. A generator of a principal Q always lies in the
+    box, so an empty walk proves Q non-principal. For a generator g, the
+    vector log|sigma(g)| - log N(Q)/n has degree-weighted sum 0; units of
+    any finite index span that hyperplane, so it is sum_i t_i
+    log|sigma(u_i)|, and the generator g prod u_i^-round(t_i) has the
+    coefficients t_i - round(t_i), each at most 1/2 in absolute value,
+    which puts its log|sigma| within rho_sigma of log N(Q)/n. In unit rank
+    0 rho is 0 and the box is the disc |sigma(g)|^2 <= N(Q), on which every
+    generator lies. The bounds are taken at the field precision and widened
+    by a relative 2^(-prec/2) (units._slack_bits), far above their rounding.
+
+    In unit rank > 0 the units are required (UnitsUnavailable without).
     """
     if _real_quadratic(f):
         tag, gen = _class_of(f, q, register=False)
         return f.from_surd(*gen) if tag == "principal" else None
-    # scale to an integral ideal first
-    qi = scale_ideal(q, f.rational(q.den)) if q.den != 1 else q
-    m = qi.norm()
-    assert m.denominator == 1
-    imaginary_quadratic = f.n == 2 and f.r2 == 1
-    if imaginary_quadratic:
-        radius = 2 * Fraction(m) * (1 + Fraction(1, 1 << 20))
-    else:
-        radius = Fraction(f.n) * Fraction(m.numerator) ** 2 * PRINCIPAL_SEARCH_FACTOR
-    gram = gram_of(f, qi)
-    for _, coeffs in _enumerate_ellipsoid(gram, radius):
-        g = _element_of(gram, coeffs)
+    gens = () if units is None else units.generators
+    if len(gens) != f.r1 + f.r2 - 1:
+        raise UnitsUnavailable("unit lattice required for fields of unit rank > 0")
+    m = q.norm()
+    with mp.workprec(f.prec):
+        side = fraction_to_mpf(m, f.prec) ** (mpf(1) / f.n)
+        bounds = [side * (1 + mp.ldexp(1, -_slack_bits(f.prec)))] * f.num_places
+        for u in gens:
+            for p, v in enumerate(f.embed(u).abs().values):
+                bounds[p] *= mp.sqrt(max(v, 1 / v))
+    for _, _, g in _box_points(f, q, None, bounds, strict=False):
         if abs(g.norm()) == m:
-            return g / q.den
-    if imaginary_quadratic:
-        return None
-    raise UndecidedPrincipality(
-        "no generator of squared length at most n * N(Q)^2 * "
-        f"{PRINCIPAL_SEARCH_FACTOR} (the declared search radius); "
-        "principality is undecided"
-    )
+            return g
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +633,7 @@ def _distance(d1: ArakelovDivisor, d2: ArakelovDivisor, units: UnitLattice,
     f = d1.field
     if f.r1 + f.r2 - 1 > 0 and units is None:
         raise UnitsUnavailable("unit lattice required for fields of unit rank > 0")
-    g = principal_generator(f, multiply(d1.ideal, invert(d2.ideal)))
+    g = principal_generator(f, multiply(d1.ideal, invert(d2.ideal)), units)
     if g is not None and oriented and units is not None:
         g = totally_positive_adjust(f, g, units)
     if g is None:

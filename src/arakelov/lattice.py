@@ -19,14 +19,13 @@ error, LLL and the search run on the rounded Gram, and only the candidates
 found are valued exactly on the midpoints (_rounded_attempt). The unit
 lattice's closest vectors (units.LogLattice) run the loop on integer
 levels too (_int_levels), about a dyadic centre scaled to integers. Boxes
-and principal generators do not LLL first: they run the loop on the exact
-Fraction L D L^T factors that _ldl reads off the same integral
-Gram-Schmidt data of their Gram, the only users of _ldl with
-enumerate_quadratic_form. One Gram-Schmidt, _int_gram_schmidt, is behind
-every factorisation, and one row, _fincke_pohst_row, behind every level
-of the loop: a level (c, e) about mid holds the x with
-used + c (e x - mid)^2 <= radius, a run of consecutive integers that one
-isqrt bounds, on ints or Fractions alike.
+do not LLL first: they run the loop on the exact Fraction L D L^T factors
+that _ldl reads off the same integral Gram-Schmidt data of their Gram, the
+only users of _ldl with enumerate_quadratic_form. One Gram-Schmidt,
+_int_gram_schmidt, is behind every factorisation, and one row,
+_fincke_pohst_row, behind every level of the loop: a level (c, e) about
+mid holds the x with used + c (e x - mid)^2 <= radius, a run of
+consecutive integers that one isqrt bounds, on ints or Fractions alike.
 
 Every search about the origin walks half the Fincke-Pohst tree: x and -x
 have one value, so the loop yields only the x whose last nonzero
@@ -592,15 +591,6 @@ def _fine_gram(gram: GramMatrix, radius: Fraction) -> GramMatrix:
     n = gram.size
     slack = radius * _ENUM_SLACK
     return _refining(gram, lambda g: g if g.err * (4 * n * n) <= slack else None)
-
-
-def _enumerate_ellipsoid(gram: GramMatrix, radius: Fraction) -> list:
-    """The (value, coeffs) list of enumerate_quadratic_form for every nonzero
-    lattice vector with x^T G x <= radius, coefficients on gram.source:
-    both signs, and its second half one of each +-x pair;
-    _element_of(gram, coeffs) is the vector. An inexact Gram is refined
-    first (_fine_gram)."""
-    return enumerate_quadratic_form(_fine_gram(gram, radius).entries, radius)
 
 
 def shortest_vector(g: GramMatrix) -> ShortVector:

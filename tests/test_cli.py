@@ -181,6 +181,15 @@ def test_check_bad_c(field_file, capsys):
     assert "bad C parameter" in err
 
 
+def test_census_negative_c(capsys):
+    """C = -2 is refused, not read as C = 2 through its square."""
+    field = str(FIELDS_DIR / "cubic2.json")
+    code, out, err = run(capsys, ["census", "--C", "-2", "--field", field])
+    assert code == 2
+    assert out == ""
+    assert "bad C parameter" in err
+
+
 def test_check_malformed_ideal(field_file, capsys):
     f = field_file("f7.json", {"min_poly": [-7, 0, 1]})
     # not an O_F-module: Z/2 + Z*sqrt7 is not closed under the ring
@@ -279,7 +288,7 @@ def test_census_exact_tie_exits_at_precision_cap(capsys):
     assert err == "error: gram matrix refinement exceeded precision cap\n"
 
 
-@pytest.mark.parametrize("exc", ["PrecisionExhausted", "UndecidedPrincipality"])
+@pytest.mark.parametrize("exc", ["PrecisionExhausted"])
 def test_internal_limit_exit_code(field_file, capsys, monkeypatch, exc):
     import arakelov.cli as cli
 

@@ -65,6 +65,13 @@ from oracles import (
 )
 
 
+def test_public_names_resolve():
+    import arakelov.divisors as divisors
+
+    for name in divisors.__all__:
+        assert hasattr(divisors, name), name
+
+
 def test_as_c_squared_parsing():
     assert as_c_squared("sqrt2") == 2
     assert as_c_squared("sqrt(3)") == 3
@@ -72,8 +79,12 @@ def test_as_c_squared_parsing():
     assert as_c_squared(2) == 4
     assert as_c_squared(Fraction(5, 4)) == Fraction(25, 16)
     assert as_c_squared(CSquared(Fraction(2))) == 2
-    with pytest.raises(ValueError):
-        as_c_squared("0.5")
+    assert as_c_squared(1.5) == Fraction(9, 4)
+    assert as_c_squared(mpf(2)) == 4
+    for bad in ("0.5", -2, "-2", Fraction(-3, 2), -1.5, mpf(-2), "sqrt(-2)",
+                CSquared(Fraction(1, 2))):
+        with pytest.raises(ValueError, match="at least 1"):
+            as_c_squared(bad)
 
 
 def test_divisor_d_examples(f7):
@@ -664,111 +675,221 @@ def test_principal_generator_detects_nonprincipal(f79):
     assert principal_generator(f79, p3) is None
 
 
-# (min_poly, norm limit, {HNF basis of an integral ideal: principal_generator's
-# coefficients, or None when the ideal is not principal}): every integral
-# ideal up to the limit. principal_generator returns the first vector of
-# enumerate_quadratic_form's order whose norm matches, so these pin that
-# order's pick as well as the verdict.
+def _unit_system(f, units):
+    return unit_lattice_from_elements(f, [f.element(u) for u in units])
+
+
+def _verdicts(f, units, limit=30):
+    """{ideal key: principal?} over the integral ideals of norm <= limit,
+    every generator found checked exactly."""
+    out = {}
+    for ideal in enumerate_integral_ideals(f, limit):
+        g = principal_generator(f, ideal, units)
+        assert g is None or ideal_from_generators(f, [g]) == ideal
+        out[ideal.key()] = g is not None
+    return out
+
+
+# (min_poly, units, norm limit, {HNF basis of an integral ideal:
+# principal_generator's coefficients, or None when the ideal is not
+# principal}): every integral ideal up to the limit. principal_generator
+# returns the first point of its box walk whose norm matches, so these pin
+# that walk's pick as well as the verdict.
 PRINCIPAL_GENERATOR_PINS = [
-    ([1, 0, 1], 30, {
-        ((1, 0), (0, 1)): (0, -1),
-        ((2, 0), (1, 1)): (-1, -1),
-        ((2, 0), (0, 2)): (0, -2),
-        ((5, 0), (2, 1)): (1, -2),
-        ((5, 0), (3, 1)): (-1, -2),
-        ((4, 0), (2, 2)): (-2, -2),
-        ((3, 0), (0, 3)): (0, -3),
-        ((10, 0), (3, 1)): (1, -3),
-        ((10, 0), (7, 1)): (-1, -3),
-        ((13, 0), (5, 1)): (-2, -3),
-        ((13, 0), (8, 1)): (2, -3),
-        ((4, 0), (0, 4)): (0, -4),
-        ((17, 0), (4, 1)): (1, -4),
-        ((17, 0), (13, 1)): (-1, -4),
-        ((6, 0), (3, 3)): (-3, -3),
-        ((10, 0), (4, 2)): (2, -4),
-        ((10, 0), (6, 2)): (-2, -4),
-        ((5, 0), (0, 5)): (0, -5),
-        ((25, 0), (7, 1)): (-3, -4),
-        ((25, 0), (18, 1)): (3, -4),
-        ((26, 0), (5, 1)): (1, -5),
-        ((26, 0), (21, 1)): (-1, -5),
-        ((29, 0), (12, 1)): (-2, -5),
-        ((29, 0), (17, 1)): (2, -5),
+    ([1, 0, 1], [], 30, {
+        ((1, 0), (0, 1)): (1, 0),
+        ((2, 0), (1, 1)): (-1, 1),
+        ((2, 0), (0, 2)): (2, 0),
+        ((5, 0), (2, 1)): (2, 1),
+        ((5, 0), (3, 1)): (-2, 1),
+        ((4, 0), (2, 2)): (-2, 2),
+        ((3, 0), (0, 3)): (3, 0),
+        ((10, 0), (3, 1)): (3, 1),
+        ((10, 0), (7, 1)): (-3, 1),
+        ((13, 0), (5, 1)): (-3, 2),
+        ((13, 0), (8, 1)): (3, 2),
+        ((4, 0), (0, 4)): (4, 0),
+        ((17, 0), (4, 1)): (4, 1),
+        ((17, 0), (13, 1)): (-4, 1),
+        ((6, 0), (3, 3)): (-3, 3),
+        ((10, 0), (4, 2)): (4, 2),
+        ((10, 0), (6, 2)): (-4, 2),
+        ((5, 0), (0, 5)): (5, 0),
+        ((25, 0), (7, 1)): (-4, 3),
+        ((25, 0), (18, 1)): (4, 3),
+        ((26, 0), (5, 1)): (5, 1),
+        ((26, 0), (21, 1)): (-5, 1),
+        ((29, 0), (12, 1)): (-5, 2),
+        ((29, 0), (17, 1)): (5, 2),
     }),
-    ([5, 0, 1], 30, {
-        ((1, 0), (0, 1)): (-1, 0),
+    ([5, 0, 1], [], 30, {
+        ((1, 0), (0, 1)): (1, 0),
         ((2, 0), (1, 1)): None,
         ((3, 0), (1, 1)): None,
         ((3, 0), (2, 1)): None,
-        ((2, 0), (0, 2)): (-2, 0),
-        ((5, 0), (0, 1)): (0, -1),
-        ((6, 0), (1, 1)): (-1, -1),
-        ((6, 0), (5, 1)): (1, -1),
+        ((2, 0), (0, 2)): (2, 0),
+        ((5, 0), (0, 1)): (0, 1),
+        ((6, 0), (1, 1)): (1, 1),
+        ((6, 0), (5, 1)): (-1, 1),
         ((7, 0), (3, 1)): None,
         ((7, 0), (4, 1)): None,
         ((4, 0), (2, 2)): None,
-        ((3, 0), (0, 3)): (-3, 0),
-        ((9, 0), (2, 1)): (-2, -1),
-        ((9, 0), (7, 1)): (2, -1),
+        ((3, 0), (0, 3)): (3, 0),
+        ((9, 0), (2, 1)): (2, 1),
+        ((9, 0), (7, 1)): (-2, 1),
         ((10, 0), (5, 1)): None,
         ((6, 0), (2, 2)): None,
         ((6, 0), (4, 2)): None,
-        ((14, 0), (3, 1)): (-3, -1),
-        ((14, 0), (11, 1)): (3, -1),
+        ((14, 0), (3, 1)): (3, 1),
+        ((14, 0), (11, 1)): (-3, 1),
         ((15, 0), (5, 1)): None,
         ((15, 0), (10, 1)): None,
-        ((4, 0), (0, 4)): (-4, 0),
+        ((4, 0), (0, 4)): (4, 0),
         ((6, 0), (3, 3)): None,
         ((18, 0), (7, 1)): None,
         ((18, 0), (11, 1)): None,
-        ((10, 0), (0, 2)): (0, -2),
-        ((21, 0), (4, 1)): (-4, -1),
-        ((21, 0), (10, 1)): (1, -2),
-        ((21, 0), (11, 1)): (-1, -2),
-        ((21, 0), (17, 1)): (4, -1),
+        ((10, 0), (0, 2)): (0, 2),
+        ((21, 0), (4, 1)): (4, 1),
+        ((21, 0), (10, 1)): (-1, 2),
+        ((21, 0), (11, 1)): (1, 2),
+        ((21, 0), (17, 1)): (-4, 1),
         ((23, 0), (8, 1)): None,
         ((23, 0), (15, 1)): None,
-        ((12, 0), (2, 2)): (-2, -2),
-        ((12, 0), (10, 2)): (2, -2),
-        ((5, 0), (0, 5)): (-5, 0),
+        ((12, 0), (2, 2)): (2, 2),
+        ((12, 0), (10, 2)): (-2, 2),
+        ((5, 0), (0, 5)): (5, 0),
         ((9, 0), (3, 3)): None,
         ((9, 0), (6, 3)): None,
         ((27, 0), (7, 1)): None,
         ((27, 0), (20, 1)): None,
         ((14, 0), (6, 2)): None,
         ((14, 0), (8, 2)): None,
-        ((29, 0), (13, 1)): (3, -2),
-        ((29, 0), (16, 1)): (-3, -2),
-        ((30, 0), (5, 1)): (-5, -1),
-        ((30, 0), (25, 1)): (5, -1),
+        ((29, 0), (13, 1)): (-3, 2),
+        ((29, 0), (16, 1)): (3, 2),
+        ((30, 0), (5, 1)): (5, 1),
+        ((30, 0), (25, 1)): (-5, 1),
     }),
-    ([-2, 0, 0, 1], 5, {
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): (1, 3, -3),
-        ((2, 0, 0), (0, 1, 0), (0, 0, 1)): (-6, -5, -4),
-        ((3, 0, 0), (1, 1, 0), (2, 0, 1)): (-11, -9, -7),
-        ((2, 0, 0), (0, 2, 0), (0, 0, 1)): (-4, 12, -7),
-        ((5, 0, 0), (2, 1, 0), (1, 0, 1)): (-9, 21, -11),
+    ([-2, 0, 0, 1], [[-1, 1, 0]], 30, {
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): (1, 0, 0),
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1)): (0, 1, 0),
+        ((3, 0, 0), (1, 1, 0), (2, 0, 1)): (1, 1, 0),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 1)): (0, 0, 1),
+        ((5, 0, 0), (2, 1, 0), (1, 0, 1)): (1, 0, 1),
+        ((6, 0, 0), (4, 1, 0), (2, 0, 1)): (0, 1, 1),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)): (2, 0, 0),
+        ((3, 0, 0), (0, 3, 0), (1, 2, 1)): (1, -1, 1),
+        ((10, 0, 0), (2, 1, 0), (6, 0, 1)): (2, 1, 0),
+        ((11, 0, 0), (4, 1, 0), (6, 0, 1)): (-1, 1, 1),
+        ((6, 0, 0), (2, 2, 0), (2, 0, 1)): (2, 0, 1),
+        ((15, 0, 0), (7, 1, 0), (11, 0, 1)): (-1, 2, 0),
+        ((4, 0, 0), (0, 2, 0), (0, 0, 2)): (0, 2, 0),
+        ((17, 0, 0), (9, 1, 0), (4, 0, 1)): (1, 2, 0),
+        ((6, 0, 0), (0, 3, 0), (4, 2, 1)): (-2, -1, 1),
+        ((10, 0, 0), (4, 2, 0), (6, 0, 1)): (0, 2, 1),
+        ((22, 0, 0), (4, 1, 0), (6, 0, 1)): (2, -1, 1),
+        ((23, 0, 0), (7, 1, 0), (20, 0, 1)): (1, 1, 2),
+        ((6, 0, 0), (2, 2, 0), (4, 0, 2)): (2, 2, 0),
+        ((5, 0, 0), (0, 5, 0), (4, 3, 1)): (-1, -2, 1),
+        ((25, 0, 0), (22, 1, 0), (16, 0, 1)): (-3, 1, 0),
+        ((3, 0, 0), (0, 3, 0), (0, 0, 3)): (3, 0, 0),
+        ((29, 0, 0), (3, 1, 0), (20, 0, 1)): (3, 1, 0),
+        ((30, 0, 0), (22, 1, 0), (26, 0, 1)): (0, -1, 2),
     }),
-    ([1, -3, 0, 1], 9, {
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): (12, -3, -5),
-        ((3, 0, 0), (1, 1, 0), (2, 0, 1)): (45, -8, -17),
-        ((2, 0, 0), (0, 2, 0), (0, 0, 2)): (120, -14, -42),
-        ((3, 0, 0), (0, 3, 0), (1, 2, 1)): (134, -17, -46),
+    ([1, -3, 0, 1], [[0, 1, 0], [-1, 1, 0]], 30, {
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): (1, 0, 0),
+        ((3, 0, 0), (1, 1, 0), (2, 0, 1)): (-1, 0, 1),
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2)): (2, 0, 0),
+        ((3, 0, 0), (0, 3, 0), (1, 2, 1)): (-2, -1, 1),
+        ((17, 0, 0), (3, 1, 0), (8, 0, 1)): (-3, 2, 1),
+        ((17, 0, 0), (4, 1, 0), (1, 0, 1)): (-3, -1, 1),
+        ((17, 0, 0), (10, 1, 0), (2, 0, 1)): (-5, 1, 1),
+        ((19, 0, 0), (10, 1, 0), (14, 0, 1)): (1, 2, 0),
+        ((19, 0, 0), (12, 1, 0), (8, 0, 1)): (-4, -1, 1),
+        ((19, 0, 0), (16, 1, 0), (10, 0, 1)): (-3, 1, 0),
+        ((6, 0, 0), (2, 2, 0), (4, 0, 2)): (-2, 0, 2),
+        ((3, 0, 0), (0, 3, 0), (0, 0, 3)): (3, 0, 0),
     }),
 ]
 
 
-@pytest.mark.parametrize("min_poly,limit,pins", PRINCIPAL_GENERATOR_PINS,
+@pytest.mark.parametrize("min_poly,units,limit,pins", PRINCIPAL_GENERATOR_PINS,
                          ids=["Q(i)", "Q(sqrt-5)", "x^3-2", "x^3-3x+1"])
-def test_principal_generator_pins(min_poly, limit, pins):
+def test_principal_generator_pins(min_poly, units, limit, pins):
     f = create_field(min_poly)
+    lattice = _unit_system(f, units) if units else None
     got = {}
     for ideal in enumerate_integral_ideals(f, limit):
-        g = principal_generator(f, ideal)
+        g = principal_generator(f, ideal, lattice)
+        assert g is None or ideal_from_generators(f, [g]) == ideal
         basis = tuple(tuple(int(c) for c in b.coords) for b in ideal.basis_elements())
         got[basis] = None if g is None else tuple(int(c) for c in g.coords)
     assert got == pins
+
+
+def test_principal_generator_complete_on_x3_x_3():
+    """Class number one: every ideal of norm <= 30 of x^3 - x - 3 gets a
+    generator."""
+    f = create_field([-3, -1, 0, 1])
+    verdicts = _verdicts(f, _unit_system(f, [[-1, -1, 1]]))
+    assert len(verdicts) == 31 and all(verdicts.values())
+
+
+def test_principal_generator_group_law_on_cbrt11():
+    """Q(cbrt 11) has class number 2, so over the pairs of ideals with
+    N(IJ) <= 30, IJ is principal exactly when I and J both are or neither
+    is: an oracle from the group law alone."""
+    f = create_field([-11, 0, 0, 1])
+    units = _unit_system(f, [[89, 40, 18]])
+    ideals = enumerate_integral_ideals(f, 30)
+    verdicts = _verdicts(f, units)
+    assert len(verdicts) == 34 and sum(verdicts.values()) == 17
+    pairs = 0
+    for i, a in enumerate(ideals):
+        for b in ideals[i:]:
+            if a.norm() * b.norm() <= 30:
+                pairs += 1
+                assert verdicts[multiply(a, b).key()] == (verdicts[a.key()] == verdicts[b.key()])
+    assert pairs == 66
+
+
+def test_principal_generator_units_of_finite_index():
+    """On x^3 - 3x + 1 the index-2 system (theta, (theta - 1)^2) gives the
+    verdicts of (theta, theta - 1)."""
+    f = create_field([1, -3, 0, 1])
+    full = _verdicts(f, _unit_system(f, [[0, 1, 0], [-1, 1, 0]]))
+    assert full == _verdicts(f, _unit_system(f, [[0, 1, 0], [1, -2, 1]]))
+    assert len(full) == 12 and all(full.values())
+
+
+def test_principal_generator_needs_units_in_positive_rank():
+    from arakelov.units import UnitsUnavailable
+
+    f = create_field([-2, 0, 0, 1])
+    with pytest.raises(UnitsUnavailable):
+        principal_generator(f, unit_ideal(f))
+
+
+def test_cubic_distances():
+    """On x^3 - 2 the norm-2 prime is (cbrt 2), so d of it is d(O) in both
+    groups; the distances over d(J), N(J) <= 12, are symmetric and obey the
+    triangle inequality. On Q(cbrt 11) the norm-2 prime is not principal."""
+    f = create_field([-2, 0, 0, 1])
+    units = _unit_system(f, [[-1, 1, 0]])
+    ds = [divisor_d(j) for j in enumerate_integral_ideals(f, 12)]
+    p2 = next(d for d in ds if d.ideal.norm() == 2)
+    tol = mpf(10) ** -25
+    for dist in (pic_distance, oriented_distance):
+        assert dist(p2, ds[0], units) < tol
+        table = [[dist(a, b, units) for b in ds] for a in ds]
+        with mp.workprec(f.prec):  # the sums at the distances' precision
+            for i, row in enumerate(table):
+                for j, dij in enumerate(row):
+                    assert abs(dij - table[j][i]) < tol
+                    assert all(dij <= row[k] + table[k][j] + tol for k in range(len(ds)))
+    f = create_field([-11, 0, 0, 1])
+    units = _unit_system(f, [[89, 40, 18]])
+    p2 = next(j for j in enumerate_integral_ideals(f, 2) if j.norm() == 2)
+    assert pic_distance(divisor_d(p2), divisor_d(unit_ideal(f)), units) is None
 
 
 def test_pic_distance_examples(f7):
