@@ -2,7 +2,8 @@
 reduction, census runs, cycle plots and bound-verification reports.
 
 Exit codes: 0 success or affirmative, 1 negative result, 2 usage error,
-3 internal limit (census past desk scale, precision cap).
+3 internal limit (census past desk scale, precision cap, continued-fraction
+step cap).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .divisors import (
     quadratic_units,
     reduce as reduce_divisor,
 )
+from .exact import StepCapExceeded
 from .ideals import enumerate_integral_ideals
 from .numfield import MAX_PREC, ArchVector, PrecisionExhausted, fraction_to_mpf
 from .serialize import (
@@ -348,7 +350,7 @@ def main(argv=None) -> int:
     except DeskScaleExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except PrecisionExhausted as exc:
+    except (PrecisionExhausted, StepCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UnitsUnavailable, ValueError) as exc:

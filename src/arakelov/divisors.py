@@ -16,17 +16,18 @@ from math import isqrt
 from mpmath import mp, mpf
 
 from .exact import (
-    CF_STEP_CAP,
     cf_backward,
     cf_cycle,
     cf_forward,
     cf_is_reduced,
+    cf_steps,
     sign_surd,
 )
 from .ideals import (
     FractionalIdeal,
     PlainLattice,
     _from_vectors,
+    _numerators,
     ideal_from_generators,
     invert,
     multiply,
@@ -383,7 +384,7 @@ def _reduced_root(f: NumberField, j: FractionalIdeal) -> tuple[int, int] | None:
 def _root_ideal(f: NumberField, p: int, q: int) -> FractionalIdeal:
     """The reduced ideal Z + Z x of the reduced root x = (p + sqrt(disc))/q."""
     x = f.from_surd(Fraction(p, q), Fraction(1, q))
-    return _from_vectors(f, [[1, 0], list(x.coords)])
+    return _from_vectors(f, *_numerators([(1, 0), x.coords]))
 
 
 def _surd_mul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction],
@@ -542,22 +543,18 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fract
     (h00, h01), (_, h11) = q.hnf
     x = f.element([Fraction(h01, h00), Fraction(h11, h00)])
     state = (*_quadratic_root(f, x), 2 * h00, 0)
-    for _ in range(CF_STEP_CAP):
+    for _ in cf_steps("continued fraction failed to reach a reduced root"):
         if cf_is_reduced(state[0], state[1], s):
             break
         state = step(state, False)
-    else:
-        raise RuntimeError("continued fraction failed to reach a reduced root")
     # walk onto the run of minima inside the box
-    for _ in range(CF_STEP_CAP):
+    for _ in cf_steps("no minimum of the ideal lies in the box of d(Q)"):
         if not in_box(state, 0):
             state = step(state, False)
         elif not in_box(state, 1):
             state = step(state, True)
         else:
             break
-    else:
-        raise RuntimeError("no minimum of the ideal lies in the box of d(Q)")
     # backward steps shrink |sigma_0| and grow |sigma_1|; forward the reverse
     run = [state]
     for forward, place in ((False, 1), (True, 0)):

@@ -118,28 +118,6 @@ def hnf_upper(cols: list[list[int]], n: int) -> list[list[int]]:
     return [[basis[j][i] for j in range(n)] for i in range(n)]
 
 
-def hnf_with_denominator(vectors: list[Vec], n: int) -> tuple[int, list[list[int]]]:
-    """HNF (den, H) of the lattice spanned by rational vectors; den minimal."""
-    den = 1
-    for v in vectors:
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    cols = [[int(x * den) for x in v] for v in vectors]
-    h = hnf_upper(cols, n)
-    g = den
-    for row in h:
-        for x in row:
-            g = math.gcd(g, x)
-            if g == 1:
-                break
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        h = [[x // g for x in row] for row in h]
-    return den, h
-
-
 def hnf_contains(h: list[list[int]], target: list[int]) -> bool:
     """Whether the integer vector lies in the lattice spanned by the columns
     of the upper-triangular H: back-substitution in integers, which fails
@@ -161,36 +139,6 @@ def hnf_membership(h: list[list[int]], den: int, target: Vec) -> bool:
     if any(x.denominator != 1 for x in scaled):
         return False
     return hnf_contains(h, [x.numerator for x in scaled])
-
-
-def kernel_basis(m: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : M x = 0} via column reduction."""
-    rows = len(m)
-    k = len(m[0])
-    cols = [[m[r][c] for r in range(rows)] for c in range(k)]
-    transform = [[int(i == j) for i in range(k)] for j in range(k)]  # transform[c] tracks col c
-    pivot_cols: set[int] = set()
-    for row in range(rows):
-        piv_idx = None
-        for idx in range(k):
-            if idx in pivot_cols:
-                continue
-            if cols[idx][row] != 0:
-                if piv_idx is None:
-                    piv_idx = idx
-                else:
-                    a, b = cols[piv_idx][row], cols[idx][row]
-                    g, x, y = xgcd(a, b)
-                    u, v = a // g, b // g
-                    new_piv = [x * p + y * q for p, q in zip(cols[piv_idx], cols[idx])]
-                    new_other = [-v * p + u * q for p, q in zip(cols[piv_idx], cols[idx])]
-                    new_tpiv = [x * p + y * q for p, q in zip(transform[piv_idx], transform[idx])]
-                    new_tother = [-v * p + u * q for p, q in zip(transform[piv_idx], transform[idx])]
-                    cols[piv_idx], cols[idx] = new_piv, new_other
-                    transform[piv_idx], transform[idx] = new_tpiv, new_tother
-        if piv_idx is not None:
-            pivot_cols.add(piv_idx)
-    return [transform[idx] for idx in range(k) if not any(cols[idx])]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +167,19 @@ def sign_surd(a: Fraction, b: Fraction, disc: int) -> int:
 
 # a reduced cycle closes in O(sqrt(disc) log disc) steps
 CF_STEP_CAP = 100000
+
+
+class StepCapExceeded(RuntimeError):
+    """A continued-fraction walk ran past CF_STEP_CAP steps (an internal
+    limit of the library, not a wrong input)."""
+
+
+def cf_steps(what: str):
+    """The loop of every continued-fraction walk: CF_STEP_CAP turns, the cap
+    read as the walk starts, then StepCapExceeded for a walk that has not
+    left the loop."""
+    yield from range(CF_STEP_CAP)
+    raise StepCapExceeded(f"{what} within {CF_STEP_CAP} steps")
 
 
 def cf_floor(p: int, q: int, s: int) -> int:
@@ -260,14 +221,13 @@ def cf_cycle(p: int, q: int, disc: int) -> list[tuple[int, int, int, int]]:
     p0, q0 = p, q
     u0, v0, u1, v1 = 1, 0, 0, 1  # gamma_0 = 1, gamma_1 = x_0
     out = [(p, q, u0, v0)]
-    for _ in range(CF_STEP_CAP):
+    for _ in cf_steps("continued fraction failed to close"):
         p, q = cf_forward(p, q, disc, s)
         out.append((p, q, u1, v1))
         if (p, q) == (p0, q0):
             return out
         a = (p + s) // q
         u0, v0, u1, v1 = u1, v1, a * u1 + u0, a * v1 + v0
-    raise RuntimeError("continued fraction failed to close")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,13 @@ Z-lattices inside the field.
 The HNF is column-style upper triangular with positive pivots and reduced
 off-diagonal entries; together with a minimal denominator it is a canonical
 record, so ideal equality is plain structural equality.
+
+All ideal arithmetic runs on integer coordinates: generators, scalings and
+products are integer vectors multiplied through the order's multiplication
+table (`_products`), over one denominator, and closed up by one HNF over
+that denominator (`_from_vectors`). The inverse (O : I) is the dual of one
+such HNF (Cohen, *A Course in Computational Algebraic Number Theory*,
+§2.4 and §4.7-4.8).
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from itertools import product
 
 from mpmath import mpf
 
-from .exact import hnf_contains, hnf_membership, hnf_upper, hnf_with_denominator, kernel_basis
+from .exact import hnf_contains, hnf_membership, hnf_upper
 from .numfield import FieldElement, NumberField, mpf_to_fraction
 
 
@@ -63,29 +70,22 @@ class PlainLattice:
     basis: tuple[FieldElement, ...]
 
     def __post_init__(self):
-        den, h = hnf_with_denominator(
-            [list(b.coords) for b in self.basis], self.field.n
-        )
-        object.__setattr__(self, "_den_hnf", (den, h))
+        # the canonical HNF record of the span answers every lattice query
+        span = _from_vectors(self.field, *_numerators([b.coords for b in self.basis]))
+        object.__setattr__(self, "_span", span)
 
     def basis_elements(self) -> list[FieldElement]:
         return list(self.basis)
 
     def contains(self, x: FieldElement) -> bool:
-        den, h = self._den_hnf
-        return hnf_membership(h, den, list(x.coords))
+        return self._span.contains(x)
 
     def rational_intersection(self) -> Fraction:
-        den, h = self._den_hnf
-        return Fraction(h[0][0], den)
+        return self._span.rational_intersection()
 
     def norm(self) -> Fraction:
         """Covolume index relative to the integral basis lattice."""
-        den, h = self._den_hnf
-        det = 1
-        for i in range(self.field.n):
-            det *= h[i][i]
-        return Fraction(det, den ** self.field.n)
+        return self._span.norm()
 
 
 @cache
@@ -93,16 +93,47 @@ def _last_unit_row(n: int) -> tuple[int, ...]:
     return (0,) * (n - 1) + (1,)
 
 
-def _from_vectors(f: NumberField, vectors: list[list[Fraction]]) -> FractionalIdeal:
-    """The ideal spanned by the vectors, in canonical HNF. The last row of
-    an upper triangular HNF is (0, ..., 0, pivot). A pivot of 1 (as in all
-    173 inverses the six benchmark censuses keep) shares one tuple per
-    degree, so a census held whole stores one row less per entry."""
-    den, h = hnf_with_denominator(vectors, f.n)
-    rows = [tuple(r) for r in h]
-    if h[-1][-1] == 1:
+def _numerators(vectors) -> tuple[list[list[int]], int]:
+    """Integer numerators of rational vectors over their least common
+    denominator."""
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return [[int(x * den) for x in v] for v in vectors], den
+
+
+def _products(t, us, vs) -> list[list[int]]:
+    """Integer coordinates of u*v for every u in us and v in vs (integer
+    coordinates on the integral basis), through the multiplication table t."""
+    out = []
+    for u in us:
+        for v in vs:
+            w = [0] * len(t)
+            for a, ua in enumerate(u):
+                if ua:
+                    for b, vb in enumerate(v):
+                        if vb:
+                            c = ua * vb
+                            for k, tk in enumerate(t[a][b]):
+                                w[k] += c * tk
+            out.append(w)
+    return out
+
+
+def _from_vectors(f: NumberField, cols: list[list[int]], den: int) -> FractionalIdeal:
+    """The Z-span of the integer columns over den in canonical HNF, with den
+    minimal. The last row of an upper triangular HNF is (0, ..., 0, pivot).
+    A pivot of 1 (as in all 173 inverses the six benchmark censuses keep)
+    shares one tuple per degree, so a census held whole stores one row less
+    per entry."""
+    h = hnf_upper(cols, f.n)
+    g = math.gcd(den, *(x for row in h for x in row))
+    rows = [tuple(x // g for x in row) for row in h]
+    if rows[-1][-1] == 1:
         rows[-1] = _last_unit_row(f.n)
-    return FractionalIdeal(f, den, tuple(rows))
+    return FractionalIdeal(f, den // g, tuple(rows))
+
+
+def _columns(i: FractionalIdeal) -> list[tuple[int, ...]]:
+    return list(zip(*i.hnf))
 
 
 def unit_ideal(f: NumberField) -> FractionalIdeal:
@@ -111,55 +142,50 @@ def unit_ideal(f: NumberField) -> FractionalIdeal:
 
 
 def ideal_from_generators(f: NumberField, gens: list[FieldElement]) -> FractionalIdeal:
-    """Smallest O_F-module containing the generators, in canonical HNF."""
+    """Smallest O_F-module containing the generators, in canonical HNF: the
+    span of the products g*b_m with the basis b_m."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("all generators are zero")
-    basis_elems = [f.element([Fraction(int(i == k)) for i in range(f.n)]) for k in range(f.n)]
-    vectors = [list((g * b).coords) for g in gens for b in basis_elems]
-    return _from_vectors(f, vectors)
+    cols, den = _numerators([g.coords for g in gens])
+    return _from_vectors(f, _products(f.mult_table(), cols, unit_ideal(f).hnf), den)
 
 
 def scale_ideal(i: FractionalIdeal, g: FieldElement) -> FractionalIdeal:
     """The ideal g·I (exact, no closure step needed)."""
     if g.is_zero():
         raise ValueError("scaling by zero")
-    return _from_vectors(i.field, [list((g * w).coords) for w in i.basis_elements()])
+    cols, den = _numerators([g.coords])
+    return _from_vectors(i.field, _products(i.field.mult_table(), cols, _columns(i)),
+                         den * i.den)
 
 
 def multiply(i: FractionalIdeal, j: FractionalIdeal) -> FractionalIdeal:
-    """Ideal product via HNF closure of pairwise basis products."""
-    vectors = [
-        list((w * v).coords) for w in i.basis_elements() for v in j.basis_elements()
-    ]
-    return _from_vectors(i.field, vectors)
+    """Ideal product: the HNF of the pairwise basis products."""
+    return _from_vectors(i.field, _products(i.field.mult_table(), _columns(i), _columns(j)),
+                         i.den * j.den)
 
 
 def invert(i: FractionalIdeal) -> FractionalIdeal:
-    """The inverse fractional ideal, computed from the exact membership
-    conditions x·w_j ∈ O_F over the lattice (den/h00)·Z^n containing I⁻¹."""
+    """The inverse fractional ideal (O : I) as a dual lattice.
+
+    For I = H/den with columns h_j, x lies in (O : I) exactly when every
+    coordinate k of x*h_j is divisible by den, that is when r.x lies in
+    den*Z for the n^2 integer rows r = (m -> (h_j b_m)_k). With G the HNF
+    of those rows, (O : I) = den G^-T Z^n: the rows of den G^-1. They are
+    read off the integer adjugate D G^-1, D = det G, by back-substitution."""
     f = i.field
     n = f.n
-    t = f.mult_table()
-    h00 = i.hnf[0][0]
-    cols = [[i.hnf[r][c] for r in range(n)] for c in range(n)]
-    # stacked conditions: for each ideal basis column h_j and each k:
-    #   sum_i v_i * (M_i h_j)_k  ≡ 0  (mod h00)
-    rows: list[list[int]] = []
-    for hj in cols:
-        for k in range(n):
-            row = []
-            for idx in range(n):
-                # (M_idx h_j)_k = sum_m t[idx][m][k] * h_j[m]
-                row.append(sum(t[idx][m][k] * hj[m] for m in range(n)))
-            rows.append(row)
-    m_rows = len(rows)
-    stacked = [rows[r] + [-h00 * int(c == r) for c in range(m_rows)] for r in range(m_rows)]
-    kernel = kernel_basis(stacked)
-    vecs = [k[:n] for k in kernel]
-    scale = Fraction(i.den, h00)
-    vectors = [[Fraction(x) * scale for x in v] for v in vecs]
-    return _from_vectors(f, vectors)
+    blocks = _products(f.mult_table(), _columns(i), unit_ideal(f).hnf)
+    rows = [[blocks[j * n + m][k] for m in range(n)] for j in range(n) for k in range(n)]
+    g = hnf_upper(rows, n)
+    det = math.prod(g[r][r] for r in range(n))
+    adj = [[0] * n for _ in range(n)]  # adj[r][c] = D (G^-1)[r][c]
+    for c in range(n):
+        for r in range(c, -1, -1):
+            acc = det * (r == c) - sum(g[r][s] * adj[s][c] for s in range(r + 1, c + 1))
+            adj[r][c] = acc // g[r][r]
+    return _from_vectors(f, [[i.den * x for x in row] for row in adj], det)
 
 
 def ideal_norm(i: FractionalIdeal) -> Fraction:
@@ -340,21 +366,6 @@ def _prime_products(primes, limit: int):
     return products
 
 
-def _coprime_product(j: FractionalIdeal, a: int, k: FractionalIdeal, b: int) -> FractionalIdeal:
-    """J*K for integral ideals of coprime norms a and b. There J*K is
-    J ∩ K, spanned by e1*J, e2*K and ab*O with e1 = 1 mod a, e1 = 0 mod b
-    and e2 the other way round; entries are reduced mod ab, which lies in
-    the span."""
-    n = j.field.n
-    ab = a * b
-    e1 = b * pow(b, -1, a)
-    e2 = a * pow(a, -1, b)
-    cols = [[e1 * j.hnf[r][c] % ab for r in range(n)] for c in range(n)]
-    cols += [[e2 * k.hnf[r][c] % ab for r in range(n)] for c in range(n)]
-    cols += [[ab * int(r == c) for r in range(n)] for c in range(n)]
-    return FractionalIdeal(j.field, 1, tuple(tuple(r) for r in hnf_upper(cols, n)))
-
-
 def enumerate_integral_ideals(f: NumberField, bound) -> list[FractionalIdeal]:
     """All integral ideals of norm at most `bound`, sorted by (norm, HNF).
 
@@ -366,7 +377,7 @@ def enumerate_integral_ideals(f: NumberField, bound) -> list[FractionalIdeal]:
     factors of the minimal polynomial mod p. Elsewhere the module-closed
     triangular sublattices of each prime-power index are scanned. Every
     other ideal is built once, as the product of one primary ideal per
-    prime, by the Chinese remainder theorem.
+    prime.
     """
     limit = _floor_bound(bound)
     if limit < 1:
@@ -381,7 +392,7 @@ def enumerate_integral_ideals(f: NumberField, bound) -> list[FractionalIdeal]:
         else:
             primary = _prime_products(primes, limit)
         found += [
-            (nj * nq, pp if nj == 1 else _coprime_product(j, nj, pp, nq))
+            (nj * nq, pp if nj == 1 else multiply(j, pp))
             for nj, j in found
             for nq, pp in primary
             if nj * nq <= limit

@@ -100,21 +100,19 @@ class FieldConstructionError(ValueError):
 
 
 def _is_rational_root_free(coeffs: list[int]) -> bool:
-    c0, lead = coeffs[0], coeffs[-1]
+    """Whether the monic integer polynomial has no rational root. Such a
+    root is an integer dividing c0 (rational root theorem), so the divisors
+    of c0 and their negatives are tried by integer Horner evaluation."""
+    c0 = coeffs[0]
     if c0 == 0:
         return False
-    for p in _divisors(abs(c0)):
-        for q in _divisors(abs(lead)):
-            for num in (p, -p):
-                if math.gcd(abs(num), q) != 1:
-                    continue
-                # evaluate at num/q exactly
-                x = Fraction(num, q)
-                val = Fraction(0)
-                for c in reversed(coeffs):
-                    val = val * x + c
-                if val == 0:
-                    return False
+    for d in _divisors(abs(c0)):
+        for r in (d, -d):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * r + c
+            if acc == 0:
+                return False
     return True
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from mpmath import mp, mpf
 
@@ -361,15 +361,7 @@ def brute_ideals_power_basis(min_poly, bound: int, basis=None):
     basis vectors as its columns.
     """
     n = len(min_poly) - 1
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] if basis is None \
-        else [[Fraction(x) for x in row] for row in basis]
-    to_basis = _inv([list(col) for col in zip(*rows)])  # power coords -> basis coords
-    # mult[k][i]: basis coordinates of b_k * b_i, integers in an order
-    mult = [[_matvec(to_basis, _mul_mod(min_poly, rows[k], rows[i])) for i in range(n)]
-            for k in range(n)]
-    if any(x.denominator != 1 for mk in mult for v in mk for x in v):
-        raise ValueError("basis is not closed under multiplication")
-    mult = [[[int(x) for x in v] for v in mk] for mk in mult]
+    mult = _order_mult(min_poly, basis)
     out = []
     for norm in range(1, bound + 1):
         for h in _column_hnfs(n, norm):
@@ -378,6 +370,72 @@ def brute_ideals_power_basis(min_poly, bound: int, basis=None):
                 out.append((norm, tuple(tuple(row) for row in h)))
     out.sort()
     return out
+
+
+def _order_mult(min_poly, basis):
+    """mult[k][i]: the basis coordinates of b_k * b_i, integers in an order,
+    from _mul_mod on power coordinates. basis: the order's basis as rows
+    over the power basis (first row 1); None means Z[theta]."""
+    n = len(min_poly) - 1
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] if basis is None \
+        else [[Fraction(x) for x in row] for row in basis]
+    to_basis = _inv([list(col) for col in zip(*rows)])  # power coords -> basis coords
+    mult = [[_matvec(to_basis, _mul_mod(min_poly, rows[k], rows[i])) for i in range(n)]
+            for k in range(n)]
+    if any(x.denominator != 1 for mk in mult for v in mk for x in v):
+        raise ValueError("basis is not closed under multiplication")
+    return [[[int(x) for x in v] for v in mk] for mk in mult]
+
+
+def _order_product(mult, u, v):
+    """Basis coordinates of (sum u_k b_k)(sum v_i b_i)."""
+    n = len(u)
+    out = [0] * n
+    for k, uk in enumerate(u):
+        for i, vi in enumerate(v):
+            for r in range(n):
+                out[r] += uk * vi * mult[k][i][r]
+    return out
+
+
+def brute_colon_cosets(min_poly, basis, hnf) -> set[tuple[int, ...]]:
+    """The cosets of (1/a)O/O inside (O : J), for the integral ideal J
+    spanned by the columns of hnf (on the order's basis) and a = hnf[0][0]
+    the generator of J ∩ Z: every c in [0, a)^n with (c/a) J inside O, so
+    that (O : J) = O + {c/a}. Since a lies in J, (O : J) lies in (1/a)O,
+    and c/a maps J into O exactly when a divides every coordinate of each
+    c * h_j = sum_i c_i (b_i h_j)."""
+    n = len(hnf)
+    a = hnf[0][0]
+    mult = _order_mult(min_poly, basis)
+    parts = [[_order_product(mult, [int(i == k) for k in range(n)], [hnf[r][j] for r in range(n)])
+              for i in range(n)] for j in range(n)]
+    return {c for c in product(range(a), repeat=n)
+            if all(sum(ci * part[i][r] for i, ci in enumerate(c)) % a == 0
+                   for part in parts for r in range(n))}
+
+
+def _int_det(m) -> int:
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * _int_det([row[:c] + row[c + 1:] for row in m[1:]])
+               for c in range(len(m)) if m[0][c])
+
+
+def brute_product_span(min_poly, basis, j, k):
+    """(products, covolume) for fractional ideals J = H/d and K = H'/d'
+    given as (d, H): the products of their basis elements on the order's
+    basis, which span J*K over Z, and the covolume of that span, the gcd of
+    the maximal minors of the integer products over (d d')^n."""
+    (dj, hj), (dk, hk) = j, k
+    n = len(hj)
+    mult = _order_mult(min_poly, basis)
+    ints = [_order_product(mult, [hj[r][a] for r in range(n)], [hk[r][b] for r in range(n)])
+            for a in range(n) for b in range(n)]
+    minors = math.gcd(*(_int_det([[v[r] for v in sub] for r in range(n)])
+                        for sub in combinations(ints, n)))
+    return ([[Fraction(x, dj * dk) for x in v] for v in ints],
+            Fraction(minors, (dj * dk) ** n))
 
 
 def _mul_mod(min_poly, u, v):

@@ -305,6 +305,20 @@ def test_internal_limit_exit_code(field_file, capsys, monkeypatch, exc):
     assert err == "error: limit reached\n"
 
 
+def test_info_exits_at_the_continued_fraction_step_cap(field_file, capsys, monkeypatch):
+    """A unit walk that runs past CF_STEP_CAP is an internal limit: exit 3
+    with one error line and no traceback. The cap is read as each walk
+    starts, so lowering it reaches every walk."""
+    import arakelov.exact as exact
+
+    monkeypatch.setattr(exact, "CF_STEP_CAP", 3)
+    f = field_file("f1009.json", {"min_poly": [-1009, 0, 1]})
+    code, out, err = run(capsys, ["info", "--field", f])
+    assert code == 3
+    assert out == ""
+    assert err == "error: continued fraction failed to close within 3 steps\n"
+
+
 def test_cycle_svg_and_csv(field_file, capsys, tmp_path):
     f = field_file("f73.json", {"min_poly": [-73, 0, 1]})
     code, svg, _ = run(capsys, ["cycle", "--field", f, "--C", "sqrt2"])

@@ -252,6 +252,18 @@ def test_surd_place_convention(d, basis):
                 assert abs(values[1] - (am - bm * root)) < tol
 
 
+def test_box_walk_stops_at_the_step_cap(monkeypatch):
+    """The walks of _box_walk share the continued-fraction step cap and
+    raise the one internal-limit exception past it."""
+    import arakelov.exact as exact
+
+    f = create_field([-1009, 0, 1])
+    q = invert(enumerate_integral_ideals(f, 12)[-1])
+    monkeypatch.setattr(exact, "CF_STEP_CAP", 0)
+    with pytest.raises(exact.StepCapExceeded, match="reduced root within 0 steps"):
+        to_reduced(f, q)
+
+
 @pytest.mark.parametrize("d,basis", maximal_orders(7, 73, 79, 1009) + OTHER_ORDERS)
 def test_to_reduced_matches_box_pick(d, basis):
     """The continued-fraction walk lands on the minimal element that the

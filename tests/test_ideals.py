@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import mp, mpf
@@ -21,7 +22,13 @@ from arakelov.ideals import (
 )
 from arakelov.numfield import create_field
 from conftest import conjugate_ideal, random_fractional_ideal
-from oracles import brute_ideals_power_basis, cubic_ideal_counts, zeta_coefficient
+from oracles import (
+    brute_colon_cosets,
+    brute_ideals_power_basis,
+    brute_product_span,
+    cubic_ideal_counts,
+    zeta_coefficient,
+)
 
 
 def test_ideal_from_generators_unit(f7):
@@ -165,6 +172,54 @@ def test_inverses_share_the_last_unit_row(f73, f_cubic):
         a, b = (invert(j) for j in enumerate_integral_ideals(f, 12)[1:3])
         assert a.hnf[-1] == (0,) * (f.n - 1) + (1,)
         assert a.hnf[-1] is b.hnf[-1]
+
+
+CUBIC_ORDERS = [
+    pytest.param([-2, 0, 0, 1], None, id="x3-2"),
+    pytest.param([-3, -1, 0, 1], None, id="x3-x-3"),
+    pytest.param([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]], id="Z+2Z[cbrt2]"),
+]
+
+
+def _integral_and_scaled(f, bound):
+    """The integral ideals of norm <= bound, each also scaled by 1/2 and by
+    2/3, so that denominators 2 and 3 occur."""
+    out = []
+    for j in enumerate_integral_ideals(f, bound):
+        out += [j] + [scale_ideal(j, f.rational(q)) for q in (Fraction(1, 2), Fraction(2, 3))]
+    return out
+
+
+@pytest.mark.parametrize("min_poly,basis", CUBIC_ORDERS)
+def test_invert_matches_the_coset_oracle(min_poly, basis):
+    """For K = H/den, (O : K) = den (O : H), and the oracle lists the
+    cosets c/a of (1/a)O/O that (O : H) holds, a = H[0][0]. So invert(K)
+    holds den O, lies in (den/a) O, and meets exactly the listed cosets."""
+    f = create_field(min_poly, basis)
+    n = f.n
+    for k in _integral_and_scaled(f, 12):
+        a, den = k.hnf[0][0], k.den
+        inv = invert(k)
+        assert all(inv.contains(f.element([den * int(i == m) for i in range(n)]))
+                   for m in range(n)), k
+        assert all(x * a % (inv.den * den) == 0 for row in inv.hnf for x in row), k
+        met = {c for c in product(range(a), repeat=n)
+               if inv.contains(f.element([Fraction(den * x, a) for x in c]))}
+        assert met == brute_colon_cosets(min_poly, basis, k.hnf), k
+
+
+@pytest.mark.parametrize("min_poly,basis", CUBIC_ORDERS)
+def test_multiply_matches_the_product_oracle(min_poly, basis):
+    """multiply(J, K) holds every product of basis elements, and its norm is
+    the covolume of their span, so it is that span."""
+    f = create_field(min_poly, basis)
+    ideals = _integral_and_scaled(f, 8)
+    for j in ideals[::2]:
+        for k in ideals[::4]:
+            gens, covolume = brute_product_span(min_poly, basis, (j.den, j.hnf), (k.den, k.hnf))
+            m = multiply(j, k)
+            assert all(m.contains(f.element(v)) for v in gens), (j, k)
+            assert m.norm() == covolume, (j, k)
 
 
 @pytest.mark.parametrize("k,counts", [(2, {1: 162, Fraction(1, 2): 32}),
