@@ -275,8 +275,8 @@ def _verify_reduction_trials(f, units, c2, trials: int, seed: int) -> dict:
             u = ArchVector((scale * mp.exp(t), scale * mp.exp(-t)), f.degs, f.prec)
         divisor = ArakelovDivisor(base, u)
         final, trace = reduce_divisor(divisor, CSquared(c2))
-        dist = lattice.closest_norm(trace.v.log())
-        if trace.distance_bound is not None:
+        if trace.distance_bound is not None:  # C = 1 has no bound to test
+            dist = lattice.closest_norm(trace.v.log())
             ratio = float(dist / trace.distance_bound)
             worst = max(worst, ratio)
             if dist >= trace.distance_bound:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from mpmath import mp, mpf
 
@@ -21,7 +21,7 @@ from .exact import (
     cf_forward,
     cf_is_reduced,
     cf_steps,
-    sign_surd,
+    sign_surd_sq,
 )
 from .ideals import (
     FractionalIdeal,
@@ -61,6 +61,7 @@ from .units import (
     UnitsUnavailable,
     _quadratic_root,
     _slack_bits,
+    _surd_root,
     quadratic_units,
     totally_positive_adjust,
     unit_lattice_from_elements,
@@ -152,7 +153,7 @@ def _equal_weight_man_exp(f: NumberField, n_ideal: Fraction) -> tuple[int, int]:
     """(man, exp) of _equal_weight(f, n_ideal), the exact binary value of
     d(I)'s weight, cached per (norm, precision) in the field."""
     cache = f._cache.setdefault("equal_weights", {})
-    key = (n_ideal, f.prec)
+    key = (n_ideal.numerator, n_ideal.denominator, f.prec)
     if key not in cache:
         cache[key] = _equal_weight(f, n_ideal).man_exp
     return cache[key]
@@ -383,32 +384,17 @@ def _reduced_root(f: NumberField, j: FractionalIdeal) -> tuple[int, int] | None:
 
 def _root_ideal(f: NumberField, p: int, q: int) -> FractionalIdeal:
     """The reduced ideal Z + Z x of the reduced root x = (p + sqrt(disc))/q."""
-    x = f.from_surd(Fraction(p, q), Fraction(1, q))
+    x = f.from_surd_numerators(p, 1, q)
     return _from_vectors(f, *_numerators([(1, 0), x.coords]))
 
 
-def _surd_mul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction],
-              disc: int) -> tuple[Fraction, Fraction]:
-    """x y for surd pairs (a, b) of a + b sqrt(disc)."""
-    (a, b), (c, d) = x, y
-    return a * c + b * d * disc, a * d + b * c
-
-
-def _surd_div(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction],
-              disc: int) -> tuple[Fraction, Fraction]:
-    """x / y for surd pairs: x times the conjugate of y, over the norm of y."""
-    c, d = y
-    n = c * c - d * d * disc
-    return _surd_mul(x, (c / n, -d / n), disc)
-
-
 def _cycle_walk(f: NumberField, p0: int, q0: int):
-    """(p_k, q_k, gamma_k) for the reduced roots x_k = (p_k + sqrt(disc))/q_k
+    """(p_k, q_k, (U_k, V_k)) for the reduced roots x_k = (p_k + sqrt(disc))/q_k
     of the cycle through the reduced root (p0, q0), in forward order from
     it, with J_k = gamma_k^{-1} J_0 for the ideals J_k = Z + Z x_k and
-    gamma_k = x_0 ... x_{k-1} as a surd pair."""
-    return [(p, q, (u + Fraction(v * p0, q0), Fraction(v, q0)))
-            for p, q, u, v in cf_cycle(p0, q0, f.disc)[:-1]]
+    gamma_k = x_0 ... x_{k-1} = u_k + v_k x_0 = (U_k + V_k sqrt(disc))/q0,
+    U_k = u_k q0 + v_k p0 and V_k = v_k: integer surd numerators over q0."""
+    return [(p, q, (u * q0 + v * p0, v)) for p, q, u, v in cf_cycle(p0, q0, f.disc)[:-1]]
 
 
 def reduced_cycle(f: NumberField, start: FractionalIdeal):
@@ -424,13 +410,16 @@ def reduced_cycle(f: NumberField, start: FractionalIdeal):
     root = _reduced_root(f, start)
     if root is None:
         raise ValueError("ideal is not reduced: 1 is not a primitive minimal element")
-    return [(start if k == 0 else _root_ideal(f, p, q), f.from_surd(*gam))
-            for k, (p, q, gam) in enumerate(_cycle_walk(f, *root))]
+    q0 = root[1]
+    return [(start if k == 0 else _root_ideal(f, p, q),
+             f.from_surd_numerators(u, v, q0))
+            for k, (p, q, (u, v)) in enumerate(_cycle_walk(f, *root))]
 
 
 # The class registry of a real quadratic field maps each reduced root
 # (p, q) that a walk has reached to (tag, 1/gamma): J(p, q) = gamma^{-1}
-# rep(tag), with J(p, q) = Z + Z (p + sqrt(disc))/q and 1/gamma a surd pair.
+# rep(tag), with J(p, q) = Z + Z (p + sqrt(disc))/q and 1/gamma as integer
+# surd numerators (X, Y, r), 1/gamma = (X + Y sqrt(disc))/r, r > 0.
 # The principal cycle (rep O, tag "principal") is walked when the registry
 # is made; classify_components walks one more cycle per new class, whose
 # representative is its ideal of least key(). A walk's start fixes the
@@ -449,32 +438,41 @@ def _register_cycle(f: NumberField, reg: dict, root: tuple[int, int], tag: str |
     """Enter the cycle through the reduced root under `tag`, or, for None,
     under the key of its least ideal, the only ideals the registry builds:
     J_k = gamma_k^{-1} J_0 and rep = gamma_rep^{-1} J_0 give
-    J_k = (gamma_rep / gamma_k) rep."""
+    J_k = (gamma_rep / gamma_k) rep. Every gamma is a numerator pair over
+    the root's q0, so gamma_rep / gamma_k = (R + S sqrt(disc))(U - V sqrt(disc))
+    / (U^2 - V^2 disc) for gamma_rep = (R + S sqrt(disc))/q0 and
+    gamma_k = (U + V sqrt(disc))/q0, taken to lowest terms."""
+    disc = f.disc
     walk = _cycle_walk(f, *root)
-    rep_gam = (Fraction(1), Fraction(0))
+    rep_r, rep_s = root[1], 0  # gamma_rep = 1
     if tag is None:
-        key, rep_gam = min(((_root_ideal(f, p, q).key(), gam) for p, q, gam in walk),
-                           key=lambda kg: kg[0])
+        key, (rep_r, rep_s) = min(((_root_ideal(f, p, q).key(), gam) for p, q, gam in walk),
+                                  key=lambda kg: kg[0])
         tag = "cls" + ":".join(str(x) for x in key)
-    for p, q, gam in walk:
-        reg[(p, q)] = (tag, _surd_div(rep_gam, gam, f.disc))
+    for p, q, (u, v) in walk:
+        x, y, r = rep_r * u - rep_s * v * disc, rep_s * u - rep_r * v, u * u - v * v * disc
+        g = gcd(x, y, r) * (1 if r > 0 else -1)
+        reg[(p, q)] = (tag, (x // g, y // g, r // g))
 
 
 def _class_of(f: NumberField, ideal: FractionalIdeal,
-              register: bool) -> tuple[str | None, tuple[Fraction, Fraction] | None]:
-    """(tag, gen) with ideal = gen * rep(tag) and gen a surd pair, for a
-    fractional ideal of a real quadratic field: the reduced root of its box
-    minimum g is looked up in the class registry, and gen = g / gamma. A
-    root that no walk has reached has its cycle entered when `register`
-    is set; otherwise (None, None) is returned."""
+              register: bool) -> tuple[str | None, tuple[int, int, int] | None]:
+    """(tag, gen) with ideal = gen * rep(tag) and gen = (A + B sqrt(disc))/m
+    as the integers (A, B, m), m > 0, for a fractional ideal of a real
+    quadratic field: the reduced root of its box minimum g is looked up in
+    the class registry, and gen = g / gamma, one product of numerators. A
+    root that no walk has reached has its cycle entered when `register` is
+    set; otherwise (None, None) is returned."""
     reg = _class_registry(f)
-    p, q, g = _box_walk(f, ideal)
+    p, q, (a, b, m) = _box_walk(f, ideal)
     if (p, q) not in reg:
         if not register:
             return None, None
         _register_cycle(f, reg, (p, q))
-    tag, gam_inv = reg[(p, q)]
-    return tag, _surd_mul(g, gam_inv, f.disc)
+    tag, (x, y, r) = reg[(p, q)]
+    gen = (a * x + b * y * f.disc, a * y + b * x, m * r)
+    g = gcd(*gen)
+    return tag, tuple(c // g for c in gen)
 
 
 def to_reduced(f: NumberField, q: FractionalIdeal) -> tuple[FractionalIdeal, FieldElement]:
@@ -488,15 +486,16 @@ def to_reduced(f: NumberField, q: FractionalIdeal) -> tuple[FractionalIdeal, Fie
     registry."""
     if _real_quadratic(f):
         p, d, g = _box_walk(f, q)
-        return _root_ideal(f, p, d), f.from_surd(*g)
+        return _root_ideal(f, p, d), f.from_surd_numerators(*g)
     g = minimal_element_bounded(f, q, divisor_d(q).u)
     return scale_ideal(q, g.inverse()), g
 
 
-def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fraction, Fraction]]:
+def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[int, int, int]]:
     """(p, d, g): the g that minimal_element_bounded(f, Q, d(Q).u) picks, as
-    a surd pair, without the box enumeration, and the reduced root
-    (p + sqrt(disc))/d of J = g^{-1} Q.
+    integer surd numerators (A, B, m) of (A + B sqrt(disc))/m, without the
+    box enumeration, and the reduced root (p + sqrt(disc))/d of
+    J = g^{-1} Q.
 
     Q = r(Z + Z x) with r Q's rational generator. The continued fraction
     x -> 1/(x - floor x) walks Z + Z x = y (Z + Z/y), y = x - floor x, to a
@@ -512,6 +511,8 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fract
     (A + B sqrt(disc)) / (2 den(Q)), and a step's product is divided
     exactly."""
     disc, s = f.disc, isqrt(f.disc)
+    t, sgn = f._surd_data()  # w = (t + sgn sqrt(disc))/2, t = tn/td (NumberField.surd)
+    tn, td = t.numerator, t.denominator
     m = 2 * q.den
     side = _box_side(f)
     # (u sigma(g))^2 <= side^2 at both places, for u = man 2^exp the exact
@@ -523,8 +524,7 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fract
 
     def in_box(state, place: int) -> bool:
         _, _, a, b = state
-        return sign_surd(wk * (a * a + b * b * disc) - lim,
-                         wk * 2 * a * b * (1 - 2 * place), disc) <= 0
+        return sign_surd_sq(a, b, disc, wk, lim, place) <= 0
 
     def step(state, forward: bool):
         """The next (p, d, A, B) for x = (p + sqrt(disc))/d: g times x
@@ -541,8 +541,8 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fract
 
     # Q = r (Z + Z x): r = h00/den, x = (h01 + h11 w)/h00 for the basis {1, w}
     (h00, h01), (_, h11) = q.hnf
-    x = f.element([Fraction(h01, h00), Fraction(h11, h00)])
-    state = (*_quadratic_root(f, x), 2 * h00, 0)
+    state = (*_surd_root(2 * td * h01 + tn * h11, sgn * td * h11, 2 * td * h00, disc),
+             2 * h00, 0)
     for _ in cf_steps("continued fraction failed to reach a reduced root"):
         if cf_is_reduced(state[0], state[1], s):
             break
@@ -562,11 +562,19 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[Fract
         while in_box(nxt, place):
             run.append(nxt)
             nxt = step(nxt, forward)
-    # T2 = 2 (A^2 + B^2 disc) / m^2; the canonical sign decides T2 ties only
+    # T2 = 2 (A^2 + B^2 disc) / m^2; the canonical sign decides T2 ties only,
+    # on the basis coordinates of (A + B sqrt(disc))/m, which are
+    # (A - sgn B t, 2 sgn B) / m (from_surd_numerators): compared times
+    # td m > 0, they are integers
     t2 = min(a * a + b * b * disc for _, _, a, b in run)
-    best = min((_canonical_sign(f.from_surd(Fraction(a, m), Fraction(b, m)).coords), p, d)
-               for p, d, a, b in run if a * a + b * b * disc == t2)
-    return best[1], best[2], f.surd(f.element(best[0]))
+    picks = []
+    for p, d, a, b in run:
+        if a * a + b * b * disc == t2:
+            key = (td * a - sgn * b * tn, 2 * td * sgn * b)
+            e = 1 if _canonical_sign(key) == key else -1
+            picks.append((_canonical_sign(key), p, d, e * a, e * b))
+    _, p, d, a, b = min(picks)
+    return p, d, (a, b, m)
 
 
 def principal_generator(f: NumberField, q: FractionalIdeal,
@@ -598,7 +606,7 @@ def principal_generator(f: NumberField, q: FractionalIdeal,
     """
     if _real_quadratic(f):
         tag, gen = _class_of(f, q, register=False)
-        return f.from_surd(*gen) if tag == "principal" else None
+        return f.from_surd_numerators(*gen) if tag == "principal" else None
     gens = () if units is None else units.generators
     if len(gens) != f.r1 + f.r2 - 1:
         raise UnitsUnavailable("unit lattice required for fields of unit rank > 0")

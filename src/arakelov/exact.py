@@ -159,6 +159,20 @@ def sign_surd(a: Fraction, b: Fraction, disc: int) -> int:
     return s if a > 0 else -s
 
 
+def sign_surd_sq(a: int, b: int, disc: int, weight: int, bound: int, place: int) -> int:
+    """Exact sign of weight |sigma(x)|^2 - bound for x = a + b sqrt(disc)
+    at a place of a quadratic field, on integers: at the real places
+    (disc > 0) sigma(x)^2 = a^2 + b^2 disc +- 2ab sqrt(disc), with - at
+    place 1; at the complex place |sigma(x)|^2 = a^2 - b^2 disc. Box tests
+    on surd numerators (A + B sqrt(disc)) / m take weight and bound over
+    the one positive factor m^2 times their denominators."""
+    if disc < 0:
+        t = weight * (a * a - b * b * disc) - bound
+        return (t > 0) - (t < 0)
+    return sign_surd(weight * (a * a + b * b * disc) - bound,
+                     weight * 2 * a * b * (1 - 2 * place), disc)
+
+
 # ---------------------------------------------------------------------------
 # The continued-fraction step on quadratic irrationals x = (p + sqrt(disc))/q
 # with integers p, q and q | disc - p^2, disc > 0 not a square. The infra-

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .exact import mat_det
+from .exact import mat_det, sign_surd_sq
 from .ideals import FractionalIdeal, PlainLattice
 from .numfield import (
     ArchVector,
@@ -65,13 +65,6 @@ DEGREE_TOL = 1e-9
 _ENUM_SLACK = Fraction(1, 2 ** 20)
 _LLL_ALPHA = 1 / (LLL_DELTA - Fraction(1, 4))  # ||b_1||^2 <= _LLL_ALPHA^(n-1) lambda_1^2
 _ROUND_GUARD = 8  # bits below an inexact Gram's error that its rounding keeps
-
-
-def _sqrt_approx(d: int, prec: int) -> tuple[Fraction, Fraction]:
-    """(r, eps) with |r - sqrt(d)| <= eps, exact rationals."""
-    scaled = math.isqrt(d * (1 << (2 * prec)))
-    r = Fraction(scaled, 1 << prec)
-    return r, Fraction(1, 1 << prec)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,14 +181,26 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
             return 2 * w[0] * (ai * aj - bi * bj * f.disc), Fraction(0)
 
     elif f.n == 2:
-        # real quadratic, per-place weights: entries live in Q(sqrt disc)
-        r, eps = _sqrt_approx(f.disc, prec)
+        # real quadratic, per-place weights: entries live in Q(sqrt disc).
+        # With the basis as surd numerators (A_i + B_i sqrt(disc)) / m,
+        # b_i b_j = (P + Q sqrt(disc)) / m^2 for the integers
+        # P = A_i A_j + B_i B_j disc and Q = A_i B_j + A_j B_i, and entry
+        # (i, j) is (w_0 + w_1) P / m^2 + (w_0 - w_1) Q r / m^2 with
+        # r = s / 2^prec, sqrt(disc) to within 2^-prec: one Fraction of
+        # integers over (m^2 2^prec) times the weights' denominators
+        s, disc = math.isqrt(f.disc << (2 * prec)), f.disc
+        m, nums = f.surd_numerators(basis)
+        wp, wm = w[0] + w[1], w[0] - w[1]
+        cp = wp.numerator * wm.denominator << prec
+        cq = wm.numerator * wp.denominator * s
+        den = wp.denominator * wm.denominator * m * m << prec
+        err_den = wm.denominator * m * m << prec
 
         def entry(i, j):
-            a, b = f.surd(basis[i] * basis[j])
-            a_part = (w[0] + w[1]) * a
-            b_part = (w[0] - w[1]) * b
-            return a_part + b_part * r, abs(b_part) * eps
+            (ai, bi), (aj, bj) = nums[i], nums[j]
+            q = ai * bj + aj * bi
+            return (Fraction(cp * (ai * aj + bi * bj * disc) + cq * q, den),
+                    Fraction(abs(wm.numerator * q), err_den))
 
     else:
         # general field: certified interval embeddings on integer endpoints.
@@ -774,10 +779,10 @@ def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
 
     The candidates come from the degree-weighted ellipsoid relaxation, value
     being x^T G x on its Gram (the weighted T2 of g over the bounds squared,
-    on the midpoints of _fine_gram); each is checked per place with
-    cmp_abs_sq as the walk reaches it, so the points are exact with respect
-    to the given rational bounds, and a caller that stops early stops the
-    walk.
+    on the midpoints of _fine_gram); each is checked exactly at every place
+    as the walk reaches it (_box_member), so the points are exact with
+    respect to the given rational bounds, and a caller that stops early
+    stops the walk.
 
     A radius sent at a point goes on to the walk (_fincke_pohst's send
     protocol): the points that follow are those of the whole list, in its
@@ -789,22 +794,46 @@ def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
     radius = Fraction(f.n) * (1 + _ENUM_SLACK)
     gram = _fine_gram(_ellipsoid_gram(f, lattice, w, b), radius)
     d, l = _ldl(gram.entries)
+    member = _box_member(f, gram, w, b2, strict)
     walk = _fincke_pohst([(x, 1) for x in d], l, None, radius)
     sent = None
     while (step := _send(walk, sent)) is not None:
         value, coeffs = step
-        g = _element_of(gram, coeffs)
-        sent = (yield value, coeffs, g) if _in_box(f, g, b2, w, strict) else None
+        g = member(coeffs)
+        sent = None if g is None else (yield value, coeffs, g)
 
 
-def _in_box(f: NumberField, g: FieldElement, b2, w, strict: bool) -> bool:
-    """Whether w_sigma |sigma(g)|^2 < b2_sigma at every place (<= when
-    strict is False), decided exactly by cmp_abs_sq."""
-    for place in range(f.num_places):
-        sgn = f.cmp_abs_sq(g, place, b2[place], w[place])
-        if sgn > 0 or (strict and sgn == 0):
-            return False
-    return True
+def _box_member(f: NumberField, gram: GramMatrix, w, b2, strict: bool):
+    """coeffs -> the element g with those coefficients on gram's source
+    when w_sigma |sigma(g)|^2 < b2_sigma at every place (<= when strict is
+    False), else None; exact.
+
+    Quadratic fields decide on the integer surd numerators of g, the
+    coefficients times those of the source (sign_surd_sq, the test of the
+    continued-fraction box walk too), so only a point inside builds a
+    FieldElement. Other fields build each candidate and decide with
+    cmp_abs_sq."""
+    limit = -1 if strict else 0  # the largest sign inside
+    if f.n != 2:
+        def member(coeffs):
+            g = _element_of(gram, coeffs)
+            signs = (f.cmp_abs_sq(g, p, b2[p], w[p]) for p in range(f.num_places))
+            return g if all(s <= limit for s in signs) else None
+        return member
+
+    m, nums = f.surd_numerators(gram.source)
+    tests = [(p, wp.numerator * bp.denominator, bp.numerator * wp.denominator * m * m)
+             for p, (wp, bp) in enumerate(zip(w, b2))]
+    disc = f.disc
+
+    def member(coeffs):
+        a = sum(c * x for c, (x, _) in zip(coeffs, nums))
+        b = sum(c * y for c, (_, y) in zip(coeffs, nums))
+        for p, weight, bound in tests:
+            if sign_surd_sq(a, b, disc, weight, bound, p) > limit:
+                return None
+        return _element_of(gram, coeffs)
+    return member
 
 
 def _send(walk, radius):

@@ -17,7 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_rational,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_pos,
+    round_nearest,
+)
 
 from .exact import (
     mat_det,
@@ -67,8 +76,22 @@ def mpf_mantissas(xs) -> tuple[list[int], int]:
 
 
 def fraction_to_mpf(q: Fraction, prec: int):
-    with mp.workprec(prec):
-        return mpf(q.numerator) / q.denominator
+    """q at prec bits as mpf(q.numerator) / q.denominator rounds it there:
+    the numerator rounded to nearest, then the quotient (_ratio_mpf)."""
+    return mp.make_mpf(_ratio_mpf(q.numerator, q.denominator, prec))
+
+
+def _ratio_mpf(num: int, den: int, prec: int):
+    """The raw mpf of fraction_to_mpf(Fraction(num, den), prec), den > 0,
+    through libmp with no context switch: from_int(num) rounded to nearest
+    at prec bits, then mpf_div by the exact den. A numerator of at most
+    prec bits is exact, and the quotient is then the correctly rounded
+    num / den in any terms; a longer one is first brought to lowest terms,
+    as a Fraction keeps it, since its rounding depends on the terms."""
+    if num.bit_length() > prec:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    return mpf_div(from_int(num, prec, round_nearest), from_int(den), prec, round_nearest)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +417,34 @@ class NumberField:
             self._cache[key] = (2 * b0 - b1 * c1, 1 if b1 > 0 else -1)
         return self._cache[key]
 
+    def surd_numerators(self, xs) -> tuple[int, list[tuple[int, int]]]:
+        """(m, [(A, B), ...]) with x = (A + B sqrt(disc)) / m for each x of
+        xs, in the convention of surd, over one m > 0: the coordinates
+        over their lcm d and t = Tr(w) = tn / td give m = 2 td d,
+        A = 2 td X0 + tn X1 and B = sgn(b1) td X1."""
+        t, sgn = self._surd_data()
+        tn, td = t.numerator, t.denominator
+        d = math.lcm(*(c.denominator for x in xs for c in x.coords))
+        out = []
+        for x in xs:
+            x0, x1 = (c.numerator * (d // c.denominator) for c in x.coords)
+            out.append((2 * td * x0 + tn * x1, sgn * td * x1))
+        return 2 * td * d, out
+
     def from_surd(self, a: Fraction, b: Fraction) -> "FieldElement":
         """The element a + b sqrt(disc) in the convention of surd."""
-        (b0, b1), c1 = self.basis[1], self.min_poly[1]
-        if b1 < 0:
-            b = -b
-        return self.element([a - b * (2 * b0 - b1 * c1), 2 * b])
+        m = math.lcm(a.denominator, b.denominator)
+        return self.from_surd_numerators(a.numerator * (m // a.denominator),
+                                         b.numerator * (m // b.denominator), m)
+
+    def from_surd_numerators(self, a: int, b: int, m: int) -> "FieldElement":
+        """The element (a + b sqrt(disc)) / m, m > 0, in the convention of
+        surd: sgn(b1) sqrt(disc) = 2 w - t, so its coordinates on {1, w}
+        are ((td a - sgn b tn) / (td m), 2 sgn b / m) for t = tn / td."""
+        t, sgn = self._surd_data()
+        tn, td = t.numerator, t.denominator
+        return FieldElement(self, (Fraction(td * a - sgn * b * tn, td * m),
+                                   Fraction(2 * sgn * b, m)))
 
     # -- certified embeddings ----------------------------------------------
 
@@ -473,27 +518,41 @@ class NumberField:
     def _embed_quadratic(self, x: "FieldElement", prec: int):
         """sigma(x) for x = a + b sqrt(disc) in the convention of surd. At
         the complex place it is a + i b sqrt|disc|: neither part is a sum.
-        At real places, the place where a and b sqrt(disc) share a sign has
-        no cancellation; the other place is the exact norm a^2 - b^2 disc
-        divided by it. Each step costs at most a few of the 32 guard bits,
-        so the values, rounded to prec + 16 bits, stay within a few units in
-        their last place."""
+        At real places it is _real_surd_embedding of its surd numerators."""
+        if not self.r2:
+            m, ((a, b),) = self.surd_numerators([x])
+            return tuple(mp.make_mpf(v) for v in self._real_surd_embedding(a, b, m, prec))
         a, b = self.surd(x)
         work = prec + 32
         root = self._sqrt_abs_disc(work)
         with mp.workprec(work):
-            if self.r2:
-                vals = (mpc(fraction_to_mpf(a, work), fraction_to_mpf(b, work) * root),)
-            elif a == 0 and b == 0:
-                vals = (mpf(0), mpf(0))
-            else:
-                big_place = 0 if a * b >= 0 else 1
-                sb = b if big_place == 0 else -b
-                big = fraction_to_mpf(a, work) + fraction_to_mpf(sb, work) * root
-                small = fraction_to_mpf(a * a - b * b * self.disc, work) / big
-                vals = (big, small) if big_place == 0 else (small, big)
+            val = mpc(fraction_to_mpf(a, work), fraction_to_mpf(b, work) * root)
         with mp.workprec(prec + 16):
-            return tuple(+v for v in vals)
+            return (+val,)
+
+    def _real_surd_embedding(self, a: int, b: int, m: int, prec: int):
+        """Raw mpfs (sigma_0(x), sigma_1(x)) of x = (a + b sqrt(disc)) / m,
+        m > 0, in a real quadratic field, through libmp. The place where a
+        and b sqrt(disc) share a sign has no cancellation; the other place
+        is the exact norm (a^2 - b^2 disc) / m^2 divided by it. Each step
+        rounds to nearest at prec + 32 bits and costs at most a few of those
+        guard bits, so the values, rounded to prec + 16 bits, stay within a
+        few units in their last place. Every rational enters as
+        fraction_to_mpf would round it (_ratio_mpf), so the bits do not
+        depend on the terms of a, b and m."""
+        if not a and not b:
+            return fzero, fzero
+        work = prec + 32
+        root = self._sqrt_abs_disc(work)._mpf_
+        big_place = 0 if a * b >= 0 else 1
+        sb = b if big_place == 0 else -b
+        big = mpf_add(_ratio_mpf(a, m, work),
+                      mpf_mul(_ratio_mpf(sb, m, work), root, work, round_nearest),
+                      work, round_nearest)
+        small = mpf_div(_ratio_mpf(a * a - b * b * self.disc, m * m, work), big,
+                        work, round_nearest)
+        big, small = (mpf_pos(v, prec + 16, round_nearest) for v in (big, small))
+        return (big, small) if big_place == 0 else (small, big)
 
     def _sqrt_abs_disc(self, prec: int):
         """sqrt|disc| rounded to prec bits, a per-precision field constant."""
@@ -729,11 +788,31 @@ class FieldElement:
         return acc
 
     def inverse(self) -> "FieldElement":
+        """The y with x y = 1: M(x) y = e_1 for the multiplication matrix
+        M(x), solved by fraction-free elimination (Bareiss) on M(x) cleared
+        to integers, den M(x) y = den e_1. Every division in the elimination
+        and in the back-substitution of det y, an integer vector (Cramer),
+        is exact; y = (det y) / det is the unique solution."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        n = self.field.n
         m = self.field.mult_matrix(self.coords)
-        e1 = [Fraction(int(i == 0)) for i in range(self.field.n)]
-        return FieldElement(self.field, tuple(mat_vec(mat_inv(m), e1)))
+        den = math.lcm(*(x.denominator for row in m for x in row))
+        a = [[x.numerator * (den // x.denominator) for x in row] + [den * (i == 0)]
+             for i, row in enumerate(m)]
+        prev = 1
+        for k in range(n):
+            piv = next(r for r in range(k, n) if a[r][k])
+            a[k], a[piv] = a[piv], a[k]
+            for i in range(k + 1, n):
+                a[i] = [0] * (k + 1) + [(a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                                        for j in range(k + 1, n + 1)]
+            prev = a[k][k]
+        det = prev  # +-det(den M(x)): the last Bareiss pivot
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            y[i] = (det * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
+        return FieldElement(self.field, tuple(Fraction(v, det) for v in y))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

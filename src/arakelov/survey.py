@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_abs, mpf_div, mpf_log, mpf_sub, round_nearest
 
 from .divisors import (
     CSquared,
@@ -44,7 +45,7 @@ from .ideals import (
     unit_ideal,
 )
 from .lattice import hermite_power
-from .numfield import FieldElement, LogVector, NumberField, fraction_to_mpf
+from .numfield import FieldElement, LogVector, NumberField, _ratio_mpf, fraction_to_mpf
 from .units import LogLattice, _positive_associate, _sign_vector
 
 
@@ -67,7 +68,9 @@ CANDIDATE_CAP = 10 ** 6
 @dataclass(frozen=True, slots=True)
 class CensusEntry:
     """One strongly C-reduced divisor d(I), with tags filled by the
-    classification pass."""
+    classification pass. In real quadratic fields that pass also stores
+    the generator's sign vector (bit p set when sigma_p(gen) < 0) and the
+    entry's log position p(e) (see _surd_place), each computed once."""
 
     ideal: FractionalIdeal
     inv_norm: int
@@ -76,6 +79,8 @@ class CensusEntry:
     class_tag: str | None = None
     narrow_tag: str | None = None
     generator: FieldElement | None = None
+    signs: int | None = None
+    log_position: LogVector | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,8 +177,9 @@ def classify_components(census: SredCensus, units: UnitLattice | None = None) ->
     Real quadratic entries are sorted through the field's class registry
     (divisors._class_of): the reduced root (p, q) of each entry's box
     minimum is looked up, a class is walked once when its first entry
-    arrives, and the generator is a surd quotient whose signs are read
-    exactly, so no entry builds an ideal or inverts an element.
+    arrives, and the generator is a surd quotient carried as integer
+    numerators, from which its signs and the entry's log position are read
+    once (_surd_place), so no entry builds an ideal or inverts an element.
     """
     f = census.field
     if f.n != 2 or all(e.class_tag is not None for e in census.entries):
@@ -185,11 +191,13 @@ def classify_components(census: SredCensus, units: UnitLattice | None = None) ->
     unit_signs = [_sign_vector(f, eps) for eps in units.generators]
     out = []
     for e in census.entries:
-        tag, (a, b) = _class_of(f, e.ideal, register=True)  # e.ideal = gen * rep
-        signs = (sign_surd(a, b, f.disc) < 0) | (sign_surd(a, -b, f.disc) < 0) << 1
+        tag, gen = _class_of(f, e.ideal, register=True)  # e.ideal = gen * rep
+        signs, position = _surd_place(f, gen, e.ideal.norm())
         tp = _positive_associate(f, signs, unit_signs) is not None
         narrow = f"{tag}|tp" if tp else f"{tag}|ntp"
-        out.append(replace(e, class_tag=tag, narrow_tag=narrow, generator=f.from_surd(a, b)))
+        out.append(replace(e, class_tag=tag, narrow_tag=narrow,
+                           generator=f.from_surd_numerators(*gen), signs=signs,
+                           log_position=position))
     return replace(census, entries=tuple(out))
 
 
@@ -261,21 +269,27 @@ def separation_delta(c2: Fraction, prec: int = 64, coarse: bool = False):
         return mp.log(1 + top / (2 * fraction_to_mpf(c2, prec)))
 
 
-def _log_position(f: NumberField, e: CensusEntry) -> LogVector:
-    """p(e) = log|sigma(gen)| - (1/n) log N(I) of a classified entry, so
-    that d(I1) - d(I2) + (gen1/gen2) = (O_F, exp(p(e1) - p(e2))); computed
-    once per (ideal, generator) and field. The logs, the norm shift and the
-    differences share one working precision, the field's, and round as
-    f.embed(gen).abs().log() does: abs, then log, each at that precision."""
-    cache = f._cache.setdefault("log_positions", {})
-    key = (e.ideal.key(), e.generator.coords)
-    if key not in cache:
-        prec = f.prec
-        emb = f.embed(e.generator, prec).values
-        with mp.workprec(prec):
-            shift = mp.log(fraction_to_mpf(e.ideal.norm(), prec)) / f.n
-            cache[key] = LogVector(tuple(mp.log(abs(x)) - shift for x in emb), f.degs, prec)
-    return cache[key]
+def _surd_place(f: NumberField, gen: tuple[int, int, int], norm: Fraction):
+    """(signs, p) of a real quadratic entry whose generator is
+    (A + B sqrt(disc))/m, gen = (A, B, m) with m > 0, and whose ideal has
+    norm N(I): the exact sign vector (bit p set when sigma_p(gen) < 0) and
+    the log position p = log|sigma(gen)| - (1/n) log N(I), for which
+    d(I1) - d(I2) + (gen1/gen2) = (O_F, exp(p(e1) - p(e2))).
+
+    The position rounds as f.embed(gen).abs().log() less the shift
+    log(N(I))/n at the field's precision does, through libmp with no
+    context switch: the embedding of NumberField._real_surd_embedding at
+    prec + 32 and prec + 16 bits, then abs, log and the difference, each
+    at prec; the shift's norm enters as fraction_to_mpf rounds it."""
+    a, b, m = gen
+    prec, disc = f.prec, f.disc
+    signs = (sign_surd(a, b, disc) < 0) | (sign_surd(a, -b, disc) < 0) << 1
+    rnd = round_nearest
+    log_norm = mpf_log(_ratio_mpf(norm.numerator, norm.denominator, prec), prec, rnd)
+    shift = mpf_div(log_norm, from_int(f.n), prec, rnd)
+    vals = tuple(mp.make_mpf(mpf_sub(mpf_log(mpf_abs(v, prec, rnd), prec, rnd), shift, prec, rnd))
+                 for v in f._real_surd_embedding(a, b, m, prec))
+    return signs, LogVector(vals, f.degs, prec)
 
 
 def _pairs_by_bound(lattice: LogLattice, members: list, points: list[LogVector]):
@@ -290,7 +304,8 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     """Pairwise oriented distances of same-narrow-component entries against
     the separation constant; failures are reported, not silenced.
 
-    Each entry is embedded and sign-tested once. A pair's target is the
+    Each entry's log position and sign vector are those the
+    classification computed once (_surd_place). A pair's target is the
     difference of the two log positions plus the log vector of the unit
     product that the XOR of their sign vectors asks for; pairs whose XOR no
     unit product reaches lie in different narrow components and are not
@@ -316,8 +331,7 @@ def verify_separation(census: SredCensus, c, units: UnitLattice) -> dict:
     groups: dict[str, list] = {}
     for e in tagged.entries:
         if e.narrow_tag is not None:
-            groups.setdefault(e.narrow_tag, []).append(
-                (e, _log_position(f, e), _sign_vector(f, e.generator)))
+            groups.setdefault(e.narrow_tag, []).append((e, e.log_position, e.signs))
     unit_logs = units.log_embeddings()
     unit_signs = [_sign_vector(f, eps) for eps in units.generators]
     tp_lattice = LogLattice(units.log_embeddings(tp_only=True))
@@ -399,7 +413,7 @@ def verify_counts(census: SredCensus, units: UnitLattice) -> dict:
     ents = tagged.entries
     m = len(ents)
     lattice = LogLattice(units.log_embeddings())
-    pos = [_log_position(f, e) for e in ents]
+    pos = [e.log_position for e in ents]
     classes: dict[str | None, list[int]] = {}
     for a, e in enumerate(ents):
         classes.setdefault(e.class_tag, []).append(a)

@@ -70,13 +70,21 @@ def _quadratic_root(f: NumberField, x: FieldElement) -> tuple[int, int]:
     root's conjugate in (-1, 0), sqrt(f.disc) positive at place 0: the root
     is +-x plus an integer. p and q are integers, with q | f.disc - p^2,
     whenever Z + Z x is a module over the order."""
-    a, b = f.surd(x)
+    m, ((a, b),) = f.surd_numerators([x])
+    return _surd_root(a, b, m, f.disc)
+
+
+def _surd_root(a: int, b: int, m: int, disc: int) -> tuple[int, int]:
+    """_quadratic_root of x = (a + b sqrt(disc)) / m, m > 0: +-x is
+    (p' + sqrt(disc)) / q with p' = a / b and q = m / b for the sign that
+    makes b positive, and p' moves by a multiple of q into
+    (sqrt(disc) - q, sqrt(disc))."""
     if b < 0:
         a, b = -a, -b
-    p, q = a / b, 1 / b
-    assert p.denominator == q.denominator == 1, "Z + Z x is not a module over the order"
-    p, q = int(p), int(q)
-    return p + (isqrt(f.disc) - p) // q * q, q
+    p, rp = divmod(a, b)
+    q, rq = divmod(m, b)
+    assert rp == rq == 0, "Z + Z x is not a module over the order"
+    return p + (isqrt(disc) - p) // q * q, q
 
 
 def quadratic_units(f: NumberField) -> UnitLattice:

@@ -598,3 +598,26 @@ def test_main_leaves_no_cyclic_garbage(capsys):
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("c2,searches", [(Fraction(1), 0), (Fraction(2), 4)])
+def test_verify_trials_search_only_against_a_bound(c2, searches, monkeypatch):
+    """A reduction trial runs its closest-vector search only when the trace
+    has a distance bound to test it against: none at C = 1."""
+    from arakelov import cli
+    from arakelov.divisors import quadratic_units
+    from arakelov.numfield import create_field
+    from arakelov.units import LogLattice
+
+    calls = []
+    closest_norm = LogLattice.closest_norm
+
+    def count(self, target):
+        calls.append(target)
+        return closest_norm(self, target)
+
+    monkeypatch.setattr(LogLattice, "closest_norm", count)
+    f = create_field([-73, 0, 1])
+    report = cli._verify_reduction_trials(f, quadratic_units(f), c2, 4, 0)
+    assert report["trials"] == 4 and report["ok"]
+    assert len(calls) == searches

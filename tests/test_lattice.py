@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 import arakelov.lattice as lattice_module
 import arakelov.units as units_module
 from arakelov.divisors import divisor_d
-from arakelov.exact import mat_det, mat_inv
+from arakelov.exact import mat_det, mat_inv, sign_surd_sq
 from arakelov.ideals import (
     PlainLattice,
     _sublattices_of_index,
@@ -1142,6 +1142,64 @@ def test_interval_gram_matches_rational_oracle(min_poly):
                 gram = _gram(f, basis, w, prec)
                 assert gram.err > 0
                 assert (gram.entries, gram.err) == interval_gram(rows, places, w)
+
+
+@pytest.mark.parametrize("min_poly,basis", [([-73, 0, 1], None), ([-7, 0, 1], None),
+                                            ([-5, 0, 1], [[1, 0], [0, 1]]),
+                                            ([-7, 0, 1], [[1, 0], [0, -1]])])
+def test_real_quadratic_gram_matches_surd_products(min_poly, basis):
+    """The per-place real quadratic Gram, built from the basis's integer
+    surd numerators, has the entries and err of the surd products
+    (w0 + w1) a + (w0 - w1) b r with error |(w0 - w1) b| 2^-prec, where
+    (a, b) is the surd pair of b_i b_j and r = isqrt(disc 4^prec) / 2^prec:
+    O, an inverse ideal and a scaled ideal, seeded weights, 8 to 256 bits."""
+    f = create_field(min_poly, basis)
+    rng = random.Random(29)
+    ideal = invert(enumerate_integral_ideals(f, 12)[-1])
+    bases = [tuple(unit_ideal(f).basis_elements()), tuple(ideal.basis_elements()),
+             tuple(b * f.element([Fraction(3, 7), Fraction(-5, 11)])
+                   for b in ideal.basis_elements())]
+    for prec in (8, 64, 128, 256):
+        r = Fraction(math.isqrt(f.disc << (2 * prec)), 1 << prec)
+        for basis_elements in bases:
+            w = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(2)]
+            gram = _gram(f, basis_elements, w, prec)
+            err = Fraction(0)
+            for i, bi in enumerate(basis_elements):
+                for j, bj in enumerate(basis_elements):
+                    a, b = f.surd(bi * bj)
+                    assert gram.entries[i][j] == (w[0] + w[1]) * a + (w[0] - w[1]) * b * r
+                    err = max(err, abs((w[0] - w[1]) * b) / (1 << prec))
+            assert gram.err == err
+
+
+@pytest.mark.parametrize("min_poly", [[-73, 0, 1], [-10007, 0, 1], [1, 0, 1], [5, 0, 1]])
+def test_sign_surd_sq_matches_cmp_abs_sq(min_poly):
+    """The integer box test on surd numerators gives the sign of cmp_abs_sq
+    at every place, ties included: seeded elements, weights and bounds,
+    with the bound set to the exact weighted |sigma(x)|^2 of rational x,
+    and of other x at a complex place, to make ties."""
+    f = create_field(min_poly)
+    rng = random.Random(len(str(min_poly)))
+    signs = set()
+    for k in range(400):
+        coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(2)]
+        if k % 4 == 0:
+            coords[1] = Fraction(0)
+        x = f.element(coords)
+        m, ((a, b),) = f.surd_numerators([x])
+        w = Fraction(rng.randint(1, 500), rng.randint(1, 500))
+        for place in range(f.num_places):
+            t = Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 50))
+            if k % 4 == 0:
+                t = w * coords[0] ** 2
+            elif k % 4 == 1 and f.r2:
+                t = w * x.norm()
+            got = sign_surd_sq(a, b, f.disc, w.numerator * t.denominator,
+                               t.numerator * w.denominator * m * m, place)
+            assert got == f.cmp_abs_sq(x, place, t, w), (coords, w, t, place)
+            signs.add(got)
+    assert signs == {-1, 0, 1}
 
 
 def test_enumerators_leave_no_reference_cycles():

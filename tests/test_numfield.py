@@ -10,13 +10,16 @@ from arakelov.exact import cf_floor
 from arakelov.ideals import ideal_from_generators, unit_ideal
 from arakelov.lattice import enumerate_box, is_minimal
 from arakelov.numfield import (
+    MAX_PREC,
     ArchVector,
     FieldConstructionError,
     NumberField,
     PrecisionExhausted,
     _escalate,
+    _ratio_mpf,
     create_field,
     embed,
+    fraction_to_mpf,
     mpf_mantissas,
     mpf_to_fraction,
     norm_trace,
@@ -514,3 +517,86 @@ def test_mpf_mantissas_share_the_least_power_of_two():
         for bad in (mp.inf, -mp.inf, mp.nan):
             with pytest.raises(ValueError):
                 mpf_mantissas([mpf(1), bad])
+
+
+def test_fraction_to_mpf_is_the_rounded_quotient():
+    """fraction_to_mpf(q, prec) has the bits of mpf(q.numerator) /
+    q.denominator at prec: seeded rationals of either sign, numerators from
+    one bit to far longer than the precision, at 53 to 300 bits and at
+    MAX_PREC."""
+    rng = random.Random(29)
+    precs = [53, 64, 96, 128, 160, 200, 300, MAX_PREC]
+    for _ in range(3000):
+        num = rng.getrandbits(rng.choice([1, 8, 60, 200, 400, 5000])) * rng.choice([-1, 1])
+        den = rng.getrandbits(rng.choice([1, 8, 60, 200, 400])) + 1
+        q = Fraction(num, den)
+        prec = rng.choice(precs)
+        with mp.workprec(prec):
+            want = mpf(q.numerator) / q.denominator
+        assert fraction_to_mpf(q, prec)._mpf_ == want._mpf_, (q, prec)
+        k = rng.getrandbits(rng.choice([2, 70])) + 2  # the same value in other terms
+        assert _ratio_mpf(k * q.numerator, k * q.denominator, prec) == want._mpf_, (q, k, prec)
+
+
+@pytest.mark.parametrize("min_poly,basis", [
+    ([-73, 0, 1], None), ([1, 0, 1], None), ([-2, 0, 0, 1], None),
+    ([-3, -1, 0, 1], None), ([-1, -1, 0, 0, 1], None),
+    ([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]]),
+])
+def test_inverse_times_element_is_one(min_poly, basis):
+    """x x^-1 = 1 for seeded elements with coordinates of mixed sizes and
+    zeros, in orders of degree 2 to 4 (Z + 2 Z[cbrt 2] included)."""
+    f = create_field(min_poly, basis)
+    rng = random.Random(29 + len(min_poly))
+    for _ in range(150):
+        coords = [Fraction(rng.randint(-10 ** rng.randint(0, 15), 10 ** rng.randint(0, 15)),
+                           rng.randint(1, 10 ** rng.randint(0, 8))) for _ in range(f.n)]
+        if rng.random() < 0.3:
+            coords[rng.randrange(f.n)] = Fraction(0)
+        x = f.element(coords)
+        if x.is_zero():
+            continue
+        assert x * x.inverse() == f.one(), coords
+
+
+def _context_embedding(f, x, prec):
+    """sigma(x) of a real quadratic x by mpmath context arithmetic: at
+    prec + 32 bits, a + sb sqrt(disc) at the place without cancellation and
+    the norm over it at the other, then both rounded to prec + 16 bits."""
+    a, b = f.surd(x)
+    with mp.workprec(prec + 32):
+        if a == 0 and b == 0:
+            vals = (mpf(0), mpf(0))
+        else:
+            big_place = 0 if a * b >= 0 else 1
+            sb = b if big_place == 0 else -b
+            nrm = a * a - b * b * f.disc
+            big = (mpf(a.numerator) / a.denominator
+                   + mpf(sb.numerator) / sb.denominator * mp.sqrt(f.disc))
+            small = mpf(nrm.numerator) / nrm.denominator / big
+            vals = (big, small) if big_place == 0 else (small, big)
+    with mp.workprec(prec + 16):
+        return tuple((+v)._mpf_ for v in vals)
+
+
+@pytest.mark.parametrize("min_poly", [[-73, 0, 1], [-10007, 0, 1], [-7, 0, 1]])
+def test_real_surd_embedding_matches_context_arithmetic(min_poly):
+    """The libmp embedding has the bits of mpmath context arithmetic, for
+    any terms of (a + b sqrt(disc)) / m: seeded pairs with numerators from
+    a few bits to far past the working precision, zero included, at 64 and
+    200 bits, the pair as given, times a common factor and through embed."""
+    f = create_field(min_poly)
+    rng = random.Random(len(str(min_poly)))
+    for k in range(300):
+        a, b = (rng.getrandbits(rng.choice([4, 60, 300])) * rng.choice([-1, 1])
+                for _ in range(2))
+        if k % 50 == 0:
+            a, b = (0, 0) if k % 100 == 0 else (a, 0)
+        m = rng.getrandbits(rng.choice([2, 40, 200])) + 1
+        c = rng.getrandbits(rng.choice([3, 90])) + 2
+        x = f.from_surd_numerators(a, b, m)
+        for prec in (64, 200):
+            want = _context_embedding(f, x, prec)
+            assert f._real_surd_embedding(a, b, m, prec) == want
+            assert f._real_surd_embedding(c * a, c * b, c * m, prec) == want
+            assert tuple(v._mpf_ for v in f.embed(x, prec).values) == want

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import json
 import math
 import os
 import random
@@ -24,7 +28,6 @@ from arakelov.numfield import create_field
 from arakelov.survey import (
     CensusEntry,
     DeskScaleExceeded,
-    _log_position,
     classify_components,
     cycle_length,
     cycle_positions,
@@ -298,7 +301,7 @@ def _floats(v):
 
 def _oracle_pair_stage(f, census, units, delta):
     entries = [(e.narrow_tag, e.class_tag, _sign_vector(f, e.generator),
-                _floats(_log_position(f, e))) for e in census.entries]
+                _floats(e.log_position)) for e in census.entries]
     return brute_pair_stage(entries, [_floats(v) for v in units.log_embeddings()],
                             [_sign_vector(f, u) for u in units.generators],
                             [_floats(v) for v in units.log_embeddings(tp_only=True)],
@@ -448,3 +451,73 @@ def test_hermite_cut_uses_the_inverses_norm(monkeypatch):
                         _counting(searched, survey.is_strongly_c_reduced))
     census = enumerate_sred(create_field([-2, 0, 0, 1], _CUBE_ROOT_2_SUBORDER), "sqrt2")
     assert (len(census), len(searched)) == (31, 70)
+
+
+BENCH_FIELDS = Path(__file__).resolve().parent.parent / "perfbench" / "fields"
+# (field spec, C, precision) -> (entries, digest) of the classified census
+# of each benchmark verify case: every entry's class and narrow tag,
+# generator coordinates, sign vector and log position (mpf tuples), in
+# census order
+ENTRY_DIGESTS = {
+    ("q73", "sqrt2", 64): (11, "71df85c806e161ef"),
+    ("q73", "sqrt2", 128): (11, "65893b71654a9d68"),
+    ("q73", "sqrt2", 200): (11, "4845a4ca9e18b32c"),
+    ("q1009", "sqrt2", 64): (51, "c12df1593e553a46"),
+    ("q1009", "sqrt2", 128): (51, "e040a9cb44c4a0ad"),
+    ("q1009", "sqrt2", 200): (51, "bfbb41ecc3e0a73a"),
+    ("q1009", "2", 64): (91, "01887a7c7e5c22ae"),
+    ("q1009", "2", 128): (91, "e07759c7a2d8be91"),
+    ("q1009", "2", 200): (91, "7f6569c1a8871791"),
+    ("q10007", "1", 64): (46, "8925a2c85ec33669"),
+    ("q10007", "1", 128): (46, "2a4963d1fee7f636"),
+    ("q10007", "1", 200): (46, "c73cd654cd491b90"),
+}
+BENCH_POLYS = {"q73": [-73, 0, 1], "q1009": [-1009, 0, 1], "q10007": [-10007, 0, 1]}
+
+
+@pytest.mark.parametrize("name,c,prec", sorted(ENTRY_DIGESTS))
+def test_classified_entries_pinned_on_benchmark_cases(name, c, prec):
+    """Classification fills each real quadratic entry's tags, generator,
+    sign vector and log position bit for bit as pinned; the stored signs
+    are those of _sign_vector on the generator."""
+    f = create_field(BENCH_POLYS[name], prec=prec)
+    census = classify_components(enumerate_sred(f, c), quadratic_units(f))
+    rows = []
+    for e in census.entries:
+        assert e.signs == _sign_vector(f, e.generator)
+        rows.append((e.class_tag, e.narrow_tag,
+                     tuple((x.numerator, x.denominator) for x in e.generator.coords),
+                     e.signs, tuple(v._mpf_ for v in e.log_position.values)))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert (len(rows), digest) == ENTRY_DIGESTS[(name, c, prec)]
+
+
+@pytest.mark.parametrize("spec,c", [("q1009.json", "2"), ("q10007.json", "1")])
+def test_verify_places_each_entry_once(spec, c, monkeypatch):
+    """One verify run computes each census entry's sign vector and log
+    position once, in the classification (survey._surd_place), and signs
+    no generator again: _sign_vector sees only the units."""
+    from arakelov.cli import main
+
+    placed, signed = [], []
+    place, sign_vector = survey._surd_place, survey._sign_vector
+
+    def count_place(f, gen, norm):
+        placed.append(gen)
+        return place(f, gen, norm)
+
+    def count_signs(f, x):
+        signed.append(x)
+        return sign_vector(f, x)
+
+    monkeypatch.setattr(survey, "_surd_place", count_place)
+    monkeypatch.setattr(survey, "_sign_vector", count_signs)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--field", str(BENCH_FIELDS / spec), "--C", c,
+                     "--trials", "0"]) == 0
+    count = json.loads(out.getvalue())["census_count"]
+    assert count > 0 and len(placed) == count
+    f = create_field(BENCH_POLYS[spec.removesuffix(".json")])
+    units = quadratic_units(f).generators
+    assert signed and all(x.coords in {u.coords for u in units} for x in signed)
