@@ -59,9 +59,8 @@ from .units import (
     LogLattice,
     UnitLattice,
     UnitsUnavailable,
-    _quadratic_root,
+    _hnf_root,
     _slack_bits,
-    _surd_root,
     quadratic_units,
     totally_positive_adjust,
     unit_lattice_from_elements,
@@ -378,7 +377,7 @@ def _reduced_root(f: NumberField, j: FractionalIdeal) -> tuple[int, int] | None:
     places."""
     if j.hnf[0][0] != j.den:
         return None
-    p, q = _quadratic_root(f, j.basis_elements()[1])
+    p, q = _hnf_root(f, j.hnf)
     return (p, q) if cf_is_reduced(p, q, isqrt(f.disc)) else None
 
 
@@ -392,9 +391,8 @@ def _cycle_walk(f: NumberField, p0: int, q0: int):
     """(p_k, q_k, (U_k, V_k)) for the reduced roots x_k = (p_k + sqrt(disc))/q_k
     of the cycle through the reduced root (p0, q0), in forward order from
     it, with J_k = gamma_k^{-1} J_0 for the ideals J_k = Z + Z x_k and
-    gamma_k = x_0 ... x_{k-1} = u_k + v_k x_0 = (U_k + V_k sqrt(disc))/q0,
-    U_k = u_k q0 + v_k p0 and V_k = v_k: integer surd numerators over q0."""
-    return [(p, q, (u * q0 + v * p0, v)) for p, q, u, v in cf_cycle(p0, q0, f.disc)[:-1]]
+    gamma_k = x_0 ... x_{k-1} = (U_k + V_k sqrt(disc))/q0 (cf_cycle)."""
+    return [(p, q, (u, v)) for p, q, u, v in cf_cycle(p0, q0, f.disc)[:-1]]
 
 
 def reduced_cycle(f: NumberField, start: FractionalIdeal):
@@ -511,7 +509,7 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[int, 
     (A + B sqrt(disc)) / (2 den(Q)), and a step's product is divided
     exactly."""
     disc, s = f.disc, isqrt(f.disc)
-    t, sgn = f._surd_data()  # w = (t + sgn sqrt(disc))/2, t = tn/td (NumberField.surd)
+    t, sgn = f._surd_data()  # w = (t + sgn sqrt(disc))/2, t = tn/td (surd_numerators)
     tn, td = t.numerator, t.denominator
     m = 2 * q.den
     side = _box_side(f)
@@ -539,10 +537,8 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[int, 
             raise RuntimeError("a continued-fraction step left the ideal")
         return p1, d1, a1, b1
 
-    # Q = r (Z + Z x): r = h00/den, x = (h01 + h11 w)/h00 for the basis {1, w}
-    (h00, h01), (_, h11) = q.hnf
-    state = (*_surd_root(2 * td * h01 + tn * h11, sgn * td * h11, 2 * td * h00, disc),
-             2 * h00, 0)
+    # Q = r (Z + Z x): r = h00/den = 2 h00 / m, x = (h01 + h11 w)/h00
+    state = (*_hnf_root(f, q.hnf), 2 * q.hnf[0][0], 0)
     for _ in cf_steps("continued fraction failed to reach a reduced root"):
         if cf_is_reduced(state[0], state[1], s):
             break

@@ -144,8 +144,8 @@ def hnf_membership(h: list[list[int]], den: int, target: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # Quadratic surds a + b*sqrt(D)
 
-def sign_surd(a: Fraction, b: Fraction, disc: int) -> int:
-    """Certified sign of a + b*sqrt(disc) for disc > 0."""
+def sign_surd(a: int, b: int, disc: int) -> int:
+    """Exact sign of a + b*sqrt(disc) for integers a, b and disc > 0."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:
@@ -225,15 +225,17 @@ def cf_backward(p: int, q: int, disc: int, s: int) -> tuple[int, int]:
 
 def cf_cycle(p: int, q: int, disc: int) -> list[tuple[int, int, int, int]]:
     """The reduced roots x_0, ..., x_l = x_0 that forward steps visit from
-    the reduced x_0 = (p + sqrt(disc))/q, as (p_k, q_k, u_k, v_k) with
-    x_0 x_1 ... x_{k-1} = u_k + v_k x_0; the last product is a unit.
+    the reduced x_0 = (p + sqrt(disc))/q, as (p_k, q_k, U_k, V_k) with
+    x_0 x_1 ... x_{k-1} = (U_k + V_k sqrt(disc))/q, integer surd numerators
+    over q; the last product is a unit.
 
     x_k = floor(x_k) + 1/x_{k-1}, so the products gamma_k obey the
-    convergent recurrence gamma_{k+1} = floor(x_k) gamma_k + gamma_{k-1}
-    and stay integers on {1, x_0}."""
+    convergent recurrence gamma_{k+1} = floor(x_k) gamma_k + gamma_{k-1},
+    which is linear: from gamma_0 = 1 = (q + 0 sqrt(disc))/q and
+    gamma_1 = x_0 = (p + sqrt(disc))/q their numerators stay integers."""
     s = math.isqrt(disc)
     p0, q0 = p, q
-    u0, v0, u1, v1 = 1, 0, 0, 1  # gamma_0 = 1, gamma_1 = x_0
+    u0, v0, u1, v1 = q0, 0, p0, 1  # gamma_0 = 1, gamma_1 = x_0
     out = [(p, q, u0, v0)]
     for _ in cf_steps("continued fraction failed to close"):
         p, q = cf_forward(p, q, disc, s)

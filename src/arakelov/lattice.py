@@ -172,29 +172,25 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
         def entry(i, j):
             return scale * sum(a * b for a, b in zip(row_t[i], rows[j])), Fraction(0)
 
-    elif f.n == 2 and f.r2 == 1:
-        # single complex place: 2|u|^2 (a_i a_j - b_i b_j disc), exact
-        pairs = [f.surd(x) for x in basis]
-
-        def entry(i, j):
-            (ai, bi), (aj, bj) = pairs[i], pairs[j]
-            return 2 * w[0] * (ai * aj - bi * bj * f.disc), Fraction(0)
-
     elif f.n == 2:
-        # real quadratic, per-place weights: entries live in Q(sqrt disc).
-        # With the basis as surd numerators (A_i + B_i sqrt(disc)) / m,
-        # b_i b_j = (P + Q sqrt(disc)) / m^2 for the integers
-        # P = A_i A_j + B_i B_j disc and Q = A_i B_j + A_j B_i, and entry
-        # (i, j) is (w_0 + w_1) P / m^2 + (w_0 - w_1) Q r / m^2 with
-        # r = s / 2^prec, sqrt(disc) to within 2^-prec: one Fraction of
-        # integers over (m^2 2^prec) times the weights' denominators
-        s, disc = math.isqrt(f.disc << (2 * prec)), f.disc
+        # quadratic, per-place weights. With the basis as surd numerators
+        # (A_i + B_i sqrt(disc)) / m, sigma(b_i) conj(sigma(b_j)) is
+        # (P +- Q sqrt(disc)) / m^2 at the real places and P / m^2 at the
+        # complex one, for the integers P = A_i A_j + B_i B_j |disc| and
+        # Q = A_i B_j + A_j B_i. Entry (i, j) is W P / m^2 for the weight
+        # sum W = sum_sigma deg_sigma w_sigma, plus (w_0 - w_1) Q r / m^2 at
+        # real places with r = s / 2^prec, sqrt(disc) to within 2^-prec:
+        # one Fraction of integers over (m^2 2^e) times the weights'
+        # denominators, e = prec at real places and 0 at the complex one
+        e, wm = (prec, w[0] - w[1]) if f.r1 else (0, Fraction(0))
+        disc = abs(f.disc)
+        s = math.isqrt(disc << (2 * e))
         m, nums = f.surd_numerators(basis)
-        wp, wm = w[0] + w[1], w[0] - w[1]
-        cp = wp.numerator * wm.denominator << prec
+        wp = sum(d * x for d, x in zip(f.degs, w))
+        cp = wp.numerator * wm.denominator << e
         cq = wm.numerator * wp.denominator * s
-        den = wp.denominator * wm.denominator * m * m << prec
-        err_den = wm.denominator * m * m << prec
+        den = wp.denominator * wm.denominator * m * m << e
+        err_den = wm.denominator * m * m << e
 
         def entry(i, j):
             (ai, bi), (aj, bj) = nums[i], nums[j]

@@ -3,12 +3,14 @@ archimedean algebra with its degree-weighted metric.
 
 Exact data (rational coordinates, structure constants, discriminant) is kept
 in Fractions. sigma(x) has one evaluation per field kind, each with a proven
-error bound: quadratic fields use the pair (a, b) of x = a + b sqrt(disc)
-that NumberField.surd gives, every other field the centre of the certified
-rectangle of embed_interval (interval Horner on integer numerators over
-certified root boxes). Comparisons that land too close to a decision
-boundary escalate the precision under the one policy of _escalate; quadratic
-signs and comparisons are exact on the surd pair and never escalate.
+error bound: a quadratic element has one exact form, the integer surd
+numerators (A, B) over one m > 0 of x = (A + B sqrt(disc)) / m that
+NumberField.surd_numerators gives (from_surd_numerators inverts it); every
+other field uses the centre of the certified rectangle of embed_interval
+(interval Horner on integer numerators over certified root boxes).
+Comparisons that land too close to a decision boundary escalate the
+precision under the one policy of _escalate; quadratic signs and
+comparisons are exact on the surd numerators and never escalate.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .exact import (
     mat_inv,
     mat_vec,
     sign_surd,
+    sign_surd_sq,
     sturm_real_root_count,
 )
 
@@ -390,27 +393,11 @@ class NumberField:
 
     # -- exact quadratic arithmetic ----------------------------------------
 
-    def surd(self, x: "FieldElement") -> tuple[Fraction, Fraction]:
-        """(a, b) with x = a + b sqrt(disc) in a quadratic field, disc the
-        order's discriminant: sqrt(disc) is positive at place 0 (i sqrt|disc|
-        at the complex place), and place 1 takes x to a - b sqrt(disc).
-
-        Place 0 takes theta to its larger root (its root of positive
-        imaginary part at a complex place), so for the basis {1, w} with
-        w = b0 + b1 theta, sqrt(disc) = sgn(b1) (2 w - t), t = Tr(w) =
-        2 b0 - b1 c1: w - w' = b1 (theta - theta') and disc = (w - w')^2."""
+    def _surd_data(self) -> tuple[Fraction, int]:
+        """(t, sgn(b1)) for surd_numerators: t = Tr(w) = 2 b0 - b1 c1, a
+        field constant of a quadratic field (ValueError in any other)."""
         if self.n != 2:
             raise ValueError("surd pairs exist only for quadratic fields")
-        t, sgn = self._surd_data()
-        x0, x1 = x.coords
-        n0, d0, n1, d1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
-        # a = x0 + x1 t / 2 and b = sgn x1 / 2, each one Fraction of integers
-        return (Fraction(2 * t.denominator * n0 * d1 + t.numerator * n1 * d0,
-                         2 * t.denominator * d0 * d1),
-                Fraction(sgn * n1, 2 * d1))
-
-    def _surd_data(self) -> tuple[Fraction, int]:
-        """(t, sgn(b1)) for surd: t = Tr(w) = 2 b0 - b1 c1, a field constant."""
         key = "surd"
         if key not in self._cache:
             (b0, b1), c1 = self.basis[1], self.min_poly[1]
@@ -419,8 +406,15 @@ class NumberField:
 
     def surd_numerators(self, xs) -> tuple[int, list[tuple[int, int]]]:
         """(m, [(A, B), ...]) with x = (A + B sqrt(disc)) / m for each x of
-        xs, in the convention of surd, over one m > 0: the coordinates
-        over their lcm d and t = Tr(w) = tn / td give m = 2 td d,
+        xs, over one m > 0, in a quadratic field, disc the order's
+        discriminant: sqrt(disc) is positive at place 0 (i sqrt|disc| at the
+        complex place), and place 1 takes x to (A - B sqrt(disc)) / m.
+
+        Place 0 takes theta to its larger root (its root of positive
+        imaginary part at a complex place), so for the basis {1, w} with
+        w = b0 + b1 theta, sqrt(disc) = sgn(b1) (2 w - t), t = Tr(w) =
+        2 b0 - b1 c1: w - w' = b1 (theta - theta') and disc = (w - w')^2.
+        The coordinates over their lcm d and t = tn / td give m = 2 td d,
         A = 2 td X0 + tn X1 and B = sgn(b1) td X1."""
         t, sgn = self._surd_data()
         tn, td = t.numerator, t.denominator
@@ -431,16 +425,10 @@ class NumberField:
             out.append((2 * td * x0 + tn * x1, sgn * td * x1))
         return 2 * td * d, out
 
-    def from_surd(self, a: Fraction, b: Fraction) -> "FieldElement":
-        """The element a + b sqrt(disc) in the convention of surd."""
-        m = math.lcm(a.denominator, b.denominator)
-        return self.from_surd_numerators(a.numerator * (m // a.denominator),
-                                         b.numerator * (m // b.denominator), m)
-
     def from_surd_numerators(self, a: int, b: int, m: int) -> "FieldElement":
         """The element (a + b sqrt(disc)) / m, m > 0, in the convention of
-        surd: sgn(b1) sqrt(disc) = 2 w - t, so its coordinates on {1, w}
-        are ((td a - sgn b tn) / (td m), 2 sgn b / m) for t = tn / td."""
+        surd_numerators: sgn(b1) sqrt(disc) = 2 w - t, so its coordinates on
+        {1, w} are ((td a - sgn b tn) / (td m), 2 sgn b / m) for t = tn / td."""
         t, sgn = self._surd_data()
         tn, td = t.numerator, t.denominator
         return FieldElement(self, (Fraction(td * a - sgn * b * tn, td * m),
@@ -516,19 +504,19 @@ class NumberField:
         return ArchVector(vals, self.degs, prec)
 
     def _embed_quadratic(self, x: "FieldElement", prec: int):
-        """sigma(x) for x = a + b sqrt(disc) in the convention of surd. At
-        the complex place it is a + i b sqrt|disc|: neither part is a sum.
-        At real places it is _real_surd_embedding of its surd numerators."""
+        """sigma(x) for x = (a + b sqrt(disc)) / m (surd_numerators). At the
+        complex place it is (a + i b sqrt|disc|) / m: neither part is a sum,
+        each rounds to nearest at prec + 32 bits, through _ratio_mpf as the
+        real places do, then to prec + 16 bits. At real places it is
+        _real_surd_embedding."""
+        m, ((a, b),) = self.surd_numerators([x])
         if not self.r2:
-            m, ((a, b),) = self.surd_numerators([x])
             return tuple(mp.make_mpf(v) for v in self._real_surd_embedding(a, b, m, prec))
-        a, b = self.surd(x)
         work = prec + 32
-        root = self._sqrt_abs_disc(work)
-        with mp.workprec(work):
-            val = mpc(fraction_to_mpf(a, work), fraction_to_mpf(b, work) * root)
-        with mp.workprec(prec + 16):
-            return (+val,)
+        im = mpf_mul(_ratio_mpf(b, m, work), self._sqrt_abs_disc(work)._mpf_,
+                     work, round_nearest)
+        return (mp.make_mpc(tuple(mpf_pos(v, prec + 16, round_nearest)
+                                  for v in (_ratio_mpf(a, m, work), im))),)
 
     def _real_surd_embedding(self, a: int, b: int, m: int, prec: int):
         """Raw mpfs (sigma_0(x), sigma_1(x)) of x = (a + b sqrt(disc)) / m,
@@ -639,6 +627,10 @@ class NumberField:
 
     # -- certified comparisons ----------------------------------------------
 
+    def _check_place(self, place: int) -> None:
+        if not 0 <= place < self.num_places:
+            raise ValueError(f"place {place} outside range({self.num_places})")
+
     def cmp_abs_sq(self, x: "FieldElement", place: int, t: Fraction,
                    scale_sq: Fraction = Fraction(1)) -> int:
         """Certified sign of scale_sq * |sigma(x)|^2 - t (t, scale_sq exact).
@@ -647,16 +639,16 @@ class NumberField:
         is the exact tie tested: if some power x^k (k <= 30) is a rational q,
         then |sigma(x)|^(2k) = q^2 at every place and the sign is that of
         scale_sq^k q^2 - t^k; otherwise the precision doubles. A tie always
-        overlaps, so this orders the work, not the answer."""
+        overlaps, so this orders the work, not the answer. Quadratic fields
+        decide exactly, with the integer test of boxes (sign_surd_sq). A
+        place outside range(num_places) is a ValueError."""
+        self._check_place(place)
         if self.n == 2:
-            # sigma(x)^2 = a^2 + b^2 disc +- 2ab sqrt(disc); |sigma(x)|^2 =
-            # a^2 - b^2 disc at the complex place
-            a, b = self.surd(x)
-            if self.r2:
-                diff = scale_sq * (a * a - b * b * self.disc) - t
-                return (diff > 0) - (diff < 0)
-            return sign_surd(scale_sq * (a * a + b * b * self.disc) - t,
-                             scale_sq * 2 * a * b * (1 - 2 * place), self.disc)
+            # x = (a + b sqrt(disc)) / m: times the positive m^2 and the
+            # denominators of t and scale_sq
+            m, ((a, b),) = self.surd_numerators([x])
+            return sign_surd_sq(a, b, self.disc, scale_sq.numerator * t.denominator,
+                                t.numerator * scale_sq.denominator * m * m, place)
 
         def exact_sign() -> int | None:
             power = x
@@ -688,11 +680,14 @@ class NumberField:
                          f"cannot separate |sigma(x)|^2 from bound at place {place}")
 
     def sign_at_place(self, x: "FieldElement", place: int) -> int:
-        """Certified sign of sigma(x) at a real place (x nonzero)."""
+        """Certified sign of sigma(x) at a real place (x nonzero); exact on
+        the surd numerators in quadratic fields. A place outside
+        range(num_places) is a ValueError."""
+        self._check_place(place)
         if self.n == 2:
             if self.r2:
                 raise ValueError("sign only defined at real places")
-            a, b = self.surd(x)
+            _, ((a, b),) = self.surd_numerators([x])
             return sign_surd(a, b * (1 - 2 * place), self.disc)
 
         def attempt(prec: int):
@@ -725,8 +720,8 @@ class NumberField:
 
     def conjugate(self, x: "FieldElement") -> "FieldElement":
         """Image under the nontrivial automorphism (quadratic fields only)."""
-        a, b = self.surd(x)
-        return self.from_surd(a, -b)
+        m, ((a, b),) = self.surd_numerators([x])
+        return self.from_surd_numerators(a, -b, m)
 
     def __repr__(self) -> str:
         return f"NumberField({list(self.min_poly)}, disc={self.disc})"

@@ -65,26 +65,26 @@ class UnitsUnavailable(ValueError):
     pass
 
 
-def _quadratic_root(f: NumberField, x: FieldElement) -> tuple[int, int]:
-    """(p, q) with Z + Z x = Z + Z (p + sqrt(f.disc))/q, q > 0 and the
-    root's conjugate in (-1, 0), sqrt(f.disc) positive at place 0: the root
-    is +-x plus an integer. p and q are integers, with q | f.disc - p^2,
-    whenever Z + Z x is a module over the order."""
-    m, ((a, b),) = f.surd_numerators([x])
-    return _surd_root(a, b, m, f.disc)
-
-
-def _surd_root(a: int, b: int, m: int, disc: int) -> tuple[int, int]:
-    """_quadratic_root of x = (a + b sqrt(disc)) / m, m > 0: +-x is
-    (p' + sqrt(disc)) / q with p' = a / b and q = m / b for the sign that
-    makes b positive, and p' moves by a multiple of q into
-    (sqrt(disc) - q, sqrt(disc))."""
+def _hnf_root(f: NumberField, hnf) -> tuple[int, int]:
+    """(p, q) with Z + Z x = Z + Z (p + sqrt(f.disc))/q for x = (h01 + h11 w)/h00,
+    read off the HNF ((h00, h01), (0, h11)) on the basis {1, w} of a
+    quadratic field: q > 0 and the root's conjugate in (-1, 0),
+    sqrt(f.disc) positive at place 0. As surd numerators (surd_numerators)
+    x = (a + b sqrt(disc))/m with m = 2 td h00, a = 2 td h01 + tn h11 and
+    b = sgn td h11, so +-x is (p' + sqrt(disc))/q with p' = a/b and
+    q = m/b for the sign that makes b positive, and p' moves by a multiple
+    of q into (sqrt(disc) - q, sqrt(disc)). p and q are integers, with
+    q | f.disc - p^2, whenever Z + Z x is a module over the order."""
+    t, sgn = f._surd_data()
+    tn, td = t.numerator, t.denominator
+    (h00, h01), (_, h11) = hnf
+    a, b, m = 2 * td * h01 + tn * h11, sgn * td * h11, 2 * td * h00
     if b < 0:
         a, b = -a, -b
     p, rp = divmod(a, b)
     q, rq = divmod(m, b)
     assert rp == rq == 0, "Z + Z x is not a module over the order"
-    return p + (isqrt(disc) - p) // q * q, q
+    return p + (isqrt(f.disc) - p) // q * q, q
 
 
 def quadratic_units(f: NumberField) -> UnitLattice:
@@ -98,12 +98,11 @@ def quadratic_units(f: NumberField) -> UnitLattice:
         raise UnitsUnavailable("units are computed only for quadratic fields")
     if f.r2 == 1:
         return UnitLattice(f, (), ())
-    w = f.element([0, 1])
-    p, q = _quadratic_root(f, w)
+    p, q = _hnf_root(f, ((1, 0), (0, 1)))  # the root of O = Z + Z w
     *_, (_, _, u, v) = cf_cycle(p, q, f.disc)
-    eps = f.from_surd(u + Fraction(v * p, q), Fraction(v, q))
+    eps = f.from_surd_numerators(u, v, q)
     assert abs(eps.norm()) == 1, "continued fraction did not produce a unit"
-    if f.surd(w)[1] < 0:  # w lies below its conjugate at place 0
+    if f._surd_data()[1] < 0:  # w lies below its conjugate at place 0
         eps = eps.inverse()  # the unit exceeds 1 where w exceeds its conjugate
     return UnitLattice(f, (eps,), _totally_positive_generators(f, (eps,)))
 

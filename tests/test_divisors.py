@@ -227,18 +227,20 @@ def test_is_reduced_usual_matches_oracle(d):
 
 @pytest.mark.parametrize("d,basis", maximal_orders(73, 1009, -1, -5) + OTHER_ORDERS)
 def test_surd_place_convention(d, basis):
-    """surd(x) = (a, b) with x = a + b sqrt(disc), disc the order's
-    discriminant: a + b sqrt(disc) is sigma_0(x) (sqrt(disc) = i sqrt|disc|
-    at a complex place), a - b sqrt(disc) is sigma_1(x), and (a, -b) is
-    the conjugate. On {1, -sqrt 7} the sign rule for b_1 < 0 is exercised."""
+    """surd_numerators gives (m, [(A, B)]) with x = a + b sqrt(disc) for
+    a = A/m and b = B/m, disc the order's discriminant: a + b sqrt(disc) is
+    sigma_0(x) (sqrt(disc) = i sqrt|disc| at a complex place),
+    a - b sqrt(disc) is sigma_1(x), and (A, -B) over m is the conjugate.
+    On {1, -sqrt 7} the sign rule for b_1 < 0 is exercised."""
     f = create_field([-d, 0, 1], basis)
     rng = random.Random(d)
     tol = mpf(2) ** -100
     for _ in range(40):
         x = f.element([Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(2)])
-        a, b = f.surd(x)
-        assert f.from_surd(a, b) == x
-        assert f.conjugate(x) == f.from_surd(a, -b)
+        m, ((a, b),) = f.surd_numerators([x])
+        assert f.from_surd_numerators(a, b, m) == x
+        assert f.conjugate(x) == f.from_surd_numerators(a, -b, m)
+        a, b = Fraction(a, m), Fraction(b, m)
         values = f.embed(x, 256).values
         with mp.workprec(256):
             am, bm = fraction_to_mpf(a, 256), fraction_to_mpf(b, 256)

@@ -1167,18 +1167,43 @@ def test_real_quadratic_gram_matches_surd_products(min_poly, basis):
             err = Fraction(0)
             for i, bi in enumerate(basis_elements):
                 for j, bj in enumerate(basis_elements):
-                    a, b = f.surd(bi * bj)
+                    m, ((a, b),) = f.surd_numerators([bi * bj])
+                    a, b = Fraction(a, m), Fraction(b, m)
                     assert gram.entries[i][j] == (w[0] + w[1]) * a + (w[0] - w[1]) * b * r
                     err = max(err, abs((w[0] - w[1]) * b) / (1 << prec))
             assert gram.err == err
 
 
+@pytest.mark.parametrize("min_poly,basis", [([1, 0, 1], None), ([5, 0, 1], None),
+                                            ([5, 0, 1], [[1, 0], [0, -1]])])
+def test_imaginary_quadratic_gram_matches_surd_products(min_poly, basis):
+    """The imaginary quadratic Gram, the real quadratic branch with the
+    weight sum 2 w0 and no sqrt(disc) term, is exact: entry (i, j) is
+    2 w0 Re(sigma(b_i) conj(sigma(b_j))) = 2 w0 a for the surd pair
+    (a, b) of b_i conj(b_j), and err is 0."""
+    f = create_field(min_poly, basis)
+    rng = random.Random(31)
+    ideal = invert(enumerate_integral_ideals(f, 12)[-1])
+    for basis_elements in (tuple(unit_ideal(f).basis_elements()),
+                           tuple(ideal.basis_elements())):
+        for prec in (8, 128):
+            w = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))]
+            gram = _gram(f, basis_elements, w, prec)
+            assert gram.err == 0
+            for i, bi in enumerate(basis_elements):
+                for j, bj in enumerate(basis_elements):
+                    m, ((a, _),) = f.surd_numerators([bi * f.conjugate(bj)])
+                    assert gram.entries[i][j] == 2 * w[0] * Fraction(a, m)
+
+
 @pytest.mark.parametrize("min_poly", [[-73, 0, 1], [-10007, 0, 1], [1, 0, 1], [5, 0, 1]])
 def test_sign_surd_sq_matches_cmp_abs_sq(min_poly):
-    """The integer box test on surd numerators gives the sign of cmp_abs_sq
-    at every place, ties included: seeded elements, weights and bounds,
+    """The integer box test on surd numerators and cmp_abs_sq both give the
+    sign of w |sigma(x)|^2 - t at every place, against mpmath at four times
+    the inputs' bits, ties included: seeded elements, weights and bounds,
     with the bound set to the exact weighted |sigma(x)|^2 of rational x,
-    and of other x at a complex place, to make ties."""
+    and of other x at a complex place (the norm), to make ties, which the
+    test decides on those exact rationals."""
     f = create_field(min_poly)
     rng = random.Random(len(str(min_poly)))
     signs = set()
@@ -1188,6 +1213,8 @@ def test_sign_surd_sq_matches_cmp_abs_sq(min_poly):
             coords[1] = Fraction(0)
         x = f.element(coords)
         m, ((a, b),) = f.surd_numerators([x])
+        # |sigma(x)|^2 where it is rational by construction
+        exact_sq = coords[0] ** 2 if x.is_rational() else x.norm() if f.r2 else None
         w = Fraction(rng.randint(1, 500), rng.randint(1, 500))
         for place in range(f.num_places):
             t = Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 50))
@@ -1195,9 +1222,22 @@ def test_sign_surd_sq_matches_cmp_abs_sq(min_poly):
                 t = w * coords[0] ** 2
             elif k % 4 == 1 and f.r2:
                 t = w * x.norm()
+            if exact_sq is not None and w * exact_sq == t:
+                want = 0
+            else:
+                bits = 4 * sum(v.bit_length() for v in (a, b, m, w.numerator, w.denominator,
+                                                        t.numerator, t.denominator))
+                with mp.workprec(bits):
+                    root = mp.sqrt(f.disc) if f.r1 else mp.mpc(0, mp.sqrt(-f.disc))
+                    sq = abs((mpf(a) + (1 - 2 * place) * mpf(b) * root) / m) ** 2
+                    wm, tm = mpf(w.numerator) / w.denominator, mpf(t.numerator) / t.denominator
+                    diff = wm * sq - tm
+                    assert abs(diff) > (wm * sq + tm) * mpf(2) ** (16 - bits)
+                want = 1 if diff > 0 else -1
             got = sign_surd_sq(a, b, f.disc, w.numerator * t.denominator,
                                t.numerator * w.denominator * m * m, place)
-            assert got == f.cmp_abs_sq(x, place, t, w), (coords, w, t, place)
+            assert got == want, (coords, w, t, place)
+            assert f.cmp_abs_sq(x, place, t, w) == want, (coords, w, t, place)
             signs.add(got)
     assert signs == {-1, 0, 1}
 

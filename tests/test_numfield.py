@@ -121,7 +121,8 @@ def test_real_quadratic_embed_far_from_cancellation(min_poly):
     xs += [f.element([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 9))
                       for _ in range(2)]) for _ in range(20)]
     for x in xs:
-        a, b = f.surd(x)
+        m, ((a, b),) = f.surd_numerators([x])
+        a, b = Fraction(a, m), Fraction(b, m)
         bits = 4 * max(q.numerator.bit_length() + q.denominator.bit_length() for q in (a, b))
         values = f.embed(x).values
         with mp.workprec(bits + f.prec):
@@ -363,6 +364,32 @@ def test_sign_at_complex_place_raises(fi, f_cubic):
             f.sign_at_place(f.gen(), place)
 
 
+def test_places_outside_the_field_raise(f73, fi, f_cubic):
+    """A place outside range(num_places) is a ValueError in every degree:
+    in Q(sqrt 73) place 2 read as place 1 with the sign flipped, and on
+    x^3 - 2 place 2 was an IndexError."""
+    x = f73.element([3, 1])
+    for f, y in ((f73, x), (fi, fi.gen()), (f_cubic, f_cubic.gen())):
+        for place in (-1, f.num_places, 7):
+            with pytest.raises(ValueError, match="outside range"):
+                f.cmp_abs_sq(y, place, Fraction(10 ** 6))
+            with pytest.raises(ValueError, match="outside range"):
+                f.sign_at_place(y, place)
+    assert [f73.sign_at_place(x, p) for p in range(2)] == [1, -1]
+    assert [f73.cmp_abs_sq(x, p, Fraction(10 ** 6)) for p in range(2)] == [-1, -1]
+
+
+def test_surd_numerators_only_in_quadratic_fields(f_cubic):
+    """Outside quadratic fields there are no surd pairs: surd_numerators,
+    from_surd_numerators and conjugate name that, rather than failing to
+    unpack."""
+    for call in (lambda: f_cubic.surd_numerators([f_cubic.gen()]),
+                 lambda: f_cubic.from_surd_numerators(1, 1, 1),
+                 lambda: f_cubic.conjugate(f_cubic.gen())):
+        with pytest.raises(ValueError, match="surd pairs exist only for quadratic fields"):
+            call()
+
+
 def test_quartic_field_constructs():
     f = create_field([1, 0, 0, 0, 1])  # x^4 + 1, needs the full factor test
     assert (f.r1, f.r2) == (0, 2)
@@ -563,7 +590,8 @@ def _context_embedding(f, x, prec):
     """sigma(x) of a real quadratic x by mpmath context arithmetic: at
     prec + 32 bits, a + sb sqrt(disc) at the place without cancellation and
     the norm over it at the other, then both rounded to prec + 16 bits."""
-    a, b = f.surd(x)
+    m, ((a, b),) = f.surd_numerators([x])
+    a, b = Fraction(a, m), Fraction(b, m)
     with mp.workprec(prec + 32):
         if a == 0 and b == 0:
             vals = (mpf(0), mpf(0))
@@ -600,3 +628,22 @@ def test_real_surd_embedding_matches_context_arithmetic(min_poly):
             assert f._real_surd_embedding(a, b, m, prec) == want
             assert f._real_surd_embedding(c * a, c * b, c * m, prec) == want
             assert tuple(v._mpf_ for v in f.embed(x, prec).values) == want
+
+
+def test_oracles_import_nothing_from_the_library():
+    """tests/oracles.py is the independent route of every dual-route check:
+    it may not import the library, at any level of its code."""
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert imported and not [m for m in imported if m.split(".")[0] == "arakelov"]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not calls & {"__import__", "import_module"}
