@@ -56,6 +56,22 @@ def mat_det(a: Mat) -> Fraction:
     return det
 
 
+def int_det(a) -> int:
+    """Determinant of an integer matrix by fraction-free elimination
+    (Bareiss): every division is exact, and the last pivot is the value."""
+    m, sign, prev = [list(row) for row in a], 1, 1
+    for k in range(len(m)):
+        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return sign * prev
+
+
 def mat_inv(a: Mat) -> Mat:
     n = len(a)
     m = [row[:] + ident_row for row, ident_row in zip(a, mat_identity(n))]

@@ -2,9 +2,11 @@
 matrices, LLL reduction, exact shortest-vector and box enumeration,
 minimality tests and the covolume identity.
 
-Gram matrices are stored with exact rational entries plus a certified
-entrywise error bound. Totally real fields under one weight at every place
-and imaginary quadratic fields produce error zero. Real quadratic fields
+A Gram matrix is one integer matrix over one positive denominator with
+one integer radius: entry (i, j) is mat_ij / den to within rad / den, each
+backend's exact rational midpoints over their common denominator, with no
+Fraction per entry. Totally real fields under one weight at every place
+and imaginary quadratic fields produce radius zero. Real quadratic fields
 under unequal per-place weights (every reduction ellipsoid) carry
 |b| 2^-prec per entry from a rational approximation of sqrt(disc), and
 other fields a tiny bound from the interval embeddings; those Grams refine
@@ -16,12 +18,12 @@ Fincke-Pohst loop on that same integer data. An inexact Gram is searched at
 its own precision: its midpoints, whose integers run far longer than their
 certified error warrants, are rounded to a grid a few bits below that
 error, LLL and the search run on the rounded Gram, and only the candidates
-found are valued exactly on the midpoints (_rounded_attempt). The unit
+found are valued exactly on the integer midpoints (_rounded_attempt). The unit
 lattice's closest vectors (units.LogLattice) run the loop on integer
 levels too (_int_levels), about a dyadic centre scaled to integers. Boxes
 do not LLL first: they run the loop on the exact Fraction L D L^T factors
-that _ldl reads off the same integral Gram-Schmidt data of their Gram, the
-only users of _ldl with enumerate_quadratic_form. One Gram-Schmidt,
+that _ldl_int reads off the same integral Gram-Schmidt data of their
+integer Gram, its only users with enumerate_quadratic_form. One Gram-Schmidt,
 _int_gram_schmidt, is behind every factorisation, and one row,
 _fincke_pohst_row, behind every level of the loop: a level (c, e) about
 mid holds the x with used + c (e x - mid)^2 <= radius, a run of
@@ -49,7 +51,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .exact import mat_det, sign_surd_sq
+from .exact import int_det, sign_surd_sq
 from .ideals import FractionalIdeal, PlainLattice
 from .numfield import (
     ArchVector,
@@ -69,7 +71,11 @@ _ROUND_GUARD = 8  # bits below an inexact Gram's error that its rounding keeps
 
 @dataclass(frozen=True, slots=True)
 class GramMatrix:
-    """Positive-definite Gram matrix of a scaled lattice basis.
+    """Positive-definite Gram matrix of a scaled lattice basis in
+    midpoint-radius form (Johansson, "Arb", IEEE Trans. Comput. 2017): the
+    integer matrix mat over one positive den with one integer radius rad,
+    entry (i, j) = mat_ij / den +- rad / den; rad = 0 is an exact Gram.
+    entries and err are the same values as Fractions in lowest terms.
 
     weights holds the exact squared per-place scale the entries were built
     with, so refine() rebuilds the same matrix at a higher precision.
@@ -78,28 +84,35 @@ class GramMatrix:
     field: NumberField | None
     source: tuple[FieldElement, ...]
     weights: tuple[Fraction, ...] | None
-    entries: tuple[tuple[Fraction, ...], ...]
-    err: Fraction
+    mat: tuple[tuple[int, ...], ...]
+    den: int
+    rad: int
     prec: int
 
     @classmethod
     def from_entries(cls, entries) -> "GramMatrix":
         """Bare exact Gram matrix without a field lattice behind it."""
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        return cls(None, (), None, frozen, Fraction(0), 53)
+        mat, den = _int_entries([[Fraction(x) for x in row] for row in entries])
+        return cls(None, (), None, _freeze(mat), den, 0, 53)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.mat)
+
+    @property
+    def err(self) -> Fraction:
+        return Fraction(self.rad, self.den)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.mat)
 
     def det(self) -> Fraction:
-        return mat_det([list(r) for r in self.entries])
+        return Fraction(int_det(self.mat), self.den ** self.size)
 
     def value_error(self, coeffs) -> Fraction:
-        if self.err == 0:
-            return Fraction(0)
         s = sum(abs(c) for c in coeffs)
-        return self.err * s * s
+        return Fraction(self.rad * s * s, self.den)
 
     def refine(self) -> "GramMatrix":
         """The same Gram rebuilt at twice the precision; a Gram built from
@@ -120,7 +133,7 @@ def _refining(gram: GramMatrix, attempt):
         try:
             return attempt(gram)
         except ValueError:
-            if gram.err == 0:
+            if not gram.rad:
                 raise
             return None
 
@@ -160,17 +173,17 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
 
     if f.r2 == 0 and all(x == w[0] for x in w):
         # totally real, one weight: a multiple of the trace form, exact. With
-        # the basis coordinates cleared to integer rows m by their lcm den,
-        # entry (i, j) is w m_i T m_j^T / den^2 for the integer trace form T
-        den = math.lcm(*(c.denominator for b in basis for c in b.coords))
-        rows = [[c.numerator * (den // c.denominator) for c in b.coords] for b in basis]
+        # the basis coordinates cleared to integer rows m by their lcm dc,
+        # entry (i, j) is w m_i T m_j^T / dc^2 for the integer trace form T
+        dc = math.lcm(*(c.denominator for b in basis for c in b.coords))
+        rows = [[c.numerator * (dc // c.denominator) for c in b.coords] for b in basis]
         tf = _int_trace_form(f)
         row_t = [[sum(r[k] * tf[k][j] for k in range(f.n)) for j in range(f.n)]
                  for r in rows]
-        scale = w[0] / (den * den)
+        den = w[0].denominator * dc * dc
 
         def entry(i, j):
-            return scale * sum(a * b for a, b in zip(row_t[i], rows[j])), Fraction(0)
+            return w[0].numerator * sum(a * b for a, b in zip(row_t[i], rows[j])), 0
 
     elif f.n == 2:
         # quadratic, per-place weights. With the basis as surd numerators
@@ -180,8 +193,8 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
         # Q = A_i B_j + A_j B_i. Entry (i, j) is W P / m^2 for the weight
         # sum W = sum_sigma deg_sigma w_sigma, plus (w_0 - w_1) Q r / m^2 at
         # real places with r = s / 2^prec, sqrt(disc) to within 2^-prec:
-        # one Fraction of integers over (m^2 2^e) times the weights'
-        # denominators, e = prec at real places and 0 at the complex one
+        # integers over den = m^2 2^e times the weights' denominators, e =
+        # prec at real places and 0 at the complex one
         e, wm = (prec, w[0] - w[1]) if f.r1 else (0, Fraction(0))
         disc = abs(f.disc)
         s = math.isqrt(disc << (2 * e))
@@ -189,14 +202,13 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
         wp = sum(d * x for d, x in zip(f.degs, w))
         cp = wp.numerator * wm.denominator << e
         cq = wm.numerator * wp.denominator * s
+        cr = abs(wm.numerator) * wp.denominator
         den = wp.denominator * wm.denominator * m * m << e
-        err_den = wm.denominator * m * m << e
 
         def entry(i, j):
             (ai, bi), (aj, bj) = nums[i], nums[j]
             q = ai * bj + aj * bi
-            return (Fraction(cp * (ai * aj + bi * bj * disc) + cq * q, den),
-                    Fraction(abs(wm.numerator * q), err_den))
+            return cp * (ai * aj + bi * bj * disc) + cq * q, cr * abs(q)
 
     else:
         # general field: certified interval embeddings on integer endpoints.
@@ -205,15 +217,17 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
         # products over den_p^2; scale[p] = common deg_p w_p / den_p^2 is an
         # integer for the common denominator of those factors. A positive
         # common denominator keeps each min and max in place, so the
-        # entries are those of rational interval arithmetic.
+        # entries are those of rational interval arithmetic: midpoint
+        # lo + hi and radius hi - lo over den = 2 common.
         emb, factors = [], []
         for place in range(f.num_places):
             raw = [f.embed_interval(x, place, prec) for x in basis]
-            den = math.lcm(*(r[0] for r in raw))
-            emb.append([_rescale(r, den // r[0]) for r in raw])
-            factors.append(w[place] * f.degs[place] / (den * den))
+            dp = math.lcm(*(r[0] for r in raw))
+            emb.append([_rescale(r, dp // r[0]) for r in raw])
+            factors.append(w[place] * f.degs[place] / (dp * dp))
         common = math.lcm(*(q.denominator for q in factors))
         scale = [q.numerator * (common // q.denominator) for q in factors]
+        den = 2 * common
 
         def entry(i, j):
             lo = hi = 0
@@ -228,18 +242,19 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
                     plo, phi = plo + min(ps), phi + max(ps)
                 lo += k * plo
                 hi += k * phi
-            return Fraction(lo + hi, 2 * common), Fraction(hi - lo, 2 * common)
+            return lo + hi, hi - lo
 
-    # every backend is symmetric in (i, j): fill the upper triangle, mirror it
-    entries = [[None] * n for _ in range(n)]
-    err = Fraction(0)
+    # every backend gives (midpoint, radius) over den, symmetric in (i, j):
+    # fill the upper triangle, mirror it
+    mat = [[0] * n for _ in range(n)]
+    rad = 0
     for i in range(n):
         for j in range(i, n):
-            entries[i][j], e = entry(i, j)
-            entries[j][i] = entries[i][j]
-            err = max(err, e)
+            mat[i][j], r = entry(i, j)
+            mat[j][i] = mat[i][j]
+            rad = max(rad, r)
 
-    return GramMatrix(f, tuple(basis), tuple(w), _freeze(entries), err, prec)
+    return GramMatrix(f, tuple(basis), tuple(w), _freeze(mat), den, rad, prec)
 
 
 def _rescale(rect, m: int):
@@ -257,7 +272,7 @@ def _int_trace_form(f: NumberField) -> list[list[int]]:
     return f._cache[key]
 
 
-def _freeze(m) -> tuple[tuple[Fraction, ...], ...]:
+def _freeze(m) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
@@ -307,13 +322,15 @@ def _int_entries(entries) -> tuple[list[list[int]], int]:
 def _ldl(g: list[list[Fraction]]):
     """G = L D L^T for a positive-definite rational G: (d, l) with l unit
     lower triangular; l[i][j] (i > j) are the Gram-Schmidt coefficients
-    mu_ij and d the squared Gram-Schmidt lengths, exact Fractions.
+    mu_ij and d the squared Gram-Schmidt lengths, exact Fractions."""
+    return _ldl_int(*_int_entries(g))
 
-    Read off _int_gram_schmidt of G scaled to integers, den G: with D its
-    leading minors and lam its integral coefficients, d_i = D_i+1 / (D_i den)
-    and mu_ij = lam_ij / D_j+1. L D L^T is unique, so these are the
-    factors of any exact elimination."""
-    cur, den = _int_entries(g)
+
+def _ldl_int(cur, den: int):
+    """_ldl of G = cur / den, read off _int_gram_schmidt of the integer
+    Gram cur: with D its leading minors and lam its integral coefficients,
+    d_i = D_i+1 / (D_i den) and mu_ij = lam_ij / D_j+1. L D L^T is unique,
+    so these are the factors of any exact elimination."""
     dd, lam = _int_gram_schmidt(cur)
     n = len(cur)
     d = [Fraction(dd[i + 1], dd[i] * den) for i in range(n)]
@@ -322,7 +339,7 @@ def _ldl(g: list[list[Fraction]]):
     return d, l
 
 
-def _lll_core(cur: list[list[int]]):
+def _lll_core(gram):
     """LLL with delta = LLL_DELTA on an integer Gram: (umat, cur, d, lam).
 
     The run keeps the integral Gram-Schmidt data of _int_gram_schmidt: size
@@ -331,9 +348,10 @@ def _lll_core(cur: list[list[int]]):
     d_k+1 d_k-1 + lam^2 >= delta d_k^2. Every decision is the rational one,
     so a Gram scaled by a positive constant gets the same transform. On
     return umat is the transform (rows on the source basis), cur the reduced
-    Gram (the argument, reduced in place) and (d, lam) its integral
+    Gram (a reduced copy of the argument) and (d, lam) its integral
     Gram-Schmidt data, d[0] = 1.
     """
+    cur = [list(row) for row in gram]
     n = len(cur)
     umat = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -378,13 +396,12 @@ def _lll_core(cur: list[list[int]]):
     return umat, cur, d, lam
 
 
-def _reduced_gram(g: GramMatrix, umat, cur, den: int) -> GramMatrix:
-    """The GramMatrix of the reduced basis umat * g.source, entries cur / den."""
+def _reduced_gram(g: GramMatrix, umat, cur) -> GramMatrix:
+    """The GramMatrix of the reduced basis umat * g.source, mat cur over g.den."""
     basis = tuple(_combinations(g.field, g.source, umat)) if g.source else ()
     # entry (i, j) is U_i G U_j^T of the midpoints: off by ||U_i||_1 ||U_j||_1 err
-    err = g.err * max(sum(abs(c) for c in row) for row in umat) ** 2
-    entries = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
-    return GramMatrix(g.field, basis, g.weights, entries, err, g.prec)
+    rad = g.rad * max(sum(abs(c) for c in row) for row in umat) ** 2
+    return GramMatrix(g.field, basis, g.weights, _freeze(cur), g.den, rad, g.prec)
 
 
 def lll_reduce(g: GramMatrix):
@@ -393,11 +410,10 @@ def lll_reduce(g: GramMatrix):
 
     The transform rows express the reduced basis on the source basis; the
     reduced GramMatrix carries that reduced basis as its source. The run
-    is _lll_core's, on integers; this packs its transform and integer Gram.
+    is _lll_core's, on g.mat; this packs its transform and integer Gram.
     """
-    cur, den = _int_entries(g.entries)
-    umat, cur, _, _ = _lll_core(cur)
-    return umat, _reduced_gram(g, umat, cur, den)
+    umat, cur, _, _ = _lll_core(g.mat)
+    return umat, _reduced_gram(g, umat, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +455,8 @@ def _fincke_pohst(levels, l, shift, radius):
     so that e_i a_i - mid_i = e_i (a_i - c_i) + sum_{k > i} l_ki (a_k - c_k).
     On _ldl's factors G = L D L^T the levels are (d_i, 1) and the value is
     (a - c)^T G (a - c), on exact Fractions; _box_points and
-    enumerate_quadratic_form, _ldl's only users, walk them about the
-    origin. _int_half passes the integer levels of its scaled Gram
+    enumerate_quadratic_form, the only users of those factors, walk them
+    about the origin. _int_half passes the integer levels of its scaled Gram
     (_int_levels), lam as l and an integer radius, about the origin, and
     units.LogLattice the same levels about a dyadic centre C / D, with
     every e_i and l_ki times D and the shift of C on the unscaled levels:
@@ -591,7 +607,8 @@ def _fine_gram(gram: GramMatrix, radius: Fraction) -> GramMatrix:
     carry, is at most radius * _ENUM_SLACK; an exact Gram as it is."""
     n = gram.size
     slack = radius * _ENUM_SLACK
-    return _refining(gram, lambda g: g if g.err * (4 * n * n) <= slack else None)
+    return _refining(gram, lambda g: g if g.rad * (4 * n * n) * slack.denominator
+                     <= slack.numerator * g.den else None)
 
 
 def shortest_vector(g: GramMatrix) -> ShortVector:
@@ -633,11 +650,10 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector | None:
     for the radius the attempt is None, and the caller's _refining, the one
     escalation loop, refines g.
     """
-    if g.err:
+    if g.rad:
         return _rounded_attempt(g)
-    n = g.size
-    cur, den = _int_entries(g.entries)
-    umat, cur, d, lam = _lll_core(cur)
+    n, den = g.size, g.den
+    umat, cur, d, lam = _lll_core(g.mat)
     radius = Fraction(min(cur[i][i] for i in range(n)), den)
     mapped = [(value, _canonical_sign(_on_source(umat, x)))
               for value, x in _int_half(cur, den, d, lam, radius)]
@@ -658,11 +674,13 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     """_shortest_attempt for an inexact Gram g at its precision, or None
     when g is too coarse for the search.
 
-    The midpoints G carry integers far longer than their error e warrants,
-    so LLL and the search run on H, G rounded to the nearest multiples of
-    2^-k with 2^-k <= e / 2^_ROUND_GUARD: |H - G| <= delta = 2^-(k+1)
-    entrywise. Every candidate is mapped back through the transform U and
-    valued exactly on G, one integer quadratic form each, and the pick is
+    The midpoints G = g.mat / g.den carry integers far longer than their
+    error e warrants, so LLL and the search run on H, G rounded to the
+    nearest multiples of 2^-k with 2^-k <= e / 2^_ROUND_GUARD, k taken from
+    e in lowest terms: |H - G| <= delta = 2^-(k+1) entrywise. A grid no
+    finer than 1 (k < 1) is too coarse to search, and the attempt is None.
+    Every candidate is mapped back through the transform U and valued
+    exactly on G, one quadratic form on g.mat over g.den each, and the pick is
     the rule for inexact Grams: best, the least value; margin, the largest
     value_error; the close set, values within best + 2 margin; the least
     coefficients in it; error 3 margin + spread.
@@ -691,11 +709,12 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     the same rationals; only the error term 3 margin can differ, by less
     than 3 m(V).
     """
-    n, e = g.size, g.err
+    n, e, den = g.size, g.err, g.den
     k = e.denominator.bit_length() - e.numerator.bit_length() + 1 + _ROUND_GUARD
+    if k < 1:
+        return None
     scale = 1 << k
-    cur = [[((x.numerator << (k + 1)) + x.denominator) // (2 * x.denominator) for x in row]
-           for row in g.entries]
+    cur = [[((x << (k + 1)) + den) // (2 * den) for x in row] for row in g.mat]
     ell = n * scale * _inverse_trace(cur)
     umat, cur, d, lam = _lll_core(cur)
     r = Fraction(min(cur[i][i] for i in range(n)), scale)
@@ -707,10 +726,9 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     far = _LLL_ALPHA ** (n - 1) * (1 + _ENUM_SLACK) * b + 4 * n * n * e
     if (1 - eps) * radius < b + 2 * e * ell * far / (1 - eps):
         return None
-    exact, den = _int_entries(g.entries)
     found = {_canonical_sign(_on_source(umat, x))
              for _, x in _int_half(cur, scale, d, lam, radius)}
-    mapped = [(Fraction(_int_qform(exact, x), den), x) for x in found]
+    mapped = [(Fraction(_int_qform(g.mat, x), den), x) for x in found]
     best = min(v for v, _ in mapped)
     margin = max(g.value_error(x) for _, x in mapped)
     close = sorted((v, x) for v, x in mapped if v <= best + 2 * margin)
@@ -738,10 +756,9 @@ def _int_qform(g: list[list[int]], x) -> int:
 
 
 def lll_first_vector(g: GramMatrix) -> ShortVector:
-    cur, den = _int_entries(g.entries)
-    umat, cur, _, _ = _lll_core(cur)
+    umat, cur, _, _ = _lll_core(g.mat)
     coeffs = _canonical_sign(tuple(umat[0]))
-    return ShortVector(coeffs, _element_of(g, coeffs), Fraction(cur[0][0], den),
+    return ShortVector(coeffs, _element_of(g, coeffs), Fraction(cur[0][0], g.den),
                        g.value_error(coeffs))
 
 
@@ -789,7 +806,7 @@ def _box_points(f: NumberField, lattice, u: ArchVector | None, bounds,
     w = _u_weights(f, u)
     radius = Fraction(f.n) * (1 + _ENUM_SLACK)
     gram = _fine_gram(_ellipsoid_gram(f, lattice, w, b), radius)
-    d, l = _ldl(gram.entries)
+    d, l = _ldl_int(gram.mat, gram.den)
     member = _box_member(f, gram, w, b2, strict)
     walk = _fincke_pohst([(x, 1) for x in d], l, None, radius)
     sent = None

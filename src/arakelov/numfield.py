@@ -292,24 +292,30 @@ class NumberField:
 
     # -- exact structure ----------------------------------------------------
 
-    def _power_matrix(self):
-        """Rows of the basis as a matrix B (b_i = sum_j B[i][j] theta^j)."""
-        key = "pm"
-        if key not in self._cache:
-            b = [list(row) for row in self.basis]
-            self._cache[key] = b
-            self._cache["pm_inv_t"] = mat_inv([list(col) for col in zip(*b)])
-        return self._cache[key]
+    def _power_numerators(self, coords) -> tuple[list[int], int]:
+        """(nums, den): the power coordinates of sum_i coords_i b_i as
+        integers over one positive den, in lowest terms. The basis rows are
+        one cached integer matrix B over their lcm (b_i = sum_j B_ij
+        theta^j / lcm), so this is one integer row times B (Cohen, A Course
+        in Computational Algebraic Number Theory, 4.2) and one gcd."""
+        if "pm_int" not in self._cache:
+            dp = math.lcm(*(c.denominator for row in self.basis for c in row))
+            self._cache["pm_int"] = (dp, [[c.numerator * (dp // c.denominator) for c in row]
+                                          for row in self.basis])
+        dp, b = self._cache["pm_int"]
+        dx = math.lcm(*(c.denominator for c in coords))
+        xs = [c.numerator * (dx // c.denominator) for c in coords]
+        nums = [sum(x * row[j] for x, row in zip(xs, b) if x) for j in range(self.n)]
+        g = math.gcd(dx * dp, *nums)
+        return [v // g for v in nums], dx * dp // g
 
     def to_power(self, coords) -> list[Fraction]:
-        b = self._power_matrix()
-        return [
-            sum((coords[i] * b[i][j] for i in range(self.n)), Fraction(0))
-            for j in range(self.n)
-        ]
+        nums, den = self._power_numerators(coords)
+        return [Fraction(v, den) for v in nums]
 
     def from_power(self, pcoords) -> list[Fraction]:
-        self._power_matrix()
+        if "pm_inv_t" not in self._cache:
+            self._cache["pm_inv_t"] = mat_inv([list(col) for col in zip(*self.basis)])
         return mat_vec(self._cache["pm_inv_t"], list(pcoords))
 
     def _poly_mod(self, coeffs: list[Fraction]) -> list[Fraction]:
@@ -592,15 +598,15 @@ class NumberField:
         endpoint an integer numerator over the one positive denominator den,
         im_iv None at real places.
 
-        Interval Horner runs on integers: the power coordinates over their
-        lcm dc, the root box over its denominator dt, so after k steps every
-        endpoint is a numerator over dc dt^k. A common positive denominator
-        keeps the min and max of each four products in place, so the
-        rectangle is the one of Horner over rational intervals."""
+        Interval Horner runs on integers: the power coordinates over dc in
+        lowest terms (_power_numerators), the root box over its denominator
+        dt, so after k steps every endpoint is a numerator over dc dt^k. A
+        common positive denominator keeps the min and max of each four
+        products in place, so the rectangle is the one of Horner over
+        rational intervals."""
         dt, box = self._root_box(place, prec)
-        pcoords = self.to_power(x.coords)
-        dc = math.lcm(*(c.denominator for c in pcoords))
-        cs = [c.numerator * (dc // c.denominator) for c in reversed(pcoords)]
+        nums, dc = self._power_numerators(x.coords)
+        cs = nums[::-1]
         scale = 1  # dt^k after k steps
         if len(box) == 1:
             (tl, th), = box

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -1366,3 +1367,104 @@ def test_ldl_is_the_fraction_gram_schmidt(f73):
         assert d == bs
         assert l == [[mu[i][j] if j < i else Fraction(int(i == j)) for j in range(n)]
                      for i in range(n)]
+
+
+# Every backend of _gram (the totally real trace form, real and imaginary
+# quadratic surd products, interval embeddings) and an order of Q(2^(1/3))
+# whose basis is not the power basis, Z + 2Z 2^(1/3) + 2Z 2^(2/3)
+_PIN_FIELDS = [([-73, 0, 1], None), ([1, 0, 1], None), ([-2, 0, 0, 1], None),
+               ([-3, -1, 0, 1], None), ([-1, -1, 0, 0, 1], None),
+               ([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]])]
+GRAM_RECT_DIGEST = "8c600831dde90427fab7d6d72c63471ed9d592209c32fe5e27a0ede664cb0621"
+
+
+def _q(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def test_gram_and_rectangles_pinned():
+    """embed_interval's rectangles and gram_of's (entries, err) in lowest
+    terms, on seeded elements and lattices of every Gram backend at unit and
+    unequal weights, hash to the pinned digest: how the Gram and the power
+    coordinates are represented moves no value."""
+    h = hashlib.sha256()
+    rng = random.Random(3131)
+    for min_poly, basis in _PIN_FIELDS:
+        f = create_field(min_poly, basis)
+        elems = [f.element([Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                            for _ in range(f.n)]) for _ in range(100)]
+        for x in elems:
+            for place in range(f.num_places):
+                for prec in (f.prec, 2 * f.prec):
+                    h.update(repr(f.embed_interval(x, place, prec)).encode())
+        lattices = [random_fractional_ideal(f, rng, 10) for _ in range(3)]
+        lattices += [rng.sample(elems, f.n) for _ in range(2)]
+        twisted = ArchVector(tuple(mpf(rng.randint(1, 64)) / 16 for _ in range(f.num_places)),
+                             f.degs, f.prec)
+        for lattice in lattices:
+            for u in (None, twisted):
+                for prec in (f.prec, 2 * f.prec):
+                    gram = gram_of(f, lattice, u, prec)
+                    h.update(repr(([[_q(x) for x in row] for row in gram.entries],
+                                   _q(gram.err))).encode())
+    assert h.hexdigest() == GRAM_RECT_DIGEST
+
+
+def test_gram_matrix_public_surface(f73, f_cubic):
+    """from_entries, entries, err, det, refine, value_error and lll_reduce
+    give the Fractions of their definitions, on hand-built exact Grams and
+    on field Grams: the exact trace form of Q(sqrt 73), its twisted inexact
+    Gram and the interval Gram of x^3 - 2."""
+    rows = [[Fraction(7, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(5, 4)]]
+    g2 = GramMatrix.from_entries(rows)
+    assert g2.entries == tuple(map(tuple, rows)) and g2.err == 0
+    assert g2.det() == Fraction(7, 3) * Fraction(5, 4) - Fraction(1, 4)
+    assert g2.refine() is g2 and g2.value_error((3, -4)) == 0
+    g3 = GramMatrix.from_entries([[4, 2, Fraction(1, 3)], [2, 5, 1], [Fraction(1, 3), 1, 9]])
+    assert g3.entries[0] == (4, 2, Fraction(1, 3)) and g3.det() == Fraction(1267, 9)
+    with mp.workprec(f73.prec):
+        u = ArchVector((mp.exp(3), mp.exp(-3)), f73.degs, f73.prec)
+    ideal = invert(enumerate_integral_ideals(f73, 12)[-1])
+    for gram in (g2, g3, gram_of(f73, ideal), gram_of(f73, ideal, u),
+                 gram_of(f_cubic, unit_ideal(f_cubic))):
+        assert gram.det() == mat_det([list(r) for r in gram.entries])
+        coeffs = tuple(range(-1, gram.size - 1))
+        assert gram.value_error(coeffs) == gram.err * sum(map(abs, coeffs)) ** 2
+        umat, red = lll_reduce(gram)
+        assert red.err == gram.err * max(sum(map(abs, r)) for r in umat) ** 2
+        assert [list(r) for r in red.entries] == fraction_lll(gram.entries)[1]
+        if gram.field is not None:
+            assert red.source == tuple(sum((c * b for c, b in zip(r, gram.source)),
+                                           gram.field.zero()) for r in umat)
+            fine = gram.refine()
+            assert fine.prec == 2 * gram.prec and fine.err <= gram.err
+            assert all(abs(x - y) <= gram.err + fine.err
+                       for row, frow in zip(gram.entries, fine.entries)
+                       for x, y in zip(row, frow))
+
+
+def test_integer_gram_consumers_skip_int_entries(monkeypatch, f73, f_cubic):
+    """The lambda_1 search, LLL and the box walk read a Gram's integers:
+    _int_entries, the clearing of Fraction entries, runs for none of them,
+    on the exact Grams of Q(sqrt 73) and the interval Gram of x^3 - 2."""
+    def no_int_entries(entries):
+        raise AssertionError("_int_entries called")
+
+    grams = [gram_of(f73, unit_ideal(f73)), gram_of(f73, enumerate_integral_ideals(f73, 20)[-1]),
+             gram_of(f_cubic, unit_ideal(f_cubic))]
+    monkeypatch.setattr(lattice_module, "_int_entries", no_int_entries)
+    for gram in grams:
+        assert shortest_vector(gram).length_sq > 0
+        lll_reduce(gram)
+        lattice_module.lll_first_vector(gram)
+    assert enumerate_box(f_cubic, unit_ideal(f_cubic), None, [2, 2])
+
+
+def test_rounded_attempt_on_a_coarse_gram_is_none():
+    """An inexact Gram with err > 2^9 has no rounding grid finer than 1:
+    _rounded_attempt returns None, the coarse-Gram answer, and raises
+    nothing (no negative shift)."""
+    for rad in (513, 1 << 10, 1 << 40):
+        g = GramMatrix(None, (), None, ((4, 1), (1, 3)), 1, rad, 53)
+        assert g.err > 2 ** 9
+        assert lattice_module._rounded_attempt(g) is None
