@@ -27,7 +27,6 @@ from .ideals import (
     FractionalIdeal,
     PlainLattice,
     _from_vectors,
-    _numerators,
     ideal_from_generators,
     invert,
     multiply,
@@ -384,7 +383,7 @@ def _reduced_root(f: NumberField, j: FractionalIdeal) -> tuple[int, int] | None:
 def _root_ideal(f: NumberField, p: int, q: int) -> FractionalIdeal:
     """The reduced ideal Z + Z x of the reduced root x = (p + sqrt(disc))/q."""
     x = f.from_surd_numerators(p, 1, q)
-    return _from_vectors(f, *_numerators([(1, 0), x.coords]))
+    return _from_vectors(f, [(x.den, 0), x.nums], x.den)
 
 
 def _cycle_walk(f: NumberField, p0: int, q0: int):

@@ -148,15 +148,6 @@ def hnf_contains(h: list[list[int]], target: list[int]) -> bool:
     return True
 
 
-def hnf_membership(h: list[list[int]], den: int, target: Vec) -> bool:
-    """Whether target (rational coords) lies in the lattice H/den; H c is
-    integral for integer c, so den * target must be integral first."""
-    scaled = [Fraction(t) * den for t in target]
-    if any(x.denominator != 1 for x in scaled):
-        return False
-    return hnf_contains(h, [x.numerator for x in scaled])
-
-
 # ---------------------------------------------------------------------------
 # Quadratic surds a + b*sqrt(D)
 

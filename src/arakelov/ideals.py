@@ -5,10 +5,10 @@ The HNF is column-style upper triangular with positive pivots and reduced
 off-diagonal entries; together with a minimal denominator it is a canonical
 record, so ideal equality is plain structural equality.
 
-All ideal arithmetic runs on integer coordinates: generators, scalings and
-products are integer vectors multiplied through the order's multiplication
-table (`_products`), over one denominator, and closed up by one HNF over
-that denominator (`_from_vectors`). The inverse (O : I) is the dual of one
+All ideal arithmetic runs on integers: generators and scalings enter as
+their numerators over one denominator, and they and products are integer
+vectors multiplied through the order's multiplication table (`_products`)
+and closed up by one HNF over that denominator (`_from_vectors`). The inverse (O : I) is the dual of one
 such HNF (Cohen, *A Course in Computational Algebraic Number Theory*,
 §2.4 and §4.7-4.8).
 """
@@ -22,8 +22,8 @@ from itertools import product
 
 from mpmath import mpf
 
-from .exact import hnf_contains, hnf_membership, hnf_upper
-from .numfield import FieldElement, NumberField, mpf_to_fraction
+from .exact import hnf_contains, hnf_upper
+from .numfield import FieldElement, NumberField, common_numerators, mpf_to_fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,11 +36,7 @@ class FractionalIdeal:
     hnf: tuple[tuple[int, ...], ...]
 
     def basis_elements(self) -> list[FieldElement]:
-        n = self.field.n
-        return [
-            self.field.element([Fraction(self.hnf[i][j], self.den) for i in range(n)])
-            for j in range(n)
-        ]
+        return [FieldElement(self.field, col, self.den) for col in zip(*self.hnf)]
 
     def norm(self) -> Fraction:
         det = 1
@@ -49,7 +45,11 @@ class FractionalIdeal:
         return Fraction(det, self.den ** self.field.n)
 
     def contains(self, x: FieldElement) -> bool:
-        return hnf_membership([list(r) for r in self.hnf], self.den, list(x.coords))
+        """x = nums/d lies in H/den when den nums/d is an integer vector in H's span."""
+        scaled = [self.den * v for v in x.nums]
+        if any(v % x.den for v in scaled):
+            return False
+        return hnf_contains(self.hnf, [v // x.den for v in scaled])
 
     def rational_intersection(self) -> Fraction:
         """Positive generator c of the rational ideal I ∩ Q = cZ."""
@@ -71,7 +71,7 @@ class PlainLattice:
 
     def __post_init__(self):
         # the canonical HNF record of the span answers every lattice query
-        span = _from_vectors(self.field, *_numerators([b.coords for b in self.basis]))
+        span = _from_vectors(self.field, *common_numerators(self.basis))
         object.__setattr__(self, "_span", span)
 
     def basis_elements(self) -> list[FieldElement]:
@@ -91,13 +91,6 @@ class PlainLattice:
 @cache
 def _last_unit_row(n: int) -> tuple[int, ...]:
     return (0,) * (n - 1) + (1,)
-
-
-def _numerators(vectors) -> tuple[list[list[int]], int]:
-    """Integer numerators of rational vectors over their least common
-    denominator."""
-    den = math.lcm(*(x.denominator for v in vectors for x in v))
-    return [[int(x * den) for x in v] for v in vectors], den
 
 
 def _products(t, us, vs) -> list[list[int]]:
@@ -147,7 +140,7 @@ def ideal_from_generators(f: NumberField, gens: list[FieldElement]) -> Fractiona
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("all generators are zero")
-    cols, den = _numerators([g.coords for g in gens])
+    cols, den = common_numerators(gens)
     return _from_vectors(f, _products(f.mult_table(), cols, unit_ideal(f).hnf), den)
 
 
@@ -155,9 +148,8 @@ def scale_ideal(i: FractionalIdeal, g: FieldElement) -> FractionalIdeal:
     """The ideal g·I (exact, no closure step needed)."""
     if g.is_zero():
         raise ValueError("scaling by zero")
-    cols, den = _numerators([g.coords])
-    return _from_vectors(i.field, _products(i.field.mult_table(), cols, _columns(i)),
-                         den * i.den)
+    return _from_vectors(i.field, _products(i.field.mult_table(), [g.nums], _columns(i)),
+                         g.den * i.den)
 
 
 def multiply(i: FractionalIdeal, j: FractionalIdeal) -> FractionalIdeal:
@@ -327,10 +319,10 @@ def _regular_primes(f: NumberField, p: int, limit: int):
         else:
             # g(theta) on O's basis has a denominator m prime to p, and
             # (p, m g(theta)) = (p, g(theta)) locally at p
-            coords = f.from_power([Fraction(c) for c in cofactor] + [Fraction(0)] * (n - d - 1))
-            m = math.lcm(*(x.denominator for x in coords))
-            prime = ideal_from_generators(
-                f, [f.rational(p), f.element([m * x for x in coords])])
+            g, theta = f.zero(), f.gen()
+            for c in reversed(cofactor):
+                g = g * theta + f.rational(c)
+            prime = ideal_from_generators(f, [f.rational(p), FieldElement(f, g.nums)])
         out.append((p ** d, prime))
     return out
 

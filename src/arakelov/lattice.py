@@ -58,6 +58,7 @@ from .numfield import (
     FieldElement,
     NumberField,
     _escalate,
+    common_numerators,
     fraction_to_mpf,
     mpf_to_fraction,
 )
@@ -173,11 +174,10 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
 
     if f.r2 == 0 and all(x == w[0] for x in w):
         # totally real, one weight: a multiple of the trace form, exact. With
-        # the basis coordinates cleared to integer rows m by their lcm dc,
+        # the basis as integer rows m over their common denominator dc,
         # entry (i, j) is w m_i T m_j^T / dc^2 for the integer trace form T
-        dc = math.lcm(*(c.denominator for b in basis for c in b.coords))
-        rows = [[c.numerator * (dc // c.denominator) for c in b.coords] for b in basis]
-        tf = _int_trace_form(f)
+        rows, dc = common_numerators(basis)
+        tf = f.trace_form()
         row_t = [[sum(r[k] * tf[k][j] for k in range(f.n)) for j in range(f.n)]
                  for r in rows]
         den = w[0].denominator * dc * dc
@@ -262,14 +262,6 @@ def _rescale(rect, m: int):
     (re_iv, im_iv) of numerators over den * m."""
     _, (rl, rh), im = rect
     return (rl * m, rh * m), None if im is None else (im[0] * m, im[1] * m)
-
-
-def _int_trace_form(f: NumberField) -> list[list[int]]:
-    """f.trace_form() as ints (the trace form of an order is integral)."""
-    key = "tf_int"
-    if key not in f._cache:
-        f._cache[key] = [[int(x) for x in row] for row in f.trace_form()]
-    return f._cache[key]
 
 
 def _freeze(m) -> tuple[tuple[int, ...], ...]:
@@ -585,14 +577,11 @@ def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _combinations(f: NumberField, source, rows) -> list[FieldElement]:
-    """sum_i row_i source_i for each coefficient row: the source coordinates
-    are cleared to integers by their lcm once, so each coordinate is one
-    integer dot product over that denominator."""
-    den = math.lcm(*(x.denominator for b in source for x in b.coords))
-    cols = [[x.numerator * (den // x.denominator) for x in col]
-            for col in zip(*(b.coords for b in source))]
-    return [FieldElement(f, tuple(Fraction(sum(c * x for c, x in zip(row, col)), den)
-                                  for col in cols))
+    """sum_i row_i source_i for each coefficient row: over the source's one
+    common denominator, each coordinate is one integer dot product."""
+    nums, den = common_numerators(source)
+    cols = list(zip(*nums))
+    return [FieldElement(f, tuple(sum(c * x for c, x in zip(row, col)) for col in cols), den)
             for row in rows]
 
 
@@ -930,10 +919,13 @@ def minimal_element_bounded(f: NumberField, ideal: FractionalIdeal,
     value = None
     while (point := _send(points, value)) is not None:
         value, _, g = point
-        picks.append((value, _canonical_sign(g.coords)))
+        # ties break on the rational coordinates: numerators over unequal
+        # denominators order otherwise, and would move the pick
+        key = _canonical_sign(coords := g.coords)
+        picks.append((value, key, g if key is coords else -g))
     if not picks:
         raise RuntimeError("bounded box is empty; degree-0 precondition violated")
-    return f.element(min(picks)[1])
+    return min(picks, key=lambda p: p[:2])[2]
 
 
 def covolume_check(f: NumberField, divisor) -> tuple:

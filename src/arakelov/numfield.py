@@ -1,9 +1,13 @@
 """Number field core: elements, embeddings, traces and norms, and the
 archimedean algebra with its degree-weighted metric.
 
-Exact data (rational coordinates, structure constants, discriminant) is kept
-in Fractions. sigma(x) has one evaluation per field kind, each with a proven
-error bound: a quadratic element has one exact form, the integer surd
+An element is one exact record, integer numerators over one positive
+denominator in lowest terms (Cohen, A Course in Computational Algebraic
+Number Theory, 4.2); its arithmetic, norm, trace and inverse run on integers
+through the integral structure constants. Fractions remain where a field is
+built or a prime factored: the basis rows, from_power and the construction
+of mult_table. sigma(x) has one evaluation per field kind, each with a
+proven error bound: a quadratic element has one exact form, the integer surd
 numerators (A, B) over one m > 0 of x = (A + B sqrt(disc)) / m that
 NumberField.surd_numerators gives (from_surd_numerators inverts it); every
 other field uses the centre of the certified rectangle of embed_interval
@@ -31,6 +35,7 @@ from mpmath.libmp import (
 )
 
 from .exact import (
+    int_det,
     mat_det,
     mat_inv,
     mat_vec,
@@ -292,25 +297,22 @@ class NumberField:
 
     # -- exact structure ----------------------------------------------------
 
-    def _power_numerators(self, coords) -> tuple[list[int], int]:
-        """(nums, den): the power coordinates of sum_i coords_i b_i as
-        integers over one positive den, in lowest terms. The basis rows are
-        one cached integer matrix B over their lcm (b_i = sum_j B_ij
-        theta^j / lcm), so this is one integer row times B (Cohen, A Course
-        in Computational Algebraic Number Theory, 4.2) and one gcd."""
+    def _power_numerators(self, x: "FieldElement") -> tuple[list[int], int]:
+        """(nums, den): the power coordinates of x as integers over one
+        positive den, in lowest terms. The basis rows are one cached integer
+        matrix B over their lcm (b_i = sum_j B_ij theta^j / lcm), so this is
+        one integer row times B and one gcd."""
         if "pm_int" not in self._cache:
             dp = math.lcm(*(c.denominator for row in self.basis for c in row))
             self._cache["pm_int"] = (dp, [[c.numerator * (dp // c.denominator) for c in row]
                                           for row in self.basis])
         dp, b = self._cache["pm_int"]
-        dx = math.lcm(*(c.denominator for c in coords))
-        xs = [c.numerator * (dx // c.denominator) for c in coords]
-        nums = [sum(x * row[j] for x, row in zip(xs, b) if x) for j in range(self.n)]
-        g = math.gcd(dx * dp, *nums)
-        return [v // g for v in nums], dx * dp // g
+        nums = [sum(v * row[j] for v, row in zip(x.nums, b) if v) for j in range(self.n)]
+        g = math.gcd(x.den * dp, *nums)
+        return [v // g for v in nums], x.den * dp // g
 
     def to_power(self, coords) -> list[Fraction]:
-        nums, den = self._power_numerators(coords)
+        nums, den = self._power_numerators(self.element(coords))
         return [Fraction(v, den) for v in nums]
 
     def from_power(self, pcoords) -> list[Fraction]:
@@ -355,19 +357,17 @@ class NumberField:
             self._cache[key] = tuple(tuple(r) for r in table)
         return self._cache[key]
 
-    def mult_matrix(self, coords) -> list[list[Fraction]]:
-        """Matrix of multiplication by the element with the given coords."""
-        t = self.mult_table()
-        n = self.n
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            ci = coords[i]
+    def _mult_matrix(self, nums) -> list[list[int]]:
+        """The integer matrix of multiplication by sum_i nums_i b_i: column j
+        holds the coordinates of its product with b_j (mult_table)."""
+        t, n = self.mult_table(), self.n
+        m = [[0] * n for _ in range(n)]
+        for i, ci in enumerate(nums):
             if ci:
                 for j in range(n):
-                    row = t[i][j]
-                    for k in range(n):
-                        if row[k]:
-                            m[k][j] += ci * row[k]
+                    for k, tk in enumerate(t[i][j]):
+                        if tk:
+                            m[k][j] += ci * tk
         return m
 
     @property
@@ -379,19 +379,22 @@ class NumberField:
         return self.r1 + self.r2
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, tuple([Fraction(1)] + [Fraction(0)] * (self.n - 1)))
+        return FieldElement(self, (1,) + (0,) * (self.n - 1))
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, tuple([Fraction(0)] * self.n))
+        return FieldElement(self, (0,) * self.n)
 
     def element(self, coords) -> "FieldElement":
-        coords = tuple(Fraction(c) for c in coords)
+        """The element of these rational coordinates: numerators over their lcm."""
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates")
-        return FieldElement(self, coords)
+        den = math.lcm(*(c.denominator for c in coords))
+        return FieldElement(self, tuple(c.numerator * den // c.denominator for c in coords), den)
 
     def rational(self, q) -> "FieldElement":
-        return self.element([Fraction(q)] + [0] * (self.n - 1))
+        num, den = Fraction(q).as_integer_ratio()
+        return FieldElement(self, (num,) + (0,) * (self.n - 1), den)
 
     def gen(self) -> "FieldElement":
         """The root of the minimal polynomial as a field element."""
@@ -420,25 +423,20 @@ class NumberField:
         imaginary part at a complex place), so for the basis {1, w} with
         w = b0 + b1 theta, sqrt(disc) = sgn(b1) (2 w - t), t = Tr(w) =
         2 b0 - b1 c1: w - w' = b1 (theta - theta') and disc = (w - w')^2.
-        The coordinates over their lcm d and t = tn / td give m = 2 td d,
-        A = 2 td X0 + tn X1 and B = sgn(b1) td X1."""
+        The numerators (X0, X1) over the common denominator d of xs and
+        t = tn / td give m = 2 td d, A = 2 td X0 + tn X1 and B = sgn(b1) td X1."""
         t, sgn = self._surd_data()
         tn, td = t.numerator, t.denominator
-        d = math.lcm(*(c.denominator for x in xs for c in x.coords))
-        out = []
-        for x in xs:
-            x0, x1 = (c.numerator * (d // c.denominator) for c in x.coords)
-            out.append((2 * td * x0 + tn * x1, sgn * td * x1))
-        return 2 * td * d, out
+        rows, d = common_numerators(xs)
+        return 2 * td * d, [(2 * td * x0 + tn * x1, sgn * td * x1) for x0, x1 in rows]
 
     def from_surd_numerators(self, a: int, b: int, m: int) -> "FieldElement":
         """The element (a + b sqrt(disc)) / m, m > 0, in the convention of
-        surd_numerators: sgn(b1) sqrt(disc) = 2 w - t, so its coordinates on
-        {1, w} are ((td a - sgn b tn) / (td m), 2 sgn b / m) for t = tn / td."""
+        surd_numerators: sgn(b1) sqrt(disc) = 2 w - t, so its numerators on
+        {1, w} over td m are (td a - sgn b tn, 2 sgn b td) for t = tn / td."""
         t, sgn = self._surd_data()
         tn, td = t.numerator, t.denominator
-        return FieldElement(self, (Fraction(td * a - sgn * b * tn, td * m),
-                                   Fraction(2 * sgn * b, m)))
+        return FieldElement(self, (td * a - sgn * b * tn, 2 * sgn * b * td), td * m)
 
     # -- certified embeddings ----------------------------------------------
 
@@ -605,7 +603,7 @@ class NumberField:
         products in place, so the rectangle is the one of Horner over
         rational intervals."""
         dt, box = self._root_box(place, prec)
-        nums, dc = self._power_numerators(x.coords)
+        nums, dc = self._power_numerators(x)
         cs = nums[::-1]
         scale = 1  # dt^k after k steps
         if len(box) == 1:
@@ -656,19 +654,20 @@ class NumberField:
             return sign_surd_sq(a, b, self.disc, scale_sq.numerator * t.denominator,
                                 t.numerator * scale_sq.denominator * m * m, place)
 
-        def exact_sign() -> int | None:
-            power = x
-            for k in range(1, 31):
-                if power.is_rational():
-                    diff = scale_sq ** k * power.coords[0] ** 2 - t ** k
-                    return (diff > 0) - (diff < 0)
-                power = power * x
-            return None
-
         # times the positive denominators of t and scale_sq and den^2,
         # scale_sq |sigma(x)|^2 - t becomes s L - t_num den^2 for L in the
         # numerator interval of |sigma(x)|^2 over den^2
         s, t_num = scale_sq.numerator * t.denominator, t.numerator * scale_sq.denominator
+
+        def exact_sign() -> int | None:
+            # scale_sq^k q^2 - t^k for x^k = q = a / d, times (sd td)^k d^2 > 0
+            power = x
+            for k in range(1, 31):
+                if power.is_rational():
+                    diff = s ** k * power.nums[0] ** 2 - t_num ** k * power.den ** 2
+                    return (diff > 0) - (diff < 0)
+                power = power * x
+            return None
 
         def attempt(prec: int):
             den, re_iv, im_iv = self.embed_interval(x, place, prec)
@@ -712,16 +711,16 @@ class NumberField:
         with mp.workprec(prec):
             return (mpf(2) / mp.pi) ** self.r2 * mp.sqrt(abs(self.disc))
 
-    def trace_form(self) -> list[list[Fraction]]:
-        """Matrix Tr(b_i b_j): integral for an order, det = disc."""
+    def trace_form(self) -> list[list[int]]:
+        """Matrix Tr(b_i b_j), det = disc: integers, since mult_table has
+        checked that the basis is closed under multiplication. Its first
+        row is Tr(b_j), as b_1 = 1."""
         key = "tf"
         if key not in self._cache:
             t, n = self.mult_table(), self.n
             trb = [sum(t[i][k][k] for k in range(n)) for i in range(n)]  # Tr(b_i)
-            self._cache[key] = [
-                [Fraction(sum(t[i][j][k] * trb[k] for k in range(n))) for j in range(n)]
-                for i in range(n)
-            ]
+            self._cache[key] = [[sum(t[i][j][k] * trb[k] for k in range(n)) for j in range(n)]
+                                for i in range(n)]
         return self._cache[key]
 
     def conjugate(self, x: "FieldElement") -> "FieldElement":
@@ -738,43 +737,64 @@ class NumberField:
 
 @dataclass(frozen=True, slots=True)
 class FieldElement:
-    """Element with exact rational coordinates on the integral basis."""
+    """The element sum_i nums_i b_i / den on the integral basis: integer
+    numerators over one positive den, brought to lowest terms on
+    construction, so equal elements are equal records. A product is one
+    integer bilinear sum through mult_table and one gcd. coords gives the
+    coordinates as Fractions."""
 
     field: NumberField
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        if not self.den:
+            raise ZeroDivisionError("element with denominator 0")
+        g = math.gcd(self.den, *self.nums) * (1 if self.den > 0 else -1)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(v // g for v in self.nums))
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        nums = tuple(x * b + y * a for x, y in zip(self.nums, other.nums))
+        return FieldElement(self.field, nums, a * b)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        nums = tuple(x * b - y * a for x, y in zip(self.nums, other.nums))
+        return FieldElement(self.field, nums, a * b)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-v for v in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             t = self.field.mult_table()
-            n = self.field.n
-            out = [Fraction(0)] * n
-            for i, ci in enumerate(self.coords):
+            out = [0] * self.field.n
+            for i, ci in enumerate(self.nums):
                 if ci:
-                    for j, cj in enumerate(other.coords):
+                    for j, cj in enumerate(other.nums):
                         if cj:
-                            f = ci * cj
-                            row = t[i][j]
-                            for k in range(n):
-                                if row[k]:
-                                    out[k] += f * row[k]
-            return FieldElement(self.field, tuple(out))
-        return FieldElement(self.field, tuple(a * Fraction(other) for a in self.coords))
+                            c = ci * cj
+                            for k, tk in enumerate(t[i][j]):
+                                if tk:
+                                    out[k] += c * tk
+            return FieldElement(self.field, tuple(out), self.den * other.den)
+        p, q = other.as_integer_ratio()
+        return FieldElement(self.field, tuple(v * p for v in self.nums), self.den * q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, FieldElement):
             return self * other.inverse()
-        return FieldElement(self.field, tuple(a / Fraction(other) for a in self.coords))
+        p, q = other.as_integer_ratio()
+        return FieldElement(self.field, tuple(v * q for v in self.nums), self.den * p)
 
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
@@ -790,17 +810,15 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """The y with x y = 1: M(x) y = e_1 for the multiplication matrix
-        M(x), solved by fraction-free elimination (Bareiss) on M(x) cleared
-        to integers, den M(x) y = den e_1. Every division in the elimination
-        and in the back-substitution of det y, an integer vector (Cramer),
-        is exact; y = (det y) / det is the unique solution."""
+        M(x) = M(nums) / den, that is M(nums) y = den e_1, solved by
+        fraction-free elimination (Bareiss) on integers. Every division in
+        the elimination and in the back-substitution of det y, an integer
+        vector (Cramer), is exact; y = (det y) / det is the unique solution."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         n = self.field.n
-        m = self.field.mult_matrix(self.coords)
-        den = math.lcm(*(x.denominator for row in m for x in row))
-        a = [[x.numerator * (den // x.denominator) for x in row] + [den * (i == 0)]
-             for i, row in enumerate(m)]
+        a = [row + [self.den * (i == 0)]
+             for i, row in enumerate(self.field._mult_matrix(self.nums))]
         prev = 1
         for k in range(n):
             piv = next(r for r in range(k, n) if a[r][k])
@@ -809,27 +827,34 @@ class FieldElement:
                 a[i] = [0] * (k + 1) + [(a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
                                         for j in range(k + 1, n + 1)]
             prev = a[k][k]
-        det = prev  # +-det(den M(x)): the last Bareiss pivot
+        det = prev  # +-det(M(nums)): the last Bareiss pivot
         y = [0] * n
         for i in range(n - 1, -1, -1):
             y[i] = (det * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
-        return FieldElement(self.field, tuple(Fraction(v, det) for v in y))
+        return FieldElement(self.field, tuple(y), det)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def norm(self) -> Fraction:
-        return mat_det(self.field.mult_matrix(self.coords))
+        return Fraction(int_det(self.field._mult_matrix(self.nums)), self.den ** self.field.n)
 
     def trace(self) -> Fraction:
-        m = self.field.mult_matrix(self.coords)
-        return sum((m[i][i] for i in range(self.field.n)), Fraction(0))
+        trb = self.field.trace_form()[0]
+        return Fraction(sum(v * t for v, t in zip(self.nums, trb)), self.den)
 
     def __repr__(self) -> str:
         return f"FieldElement({[str(c) for c in self.coords]})"
+
+
+def common_numerators(xs) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, d): the numerators of each element of xs over their one least
+    common denominator d."""
+    d = math.lcm(*(x.den for x in xs))
+    return [tuple(v * (d // x.den) for v in x.nums) for x in xs], d
 
 
 # ---------------------------------------------------------------------------
@@ -874,11 +899,10 @@ def create_field(min_poly, integral_basis=None, prec: int = DEFAULT_PREC) -> Num
     r2 = (n - r1) // 2
     f = NumberField(tuple(coeffs), tuple(tuple(r) for r in rows), n, r1, r2, 0, prec)
     f.mult_table()  # validates ring closure
-    disc = mat_det(f.trace_form())
-    if disc.denominator != 1 or disc == 0:
-        raise FieldConstructionError("trace form determinant is not a nonzero integer")
-    return NumberField(tuple(coeffs), tuple(tuple(r) for r in rows), n, r1, r2,
-                       int(disc), prec)
+    disc = int_det(f.trace_form())
+    if disc == 0:
+        raise FieldConstructionError("trace form determinant is zero")
+    return NumberField(tuple(coeffs), tuple(tuple(r) for r in rows), n, r1, r2, disc, prec)
 
 
 def partial_f(f: NumberField):

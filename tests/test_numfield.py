@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from arakelov.exact import cf_floor
+from arakelov.exact import cf_floor, mat_det
 from arakelov.ideals import ideal_from_generators, unit_ideal
 from arakelov.lattice import enumerate_box, is_minimal
 from arakelov.numfield import (
@@ -647,3 +648,138 @@ def test_oracles_import_nothing_from_the_library():
     calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
              for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not calls & {"__import__", "import_module"}
+
+
+_ARITH_FIELDS = [([-73, 0, 1], None), ([1, 0, 1], None), ([-2, 0, 0, 1], None),
+                 ([-3, -1, 0, 1], None), ([-1, -1, 0, 0, 1], None),
+                 ([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]])]
+ARITH_DIGEST = "7a25cdd30efe6e456791d393950290b6371b80b3791e61185250c68fe55dbd2c"
+
+
+def _qs(xs) -> list[tuple[int, int]]:
+    return [(Fraction(x).numerator, Fraction(x).denominator) for x in xs]
+
+
+def test_element_arithmetic_pinned():
+    """+, -, *, / and inverse (their coords in lowest terms), norm, trace,
+    to_power, embed_interval at 128 bits, cmp_abs_sq signs (rational ties
+    included) and ideal membership, on seeded elements of orders of degree
+    2 to 4, hash to the pinned digest: how an element is represented moves
+    no value."""
+    from arakelov.ideals import contains
+    from conftest import random_fractional_ideal
+
+    h = hashlib.sha256()
+    rng = random.Random(3232)
+    for min_poly, basis in _ARITH_FIELDS:
+        f = create_field(min_poly, basis)
+        xs = [f.element([Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                         for _ in range(f.n)]) for _ in range(25)]
+        xs += [f.element([Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                          for _ in range(f.n)]) for _ in range(15)]
+        xs += [f.rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(5)]
+        ideals = [random_fractional_ideal(f, rng, 10) for _ in range(3)]
+        xs += [b for i in ideals for b in i.basis_elements()]
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            outs = [x + y, x - y, x * y, -x, x * Fraction(-3, 7)]
+            if not y.is_zero():
+                outs += [x / y, y.inverse()]
+            h.update(repr([_qs(z.coords) for z in outs]).encode())
+            h.update(repr(_qs([x.norm(), x.trace()] + list(f.to_power(x.coords)))).encode())
+            scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for place in range(f.num_places):
+                h.update(repr(f.embed_interval(x, place, 128)).encode())
+                t = (scale * x.coords[0] ** 2 if x.is_rational()
+                     else Fraction(rng.randint(0, 400), rng.randint(1, 20)))
+                h.update(repr(f.cmp_abs_sq(x, place, t, scale)).encode())
+            h.update(repr([contains(i, x) for i in ideals]).encode())
+    assert h.hexdigest() == ARITH_DIGEST
+
+
+def _canonical(x) -> bool:
+    return x.den > 0 and math.gcd(x.den, *x.nums) == 1
+
+
+def test_elements_are_canonical_records(f7, f73, f_cubic):
+    """Every constructor path gives integer numerators over one positive
+    denominator in lowest terms, so equal elements are equal records."""
+    from arakelov.numfield import FieldElement
+
+    x = f7.element([1, 1])  # N(x) = -6: Bareiss ends on the negative pivot -6
+    inv = x.inverse()
+    assert (inv.nums, inv.den) == ((-1, 1), 6) and x * inv == f7.one()
+    y = f73.from_surd_numerators(3, -5, 4)  # b < 0
+    assert f73.surd_numerators([y]) == (4, [(3, -5)])
+    for v, want in ((f_cubic.rational(Fraction(6, -4)), ((-3, 0, 0), 2)),
+                    (f_cubic.element([Fraction(2, 4), Fraction(-6, 8), "10/15"]), ((6, -9, 8), 12)),
+                    (FieldElement(f7, (2, 4), -6), ((-1, -2), 3)),
+                    (x - x, ((0, 0), 1))):
+        assert (v.nums, v.den) == want
+    rng = random.Random(32)
+    for f in (f7, f73, f_cubic):
+        xs = [f.element([Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(f.n)])
+              for _ in range(20)]
+        xs += [f.one(), f.zero(), f.gen(), f.rational(Fraction(-7, 3))]
+        for a, b in zip(xs, xs[1:]):
+            outs = [a, a + b, a - b, a * b, -a, a * 3, a * Fraction(-2, 9), a / Fraction(-4, 6),
+                    a - a]
+            if not b.is_zero():
+                outs += [a / b, b.inverse()]
+            assert all(_canonical(v) for v in outs), (a, b)
+            for v in outs:
+                again = f.element(v.coords)
+                assert again == v and hash(again) == hash(v)
+    assert all(_canonical(b) for b in ideal_from_generators(f73, [y, f73.gen()]).basis_elements())
+    assert _canonical(y) and _canonical(f73.conjugate(y))
+    with pytest.raises(ZeroDivisionError):
+        FieldElement(f7, (1, 0), 0)
+
+
+def test_integer_paths_build_no_fraction(monkeypatch, f73, fi, f_cubic):
+    """With the caches warm, element arithmetic, the surd numerators,
+    embed_interval, lattice combinations, ideal bases, membership and
+    ideal generators construct no Fraction in numfield, lattice or ideals."""
+    import arakelov.ideals as ideals_module
+    import arakelov.lattice as lattice_module
+    import arakelov.numfield as numfield_module
+    from arakelov.ideals import contains
+
+    fields = (f73, fi, f_cubic, create_field([-3, -1, 0, 1]),
+              create_field([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    rng = random.Random(33)
+    cases = []
+    for f in fields:
+        x, y = (f.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(f.n)])
+                for _ in range(2))
+        cases.append((f, x, y, ideal_from_generators(f, [x, f.rational(2)])))
+
+    def run():
+        for f, x, y, ideal in cases:
+            (x + y, x - y, x * y, -x, y.inverse(), x * 3, contains(ideal, x * y))
+            if f.n == 2:
+                f.surd_numerators([x, y])
+            for place in range(f.num_places):
+                f.embed_interval(x, place, f.prec)
+            basis = ideal.basis_elements()
+            lattice_module._combinations(f, basis, [tuple(range(1, f.n + 1))])
+            ideal_from_generators(f, [x, y] + basis)
+
+    run()  # warm the per-field caches
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for module in (numfield_module, lattice_module, ideals_module):
+        monkeypatch.setattr(module, "Fraction", counting)
+    run()
+    assert built == []
+
+
+def test_trace_form_is_an_integer_matrix(f7, f73, fi, f_cubic):
+    for f in (f7, f73, fi, f_cubic, create_field([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]])):
+        tf = f.trace_form()
+        assert all(type(v) is int for row in tf for v in row)
+        assert mat_det([[Fraction(v) for v in row] for row in tf]) == f.disc
+        assert [f.element([int(i == j) for i in range(f.n)]).trace() for j in range(f.n)] == tf[0]
