@@ -508,8 +508,7 @@ def _box_walk(f: NumberField, q: FractionalIdeal) -> tuple[int, int, tuple[int, 
     (A + B sqrt(disc)) / (2 den(Q)), and a step's product is divided
     exactly."""
     disc, s = f.disc, isqrt(f.disc)
-    t, sgn = f._surd_data()  # w = (t + sgn sqrt(disc))/2, t = tn/td (surd_numerators)
-    tn, td = t.numerator, t.denominator
+    tn, td, sgn = f._surd_data()  # w = (tn/td + sgn sqrt(disc))/2 (surd_numerators)
     m = 2 * q.den
     side = _box_side(f)
     # (u sigma(g))^2 <= side^2 at both places, for u = man 2^exp the exact

@@ -1,15 +1,16 @@
-"""Exact rational linear algebra and integer lattice normal forms.
+"""Exact integer linear algebra and lattice normal forms: one
+fraction-free elimination (int_solve, behind every determinant, inverse
+and adjugate of the library), the Hermite normal form, quadratic surd
+signs, continued-fraction steps and Sturm's root count.
 
-Everything in this module is elementary and exact: integers and Fractions
-only, no floating point. It backs all boundary-sharp decisions elsewhere.
+Everything in this module is elementary and exact: integers, with
+Fractions only in Sturm's polynomial remainders and frac_isqrt_floor, and
+no floating point. It backs all boundary-sharp decisions elsewhere.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -25,68 +26,45 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Rational matrices (dense, tiny dimensions)
+# Fraction-free elimination (dense, tiny dimensions)
 
-def mat_identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def int_solve(a, rhs) -> tuple[int, list[list[int]] | None]:
+    """(det, X) with a X = det rhs, for an integer n x n matrix a and an
+    integer n x k matrix rhs given as n rows: det is the determinant of a
+    and X = adj(a) rhs, an integer matrix (Cramer). A singular a gives
+    (0, None).
 
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0)) for i in range(len(a))]
-
-
-def mat_det(a: Mat) -> Fraction:
-    """Determinant by fraction Gaussian elimination."""
+    Bareiss elimination with row swaps on [a | rhs] (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 1968): every division is exact and the last pivot is +-det. The
+    back-substitution of X on the echelon rows divides exactly too, since
+    every entry of X is an integer."""
     n = len(a)
-    m = [row[:] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+    m = [list(row) + list(r) for row, r in zip(a, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+            return 0, None
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        top, p = m[k][k + 1:], m[k][k]
+        for i in range(k + 1, n):
+            c = m[i][k]
+            m[i] = [0] * (k + 1) + [(x * p - c * y) // prev for x, y in zip(m[i][k + 1:], top)]
+        prev = p
+    det = sign * prev
+    x: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        x[i] = [(det * row[n + c] - sum(row[j] * x[j][c] for j in range(i + 1, n))) // row[i]
+                for c in range(len(row) - n)]
+    return det, x
 
 
 def int_det(a) -> int:
-    """Determinant of an integer matrix by fraction-free elimination
-    (Bareiss): every division is exact, and the last pivot is the value."""
-    m, sign, prev = [list(row) for row in a], 1, 1
-    for k in range(len(m)):
-        piv = next((r for r in range(k, len(m)) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv], sign = m[piv], m[k], -sign
-        for i in range(k + 1, len(m)):
-            m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
-        prev = m[k][k]
-    return sign * prev
-
-
-def mat_inv(a: Mat) -> Mat:
-    n = len(a)
-    m = [row[:] + ident_row for row, ident_row in zip(a, mat_identity(n))]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:] for row in m]
+    """Determinant of an integer matrix: int_solve with no right-hand side."""
+    return int_solve(a, [()] * len(a))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -252,12 +252,13 @@ def _floor_bound(bound) -> int:
 
 def _basis_denominator(f: NumberField) -> int:
     """lcm of den(B) and den(B^-1), B the basis matrix of O over the power
-    basis; it is 1 exactly when O = Z[theta]."""
-    n = f.n
-    dens = [x.denominator for row in f.basis for x in row]
-    for j in range(n):
-        dens += [x.denominator for x in f.from_power([Fraction(int(k == j)) for k in range(n)])]
-    return math.lcm(*dens)
+    basis; it is 1 exactly when O = Z[theta]. B is basis_nums over its
+    denominator dp in lowest terms, and B^-1 is dp adj / det
+    (NumberField._basis_adjugate), whose entries' denominators have the
+    lcm |det| / gcd(det, dp adj)."""
+    dp = f.basis_den
+    det, adj = f._basis_adjugate()
+    return math.lcm(dp, abs(det) // math.gcd(det, *(dp * x for row in adj for x in row)))
 
 
 def _irregular_modulus(f: NumberField) -> int:
@@ -306,11 +307,13 @@ def _regular_primes(f: NumberField, p: int, limit: int):
         # O/P = F_p with theta -> r, so P is the kernel of b_i -> b_i(r)
         h = [[int(i == j) for j in range(n)] for i in range(n)]
         h[0][0] = p
+        # b_i(r) = B_i(r) / basis_den, and p does not divide basis_den
+        inv_den = pow(f.basis_den, -1, p)
         for i in range(1, n):
             val = 0
-            for x in reversed(f.basis[i]):
-                val = (val * r + x.numerator * pow(x.denominator, -1, p)) % p
-            h[0][i] = -val % p
+            for x in reversed(f.basis_nums[i]):
+                val = (val * r + x) % p
+            h[0][i] = -val * inv_den % p
         out.append((p, FractionalIdeal(f, 1, tuple(tuple(row) for row in h))))
     if 2 <= d <= 3 and p ** d <= limit:
         # a root-free cofactor of degree <= 3 is irreducible mod p

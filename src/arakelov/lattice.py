@@ -20,10 +20,11 @@ certified error warrants, are rounded to a grid a few bits below that
 error, LLL and the search run on the rounded Gram, and only the candidates
 found are valued exactly on the integer midpoints (_rounded_attempt). The unit
 lattice's closest vectors (units.LogLattice) run the loop on integer
-levels too (_int_levels), about a dyadic centre scaled to integers. Boxes
-do not LLL first: they run the loop on the exact Fraction L D L^T factors
-that _ldl_int reads off the same integral Gram-Schmidt data of their
-integer Gram, its only users with enumerate_quadratic_form. One Gram-Schmidt,
+levels too (_int_levels), about a dyadic centre scaled to integers, and so
+does enumerate_quadratic_form, on its entries cleared to integers
+(_int_half). Boxes do not LLL first: they run the loop on the exact
+Fraction L D L^T factors that _ldl_int reads off the same integral
+Gram-Schmidt data of their integer Gram, its only users. One Gram-Schmidt,
 _int_gram_schmidt, is behind every factorisation, and one row,
 _fincke_pohst_row, behind every level of the loop: a level (c, e) about
 mid holds the x with used + c (e x - mid)^2 <= radius, a run of
@@ -311,18 +312,14 @@ def _int_entries(entries) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in entries], den
 
 
-def _ldl(g: list[list[Fraction]]):
-    """G = L D L^T for a positive-definite rational G: (d, l) with l unit
-    lower triangular; l[i][j] (i > j) are the Gram-Schmidt coefficients
-    mu_ij and d the squared Gram-Schmidt lengths, exact Fractions."""
-    return _ldl_int(*_int_entries(g))
-
-
 def _ldl_int(cur, den: int):
-    """_ldl of G = cur / den, read off _int_gram_schmidt of the integer
-    Gram cur: with D its leading minors and lam its integral coefficients,
-    d_i = D_i+1 / (D_i den) and mu_ij = lam_ij / D_j+1. L D L^T is unique,
-    so these are the factors of any exact elimination."""
+    """G = L D L^T for the positive-definite G = cur / den, cur an integer
+    Gram: (d, l) with l unit lower triangular, l[i][j] (i > j) the
+    Gram-Schmidt coefficients mu_ij and d the squared Gram-Schmidt lengths,
+    exact Fractions read off _int_gram_schmidt of cur: with D its leading
+    minors and lam its integral coefficients, d_i = D_i+1 / (D_i den) and
+    mu_ij = lam_ij / D_j+1. L D L^T is unique, so these are the factors of
+    any exact elimination."""
     dd, lam = _int_gram_schmidt(cur)
     n = len(cur)
     d = [Fraction(dd[i + 1], dd[i] * den) for i in range(n)]
@@ -445,10 +442,10 @@ def _fincke_pohst(levels, l, shift, radius):
 
     About a centre c the shift is shift_i = e_i c_i + sum_{k > i} l_ki c_k,
     so that e_i a_i - mid_i = e_i (a_i - c_i) + sum_{k > i} l_ki (a_k - c_k).
-    On _ldl's factors G = L D L^T the levels are (d_i, 1) and the value is
-    (a - c)^T G (a - c), on exact Fractions; _box_points and
-    enumerate_quadratic_form, the only users of those factors, walk them
-    about the origin. _int_half passes the integer levels of its scaled Gram
+    On _ldl_int's factors G = L D L^T the levels are (d_i, 1) and the value
+    is (a - c)^T G (a - c), on exact Fractions; _box_points, the only user
+    of those factors, walks them about the origin. _int_half passes the
+    integer levels of its scaled Gram
     (_int_levels), lam as l and an integer radius, about the origin, and
     units.LogLattice the same levels about a dyadic centre C / D, with
     every e_i and l_ki times D and the shift of C on the unscaled levels:
@@ -559,12 +556,12 @@ def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
 
     Returns (value, coeffs) pairs, both signs of each vector, sorted
     lexicographically on the reversed coefficient tuple. The search walks
-    half the tree (_fincke_pohst about the origin); the second half of the
-    list is its own output, one of each +-x pair, and the first half the
-    negatives it adds.
+    half the tree on the integer levels of the entries cleared to integers
+    (_int_half); the second half of the list is its own output, one of each
+    +-x pair, and the first half the negatives it adds.
     """
-    d, l = _ldl(entries)
-    return _both_signs(list(_fincke_pohst([(x, 1) for x in d], l, None, radius)))
+    cur, den = _int_entries(entries)
+    return _both_signs(list(_int_half(cur, den, *_int_gram_schmidt(cur), Fraction(radius))))
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -627,7 +624,7 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector | None:
     radius, the least diagonal entry of the reduced Gram.
 
     An exact Gram is searched on _lll_core's integer Gram and integral
-    Gram-Schmidt data (_int_half): no _ldl, no Fraction per node, and
+    Gram-Schmidt data (_int_half): no Fraction per node, and
     only the winner becomes a FieldElement. The search yields one vector of
     each +-x pair, whose canonical sign is the pair's, so the pick is that
     of the whole of enumerate_quadratic_form on the same entries.

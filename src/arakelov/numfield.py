@@ -4,9 +4,11 @@ archimedean algebra with its degree-weighted metric.
 An element is one exact record, integer numerators over one positive
 denominator in lowest terms (Cohen, A Course in Computational Algebraic
 Number Theory, 4.2); its arithmetic, norm, trace and inverse run on integers
-through the integral structure constants. Fractions remain where a field is
-built or a prime factored: the basis rows, from_power and the construction
-of mult_table. sigma(x) has one evaluation per field kind, each with a
+through the integral structure constants. The order basis is integer rows
+over one denominator as well, and the structure constants, disc and the
+basis adjugate are built from it on integers once per field, through the one
+fraction-free solve exact.int_solve; basis and from_power give Fractions
+for the public API. sigma(x) has one evaluation per field kind, each with a
 proven error bound: a quadratic element has one exact form, the integer surd
 numerators (A, B) over one m > 0 of x = (A + B sqrt(disc)) / m that
 NumberField.surd_numerators gives (from_surd_numerators inverts it); every
@@ -18,6 +20,7 @@ comparisons are exact on the surd numerators and never escalate.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,15 +37,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exact import (
-    int_det,
-    mat_det,
-    mat_inv,
-    mat_vec,
-    sign_surd,
-    sign_surd_sq,
-    sturm_real_root_count,
-)
+from .exact import int_det, int_solve, sign_surd, sign_surd_sq, sturm_real_root_count
 
 DEFAULT_PREC = 128
 MAX_PREC = 4096
@@ -281,32 +276,37 @@ class LogVector:
 @dataclass(frozen=True)
 class NumberField:
     """A number field given by a monic irreducible integer polynomial and an
-    order basis (rows = basis elements in power-basis coordinates, b_1 = 1)."""
+    order basis, held as integer rows over one positive denominator in
+    lowest terms: b_i = sum_j basis_nums[i][j] theta^j / basis_den, b_1 = 1.
+    basis gives the rows as Fractions. The structure constants and disc, the
+    trace-form determinant, are built once on construction; a basis that is
+    not closed under multiplication is a FieldConstructionError."""
 
     min_poly: tuple[int, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis_nums: tuple[tuple[int, ...], ...]
+    basis_den: int
     n: int
     r1: int
     r2: int
-    disc: int
     prec: int = DEFAULT_PREC
+    disc: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         # idempotent derived-data caches; contents never depend on call order
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "disc", int_det(self.trace_form()))
 
     # -- exact structure ----------------------------------------------------
 
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.basis_den) for v in row) for row in self.basis_nums)
+
     def _power_numerators(self, x: "FieldElement") -> tuple[list[int], int]:
         """(nums, den): the power coordinates of x as integers over one
-        positive den, in lowest terms. The basis rows are one cached integer
-        matrix B over their lcm (b_i = sum_j B_ij theta^j / lcm), so this is
-        one integer row times B and one gcd."""
-        if "pm_int" not in self._cache:
-            dp = math.lcm(*(c.denominator for row in self.basis for c in row))
-            self._cache["pm_int"] = (dp, [[c.numerator * (dp // c.denominator) for c in row]
-                                          for row in self.basis])
-        dp, b = self._cache["pm_int"]
+        positive den, in lowest terms: one integer row times the basis rows
+        and one gcd."""
+        dp, b = self.basis_den, self.basis_nums
         nums = [sum(v * row[j] for v, row in zip(x.nums, b) if v) for j in range(self.n)]
         g = math.gcd(x.den * dp, *nums)
         return [v // g for v in nums], x.den * dp // g
@@ -315,46 +315,64 @@ class NumberField:
         nums, den = self._power_numerators(self.element(coords))
         return [Fraction(v, den) for v in nums]
 
-    def from_power(self, pcoords) -> list[Fraction]:
-        if "pm_inv_t" not in self._cache:
-            self._cache["pm_inv_t"] = mat_inv([list(col) for col in zip(*self.basis)])
-        return mat_vec(self._cache["pm_inv_t"], list(pcoords))
+    def _basis_adjugate(self) -> tuple[int, list[list[int]]]:
+        """(det, adj) with B^T adj = det I for the integer basis rows B
+        (int_solve): the coordinates of a power-basis vector p are
+        basis_den adj p / det."""
+        if "adj" not in self._cache:
+            n = self.n
+            self._cache["adj"] = int_solve(list(zip(*self.basis_nums)),
+                                           [[int(i == j) for j in range(n)] for i in range(n)])
+        return self._cache["adj"]
 
-    def _poly_mod(self, coeffs: list[Fraction]) -> list[Fraction]:
-        """Reduce a power-basis polynomial mod the minimal polynomial."""
+    def from_power(self, pcoords) -> list[Fraction]:
+        det, adj = self._basis_adjugate()
+        return [Fraction(self.basis_den * sum(a * p for a, p in zip(row, pcoords)), det)
+                for row in adj]
+
+    def _poly_mod(self, coeffs: list[int]) -> list[int]:
+        """Reduce an integer power-basis polynomial mod the monic minimal
+        polynomial."""
         n = self.n
-        c = list(coeffs) + [Fraction(0)] * max(0, 2 * n - 1 - len(coeffs))
+        c = list(coeffs)
         for k in range(len(c) - 1, n - 1, -1):
             f = c[k]
             if f:
-                c[k] = Fraction(0)
+                c[k] = 0
                 for j in range(n):
                     c[k - n + j] -= f * self.min_poly[j]
         return c[:n]
 
     def mult_table(self):
-        """Structure constants: b_i * b_j on the integral basis (integers)."""
+        """Structure constants: b_i * b_j on the integral basis (integers).
+        With B_i the basis rows, b_i b_j = P(theta) / basis_den^2 for P the
+        integer product B_i B_j mod the minimal polynomial, whose coordinates
+        adj P / (det basis_den) must be integers."""
         key = "mt"
         if key not in self._cache:
             n = self.n
+            det, adj = self._basis_adjugate()
+            if not det:
+                raise FieldConstructionError("basis has zero determinant")
+            q = det * self.basis_den
             table = []
-            for pi in self.basis:  # the basis rows are power coordinates
+            for bi in self.basis_nums:
                 row = []
-                for pj in self.basis:
-                    prod = [Fraction(0)] * (2 * n - 1)
-                    for a, ca in enumerate(pi):
+                for bj in self.basis_nums:
+                    prod = [0] * (2 * n - 1)
+                    for a, ca in enumerate(bi):
                         if ca:
-                            for b, cb in enumerate(pj):
-                                if cb:
-                                    prod[a + b] += ca * cb
-                    coords = self.from_power(self._poly_mod(prod))
-                    if any(x.denominator != 1 for x in coords):
+                            for b, cb in enumerate(bj):
+                                prod[a + b] += ca * cb
+                    prod = self._poly_mod(prod)
+                    coords = [sum(x * y for x, y in zip(r, prod)) for r in adj]
+                    if any(c % q for c in coords):
                         raise FieldConstructionError(
                             "integral basis is not multiplicatively closed"
                         )
-                    row.append(tuple(int(x) for x in coords))
-                table.append(row)
-            self._cache[key] = tuple(tuple(r) for r in table)
+                    row.append(tuple(c // q for c in coords))
+                table.append(tuple(row))
+            self._cache[key] = tuple(table)
         return self._cache[key]
 
     def _mult_matrix(self, nums) -> list[list[int]]:
@@ -397,20 +415,25 @@ class NumberField:
         return FieldElement(self, (num,) + (0,) * (self.n - 1), den)
 
     def gen(self) -> "FieldElement":
-        """The root of the minimal polynomial as a field element."""
-        return self.element(self.from_power([Fraction(int(j == 1)) for j in range(self.n)]))
+        """The root of the minimal polynomial as a field element: column 1
+        of the basis adjugate, times basis_den over det."""
+        det, adj = self._basis_adjugate()
+        return FieldElement(self, tuple(self.basis_den * row[1] for row in adj), det)
 
     # -- exact quadratic arithmetic ----------------------------------------
 
-    def _surd_data(self) -> tuple[Fraction, int]:
-        """(t, sgn(b1)) for surd_numerators: t = Tr(w) = 2 b0 - b1 c1, a
-        field constant of a quadratic field (ValueError in any other)."""
+    def _surd_data(self) -> tuple[int, int, int]:
+        """(tn, td, sgn(b1)) for surd_numerators: t = tn / td in lowest terms
+        is Tr(w) = 2 b0 - b1 c1, a field constant of a quadratic field
+        (ValueError in any other)."""
         if self.n != 2:
             raise ValueError("surd pairs exist only for quadratic fields")
         key = "surd"
         if key not in self._cache:
-            (b0, b1), c1 = self.basis[1], self.min_poly[1]
-            self._cache[key] = (2 * b0 - b1 * c1, 1 if b1 > 0 else -1)
+            (b0, b1), c1 = self.basis_nums[1], self.min_poly[1]
+            tn = 2 * b0 - b1 * c1
+            g = math.gcd(tn, self.basis_den)
+            self._cache[key] = (tn // g, self.basis_den // g, 1 if b1 > 0 else -1)
         return self._cache[key]
 
     def surd_numerators(self, xs) -> tuple[int, list[tuple[int, int]]]:
@@ -425,8 +448,7 @@ class NumberField:
         2 b0 - b1 c1: w - w' = b1 (theta - theta') and disc = (w - w')^2.
         The numerators (X0, X1) over the common denominator d of xs and
         t = tn / td give m = 2 td d, A = 2 td X0 + tn X1 and B = sgn(b1) td X1."""
-        t, sgn = self._surd_data()
-        tn, td = t.numerator, t.denominator
+        tn, td, sgn = self._surd_data()
         rows, d = common_numerators(xs)
         return 2 * td * d, [(2 * td * x0 + tn * x1, sgn * td * x1) for x0, x1 in rows]
 
@@ -434,8 +456,7 @@ class NumberField:
         """The element (a + b sqrt(disc)) / m, m > 0, in the convention of
         surd_numerators: sgn(b1) sqrt(disc) = 2 w - t, so its numerators on
         {1, w} over td m are (td a - sgn b tn, 2 sgn b td) for t = tn / td."""
-        t, sgn = self._surd_data()
-        tn, td = t.numerator, t.denominator
+        tn, td, sgn = self._surd_data()
         return FieldElement(self, (td * a - sgn * b * tn, 2 * sgn * b * td), td * m)
 
     # -- certified embeddings ----------------------------------------------
@@ -810,28 +831,14 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """The y with x y = 1: M(x) y = e_1 for the multiplication matrix
-        M(x) = M(nums) / den, that is M(nums) y = den e_1, solved by
-        fraction-free elimination (Bareiss) on integers. Every division in
-        the elimination and in the back-substitution of det y, an integer
-        vector (Cramer), is exact; y = (det y) / det is the unique solution."""
+        M(x) = M(nums) / den, that is M(nums) y = den e_1, solved on
+        integers by exact.int_solve: y = (det y) / det, det y an integer
+        vector (Cramer)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        n = self.field.n
-        a = [row + [self.den * (i == 0)]
-             for i, row in enumerate(self.field._mult_matrix(self.nums))]
-        prev = 1
-        for k in range(n):
-            piv = next(r for r in range(k, n) if a[r][k])
-            a[k], a[piv] = a[piv], a[k]
-            for i in range(k + 1, n):
-                a[i] = [0] * (k + 1) + [(a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                                        for j in range(k + 1, n + 1)]
-            prev = a[k][k]
-        det = prev  # +-det(M(nums)): the last Bareiss pivot
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            y[i] = (det * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
-        return FieldElement(self.field, tuple(y), det)
+        rhs = [[self.den * (i == 0)] for i in range(self.field.n)]
+        det, y = int_solve(self.field._mult_matrix(self.nums), rhs)
+        return FieldElement(self.field, tuple(row[0] for row in y), det)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -867,10 +874,11 @@ def create_field(min_poly, integral_basis=None, prec: int = DEFAULT_PREC) -> Num
 
     Quadratic x^2 - d with d squarefree gets the canonical maximal-order
     basis automatically; other fields default to the power basis. prec
-    above MAX_PREC is a ValueError: no escalation could start there.
+    outside 1..MAX_PREC is a ValueError: no escalation could start there,
+    and one from prec < 1 would never grow.
     """
-    if prec > MAX_PREC:
-        raise ValueError(f"precision above the {MAX_PREC}-bit cap")
+    if not 1 <= prec <= MAX_PREC:
+        raise ValueError(f"precision outside 1..{MAX_PREC} bits")
     coeffs = [int(c) for c in min_poly]
     if len(coeffs) < 3:
         raise FieldConstructionError("degree must be at least 2")
@@ -890,19 +898,16 @@ def create_field(min_poly, integral_basis=None, prec: int = DEFAULT_PREC) -> Num
         rows = [[Fraction(x) for x in row] for row in integral_basis]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise FieldConstructionError("basis must be a square matrix of degree size")
-        if rows[0] != [Fraction(1)] + [Fraction(0)] * (n - 1):
+        if rows[0] != [1] + [0] * (n - 1):
             raise FieldConstructionError("first basis element must be 1")
-        if mat_det(rows) == 0:
-            raise FieldConstructionError("basis has zero determinant")
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    nums = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
     r1 = sturm_real_root_count(coeffs)
-    r2 = (n - r1) // 2
-    f = NumberField(tuple(coeffs), tuple(tuple(r) for r in rows), n, r1, r2, 0, prec)
-    f.mult_table()  # validates ring closure
-    disc = int_det(f.trace_form())
-    if disc == 0:
+    f = NumberField(tuple(coeffs), nums, den, n, r1, (n - r1) // 2, prec)
+    if f.disc == 0:
         raise FieldConstructionError("trace form determinant is zero")
-    return NumberField(tuple(coeffs), tuple(tuple(r) for r in rows), n, r1, r2, disc, prec)
+    return f
 
 
 def partial_f(f: NumberField):

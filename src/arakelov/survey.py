@@ -240,22 +240,20 @@ def cycle_length(units: UnitLattice):
 def cycle_positions(census: SredCensus, units: UnitLattice):
     """(entry, position) for the principal-class entries: the position along
     the unit circle of the class group, in [0, cycle length); the base point
-    d(O_F) sits at 0."""
+    d(O_F) sits at 0. It is (p_0 - p_1) / sqrt(2) for the entry's log
+    position p = log|sigma(gen)| - log(N(I))/2 (_surd_place), whose shift
+    cancels in the difference."""
     f = census.field
     if f.n != 2 or f.r1 != 2:
         raise ValueError("cycle positions require a real quadratic field")
     tagged = classify_components(census, units)
     ell = cycle_length(units)
     out = []
-    for e in tagged.entries:
-        if e.class_tag != "principal":
-            continue
-        g = e.generator
-        vg = f.embed(g).abs()
-        with mp.workprec(vg.prec):
-            t = (mp.log(vg.values[0]) - mp.log(vg.values[1])) / mp.sqrt(2)
-            pos = t % ell
-        out.append((e, pos))
+    with mp.workprec(f.prec):
+        for e in tagged.entries:
+            if e.class_tag == "principal":
+                p0, p1 = e.log_position.values
+                out.append((e, (p0 - p1) / mp.sqrt(2) % ell))
     return out
 
 

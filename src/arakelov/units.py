@@ -12,7 +12,7 @@ from math import isqrt
 
 from mpmath import mp
 
-from .exact import cf_cycle, mat_inv
+from .exact import cf_cycle, int_solve
 from .lattice import _fincke_pohst, _int_gram_schmidt, _int_levels, _int_qform
 from .numfield import (
     FieldElement,
@@ -75,8 +75,7 @@ def _hnf_root(f: NumberField, hnf) -> tuple[int, int]:
     q = m/b for the sign that makes b positive, and p' moves by a multiple
     of q into (sqrt(disc) - q, sqrt(disc)). p and q are integers, with
     q | f.disc - p^2, whenever Z + Z x is a module over the order."""
-    t, sgn = f._surd_data()
-    tn, td = t.numerator, t.denominator
+    tn, td, sgn = f._surd_data()
     (h00, h01), (_, h11) = hnf
     a, b, m = 2 * td * h01 + tn * h11, sgn * td * h11, 2 * td * h00
     if b < 0:
@@ -102,7 +101,7 @@ def quadratic_units(f: NumberField) -> UnitLattice:
     *_, (_, _, u, v) = cf_cycle(p, q, f.disc)
     eps = f.from_surd_numerators(u, v, q)
     assert abs(eps.norm()) == 1, "continued fraction did not produce a unit"
-    if f._surd_data()[1] < 0:  # w lies below its conjugate at place 0
+    if f._surd_data()[2] < 0:  # w lies below its conjugate at place 0
         eps = eps.inverse()  # the unit exceeds 1 where w exceeds its conjugate
     return UnitLattice(f, (eps,), _totally_positive_generators(f, (eps,)))
 
@@ -252,10 +251,11 @@ class LogLattice:
     Gram-Schmidt data (d, lam) of gram (lattice._int_gram_schmidt).
 
     closest_norm(t) is min over integer a of ||t + sum a_i g_i||. The real
-    minimiser is c = -G^-1 (<g_i, t>)_i, read off the projection G^-1 B
-    (exact.mat_inv) stored with the Gram and taken at its exact binary
-    value, c = C / 2^s with integer mantissas C. The search seeds with
-    Babai's rounding a0 of c (Babai, Combinatorica 1986), valued as
+    minimiser is c = -G^-1 (<g_i, t>)_i, read off the projection G^-1 B,
+    with G^-1 = 2^k adj(gram) / det(gram) from exact.int_solve and B the
+    exact binary values of the generators, stored with the Gram and taken
+    at its exact binary value, c = C / 2^s with integer mantissas C. The
+    search seeds with Babai's rounding a0 of c (Babai, Combinatorica 1986), valued as
     (a0 - c)^T G (a0 - c) on the integer Gram (_int_qform), then the one
     Fincke-Pohst loop enumerates every a with (a - c)^T G (a - c) at most
     that value, widened by a relative and an absolute 2^(-prec/2). It walks
@@ -287,11 +287,16 @@ class LogLattice:
         self._m, self._levels = _int_levels(d)
         # the last squared Gram-Schmidt length of G, d_r / (d_r-1 2^k)
         self._last = Fraction(d[r], d[r - 1] << k)
-        # G^-1 B, where B[i][p] = deg_p g_i[p], exact
-        inv = mat_inv([[Fraction(x, 1 << k) for x in row] for row in gram])
-        b = [[dg * mpf_to_fraction(v) for v, dg in zip(g.values, g.degs)] for g in gens]
-        self._proj = [[fraction_to_mpf(sum(x * bk[p] for x, bk in zip(row, b)), self.prec)
-                       for p in range(len(b[0]))] for row in inv]
+        # G^-1 B = 2^k adj(gram) B / det(gram), where B[i][p] = deg_p g_i[p]
+        # = b[i][p] / 2^s, exact
+        det, adj = int_solve(gram, [[int(i == j) for j in range(r)] for i in range(r)])
+        flat, s = mpf_mantissas([v for g in gens for v in g.values])
+        places = len(gens[0].values)
+        b = [[dg * v for v, dg in zip(flat[i * places:(i + 1) * places], g.degs)]
+             for i, g in enumerate(gens)]
+        self._proj = [[fraction_to_mpf(Fraction(sum(x * bk[p] for x, bk in zip(row, b)) << k,
+                                                 det << s), self.prec)
+                       for p in range(places)] for row in adj]
 
     def _minimiser(self, target: LogVector) -> list:
         """c = -G^-1 (<g_i, target>)_i, the real coefficients at which

@@ -12,7 +12,7 @@ from mpmath import mp, mpf
 import arakelov.lattice as lattice_module
 import arakelov.units as units_module
 from arakelov.divisors import divisor_d
-from arakelov.exact import mat_det, mat_inv, sign_surd_sq
+from arakelov.exact import sign_surd_sq
 from arakelov.ideals import (
     PlainLattice,
     _sublattices_of_index,
@@ -36,7 +36,7 @@ from arakelov.lattice import (
     _both_signs,
     _box_points,
     _int_half,
-    _ldl,
+    _ldl_int,
     _lll_core,
     _send,
     _u_weights,
@@ -60,6 +60,8 @@ from oracles import (
     brute_minimal_pick,
     brute_qform_points,
     brute_shortest_sq,
+    _int_det,
+    _inv,
     fraction_gram_schmidt,
     fraction_lll,
     interval_gram,
@@ -370,7 +372,7 @@ def test_is_minimal_stops_at_its_first_box_point(f73, monkeypatch):
     first = next(_box_points(f73, scaled, None, ones, strict=True))
     radius = Fraction(f73.n) * (1 + _ENUM_SLACK)
     gram = _fine_gram(_ellipsoid_gram(f73, scaled, _u_weights(f73, None), ones), radius)
-    d, l = _ldl(gram.entries)
+    d, l = _ldl_int(*_int_entries(gram.entries))
     candidates = [x for _, x in _fincke_pohst(_unit_levels(d), l, None, radius)]
     want = candidates.index(first[1]) + 1
     assert want < len(candidates)
@@ -438,7 +440,7 @@ def _skewed_rank4_grams(rng, count: int = 8):
     grams = []
     for _ in range(count):
         a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
-        if mat_det(a) == 0:
+        if _int_det(a) == 0:
             continue
         for _ in range(12):
             i, j = rng.sample(range(4), 2)
@@ -461,12 +463,10 @@ def _reduction_test_grams(f73, f_cubic):
 
 
 def test_lll_output_satisfies_reduction_conditions(f73, f_cubic):
-    from arakelov.lattice import _ldl
-
     delta = Fraction(99, 100)
     for gram in _reduction_test_grams(f73, f_cubic):
         _, red = lll_reduce(gram)
-        b, mu = _ldl([list(r) for r in red.entries])
+        mu, b = fraction_gram_schmidt(red.entries)
         n = len(b)
         for i in range(n):
             for j in range(i):
@@ -506,7 +506,7 @@ def test_lll_matches_fraction_oracle(f73, f_cubic):
 def test_lll_transform_is_scale_invariant(rows, scale):
     """LLL decides on ratios of Gram entries: scaling the Gram by a positive
     rational leaves the transform alone and scales the reduced entries."""
-    if mat_det([[Fraction(x) for x in r] for r in rows]) == 0:
+    if _int_det(rows) == 0:
         return
     g = [[sum(x * y for x, y in zip(ri, rj)) for rj in rows] for ri in rows]
     u, red = lll_reduce(GramMatrix.from_entries(g))
@@ -518,7 +518,7 @@ def test_lll_transform_is_scale_invariant(rows, scale):
 def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7, f_cubic):
     """A shortest vector builds one field element, the winner, however many
     vectors the enumeration visits: no reduced-basis element is built, and
-    no _ldl runs. That holds for exact Grams and for the inexact Gram of
+    no _ldl_int runs. That holds for exact Grams and for the inexact Gram of
     x^3 - 2 (a complex place), whose rounded search needs no refinement."""
     calls, rows = [], []
     inner = lattice_module._element_of
@@ -532,12 +532,12 @@ def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7, f_cubic):
         rows.extend(coeff_rows)
         return inner_comb(f, source, coeff_rows)
 
-    def no_ldl(g):
-        raise AssertionError("_ldl called")
+    def no_ldl(cur, den):
+        raise AssertionError("_ldl_int called")
 
     monkeypatch.setattr(lattice_module, "_element_of", count)
     monkeypatch.setattr(lattice_module, "_combinations", count_rows)
-    monkeypatch.setattr(lattice_module, "_ldl", no_ldl)
+    monkeypatch.setattr(lattice_module, "_ldl_int", no_ldl)
     lat, _ = plain_alpha_lattice(f7)
     for f, lattice in ((f73, unit_ideal(f73)), (f7, lat),
                        (f73, enumerate_integral_ideals(f73, 20)[-1])):
@@ -775,7 +775,7 @@ def test_hermite_bound_on_seeded_integer_grams():
         for _ in range(12):
             while True:
                 b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-                if mat_det([[Fraction(x) for x in row] for row in b]) != 0:
+                if _int_det(b) != 0:
                     break
             g = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)]
                  for i in range(n)]
@@ -954,7 +954,7 @@ def _half_tree_grams(rng):
 
 
 def _unit_levels(d):
-    """_fincke_pohst's levels (d_i, 1) for _ldl's factor d."""
+    """_fincke_pohst's levels (d_i, 1) for _ldl_int's factor d."""
     return [(x, 1) for x in d]
 
 
@@ -984,7 +984,7 @@ def test_origin_centred_search_walks_half_the_tree():
         entries = tuple(tuple(r) for r in g)
         radius = Fraction(rng.randint(1, 6), rng.randint(1, 2)) * min(g[i][i] for i in range(n))
         want = brute_qform_points(g, radius)
-        d, l = _ldl(g)
+        d, l = _ldl_int(*_int_entries(g))
         half = list(_fincke_pohst(_unit_levels(d), l, None, radius))
         _assert_one_of_each_pair(half)
         assert _with_negatives(half) == want
@@ -1035,7 +1035,7 @@ def test_fincke_pohst_send_lowers_the_radius():
     for g in _half_tree_grams(rng):
         n = len(g)
         radius = Fraction(rng.randint(2, 8), rng.randint(1, 2)) * min(g[i][i] for i in range(n))
-        d, l = _ldl(g)
+        d, l = _ldl_int(*_int_entries(g))
         centre = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
         shift = [centre[i] + sum(l[k][i] * centre[k] for k in range(i + 1, n))
                  for i in range(n)]
@@ -1073,7 +1073,7 @@ def test_half_tree_halves_the_box_rows(f73, monkeypatch):
     radius = Fraction(f73.n) * (1 + _ENUM_SLACK)
     gram = _fine_gram(_ellipsoid_gram(f73, unit_ideal(f73), _u_weights(f73, u), [box, box]),
                       radius)
-    d, l = _ldl([list(r) for r in gram.entries])
+    d, l = _ldl_int(*_int_entries(gram.entries))
     levels = _unit_levels(d)
     level0 = []
 
@@ -1291,7 +1291,7 @@ def test_closest_norm_walks_exactly_the_babai_ellipsoid(min_poly, monkeypatch):
         gens = unit_lattice_from_elements(f, [th, th - f.one()]).log_embeddings()
     log_lattice = LogLattice(gens)
     g = _log_gram(log_lattice)
-    inv = mat_inv(g)
+    inv = _inv(g)
     r = len(g)
     walked = []
 
@@ -1323,7 +1323,7 @@ def test_closest_norm_walks_exactly_the_babai_ellipsoid(min_poly, monkeypatch):
 
 
 def test_ldl_is_the_fraction_gram_schmidt(f73):
-    """_ldl, read off _int_gram_schmidt, gives the textbook Gram-Schmidt of
+    """_ldl_int, read off _int_gram_schmidt, gives the textbook Gram-Schmidt of
     the oracle over Fractions: on seeded exact Grams, on refined interval
     Grams of x^3 - 2 and x^3 - x - 3, on the twisted Q(sqrt 73) box Gram at
     t = 6, and on the exact binary log-lattice Grams of Q(sqrt 73) and of
@@ -1358,11 +1358,11 @@ def test_ldl_is_the_fraction_gram_schmidt(f73):
         g = _log_gram(log_lattice)
         one = 1 << log_lattice._k
         assert [[Fraction(x, one) for x in row] for row in log_lattice._gram] == g
-        assert log_lattice._last == _ldl(g)[0][-1]
+        assert log_lattice._last == _ldl_int(*_int_entries(g))[0][-1]
         grams.append(g)
     for g in grams:
         n = len(g)
-        d, l = _ldl(g)
+        d, l = _ldl_int(*_int_entries(g))
         mu, bs = fraction_gram_schmidt(g)
         assert d == bs
         assert l == [[mu[i][j] if j < i else Fraction(int(i == j)) for j in range(n)]
@@ -1427,7 +1427,7 @@ def test_gram_matrix_public_surface(f73, f_cubic):
     ideal = invert(enumerate_integral_ideals(f73, 12)[-1])
     for gram in (g2, g3, gram_of(f73, ideal), gram_of(f73, ideal, u),
                  gram_of(f_cubic, unit_ideal(f_cubic))):
-        assert gram.det() == mat_det([list(r) for r in gram.entries])
+        assert gram.det() == _int_det([list(r) for r in gram.entries])
         coeffs = tuple(range(-1, gram.size - 1))
         assert gram.value_error(coeffs) == gram.err * sum(map(abs, coeffs)) ** 2
         umat, red = lll_reduce(gram)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from arakelov.exact import cf_floor, mat_det
+from arakelov.exact import cf_floor, int_det, int_solve
 from arakelov.ideals import ideal_from_generators, unit_ideal
 from arakelov.lattice import enumerate_box, is_minimal
 from arakelov.numfield import (
@@ -26,7 +26,7 @@ from arakelov.numfield import (
     norm_trace,
     partial_f,
 )
-from oracles import interval_horner, oracle_embed
+from oracles import _int_det, _inv, interval_horner, oracle_embed
 
 small_rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -65,6 +65,84 @@ def test_create_field_rejects_bad_inputs():
         # spans a module that is not a ring
         create_field([-7, 0, 1],
                      integral_basis=[[1, 0], [Fraction(1, 3), Fraction(1, 3)]])
+
+
+def test_create_field_precision_bounds():
+    """prec outside 1..MAX_PREC is a ValueError: from prec <= 0 the
+    precision policy would double 0, or a negative value, forever. Both
+    ends are accepted, and a comparison at prec 1 escalates and returns."""
+    for prec in (0, -5, MAX_PREC + 1):
+        with pytest.raises(ValueError, match="precision"):
+            create_field([-2, 0, 0, 1], prec=prec)
+    assert create_field([-2, 0, 0, 1], prec=MAX_PREC).prec == MAX_PREC
+    f = create_field([-2, 0, 0, 1], prec=1)
+    assert f.cmp_abs_sq(f.gen() - f.one(), 0, Fraction(1, 3)) == -1
+
+
+def test_int_solve_against_the_oracles():
+    """exact.int_solve gives (det, X) with a X = det rhs on integers: det is
+    the oracle's cofactor determinant, and X is det times the oracle's
+    Fraction inverse times rhs. Seeded matrices up to 5 x 5 with up to three
+    right-hand sides, zero leading pivots and negative determinants; a
+    singular matrix, at the first pivot or a later one, gives (0, None).
+    int_det is the same determinant."""
+    rng = random.Random(3333)
+    cases = [([[0, 1], [1, 0]], [[2], [3]]),  # zero leading pivot, det -1
+             ([[0, 0, 2], [0, 3, 1], [5, 1, 1]], [[1, 0], [0, 1], [4, -7]]),
+             ([[1, 2], [2, 4]], [[1], [1]]),  # singular at the second pivot
+             ([[0, 1], [0, 2]], [[1], [0]]),  # singular at the first
+             ([[1, 1, 1], [1, 1, 2], [2, 2, 3]], [[0], [0], [1]]),
+             ([[-4]], [[6]])]
+    for _ in range(150):
+        n, k = rng.randint(1, 5), rng.randint(0, 3)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            a[0][0] = 0
+        cases.append((a, [[rng.randint(-20, 20) for _ in range(k)] for _ in range(n)]))
+    signs = set()
+    for a, rhs in cases:
+        det, x = int_solve(a, rhs)
+        assert det == _int_det(a) == int_det(a)
+        signs.add((det > 0) - (det < 0))
+        if det == 0:
+            assert x is None
+            continue
+        n = len(a)
+        inv = _inv([[Fraction(v) for v in row] for row in a])
+        assert all(type(v) is int for row in x for v in row)
+        assert x == [[det * sum(inv[i][j] * rhs[j][c] for j in range(n))
+                      for c in range(len(rhs[0]))] for i in range(n)]
+    assert signs == {-1, 0, 1}
+
+
+def test_create_field_builds_the_structure_once(monkeypatch):
+    """create_field builds one NumberField: the n^2 products of basis
+    elements behind the structure constants are reduced once each."""
+    import arakelov.numfield as numfield_module
+
+    inner = numfield_module.NumberField._poly_mod
+    calls = []
+
+    def count(self, coeffs):
+        calls.append(coeffs)
+        return inner(self, coeffs)
+
+    monkeypatch.setattr(numfield_module.NumberField, "_poly_mod", count)
+    for min_poly, basis in _ARITH_FIELDS:
+        calls.clear()
+        f = create_field(min_poly, basis)
+        assert len(calls) == f.n ** 2 and f.disc
+
+
+def test_basis_is_integer_rows_over_one_denominator(f73, f_cubic):
+    """The order basis is held as integer rows over one positive denominator
+    in lowest terms; basis is the same rows as Fractions."""
+    twice = create_field([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    assert (twice.basis_nums, twice.basis_den) == (((1, 0, 0), (0, 2, 0), (0, 0, 2)), 1)
+    for f in (f73, f_cubic, twice):
+        assert f.basis_den > 0 and math.gcd(f.basis_den, *(v for r in f.basis_nums for v in r)) == 1
+        assert f.basis == tuple(tuple(Fraction(v, f.basis_den) for v in r) for r in f.basis_nums)
+    assert (f73.basis_nums, f73.basis_den) == (((2, 0), (1, 1)), 2)
 
 
 def test_partial_constant_values(f7, fi, f73):
@@ -696,6 +774,46 @@ def test_element_arithmetic_pinned():
     assert h.hexdigest() == ARITH_DIGEST
 
 
+_STRUCTURE_FIELDS = _ARITH_FIELDS + [([1, -3, 0, 1], None)]
+STRUCTURE_DIGEST = "53fb3b7def295f954f6a44b84af2f2d1d3d38bc2c1ca4c45048b59256b98b880"
+
+
+def test_field_structure_pinned():
+    """The order's structure on Q(sqrt73), Q(i), x^3 - 2, x^3 - x - 3,
+    x^4 - x - 1, Z + 2Z cbrt2 + 2Z cbrt4 and x^3 - 3x + 1: basis,
+    mult_table, trace_form, disc, gen, from_power of the unit vectors, the
+    basis denominator and irregular modulus, and the unit log lattice's
+    projection and closest norms on fixed targets (rank 1 over Q(sqrt73),
+    rank 2 over x^3 - 3x + 1 with the units theta, theta - 1), hash to the
+    pinned digest: how the order basis is held moves no value."""
+    from arakelov.ideals import _basis_denominator, _irregular_modulus
+    from arakelov.numfield import LogVector
+    from arakelov.units import LogLattice, quadratic_units, unit_lattice_from_elements
+
+    h = hashlib.sha256()
+    for min_poly, basis in _STRUCTURE_FIELDS:
+        f = create_field(min_poly, basis)
+        h.update(repr([_qs(row) for row in f.basis]).encode())
+        h.update(repr([f.mult_table(), f.trace_form(), f.disc, _qs(f.gen().coords)]).encode())
+        h.update(repr([_qs(f.from_power([int(k == j) for k in range(f.n)]))
+                       for j in range(f.n)]).encode())
+        h.update(repr([_basis_denominator(f), _irregular_modulus(f)]).encode())
+        if f.n == 2 and f.r1 == 2:
+            units = quadratic_units(f)
+        elif f.min_poly == (1, -3, 0, 1):
+            theta = f.gen()
+            units = unit_lattice_from_elements(f, [theta, theta - f.one()])
+        else:
+            continue
+        lattice = LogLattice(units.log_embeddings())
+        h.update(repr([[v._mpf_ for v in row] for row in lattice._proj]).encode())
+        for k in range(6):
+            vals = tuple(fraction_to_mpf(Fraction(7 * k - 3 * p - 5, 4 + p), f.prec)
+                         for p in range(f.num_places))
+            h.update(repr(lattice.closest_norm(LogVector(vals, f.degs, f.prec))._mpf_).encode())
+    assert h.hexdigest() == STRUCTURE_DIGEST
+
+
 def _canonical(x) -> bool:
     return x.den > 0 and math.gcd(x.den, *x.nums) == 1
 
@@ -781,5 +899,5 @@ def test_trace_form_is_an_integer_matrix(f7, f73, fi, f_cubic):
     for f in (f7, f73, fi, f_cubic, create_field([-2, 0, 0, 1], [[1, 0, 0], [0, 2, 0], [0, 0, 2]])):
         tf = f.trace_form()
         assert all(type(v) is int for row in tf for v in row)
-        assert mat_det([[Fraction(v) for v in row] for row in tf]) == f.disc
+        assert _int_det(tf) == f.disc
         assert [f.element([int(i == j) for i in range(f.n)]).trace() for j in range(f.n)] == tf[0]
