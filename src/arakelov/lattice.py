@@ -18,7 +18,10 @@ Fincke-Pohst loop on that same integer data. An inexact Gram is searched at
 its own precision: its midpoints, whose integers run far longer than their
 certified error warrants, are rounded to a grid a few bits below that
 error, LLL and the search run on the rounded Gram, and only the candidates
-found are valued exactly on the integer midpoints (_rounded_attempt). The unit
+found are valued exactly on the integer midpoints (_rounded_attempt). Its
+certificate that those candidates suffice is one comparison of integers
+(_certified), and the values, margins and pick are integers over the Gram's
+den: only the returned lambda_1^2 and its error become Fractions. The unit
 lattice's closest vectors (units.LogLattice) run the loop on integer
 levels too (_int_levels), about a dyadic centre scaled to integers, and so
 does enumerate_quadratic_form, on its entries cleared to integers
@@ -59,6 +62,7 @@ from .numfield import (
     FieldElement,
     NumberField,
     _escalate,
+    _iv_mul,
     common_numerators,
     fraction_to_mpf,
     mpf_to_fraction,
@@ -214,12 +218,12 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
     else:
         # general field: certified interval embeddings on integer endpoints.
         # At place p every element's rectangle is brought over one
-        # denominator den_p, so a product of two intervals is four integer
-        # products over den_p^2; scale[p] = common deg_p w_p / den_p^2 is an
-        # integer for the common denominator of those factors. A positive
-        # common denominator keeps each min and max in place, so the
-        # entries are those of rational interval arithmetic: midpoint
-        # lo + hi and radius hi - lo over den = 2 common.
+        # denominator den_p, so a product of two intervals is one integer
+        # interval product (_iv_mul) over den_p^2; scale[p] = common deg_p
+        # w_p / den_p^2 is an integer for the common denominator of those
+        # factors. A positive common denominator keeps each min and max in
+        # place, so the entries are those of rational interval arithmetic:
+        # midpoint lo + hi and radius hi - lo over den = 2 common.
         emb, factors = [], []
         for place in range(f.num_places):
             raw = [f.embed_interval(x, place, prec) for x in basis]
@@ -233,14 +237,12 @@ def _gram(f: NumberField, basis: tuple[FieldElement, ...],
         def entry(i, j):
             lo = hi = 0
             for k, rects in zip(scale, emb):
-                (ril, rih), im_i = rects[i]
-                (rjl, rjh), im_j = rects[j]
-                ps = (ril * rjl, ril * rjh, rih * rjl, rih * rjh)
-                plo, phi = min(ps), max(ps)
+                re_i, im_i = rects[i]
+                re_j, im_j = rects[j]
+                plo, phi = _iv_mul(re_i, re_j)
                 if im_i is not None:
-                    (iil, iih), (ijl, ijh) = im_i, im_j
-                    ps = (iil * ijl, iil * ijh, iih * ijl, iih * ijh)
-                    plo, phi = plo + min(ps), phi + max(ps)
+                    ilo, ihi = _iv_mul(im_i, im_j)
+                    plo, phi = plo + ilo, phi + ihi
                 lo += k * plo
                 hi += k * phi
             return lo + hi, hi - lo
@@ -444,8 +446,8 @@ def _fincke_pohst(levels, l, shift, radius):
     so that e_i a_i - mid_i = e_i (a_i - c_i) + sum_{k > i} l_ki (a_k - c_k).
     On _ldl_int's factors G = L D L^T the levels are (d_i, 1) and the value
     is (a - c)^T G (a - c), on exact Fractions; _box_points, the only user
-    of those factors, walks them about the origin. _int_half passes the
-    integer levels of its scaled Gram
+    of those factors, walks them about the origin. _int_half and
+    _rounded_attempt pass the integer levels of their scaled Gram
     (_int_levels), lam as l and an integer radius, about the origin, and
     units.LogLattice the same levels about a dyadic centre C / D, with
     every e_i and l_ki times D and the shift of C on the unscaled levels:
@@ -533,10 +535,10 @@ def _int_levels(d: list[int]) -> tuple[int, list[tuple[int, int]]]:
     return m, [(m // (d[i] * d[i + 1]), d[i + 1]) for i in range(n)]
 
 
-def _int_half(cur: list[list[int]], den: int, d: list[int], lam, radius: Fraction):
+def _int_half(den: int, d: list[int], lam, radius: Fraction):
     """Yield (value, x) for one x of each pair +-x of nonzero integer
-    vectors with value = x^T G x <= radius, G = cur / den with cur an
-    integer Gram and (d, lam) its integral Gram-Schmidt data: the x whose
+    vectors with value = x^T G x <= radius, G = cur / den for the integer
+    Gram cur whose integral Gram-Schmidt data are (d, lam): the x whose
     last nonzero coordinate is positive, sorted on the reversed tuple.
 
     The half tree of _fincke_pohst runs on the levels of _int_levels, with
@@ -561,7 +563,7 @@ def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
     +-x pair, and the first half the negatives it adds.
     """
     cur, den = _int_entries(entries)
-    return _both_signs(list(_int_half(cur, den, *_int_gram_schmidt(cur), Fraction(radius))))
+    return _both_signs(list(_int_half(den, *_int_gram_schmidt(cur), Fraction(radius))))
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -642,7 +644,7 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector | None:
     umat, cur, d, lam = _lll_core(g.mat)
     radius = Fraction(min(cur[i][i] for i in range(n)), den)
     mapped = [(value, _canonical_sign(_on_source(umat, x)))
-              for value, x in _int_half(cur, den, d, lam, radius)]
+              for value, x in _int_half(den, d, lam, radius)]
     if not mapped:
         raise RuntimeError("enumeration found no vectors inside the LLL radius")
     best = min(v for v, _ in mapped)
@@ -668,8 +670,10 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     Every candidate is mapped back through the transform U and valued
     exactly on G, one quadratic form on g.mat over g.den each, and the pick is
     the rule for inexact Grams: best, the least value; margin, the largest
-    value_error; the close set, values within best + 2 margin; the least
-    coefficients in it; error 3 margin + spread.
+    value_error, g.rad ||x||_1^2 over g.den; the close set, values within
+    best + 2 margin; the least coefficients in it; error 3 margin + spread.
+    Values and margins are compared as integers over the one g.den, so only
+    the returned value and error become Fractions.
 
     Why the candidates suffice. Write v_G, v_H for the two forms,
     L = n tr(H^-1) and eps = (e + delta) L.
@@ -686,53 +690,100 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     with r_G its least reduced diagonal entry, has r_G <= a^(n-1) best (the
     LLL bound, a = 1 / (LLL_DELTA - 1/4)). Both radii thus lie below
     V = a^(n-1) (1 + s) b + 4 n^2 e, and both margins are at most m(V).
-    When (1 - eps) R >= b + 2 m(V), which is checked, the candidates hold
-    every vector within best + 2 margin of either search; otherwise the
-    attempt returns None and _refining refines g. Both searches thus value
-    the same vectors at the same midpoint values, so best and, unless some
-    vector's value lies strictly between best plus twice the one margin and
-    best plus twice the other, the close set, winner, value and spread are
-    the same rationals; only the error term 3 margin can differ, by less
-    than 3 m(V).
+    When (1 - eps) R >= b + 2 m(V), the candidates hold every vector within
+    best + 2 margin of either search; otherwise the attempt returns None and
+    _refining refines g. Both searches thus value the same vectors at the
+    same midpoint values, so best and, unless some vector's value lies
+    strictly between best plus twice the one margin and best plus twice the
+    other, the close set, winner, value and spread are the same rationals;
+    only the error term 3 margin can differ, by less than 3 m(V).
+
+    _certified decides that inequality on integers, with e, r and
+    tr(H^-1) = 2^k tr(cur^-1) over their own denominators, cur the rounded
+    Gram scaled to integers. It runs first on dyadic upper bounds of e and
+    tr(cur^-1) with about 40 significant bits: the left side falls and the
+    right side rises with e and with L, so a pass there is a pass of the
+    exact test, which runs only when that first test fails. The decision
+    is the exact one.
     """
-    n, e, den = g.size, g.err, g.den
-    k = e.denominator.bit_length() - e.numerator.bit_length() + 1 + _ROUND_GUARD
+    n, den = g.size, g.den
+    q = math.gcd(g.rad, den)
+    en, ed = g.rad // q, den // q  # e in lowest terms
+    k = ed.bit_length() - en.bit_length() + 1 + _ROUND_GUARD
     if k < 1:
         return None
-    scale = 1 << k
     cur = [[((x << (k + 1)) + den) // (2 * den) for x in row] for row in g.mat]
-    ell = n * scale * _inverse_trace(cur)
+    tn, td = _inverse_trace(cur)
     umat, cur, d, lam = _lll_core(cur)
-    r = Fraction(min(cur[i][i] for i in range(n)), scale)
-    radius = r * (1 + _ENUM_SLACK)
-    eps = (e + Fraction(1, 2 * scale)) * ell
-    if eps >= 1:
+    rmin = min(cur[i][i] for i in range(n))
+    # the exact certificate only when the one on dyadic upper bounds fails
+    if not (_certified(n, *_dyadic_ceil(en, ed), *_dyadic_ceil(tn, td), rmin, k)
+            or _certified(n, en, ed, tn, td, rmin, k)):
         return None
-    b = r * (1 + eps)
-    far = _LLL_ALPHA ** (n - 1) * (1 + _ENUM_SLACK) * b + 4 * n * n * e
-    if (1 - eps) * radius < b + 2 * e * ell * far / (1 - eps):
-        return None
+    # the half tree at radius R = r (1 + s) on _int_half's integer levels,
+    # with no Fraction per point: its integer bound is m 2^k R, floored
+    m, levels = _int_levels(d)
+    sn, sd = _ENUM_SLACK.numerator, _ENUM_SLACK.denominator
     found = {_canonical_sign(_on_source(umat, x))
-             for _, x in _int_half(cur, scale, d, lam, radius)}
-    mapped = [(Fraction(_int_qform(g.mat, x), den), x) for x in found]
+             for _, x in _fincke_pohst(levels, lam, None, m * rmin * (sd + sn) // sd)}
+    # values and margins as integers over den
+    mapped = [(_int_qform(g.mat, x), x) for x in found]
     best = min(v for v, _ in mapped)
-    margin = max(g.value_error(x) for _, x in mapped)
+    margin = g.rad * max(sum(map(abs, x)) for x in found) ** 2
     close = sorted((v, x) for v, x in mapped if v <= best + 2 * margin)
     val, coeffs = min(close, key=lambda t: (t[1], t[0]))
     spread = close[-1][0] - best
-    return ShortVector(coeffs, _element_of(g, coeffs), val, 3 * margin + spread)
+    return ShortVector(coeffs, _element_of(g, coeffs), Fraction(val, den),
+                       Fraction(3 * margin + spread, den))
 
 
-def _inverse_trace(cur: list[list[int]]) -> Fraction:
-    """tr(cur^-1) of a positive-definite integer Gram: its principal
-    (n-1)-minors over its determinant."""
+def _certified(n: int, en: int, ed: int, tn: int, td: int, rmin: int, k: int) -> bool:
+    """_rounded_attempt's certificate (1 - eps) R >= b + 2 e L far / (1 - eps)
+    on integers, for e = en / ed, tr(cur^-1) = tn / td, S = 2^k, r = rmin / S,
+    s = _ENUM_SLACK = sn / sd and a^(n-1) = an / ad for a = _LLL_ALPHA, all
+    positive.
+
+    Then L = n S tn / td and eps = p / q for p = (2 S en + ed) n tn and
+    q = 2 ed td. With dd = q - p = (1 - eps) q > 0, the test times the
+    positive (1 - eps) q^2 S sd ed ad reads
+
+        ed ad rmin dd (dd (sd + sn) - sd (q + p))
+            >= 4 n S en tn (an (sd + sn) rmin (q + p) ed + 4 n^2 en ad sd S q),
+
+    and eps >= 1 (dd <= 0) fails it."""
+    s = 1 << k
+    p = (2 * s * en + ed) * n * tn
+    q = 2 * ed * td
+    dd = q - p
+    if dd <= 0:
+        return False
+    sn, sd = _ENUM_SLACK.numerator, _ENUM_SLACK.denominator
+    an, ad = _LLL_ALPHA.numerator ** (n - 1), _LLL_ALPHA.denominator ** (n - 1)
+    lhs = ed * ad * rmin * dd * (dd * (sd + sn) - sd * (q + p))
+    rhs = 4 * n * s * en * tn * (an * (sd + sn) * rmin * (q + p) * ed
+                                 + 4 * n * n * en * ad * sd * s * q)
+    return lhs >= rhs
+
+
+def _dyadic_ceil(num: int, den: int, bits: int = 40) -> tuple[int, int]:
+    """(c, 2^j), j >= 0, with num / den <= c / 2^j < (1 + 2^(1-bits)) num / den
+    for positive num and den: num / den rounded up to about bits
+    significant bits, short integers for a short certificate."""
+    j = den.bit_length() - num.bit_length() + bits
+    if j >= 0:
+        return -((-num << j) // den), 1 << j
+    return -(-num // (den << -j)) << -j, 1
+
+
+def _inverse_trace(cur: list[list[int]]) -> tuple[int, int]:
+    """tr(cur^-1) of a positive-definite integer Gram as (num, den), den > 0:
+    the sum of its principal (n-1)-minors over its determinant."""
     n = len(cur)
 
     def det(rows):
         return _int_gram_schmidt([[cur[i][j] for j in rows] for i in rows])[0][-1]
 
-    return Fraction(sum(det([i for i in range(n) if i != m]) for m in range(n)),
-                    det(range(n)))
+    return sum(det([i for i in range(n) if i != m]) for m in range(n)), det(range(n))
 
 
 def _int_qform(g: list[list[int]], x) -> int:

@@ -110,7 +110,30 @@ def _iv_cmp(a: tuple[int, int], b: tuple[int, int]) -> int | None:
     return None
 
 
+def _iv_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The product interval {x y : x in a, y in b}: the least and largest of
+    the four endpoint products, found from the endpoints' signs with two
+    multiplications unless both intervals straddle 0 (Moore, Interval
+    Analysis, 1966)."""
+    (al, ah), (bl, bh) = a, b
+    if al >= 0:
+        if bl >= 0:
+            return al * bl, ah * bh
+        return ah * bl, (al if bh <= 0 else ah) * bh
+    if ah <= 0:
+        if bh <= 0:
+            return ah * bh, al * bl
+        return al * bh, (ah if bl >= 0 else al) * bl
+    if bl >= 0:
+        return al * bh, ah * bh
+    if bh <= 0:
+        return ah * bl, al * bl
+    return min(al * bh, ah * bl), max(al * bl, ah * bh)
+
+
 def _iv_sq(a: tuple[int, int]) -> tuple[int, int]:
+    """{x^2 : x in a}. For an a that straddles 0 this is (0, max), tighter
+    than _iv_mul(a, a), whose least endpoint is the negative lo hi."""
     if a[0] >= 0:
         return (a[0] * a[0], a[1] * a[1])
     if a[1] <= 0:
@@ -620,34 +643,31 @@ class NumberField:
         Interval Horner runs on integers: the power coordinates over dc in
         lowest terms (_power_numerators), the root box over its denominator
         dt, so after k steps every endpoint is a numerator over dc dt^k. A
-        common positive denominator keeps the min and max of each four
-        products in place, so the rectangle is the one of Horner over
-        rational intervals."""
+        common positive denominator keeps the endpoints of each interval
+        product (_iv_mul) in place, so the rectangle is the one of Horner
+        over rational intervals."""
         dt, box = self._root_box(place, prec)
         nums, dc = self._power_numerators(x)
         cs = nums[::-1]
         scale = 1  # dt^k after k steps
         if len(box) == 1:
-            (tl, th), = box
-            lo = hi = cs[0]
+            root, = box
+            re_iv = (cs[0], cs[0])
             for c in cs[1:]:
                 scale *= dt
-                ps = (lo * tl, lo * th, hi * tl, hi * th)
-                lo, hi = min(ps) + c * scale, max(ps) + c * scale
-            re_iv, im_iv = (lo, hi), None
+                lo, hi = _iv_mul(re_iv, root)
+                re_iv = (lo + c * scale, hi + c * scale)
+            im_iv = None
         else:
-            (rl, rh), (il, ih) = box
-            al = ah = cs[0]
-            bl = bh = 0
+            re_root, im_root = box
+            re_iv, im_iv = (cs[0], cs[0]), (0, 0)
             for c in cs[1:]:
                 scale *= dt
-                rr = (al * rl, al * rh, ah * rl, ah * rh)
-                ii = (bl * il, bl * ih, bh * il, bh * ih)
-                ri = (al * il, al * ih, ah * il, ah * ih)
-                ir = (bl * rl, bl * rh, bh * rl, bh * rh)
-                al, ah, bl, bh = (min(rr) - max(ii) + c * scale, max(rr) - min(ii) + c * scale,
-                                  min(ri) + min(ir), max(ri) + max(ir))
-            re_iv, im_iv = (al, ah), (bl, bh)
+                # (a + b i)(r + s i) = (a r - b s) + (a s + b r) i
+                rr, ii = _iv_mul(re_iv, re_root), _iv_mul(im_iv, im_root)
+                ri, ir = _iv_mul(re_iv, im_root), _iv_mul(im_iv, re_root)
+                re_iv = (rr[0] - ii[1] + c * scale, rr[1] - ii[0] + c * scale)
+                im_iv = (ri[0] + ir[0], ri[1] + ir[1])
         return dc * scale, re_iv, im_iv
 
     # -- certified comparisons ----------------------------------------------

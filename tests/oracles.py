@@ -947,3 +947,24 @@ def oracle_embed(min_poly, pcoords, prec: int) -> list:
         places = _oracle_places(min_poly)
         return [sum((mpf(c.numerator) / c.denominator * z ** j for j, c in enumerate(pcoords)),
                     mpf(0)) for z, _ in places]
+
+
+def rounded_certificate(n: int, e: Fraction, tr: Fraction, rmin: int, k: int) -> bool:
+    """The certificate of the rounded lambda_1 search on Fractions, as its
+    proof states it: for a Gram of rank n with error e searched on a grid
+    of 2^-k, tr = tr(cur^-1) of the rounded Gram cur over S = 2^k and rmin
+    its least LLL-reduced diagonal entry, L = n S tr, eps = (e + 1 / (2 S)) L,
+    r = rmin / S, R = r (1 + s), b = r (1 + eps) and far = a^(n-1) (1 + s) b
+    + 4 n^2 e, with s = 2^-20 and a = 1 / (99/100 - 1/4): eps < 1 and
+    (1 - eps) R >= b + 2 e L far / (1 - eps)."""
+    scale = 2 ** k
+    slack = Fraction(1, 2 ** 20)
+    alpha = 1 / (Fraction(99, 100) - Fraction(1, 4))
+    ell = n * scale * tr
+    r = Fraction(rmin, scale)
+    eps = (e + Fraction(1, 2 * scale)) * ell
+    if eps >= 1:
+        return False
+    b = r * (1 + eps)
+    far = alpha ** (n - 1) * (1 + slack) * b + 4 * n * n * e
+    return (1 - eps) * r * (1 + slack) >= b + 2 * e * ell * far / (1 - eps)

@@ -65,6 +65,7 @@ from oracles import (
     fraction_gram_schmidt,
     fraction_lll,
     interval_gram,
+    rounded_certificate,
 )
 
 
@@ -567,7 +568,7 @@ def _int_points(entries, radius):
     signs of every vector."""
     cur, den = _int_entries(entries)
     d, lam = _int_gram_schmidt(cur)
-    return _both_signs(list(_int_half(cur, den, d, lam, Fraction(radius))))
+    return _both_signs(list(_int_half(den, d, lam, Fraction(radius))))
 
 
 def _lll_radius_points(entries):
@@ -579,7 +580,7 @@ def _lll_radius_points(entries):
     assert (d, lam) == _int_gram_schmidt(cur)
     reduced = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
     radius = Fraction(min(cur[i][i] for i in range(n)), den)
-    return reduced, radius, _both_signs(list(_int_half(cur, den, d, lam, radius)))
+    return reduced, radius, _both_signs(list(_int_half(den, d, lam, radius)))
 
 
 def _canonical_shortest(entries):
@@ -991,7 +992,7 @@ def test_origin_centred_search_walks_half_the_tree():
         assert enumerate_quadratic_form(entries, radius) == want
         cur, den = _int_entries(entries)
         dd, lam = _int_gram_schmidt(cur)
-        half = list(_int_half(cur, den, dd, lam, radius))
+        half = list(_int_half(den, dd, lam, radius))
         _assert_one_of_each_pair(half)
         assert _with_negatives(half) == want
         assert _both_signs(half) == want
@@ -1057,7 +1058,7 @@ def test_fincke_pohst_send_lowers_the_radius():
             return _fincke_pohst(levels, lam, None, bound)
 
         assert [(Fraction(v, m * den), x) for v, x in int_walk()] == list(
-            _int_half(cur, den, dd, lam, radius))
+            _int_half(den, dd, lam, radius))
         skipped += _walk_with_sends(int_walk, lambda v: v * rng.randint(1, 15) // 10, rng)
     assert skipped > 0
 
@@ -1468,3 +1469,148 @@ def test_rounded_attempt_on_a_coarse_gram_is_none():
         g = GramMatrix(None, (), None, ((4, 1), (1, 3)), 1, rad, 53)
         assert g.err > 2 ** 9
         assert lattice_module._rounded_attempt(g) is None
+
+
+SEARCH_DIGEST = "9b4f348b5ca992c92d447cdfe89dc613f9ccc92864a59093106c6d5cb4d7e8ec"
+
+
+def _search_pin(sv) -> str:
+    if sv is None:
+        return "None"
+    return repr((sv.coeffs, _q(sv.length_sq), _q(sv.length_sq_err)))
+
+
+def test_inexact_search_pinned(f73):
+    """_rounded_attempt's (coeffs, lambda_1^2, error), or None, hashes to the
+    pinned digest on the lambda_1 Grams of the inverses of every ideal of
+    norm <= 30 on x^3 - 2, x^3 - x - 3 and x^4 - x - 1, at the field
+    precision, refined once and at 4 bits, and on twisted Grams of Q(sqrt 73)
+    ideals: how the search's certificate and candidate values are computed
+    moves no value and no decision."""
+    h = hashlib.sha256()
+    for min_poly in ([-2, 0, 0, 1], [-3, -1, 0, 1], [-1, -1, 0, 0, 1]):
+        f = create_field(min_poly)
+        for ideal in enumerate_integral_ideals(f, 30):
+            gram = gram_of(f, invert(ideal))
+            for g in (gram, gram.refine(), gram_of(f, invert(ideal), prec=4)):
+                assert g.rad
+                h.update(_search_pin(lattice_module._rounded_attempt(g)).encode())
+    with mp.workprec(f73.prec):
+        twists = [ArchVector((mp.exp(t), mp.exp(-t)), f73.degs, f73.prec) for t in (1, 3, 6)]
+    for ideal in enumerate_integral_ideals(f73, 30):
+        for u in twists:
+            gram = gram_of(f73, ideal, u)
+            for g in (gram, gram.refine()):
+                assert g.rad
+                h.update(_search_pin(lattice_module._rounded_attempt(g)).encode())
+    assert h.hexdigest() == SEARCH_DIGEST
+
+
+def _certificate_cases(rng: random.Random):
+    """Seeded (n, e, tr, rmin, k): random ones, ones with eps >= 1, and for
+    each a pair of errors e_lo < e_hi, e_hi <= e_lo (1 + 2^-40), on the two
+    sides of the boundary of the oracle's certificate."""
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(1, 300)
+        scale = 1 << k
+        rmin = rng.randint(1, scale << rng.randint(0, 12))
+        tr = Fraction(rng.randint(1, 1 << 40), rng.randint(1, 1 << 40) << (k + rng.randint(22, 40)))
+        e = Fraction(rng.randint(1, 1 << 30), rng.randint(1, 1 << 30) << rng.randint(max(0, k - 20), k + 20))
+        yield n, e, tr, rmin, k
+        # eps >= 1: e at and above 1 / L - 1 / (2 S)
+        e_max = 1 / (n * scale * tr) - Fraction(1, 2 * scale)
+        if e_max > 0:
+            yield n, e_max, tr, rmin, k
+            yield n, e_max * (1 + Fraction(1, rng.randint(1, 1 << 40))), tr, rmin, k
+        if not rounded_certificate(n, Fraction(0), tr, rmin, k):
+            continue
+        lo, hi = Fraction(0), e_max
+        for _ in range(400):
+            mid = hi / 2 if lo == 0 else (lo + hi) / 2
+            if rounded_certificate(n, mid, tr, rmin, k):
+                lo = mid
+            else:
+                hi = mid
+            if lo and hi <= lo * (1 + Fraction(1, 1 << 40)):
+                break
+        assert lo and hi <= lo * (1 + Fraction(1, 1 << 40))
+        yield n, lo, tr, rmin, k
+        yield n, hi, tr, rmin, k
+
+
+def test_integer_certificate_matches_fraction_oracle():
+    """_certified, the rounded search's certificate on integers, decides as
+    the Fraction inequality of its proof (oracles.rounded_certificate) on
+    seeded cases, eps >= 1 and errors within a relative 2^-40 on either
+    side of the boundary included, whatever terms e and tr come in; and
+    the cheap first test on dyadic upper bounds of e and tr passes only
+    where the oracle passes."""
+    rng = random.Random(3434)
+    seen = {True: 0, False: 0}
+    cheap_passed = cheap_failed_exact_passed = 0
+    for n, e, tr, rmin, k in _certificate_cases(rng):
+        want = rounded_certificate(n, e, tr, rmin, k)
+        seen[want] += 1
+        got = lattice_module._certified(n, e.numerator, e.denominator,
+                                        tr.numerator, tr.denominator, rmin, k)
+        assert got == want
+        c = rng.randint(2, 9)
+        assert lattice_module._certified(n, c * e.numerator, c * e.denominator,
+                                         c * tr.numerator, c * tr.denominator, rmin, k) == want
+        cheap = lattice_module._certified(n, *lattice_module._dyadic_ceil(e.numerator, e.denominator),
+                                          *lattice_module._dyadic_ceil(tr.numerator, tr.denominator),
+                                          rmin, k)
+        if cheap:
+            assert want
+            cheap_passed += 1
+        elif want:
+            cheap_failed_exact_passed += 1
+    assert seen[True] > 30 and seen[False] > 30
+    assert cheap_passed > 20 and cheap_failed_exact_passed > 0
+
+
+def test_dyadic_ceil_bounds_from_above():
+    """_dyadic_ceil(num, den) is c / 2^j with num / den <= c / 2^j <
+    (1 + 2^(1-bits)) num / den, for values below and above 1."""
+    rng = random.Random(35)
+    for _ in range(500):
+        num, den = rng.randint(1, 1 << rng.randint(1, 2000)), rng.randint(1, 1 << rng.randint(1, 2000))
+        c, p = lattice_module._dyadic_ceil(num, den)
+        assert p & (p - 1) == 0
+        assert Fraction(num, den) <= Fraction(c, p) < Fraction(num, den) * (1 + Fraction(1, 1 << 39))
+
+
+def test_rounded_attempt_builds_two_fractions(monkeypatch, f_cubic):
+    """A successful _rounded_attempt builds lattice.Fraction exactly twice,
+    for the returned lambda_1^2 and its error, however many candidates its
+    search values (one _int_qform each): on the lambda_1 Grams of x^3 - 2
+    (one candidate each) and on inexact Grams of Z, Z^2, A2, Z^3 and D4
+    with 1, 2, 3, 3 and 12 candidates, an error of 2^-300 each."""
+    made, valued = [], []
+    fraction, qform = lattice_module.Fraction, lattice_module._int_qform
+
+    def counting_fraction(*args):
+        made.append(args)
+        return fraction(*args)
+
+    def counting_qform(g, x):
+        valued.append(x)
+        return qform(g, x)
+
+    den = 1 << 300
+    forms = [[[1]], [[1, 0], [0, 1]], [[2, 1], [1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]]
+    grams = [GramMatrix(None, (), None, tuple(tuple(x * den for x in row) for row in form),
+                        den, 1, 300) for form in forms]
+    grams += [gram_of(f_cubic, invert(ideal)) for ideal in enumerate_integral_ideals(f_cubic, 12)]
+    monkeypatch.setattr(lattice_module, "Fraction", counting_fraction)
+    monkeypatch.setattr(lattice_module, "_int_qform", counting_qform)
+    candidates = []
+    for gram in grams:
+        made.clear()
+        valued.clear()
+        assert lattice_module._rounded_attempt(gram) is not None
+        assert len(made) == 2
+        candidates.append(len(valued))
+    assert candidates[:len(forms)] == [1, 2, 3, 3, 12]
+    assert set(candidates[len(forms):]) == {1}

@@ -17,6 +17,8 @@ from arakelov.numfield import (
     NumberField,
     PrecisionExhausted,
     _escalate,
+    _iv_mul,
+    _iv_sq,
     _ratio_mpf,
     create_field,
     embed,
@@ -901,3 +903,31 @@ def test_trace_form_is_an_integer_matrix(f7, f73, fi, f_cubic):
         assert all(type(v) is int for row in tf for v in row)
         assert _int_det(tf) == f.disc
         assert [f.element([int(i == j) for i in range(f.n)]).trace() for j in range(f.n)] == tf[0]
+
+
+_ENDPOINT = st.one_of(st.integers(-3, 3), st.integers(-(1 << 300), 1 << 300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ENDPOINT, _ENDPOINT, _ENDPOINT, _ENDPOINT)
+def test_iv_mul_is_the_four_product_hull(a0, a1, b0, b1):
+    """_iv_mul is the least and the largest of the four endpoint products
+    for every sign pattern, zero endpoints and point intervals included."""
+    a, b = (min(a0, a1), max(a0, a1)), (min(b0, b1), max(b0, b1))
+    ps = [x * y for x in a for y in b]
+    assert _iv_mul(a, b) == (min(ps), max(ps))
+    assert _iv_mul(b, a) == _iv_mul(a, b)
+
+
+def test_iv_mul_sign_cases_and_iv_sq():
+    """Every pair of sign patterns (nonnegative, nonpositive, straddling,
+    zero-ended, point and zero intervals) gives the four-product hull;
+    _iv_sq keeps its tighter (0, max) for an interval that straddles 0."""
+    ivs = [(2, 5), (0, 5), (-5, -2), (-5, 0), (-3, 4), (-4, 3), (0, 0), (3, 3), (-3, -3)]
+    for a in ivs:
+        for b in ivs:
+            ps = [x * y for x in a for y in b]
+            assert _iv_mul(a, b) == (min(ps), max(ps))
+    assert _iv_sq((-3, 4)) == (0, 16) and _iv_mul((-3, 4), (-3, 4)) == (-12, 16)
+    assert _iv_sq((2, 5)) == _iv_mul((2, 5), (2, 5))
+    assert _iv_sq((-5, -2)) == _iv_mul((-5, -2), (-5, -2))
