@@ -116,9 +116,12 @@ class GramMatrix:
     def det(self) -> Fraction:
         return Fraction(int_det(self.mat), self.den ** self.size)
 
+    def value_error_num(self, coeffs) -> int:
+        """value_error(coeffs) over den: rad ||coeffs||_1^2."""
+        return self.rad * sum(map(abs, coeffs)) ** 2
+
     def value_error(self, coeffs) -> Fraction:
-        s = sum(abs(c) for c in coeffs)
-        return Fraction(self.rad * s * s, self.den)
+        return Fraction(self.value_error_num(coeffs), self.den)
 
     def refine(self) -> "GramMatrix":
         """The same Gram rebuilt at twice the precision; a Gram built from
@@ -446,9 +449,9 @@ def _fincke_pohst(levels, l, shift, radius):
     so that e_i a_i - mid_i = e_i (a_i - c_i) + sum_{k > i} l_ki (a_k - c_k).
     On _ldl_int's factors G = L D L^T the levels are (d_i, 1) and the value
     is (a - c)^T G (a - c), on exact Fractions; _box_points, the only user
-    of those factors, walks them about the origin. _int_half and
-    _rounded_attempt pass the integer levels of their scaled Gram
-    (_int_levels), lam as l and an integer radius, about the origin, and
+    of those factors, walks them about the origin. _int_half passes the
+    integer levels of its scaled Gram (_int_levels), lam as l and an
+    integer radius, about the origin, and
     units.LogLattice the same levels about a dyadic centre C / D, with
     every e_i and l_ki times D and the shift of C on the unscaled levels:
     its values are integers, D^2 times those about C / D.
@@ -535,21 +538,20 @@ def _int_levels(d: list[int]) -> tuple[int, list[tuple[int, int]]]:
     return m, [(m // (d[i] * d[i + 1]), d[i + 1]) for i in range(n)]
 
 
-def _int_half(den: int, d: list[int], lam, radius: Fraction):
-    """Yield (value, x) for one x of each pair +-x of nonzero integer
-    vectors with value = x^T G x <= radius, G = cur / den for the integer
-    Gram cur whose integral Gram-Schmidt data are (d, lam): the x whose
-    last nonzero coordinate is positive, sorted on the reversed tuple.
+def _int_half(den: int, d: list[int], lam, rn: int, rd: int):
+    """(scale, walk): walk yields (value, x) for one x of each pair +-x of
+    nonzero integer vectors with x^T G x = value / scale <= rn / rd, G =
+    cur / den for the integer Gram cur whose integral Gram-Schmidt data are
+    (d, lam): the x whose last nonzero coordinate is positive, sorted on
+    the reversed tuple.
 
     The half tree of _fincke_pohst runs on the levels of _int_levels, with
-    l = lam and mid_i = -S_i, against the integer bound floor(m den radius):
-    its one row gets integers at every node, and a value becomes a
-    Fraction only when its vector is yielded."""
+    l = lam and mid_i = -S_i, against the integer bound floor(m den rn / rd)
+    and scale = m den: its one row gets integers at every node, and the
+    values it yields are integers too."""
     m, levels = _int_levels(d)
-    scale = m * den  # a node's value over scale is x^T G x
-    bound = radius.numerator * scale // radius.denominator
-    for value, x in _fincke_pohst(levels, lam, None, bound):
-        yield Fraction(value, scale), x
+    scale = m * den
+    return scale, _fincke_pohst(levels, lam, None, rn * scale // rd)
 
 
 def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
@@ -563,7 +565,9 @@ def enumerate_quadratic_form(entries: tuple[tuple[Fraction, ...], ...],
     +-x pair, and the first half the negatives it adds.
     """
     cur, den = _int_entries(entries)
-    return _both_signs(list(_int_half(den, *_int_gram_schmidt(cur), Fraction(radius))))
+    radius = Fraction(radius)
+    scale, half = _int_half(den, *_int_gram_schmidt(cur), radius.numerator, radius.denominator)
+    return _both_signs([(Fraction(value, scale), x) for value, x in half])
 
 
 def _canonical_sign(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -626,8 +630,8 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector | None:
     radius, the least diagonal entry of the reduced Gram.
 
     An exact Gram is searched on _lll_core's integer Gram and integral
-    Gram-Schmidt data (_int_half): no Fraction per node, and
-    only the winner becomes a FieldElement. The search yields one vector of
+    Gram-Schmidt data (_int_half): no Fraction per node, and only the
+    winner's value becomes a Fraction and the winner a FieldElement. The search yields one vector of
     each +-x pair, whose canonical sign is the pair's, so the pick is that
     of the whole of enumerate_quadratic_form on the same entries.
 
@@ -642,14 +646,13 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector | None:
         return _rounded_attempt(g)
     n, den = g.size, g.den
     umat, cur, d, lam = _lll_core(g.mat)
-    radius = Fraction(min(cur[i][i] for i in range(n)), den)
-    mapped = [(value, _canonical_sign(_on_source(umat, x)))
-              for value, x in _int_half(den, d, lam, radius)]
+    scale, half = _int_half(den, d, lam, min(cur[i][i] for i in range(n)), den)
+    mapped = [(value, _canonical_sign(_on_source(umat, x))) for value, x in half]
     if not mapped:
         raise RuntimeError("enumeration found no vectors inside the LLL radius")
     best = min(v for v, _ in mapped)
     coeffs = min(x for v, x in mapped if v == best)
-    return ShortVector(coeffs, _element_of(g, coeffs), best, Fraction(0))
+    return ShortVector(coeffs, _element_of(g, coeffs), Fraction(best, scale), Fraction(0))
 
 
 def _on_source(umat, x) -> tuple[int, ...]:
@@ -670,7 +673,7 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     Every candidate is mapped back through the transform U and valued
     exactly on G, one quadratic form on g.mat over g.den each, and the pick is
     the rule for inexact Grams: best, the least value; margin, the largest
-    value_error, g.rad ||x||_1^2 over g.den; the close set, values within
+    value_error_num, g.rad ||x||_1^2 over g.den; the close set, values within
     best + 2 margin; the least coefficients in it; error 3 margin + spread.
     Values and margins are compared as integers over the one g.den, so only
     the returned value and error become Fractions.
@@ -698,13 +701,9 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     other, the close set, winner, value and spread are the same rationals;
     only the error term 3 margin can differ, by less than 3 m(V).
 
-    _certified decides that inequality on integers, with e, r and
+    _certified decides that inequality exactly on integers, with e, r and
     tr(H^-1) = 2^k tr(cur^-1) over their own denominators, cur the rounded
-    Gram scaled to integers. It runs first on dyadic upper bounds of e and
-    tr(cur^-1) with about 40 significant bits: the left side falls and the
-    right side rises with e and with L, so a pass there is a pass of the
-    exact test, which runs only when that first test fails. The decision
-    is the exact one.
+    Gram scaled to integers.
     """
     n, den = g.size, g.den
     q = math.gcd(g.rad, den)
@@ -716,20 +715,16 @@ def _rounded_attempt(g: GramMatrix) -> ShortVector | None:
     tn, td = _inverse_trace(cur)
     umat, cur, d, lam = _lll_core(cur)
     rmin = min(cur[i][i] for i in range(n))
-    # the exact certificate only when the one on dyadic upper bounds fails
-    if not (_certified(n, *_dyadic_ceil(en, ed), *_dyadic_ceil(tn, td), rmin, k)
-            or _certified(n, en, ed, tn, td, rmin, k)):
+    if not _certified(n, en, ed, tn, td, rmin, k):
         return None
-    # the half tree at radius R = r (1 + s) on _int_half's integer levels,
-    # with no Fraction per point: its integer bound is m 2^k R, floored
-    m, levels = _int_levels(d)
+    # the half tree at radius R = r (1 + s) on the Gram cur / 2^k
     sn, sd = _ENUM_SLACK.numerator, _ENUM_SLACK.denominator
-    found = {_canonical_sign(_on_source(umat, x))
-             for _, x in _fincke_pohst(levels, lam, None, m * rmin * (sd + sn) // sd)}
+    _, half = _int_half(1 << k, d, lam, rmin * (sd + sn), sd << k)
+    found = {_canonical_sign(_on_source(umat, x)) for _, x in half}
     # values and margins as integers over den
     mapped = [(_int_qform(g.mat, x), x) for x in found]
     best = min(v for v, _ in mapped)
-    margin = g.rad * max(sum(map(abs, x)) for x in found) ** 2
+    margin = max(g.value_error_num(x) for x in found)
     close = sorted((v, x) for v, x in mapped if v <= best + 2 * margin)
     val, coeffs = min(close, key=lambda t: (t[1], t[0]))
     spread = close[-1][0] - best
@@ -763,16 +758,6 @@ def _certified(n: int, en: int, ed: int, tn: int, td: int, rmin: int, k: int) ->
     rhs = 4 * n * s * en * tn * (an * (sd + sn) * rmin * (q + p) * ed
                                  + 4 * n * n * en * ad * sd * s * q)
     return lhs >= rhs
-
-
-def _dyadic_ceil(num: int, den: int, bits: int = 40) -> tuple[int, int]:
-    """(c, 2^j), j >= 0, with num / den <= c / 2^j < (1 + 2^(1-bits)) num / den
-    for positive num and den: num / den rounded up to about bits
-    significant bits, short integers for a short certificate."""
-    j = den.bit_length() - num.bit_length() + bits
-    if j >= 0:
-        return -((-num << j) // den), 1 << j
-    return -(-num // (den << -j)) << -j, 1
 
 
 def _inverse_trace(cur: list[list[int]]) -> tuple[int, int]:

@@ -370,14 +370,13 @@ def test_fincke_pohst_rows_are_exact(field_file, capsys, monkeypatch):
     """No float reaches a Fincke-Pohst row: census, verify and reduce on
     Q(sqrt 73) and x^3 - 2 hand every row (boxes, generators, closest
     vectors in the unit log lattice, the lambda_1 search) ints or
-    Fractions, and every row opened under _int_half or _rounded_attempt
-    (the lambda_1 search, exact and inexact) ints only."""
+    Fractions, and every row opened under _int_half (the lambda_1 search,
+    exact and inexact) ints only."""
     import arakelov.lattice as lattice_module
 
-    seen = {"rational": 0, "integer": 0, "inexact": 0}
+    seen = {"rational": 0, "integer": 0}
     row = lattice_module._fincke_pohst_row
     int_half = lattice_module._int_half
-    rounded_attempt = lattice_module._rounded_attempt
     inside = []
 
     def exact_row(used, level, mid, radius, start=None):
@@ -391,28 +390,23 @@ def test_fincke_pohst_rows_are_exact(field_file, capsys, monkeypatch):
         return row(used, level, mid, radius, start)
 
     def marked_int_half(*args):
-        walk = int_half(*args)
-        while True:
-            inside.append(True)
-            try:
-                step = next(walk, None)
-            finally:
-                inside.pop()
-            if step is None:
-                return
-            yield step
+        scale, walk = int_half(*args)
 
-    def marked_rounded_attempt(g):
-        seen["inexact"] += 1
-        inside.append(True)
-        try:
-            return rounded_attempt(g)
-        finally:
-            inside.pop()
+        def marked():
+            while True:
+                inside.append(True)
+                try:
+                    step = next(walk, None)
+                finally:
+                    inside.pop()
+                if step is None:
+                    return
+                yield step
+
+        return scale, marked()
 
     monkeypatch.setattr(lattice_module, "_fincke_pohst_row", exact_row)
     monkeypatch.setattr(lattice_module, "_int_half", marked_int_half)
-    monkeypatch.setattr(lattice_module, "_rounded_attempt", marked_rounded_attempt)
     q73 = str(FIELDS_DIR / "q73.json")
     q73_div = field_file("d.json", {"ideal": UNIT_IDEAL, "u": [math.e ** 3, math.e ** -3]})
     cubic = str(FIELDS_DIR / "cubic2.json")
@@ -422,7 +416,7 @@ def test_fincke_pohst_rows_are_exact(field_file, capsys, monkeypatch):
         code = run(capsys, ["verify", "--field", f, "--C", "sqrt2", "--trials", "2"])[0]
         assert code == verify_code
         assert run(capsys, ["reduce", "--field", f, "--C", "sqrt2", "--divisor", div])[0] == 0
-    assert seen["rational"] and seen["integer"] and seen["inexact"]
+    assert seen["rational"] and seen["integer"]
 
 
 def test_verify_skips_cycle_positions(field_file, capsys, monkeypatch):

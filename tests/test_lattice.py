@@ -563,12 +563,19 @@ def test_shortest_attempt_builds_one_element(monkeypatch, f73, f7, f_cubic):
     assert rows == [sv.coeffs]
 
 
+def _int_half_values(den, d, lam, radius):
+    """_int_half's walk at the rational radius, its values as Fractions."""
+    radius = Fraction(radius)
+    scale, half = _int_half(den, d, lam, radius.numerator, radius.denominator)
+    return [(Fraction(value, scale), x) for value, x in half]
+
+
 def _int_points(entries, radius):
     """_int_half on a rational Gram, from its own integral data, with both
     signs of every vector."""
     cur, den = _int_entries(entries)
     d, lam = _int_gram_schmidt(cur)
-    return _both_signs(list(_int_half(den, d, lam, Fraction(radius))))
+    return _both_signs(_int_half_values(den, d, lam, radius))
 
 
 def _lll_radius_points(entries):
@@ -580,7 +587,7 @@ def _lll_radius_points(entries):
     assert (d, lam) == _int_gram_schmidt(cur)
     reduced = tuple(tuple(Fraction(x, den) for x in row) for row in cur)
     radius = Fraction(min(cur[i][i] for i in range(n)), den)
-    return reduced, radius, _both_signs(list(_int_half(den, d, lam, radius)))
+    return reduced, radius, _both_signs(_int_half_values(den, d, lam, radius))
 
 
 def _canonical_shortest(entries):
@@ -992,7 +999,7 @@ def test_origin_centred_search_walks_half_the_tree():
         assert enumerate_quadratic_form(entries, radius) == want
         cur, den = _int_entries(entries)
         dd, lam = _int_gram_schmidt(cur)
-        half = list(_int_half(den, dd, lam, radius))
+        half = _int_half_values(den, dd, lam, radius)
         _assert_one_of_each_pair(half)
         assert _with_negatives(half) == want
         assert _both_signs(half) == want
@@ -1057,8 +1064,8 @@ def test_fincke_pohst_send_lowers_the_radius():
         def int_walk():
             return _fincke_pohst(levels, lam, None, bound)
 
-        assert [(Fraction(v, m * den), x) for v, x in int_walk()] == list(
-            _int_half(den, dd, lam, radius))
+        assert [(Fraction(v, m * den), x) for v, x in int_walk()] == _int_half_values(
+            den, dd, lam, radius)
         skipped += _walk_with_sends(int_walk, lambda v: v * rng.randint(1, 15) // 10, rng)
     assert skipped > 0
 
@@ -1542,12 +1549,9 @@ def test_integer_certificate_matches_fraction_oracle():
     """_certified, the rounded search's certificate on integers, decides as
     the Fraction inequality of its proof (oracles.rounded_certificate) on
     seeded cases, eps >= 1 and errors within a relative 2^-40 on either
-    side of the boundary included, whatever terms e and tr come in; and
-    the cheap first test on dyadic upper bounds of e and tr passes only
-    where the oracle passes."""
+    side of the boundary included, whatever terms e and tr come in."""
     rng = random.Random(3434)
     seen = {True: 0, False: 0}
-    cheap_passed = cheap_failed_exact_passed = 0
     for n, e, tr, rmin, k in _certificate_cases(rng):
         want = rounded_certificate(n, e, tr, rmin, k)
         seen[want] += 1
@@ -1557,27 +1561,7 @@ def test_integer_certificate_matches_fraction_oracle():
         c = rng.randint(2, 9)
         assert lattice_module._certified(n, c * e.numerator, c * e.denominator,
                                          c * tr.numerator, c * tr.denominator, rmin, k) == want
-        cheap = lattice_module._certified(n, *lattice_module._dyadic_ceil(e.numerator, e.denominator),
-                                          *lattice_module._dyadic_ceil(tr.numerator, tr.denominator),
-                                          rmin, k)
-        if cheap:
-            assert want
-            cheap_passed += 1
-        elif want:
-            cheap_failed_exact_passed += 1
     assert seen[True] > 30 and seen[False] > 30
-    assert cheap_passed > 20 and cheap_failed_exact_passed > 0
-
-
-def test_dyadic_ceil_bounds_from_above():
-    """_dyadic_ceil(num, den) is c / 2^j with num / den <= c / 2^j <
-    (1 + 2^(1-bits)) num / den, for values below and above 1."""
-    rng = random.Random(35)
-    for _ in range(500):
-        num, den = rng.randint(1, 1 << rng.randint(1, 2000)), rng.randint(1, 1 << rng.randint(1, 2000))
-        c, p = lattice_module._dyadic_ceil(num, den)
-        assert p & (p - 1) == 0
-        assert Fraction(num, den) <= Fraction(c, p) < Fraction(num, den) * (1 + Fraction(1, 1 << 39))
 
 
 def test_rounded_attempt_builds_two_fractions(monkeypatch, f_cubic):
