@@ -451,8 +451,8 @@ def _fincke_pohst(levels, l, shift, radius):
     is (a - c)^T G (a - c), on exact Fractions; _box_points, the only user
     of those factors, walks them about the origin. _int_half passes the
     integer levels of its scaled Gram (_int_levels), lam as l and an
-    integer radius, about the origin, and
-    units.LogLattice the same levels about a dyadic centre C / D, with
+    integer radius, about the origin, and units.LogLattice the same levels
+    about a dyadic centre C / D, with
     every e_i and l_ki times D and the shift of C on the unscaled levels:
     its values are integers, D^2 times those about C / D.
 
@@ -631,9 +631,10 @@ def _shortest_attempt(g: GramMatrix) -> ShortVector | None:
 
     An exact Gram is searched on _lll_core's integer Gram and integral
     Gram-Schmidt data (_int_half): no Fraction per node, and only the
-    winner's value becomes a Fraction and the winner a FieldElement. The search yields one vector of
-    each +-x pair, whose canonical sign is the pair's, so the pick is that
-    of the whole of enumerate_quadratic_form on the same entries.
+    winner's value becomes a Fraction and the winner a FieldElement. The
+    search yields one vector of each +-x pair, whose canonical sign is the
+    pair's, so the pick is that of the whole of enumerate_quadratic_form on
+    the same entries.
 
     An inexact Gram runs the same steps on its midpoints rounded to its
     certified error (_rounded_attempt); the candidates are valued exactly
