@@ -452,9 +452,9 @@ def _fincke_pohst(levels, l, shift, radius):
     of those factors, walks them about the origin. _int_half passes the
     integer levels of its scaled Gram (_int_levels), lam as l and an
     integer radius, about the origin, and units.LogLattice the same levels
-    about a dyadic centre C / D, with
-    every e_i and l_ki times D and the shift of C on the unscaled levels:
-    its values are integers, D^2 times those about C / D.
+    about a dyadic centre C / D, with every e_i and l_ki times D and the
+    shift of C on the unscaled levels: its values are integers, D^2 times
+    those about C / D.
 
     shift None is the origin, and there the loop walks half its tree
     (Fincke-Pohst, Math. Comp. 1985): a and -a have one value, so only the
